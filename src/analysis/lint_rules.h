@@ -20,8 +20,7 @@
  *   R303  rule verified by randomized evaluation only (exact
  *         canonicalization overflowed)
  *
- * Runs as `dioscc --lint-rules` and as a debug-build startup self-check
- * (env opt-out DIOS_NO_RULE_LINT).
+ * Runs as `dioscc --lint-rules [--width W]`.
  */
 #pragma once
 

@@ -142,10 +142,17 @@ audit_egraph_or_throw(const EGraph& graph, const CostModel& cost,
                     ":\n" + diags.render_text());
 }
 
-/** The full pipeline, sharing the caller's compile-wide deadline. */
+/**
+ * The full pipeline, sharing the caller's compile-wide deadline. With
+ * `direct` it is the ladder's final rung instead: no e-graph at all, the
+ * padded spec itself is lowered. That result is correct by construction
+ * (scalar code, vectorized only where the backend's LVN helps), so the
+ * only remaining failure modes are an invalid kernel or a fault injected
+ * into the backend itself.
+ */
 CompiledKernel
 compile_with_deadline(const scalar::Kernel& kernel, CompilerOptions options,
-                      const Deadline& deadline)
+                      const Deadline& deadline, bool direct = false)
 {
     options.sync();
     check_vector_width(options.target.vector_width);
@@ -165,53 +172,41 @@ compile_with_deadline(const scalar::Kernel& kernel, CompilerOptions options,
     out.report.spec_elements = padded->arity();
     out.report.spec_dag_nodes = Term::dag_size(padded);
 
-    // Phase 2: equality saturation. The runner stops gracefully at the
-    // deadline (partial e-graphs are usable, §5.5); the per-phase
-    // checkpoints below turn an exhausted budget into DeadlineExceeded.
-    phase.reset();
-    EGraph graph;
-    const ClassId root = graph.add_term(padded);
-    graph.rebuild();
-    const std::vector<Rewrite> rules = build_rules(options.rules);
-    if (options.strategy) {
-        strategy::StrategyRunOptions sro;
-        sro.base = options.limits;
-        sro.deadline = deadline;
-        const strategy::StrategyReport sr = strategy::run_strategy(
-            graph, root, rules, *options.strategy, sro);
-        out.report.stop_reason = sr.stop_reason;
-        out.report.runner_iterations = sr.iterations;
-        out.report.rule_stats = sr.rule_stats;
-        out.report.strategy_name = sr.strategy_name;
-        out.report.strategy_phases = sr.phases;
-        out.report.strategy_goal_satisfied = sr.goal_satisfied;
-    } else {
-        Runner runner(options.limits);
-        const RunnerReport rr = runner.run(graph, rules, deadline);
-        out.report.stop_reason = rr.stop_reason;
-        out.report.runner_iterations = rr.iterations.size();
-        out.report.rule_stats = rr.rule_stats;
-    }
-    out.report.saturation_seconds = phase.elapsed_seconds();
-    out.report.egraph_nodes = graph.num_nodes();
-    out.report.egraph_classes = graph.num_classes();
-    out.report.memory_proxy_bytes = graph.memory_proxy_bytes();
     const bool gates = gates_enabled(options);
+    if (direct) {
+        // No saturation ran: a zero iteration budget stopped the "search".
+        out.report.stop_reason = StopReason::kIterLimit;
+        out.extracted = out.padded_spec;
+    } else {
+        // Phase 2: equality saturation. The runner stops gracefully at
+        // the deadline (partial e-graphs are usable, §5.5); the
+        // per-phase checkpoints below turn an exhausted budget into
+        // DeadlineExceeded.
+        phase.reset();
+        EGraph graph;
+        const ClassId root = graph.add_term(padded);
+        graph.rebuild();
+        saturate(graph, root, options, deadline, out.report);
+        out.report.saturation_seconds = phase.elapsed_seconds();
+        out.report.egraph_nodes = graph.num_nodes();
+        out.report.egraph_classes = graph.num_classes();
+        out.report.memory_proxy_bytes = graph.memory_proxy_bytes();
 
-    // Phase 3: extraction (checks the deadline per relaxation pass).
-    phase.reset();
-    deadline.check("extraction");
-    const DiosCostModel cost(options.cost, width);
-    if (gates) {
-        audit_egraph_or_throw(graph, cost, nullptr, "saturation");
-    }
-    const Extractor extractor(graph, cost, deadline);
-    Extraction best = extractor.extract(graph.find(root));
-    out.extracted = best.term;
-    out.report.extracted_cost = best.cost;
-    out.report.extract_seconds = phase.elapsed_seconds();
-    if (gates) {
-        audit_egraph_or_throw(graph, cost, &extractor, "extraction");
+        // Phase 3: extraction (checks the deadline per relaxation pass).
+        phase.reset();
+        deadline.check("extraction");
+        const DiosCostModel cost(options.cost, width);
+        if (gates) {
+            audit_egraph_or_throw(graph, cost, nullptr, "saturation");
+        }
+        const Extractor extractor(graph, cost, deadline);
+        Extraction best = extractor.extract(graph.find(root));
+        out.extracted = best.term;
+        out.report.extracted_cost = best.cost;
+        out.report.extract_seconds = phase.elapsed_seconds();
+        if (gates) {
+            audit_egraph_or_throw(graph, cost, &extractor, "extraction");
+        }
     }
 
     // Phase 4: backend — lower, LVN, instruction selection, C source.
@@ -244,85 +239,24 @@ compile_with_deadline(const scalar::Kernel& kernel, CompilerOptions options,
     out.c_source = vir::to_c_intrinsics(out.vprogram, kernel.name);
     out.report.backend_seconds = phase.elapsed_seconds();
 
-    // Phase 5 (optional): translation validation.
-    if (options.validate) {
+    // Phase 5 (optional): translation validation. A direct compile's
+    // optimized term is pointer-identical to the spec, so both checks
+    // hold trivially — record them without re-deriving (the report's
+    // random_check_passed already defaults to true).
+    if (direct) {
+        if (options.validate) {
+            out.report.validation = Verdict::kEquivalent;
+        }
+    } else if (options.validate) {
         deadline.check("validation");
         out.report.validation =
             validate_translation(out.padded_spec, out.extracted);
     }
-    if (options.random_check) {
+    if (!direct && options.random_check) {
         deadline.check("random-check");
         out.report.random_check_passed =
             random_equivalent(out.padded_spec, out.extracted);
     }
-
-    out.report.total_seconds = total.elapsed_seconds();
-    return out;
-}
-
-/**
- * The ladder's final rung: lower the padded spec directly, with no
- * e-graph at all. The "extracted" program *is* the spec, so the result
- * is correct by construction (scalar code, vectorized only where the
- * backend's LVN helps) and the only remaining failure modes are an
- * invalid kernel or a fault injected into the backend itself.
- */
-CompiledKernel
-compile_direct(const scalar::Kernel& kernel, CompilerOptions options)
-{
-    options.sync();
-    check_vector_width(options.target.vector_width);
-    const int width = options.target.vector_width;
-
-    CompiledKernel out;
-    out.kernel = kernel;
-    Timer total;
-
-    Timer phase;
-    out.spec = scalar::lift(kernel);
-    auto [padded, slots] = pad_lifted_spec(out.spec, width);
-    out.padded_spec = padded;
-    out.report.lift_seconds = phase.elapsed_seconds();
-    out.report.spec_elements = padded->arity();
-    out.report.spec_dag_nodes = Term::dag_size(padded);
-
-    // No saturation ran: a zero iteration budget stopped the "search".
-    out.report.stop_reason = StopReason::kIterLimit;
-    out.extracted = out.padded_spec;
-
-    phase.reset();
-    const bool gates = gates_enabled(options);
-    out.vprogram = vir::lower_term(out.extracted, width, slots,
-                                   options.target.has_scalar_mac);
-    if (gates) {
-        verify_vir_or_throw(kernel, out.vprogram, "lowering");
-    }
-    std::vector<analysis::StoreSig> stores_before;
-    if (gates) {
-        stores_before = analysis::store_signature(out.vprogram);
-    }
-    out.report.lvn = vir::run_lvn(out.vprogram);
-    if (gates) {
-        analysis::DiagEngine diags;
-        analysis::verify_vprogram(
-            out.vprogram, diags,
-            analysis::padded_extents(kernel, width));
-        analysis::check_store_order(stores_before, out.vprogram, diags);
-        DIOS_ASSERT(!diags.has_errors(),
-                    "VIR verifier rejected the program after LVN:\n" +
-                        diags.render_text());
-    }
-    out.layout = vir::CompiledLayout::make(kernel, width);
-    emit_and_verify(out, options, slots);
-    out.c_source = vir::to_c_intrinsics(out.vprogram, kernel.name);
-    out.report.backend_seconds = phase.elapsed_seconds();
-
-    // The optimized term is pointer-identical to the spec, so both
-    // verifications hold trivially — record them without re-deriving.
-    if (options.validate) {
-        out.report.validation = Verdict::kEquivalent;
-    }
-    out.report.random_check_passed = true;
 
     out.report.total_seconds = total.elapsed_seconds();
     return out;
@@ -377,6 +311,32 @@ effective_deadline(const CompilerOptions& options)
 }
 
 }  // namespace
+
+void
+saturate(EGraph& graph, ClassId root, const CompilerOptions& options,
+         const Deadline& deadline, CompileReport& report)
+{
+    const std::vector<Rewrite> rules = build_rules(options.rules);
+    if (options.strategy) {
+        strategy::StrategyRunOptions sro;
+        sro.base = options.limits;
+        sro.deadline = deadline;
+        const strategy::StrategyReport sr = strategy::run_strategy(
+            graph, root, rules, *options.strategy, sro);
+        report.stop_reason = sr.stop_reason;
+        report.runner_iterations = sr.iterations;
+        report.rule_stats = sr.rule_stats;
+        report.strategy_name = sr.strategy_name;
+        report.strategy_phases = sr.phases;
+        report.strategy_goal_satisfied = sr.goal_satisfied;
+    } else {
+        Runner runner(options.limits);
+        const RunnerReport rr = runner.run(graph, rules, deadline);
+        report.stop_reason = rr.stop_reason;
+        report.runner_iterations = rr.iterations.size();
+        report.rule_stats = rr.rule_stats;
+    }
+}
 
 const char*
 failure_class_name(FailureClass c)
@@ -482,11 +442,10 @@ compile_kernel_resilient(const scalar::Kernel& kernel,
             // The final rung ignores the shared deadline: it is the
             // cheap, always-succeeds fallback that guarantees the
             // service returns *something*.
-            CompiledKernel compiled =
-                level == kDirectLevel
-                    ? compile_direct(kernel, rung_options(options, level))
-                    : compile_with_deadline(
-                          kernel, rung_options(options, level), deadline);
+            const bool direct = level == kDirectLevel;
+            CompiledKernel compiled = compile_with_deadline(
+                kernel, rung_options(options, level),
+                direct ? Deadline::unlimited() : deadline, direct);
 
             // Post-hoc verification failures degrade like exceptions do.
             // They indicate a miscompile, i.e. a library bug: kInternal,

@@ -332,6 +332,17 @@ OutputComparison compare_outputs(const scalar::BufferMap& got,
 std::string report_row(const std::string& name, const CompileReport& r);
 
 /**
+ * Equality saturation exactly as the compiler runs it, over `graph`
+ * rooted at `root`: the phases of `options.strategy` when one is
+ * engaged, else the monolithic Runner under `options.limits`, both
+ * stopping at `deadline`. `options` must be synced (see
+ * CompilerOptions::sync). Fills the report's stop reason, iteration
+ * count, rule stats and, for strategy runs, the strategy fields.
+ */
+void saturate(EGraph& graph, ClassId root, const CompilerOptions& options,
+              const Deadline& deadline, CompileReport& report);
+
+/**
  * Pads a lifted spec so every output array's element run is a multiple of
  * the vector width (vector stores never straddle arrays) and returns the
  * matching output slots. Exposed so the compile service can rebuild the

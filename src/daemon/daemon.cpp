@@ -106,13 +106,15 @@ Daemon::shutdown(service::DrainMode mode)
     if (!running_.exchange(false)) {
         return;
     }
+    // The accept loop sees stopping_ within one poll timeout; only then
+    // may its listening fd be closed (and its number reused).
     stopping_.store(true);
+    if (accept_thread_.joinable()) {
+        accept_thread_.join();
+    }
     if (listen_fd_ >= 0) {
         ::close(listen_fd_);
         listen_fd_ = -1;
-    }
-    if (accept_thread_.joinable()) {
-        accept_thread_.join();
     }
 
     // Drain: finish queued work, but never unboundedly — a watchdog
@@ -307,27 +309,34 @@ Daemon::handle_frame(int fd, const Frame& frame)
     }
 
     remote_requests_.fetch_add(1);
-    const std::pair<std::uint64_t, std::uint64_t> key{frame.client_id,
-                                                      frame.seq};
+    const RequestId key{frame.client_id, frame.seq};
     {
         // A retried frame after a torn reply: serve the identical
         // recorded bytes, never a second compile.
-        std::lock_guard<std::mutex> lock(dedup_mu_);
-        const auto it = dedup_.find(key);
-        if (it != dedup_.end()) {
+        std::unique_lock<std::mutex> lock(dedup_mu_);
+        if (const std::string* bytes = dedup_.find(key)) {
+            const std::string recorded = *bytes;
+            lock.unlock();
             dedup_hits_.fetch_add(1);
-            for (auto lit = dedup_lru_.begin(); lit != dedup_lru_.end();
-                 ++lit) {
-                if (*lit == key) {
-                    dedup_lru_.splice(dedup_lru_.end(), dedup_lru_, lit);
-                    break;
-                }
-            }
-            const std::string bytes = it->second;
-            return send_all(fd, bytes);
+            return send_all(fd, recorded);
         }
     }
 
+    const auto encode = [&](const CompileResponse& resp) {
+        Frame reply;
+        reply.type = FrameType::kCompileResponse;
+        reply.client_id = frame.client_id;
+        reply.seq = frame.seq;
+        reply.payload = encode_compile_response(resp);
+        return encode_frame(reply);
+    };
+    const auto failure = [&](FailureClass failure_class, const char* what) {
+        CompileResponse resp;
+        resp.status = ResponseStatus::kFailed;
+        resp.failure_class = failure_class;
+        resp.error = what;
+        return encode(resp);
+    };
     std::string reply_bytes;
     try {
         const CompileRequest req = decode_compile_request(frame.payload);
@@ -355,50 +364,20 @@ Daemon::handle_frame(int fd, const Frame& frame)
         } else {
             resp.status = ResponseStatus::kFailed;
         }
-        Frame reply;
-        reply.type = FrameType::kCompileResponse;
-        reply.client_id = frame.client_id;
-        reply.seq = frame.seq;
-        reply.payload = encode_compile_response(resp);
-        reply_bytes = encode_frame(reply);
+        reply_bytes = encode(resp);
     } catch (const UserError& e) {
         // Malformed payload / unparseable kernel: the same structured
         // failure a local compile of that input would produce.
-        CompileResponse resp;
-        resp.status = ResponseStatus::kFailed;
-        resp.failure_class = FailureClass::kUser;
-        resp.error = e.what();
-        Frame reply;
-        reply.type = FrameType::kCompileResponse;
-        reply.client_id = frame.client_id;
-        reply.seq = frame.seq;
-        reply.payload = encode_compile_response(resp);
-        reply_bytes = encode_frame(reply);
+        reply_bytes = failure(FailureClass::kUser, e.what());
     } catch (const std::exception& e) {
-        CompileResponse resp;
-        resp.status = ResponseStatus::kFailed;
-        resp.failure_class = FailureClass::kInternal;
-        resp.error = e.what();
-        Frame reply;
-        reply.type = FrameType::kCompileResponse;
-        reply.client_id = frame.client_id;
-        reply.seq = frame.seq;
-        reply.payload = encode_compile_response(resp);
-        reply_bytes = encode_frame(reply);
+        reply_bytes = failure(FailureClass::kInternal, e.what());
     }
 
     {
         // Record *before* sending: if the send tears, the retry is a
         // dedup hit with the identical bytes.
         std::lock_guard<std::mutex> lock(dedup_mu_);
-        const auto [it, fresh] = dedup_.try_emplace(key, reply_bytes);
-        if (fresh) {
-            dedup_lru_.push_back(key);
-            if (dedup_lru_.size() > options_.dedup_capacity) {
-                dedup_.erase(dedup_lru_.front());
-                dedup_lru_.pop_front();
-            }
-        }
+        dedup_.insert_or_assign(key, reply_bytes);
     }
     return send_all(fd, reply_bytes);
 }

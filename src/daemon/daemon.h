@@ -36,8 +36,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -47,8 +45,12 @@
 
 #include "daemon/frame.h"
 #include "service/compile_service.h"
+#include "support/lru.h"
 
 namespace diospyros::daemon {
+
+/** Responses the dedup table remembers for retried frames. */
+inline constexpr std::size_t kDedupCapacity = 1024;
 
 struct DaemonOptions {
     /** Filesystem path of the Unix socket to bind. */
@@ -59,8 +61,6 @@ struct DaemonOptions {
     double read_deadline_seconds = 30.0;
     /** kFinish drain escalates to kShed after this long. */
     double drain_deadline_seconds = 10.0;
-    /** Dedup LRU capacity (responses remembered for retried frames). */
-    std::size_t dedup_capacity = 1024;
 };
 
 class Daemon {
@@ -105,6 +105,17 @@ class Daemon {
         std::atomic<bool> done{false};
     };
 
+    /** Identity of one request frame: (client_id, seq). */
+    using RequestId = std::pair<std::uint64_t, std::uint64_t>;
+    struct RequestIdHash {
+        std::size_t
+        operator()(const RequestId& id) const
+        {
+            return static_cast<std::size_t>(
+                id.first ^ (id.second * 0x9e3779b97f4a7c15ULL));
+        }
+    };
+
     void accept_loop();
     void handle_connection(int fd);
     /** Returns false when the connection must be dropped. */
@@ -127,8 +138,7 @@ class Daemon {
 
     // Dedup LRU: (client_id, seq) -> encoded response bytes.
     std::mutex dedup_mu_;
-    std::map<std::pair<std::uint64_t, std::uint64_t>, std::string> dedup_;
-    std::list<std::pair<std::uint64_t, std::uint64_t>> dedup_lru_;
+    Lru<RequestId, std::string, RequestIdHash> dedup_{kDedupCapacity};
 
     std::atomic<std::uint64_t> remote_requests_{0};
     std::atomic<std::uint64_t> frames_rejected_{0};

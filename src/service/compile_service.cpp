@@ -15,6 +15,9 @@ namespace diospyros::service {
 
 namespace {
 
+/** Ceiling on the circuit breaker's doubling open window. */
+constexpr double kBreakerBackoffCapSeconds = 60.0;
+
 /** A budget of <= 0 means "disabled", i.e. unlimited. */
 double
 effective_budget(double seconds)
@@ -243,7 +246,8 @@ ServiceMetrics::to_json() const
     return out;
 }
 
-CompileService::CompileService(Options options) : options_(options)
+CompileService::CompileService(Options options)
+    : options_(options), memory_(options_.memory_cache_capacity)
 {
     if (options_.jobs < 1) {
         options_.jobs = 1;
@@ -254,7 +258,6 @@ CompileService::CompileService(Options options) : options_(options)
     if (options_.shed_watermark > options_.queue_capacity) {
         options_.shed_watermark = options_.queue_capacity;
     }
-    neg_rule_set_version_ = options_.rule_set_version;
     if (!options_.cache_dir.empty()) {
         disk_.emplace(options_.cache_dir, options_.disk_budget_bytes);
         const RecoveryStats& scan = disk_->startup_stats();
@@ -316,9 +319,8 @@ CompileService::reject(const std::shared_ptr<Job>& job, CacheOutcome outcome,
         job->owns_inflight = false;
     }
     if (job->is_probe) {
-        auto it = negative_.find(job->key);
-        if (it != negative_.end()) {
-            it->second.probe_inflight = false;
+        if (NegEntry* entry = negative_.find(job->key)) {
+            entry->probe_inflight = false;
         }
         job->is_probe = false;
     }
@@ -395,12 +397,18 @@ CompileService::submit(const scalar::Kernel& kernel, CompilerOptions options,
     if (bypass) {
         ++metrics_.bypasses;
     } else {
-        if (ResultPtr hit = lookup_memory(job->key, job->options)) {
+        // A time-bound entry serves only requests whose budget is no
+        // larger; a larger budget might do better, so it recompiles.
+        const MemEntry* hit = memory_.find(job->key);
+        if (hit != nullptr &&
+            (!time_bound(hit->result->report().stop_reason) ||
+             budget_within(job->options, hit->time_limit_seconds,
+                           hit->deadline_seconds))) {
             ++metrics_.memory_hits;
             ++metrics_.completed;
             job->state->outcome.store(CacheOutcome::kMemoryHit,
                                       std::memory_order_release);
-            job->promise.set_value(std::move(hit));
+            job->promise.set_value(hit->result);
             return ticket;
         }
 
@@ -409,17 +417,16 @@ CompileService::submit(const scalar::Kernel& kernel, CompilerOptions options,
         // elapses and then admits exactly one half-open probe. Checked
         // before coalescing so waiters can never pile onto a probe.
         if (options_.negative_ttl_seconds > 0.0) {
-            auto it = negative_.find(job->key);
-            if (it != negative_.end() &&
-                it->second.rule_set_version != neg_rule_set_version_) {
-                negative_.erase(it);
+            NegEntry* found = negative_.find(job->key);
+            if (found != nullptr &&
+                found->rule_set_version != neg_rule_set_version_) {
+                negative_.erase(job->key);
                 ++metrics_.negative_invalidated;
-                it = negative_.end();
+                found = nullptr;
             }
-            if (it != negative_.end()) {
-                NegEntry& entry = it->second;
+            if (found != nullptr) {
+                NegEntry& entry = *found;
                 const Clock::time_point now = Clock::now();
-                entry.last_touch = now;
                 if (entry.breaker_open) {
                     if (now < entry.open_until || entry.probe_inflight) {
                         const double remaining =
@@ -634,6 +641,8 @@ CompileService::metrics() const
     std::lock_guard<std::mutex> lock(mu_);
     ServiceMetrics snapshot = metrics_;
     snapshot.queue_depth = queued_total();
+    snapshot.evictions = memory_.evictions();
+    snapshot.negative_evictions = negative_.evictions();
     return snapshot;
 }
 
@@ -832,12 +841,8 @@ CompileService::record_outcome(const std::shared_ptr<Job>& job,
 {
     const Clock::time_point now = Clock::now();
     if (result.ok) {
-        auto it = negative_.find(job->key);
-        if (it != negative_.end()) {
-            if (job->is_probe) {
-                ++metrics_.breaker_closes;
-            }
-            negative_.erase(it);
+        if (negative_.erase(job->key) && job->is_probe) {
+            ++metrics_.breaker_closes;
         }
         return;
     }
@@ -851,16 +856,19 @@ CompileService::record_outcome(const std::shared_ptr<Job>& job,
         result.failure_class == FailureClass::kResource;
     if (options_.negative_ttl_seconds <= 0.0 || !rememberable) {
         if (job->is_probe) {
-            auto it = negative_.find(job->key);
-            if (it != negative_.end()) {
+            if (NegEntry* entry = negative_.find(job->key)) {
                 // Not a verdict about the kernel: free the probe slot
                 // so the next submit can probe again.
-                it->second.probe_inflight = false;
+                entry->probe_inflight = false;
             }
         }
         return;
     }
-    NegEntry& entry = negative_[job->key];
+    NegEntry* found = negative_.find(job->key);
+    if (found == nullptr) {
+        found = negative_.insert_or_assign(job->key, NegEntry{});
+    }
+    NegEntry& entry = *found;
     entry.error = result.error;
     entry.user_error = result.user_error;
     entry.failure_class = result.failure_class;
@@ -871,7 +879,6 @@ CompileService::record_outcome(const std::shared_ptr<Job>& job,
         now + std::chrono::duration_cast<Clock::duration>(
                   std::chrono::duration<double>(
                       options_.negative_ttl_seconds));
-    entry.last_touch = now;
     ++entry.consecutive_failures;
     ++metrics_.negative_insertions;
     if (job->is_probe) {
@@ -890,25 +897,8 @@ CompileService::record_outcome(const std::shared_ptr<Job>& job,
                           entry.next_backoff_seconds));
         entry.next_backoff_seconds =
             std::min(entry.next_backoff_seconds * 2.0,
-                     options_.breaker_backoff_cap_seconds);
+                     kBreakerBackoffCapSeconds);
         ++metrics_.breaker_trips;
-    }
-    cap_negative_cache();
-}
-
-void
-CompileService::cap_negative_cache()
-{
-    while (negative_.size() > options_.negative_capacity &&
-           !negative_.empty()) {
-        auto oldest = negative_.begin();
-        for (auto it = negative_.begin(); it != negative_.end(); ++it) {
-            if (it->second.last_touch < oldest->second.last_touch) {
-                oldest = it;
-            }
-        }
-        negative_.erase(oldest);
-        ++metrics_.negative_evictions;
     }
 }
 
@@ -974,13 +964,10 @@ CompileService::finish(const std::shared_ptr<Job>& job, ResultPtr result,
         }
         if (verifier_ok && machine_verifier_ok && !job->bypass &&
             result->ok && result->compiled) {
-            MemEntry entry;
-            entry.key = job->key;
-            entry.result = result;
-            entry.time_limit_seconds =
-                job->options.limits.time_limit_seconds;
-            entry.deadline_seconds = job->options.deadline_seconds;
-            insert_memory(std::move(entry));
+            memory_.insert_or_assign(
+                job->key,
+                MemEntry{result, job->options.limits.time_limit_seconds,
+                         job->options.deadline_seconds});
         }
         if (job->owns_inflight) {
             inflight_.erase(job->key);
@@ -1011,45 +998,6 @@ CompileService::finish(const std::shared_ptr<Job>& job, ResultPtr result,
     }
 
     job->promise.set_value(std::move(result));
-}
-
-ResultPtr
-CompileService::lookup_memory(const CacheKey& key,
-                              const CompilerOptions& options)
-{
-    auto it = lru_index_.find(key);
-    if (it == lru_index_.end()) {
-        return nullptr;
-    }
-    const MemEntry& entry = *it->second;
-    if (time_bound(entry.result->report().stop_reason) &&
-        !budget_within(options, entry.time_limit_seconds,
-                       entry.deadline_seconds)) {
-        return nullptr;  // request has a larger budget: recompile
-    }
-    lru_.splice(lru_.begin(), lru_, it->second);  // touch
-    return entry.result;
-}
-
-void
-CompileService::insert_memory(MemEntry entry)
-{
-    if (options_.memory_cache_capacity == 0) {
-        return;
-    }
-    auto it = lru_index_.find(entry.key);
-    if (it != lru_index_.end()) {
-        *it->second = std::move(entry);
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return;
-    }
-    lru_.push_front(std::move(entry));
-    lru_index_[lru_.front().key] = lru_.begin();
-    while (lru_.size() > options_.memory_cache_capacity) {
-        lru_index_.erase(lru_.back().key);
-        lru_.pop_back();
-        ++metrics_.evictions;
-    }
 }
 
 }  // namespace diospyros::service

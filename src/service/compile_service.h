@@ -74,7 +74,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -86,6 +85,7 @@
 #include "compiler/driver.h"
 #include "service/cache_key.h"
 #include "service/disk_cache.h"
+#include "support/lru.h"
 
 namespace diospyros::service {
 
@@ -101,6 +101,9 @@ enum class Priority {
 };
 
 inline constexpr int kPriorityCount = 3;
+
+/** Failing keys the failure memory remembers; least-recently-used go. */
+inline constexpr std::size_t kNegativeCacheCapacity = 256;
 
 /** Debug/CLI spelling ("interactive", "batch", "background"). */
 const char* priority_name(Priority p);
@@ -334,8 +337,6 @@ class CompileService {
          * entirely (and with it the circuit breaker).
          */
         double negative_ttl_seconds = 300.0;
-        /** Max remembered failing keys; oldest-touched evicted past it. */
-        std::size_t negative_capacity = 256;
         /**
          * Per-key circuit breaker: this many *consecutive* failures trip
          * it open. While open, submits for the key are rejected with
@@ -345,15 +346,8 @@ class CompileService {
          * re-opens it with the backoff doubled. 0 disables the breaker.
          */
         int breaker_threshold = 3;
-        /** First open window; doubles per re-open, capped below. */
+        /** First open window; doubles per re-open, capped at 60 s. */
         double breaker_backoff_seconds = 1.0;
-        double breaker_backoff_cap_seconds = 60.0;
-        /**
-         * Rule-set version the failure memory is keyed under. Negative
-         * entries recorded under any other version never serve (see
-         * advance_rule_set_version). Overridable for tests.
-         */
-        std::uint64_t rule_set_version = kRuleSetVersion;
         /**
          * Test-only mutation point: runs on a freshly compiled kernel
          * *before* the service's VIR verifier gate and cache insertion.
@@ -474,12 +468,10 @@ class CompileService {
         bool probe_inflight = false;
         /** Backoff the *next* re-open will use (doubles, capped). */
         double next_backoff_seconds = 0.0;
-        Clock::time_point last_touch{};
     };
 
     /** One memory-cache entry: the result + the budgets it ran under. */
     struct MemEntry {
-        CacheKey key;
         ResultPtr result;
         double time_limit_seconds = 0.0;
         double deadline_seconds = 0.0;
@@ -499,12 +491,6 @@ class CompileService {
                 bool executed, bool verifier_ok = true,
                 bool machine_verifier_ok = true);
 
-    /** Memory-cache lookup; must hold mu_. Touches LRU order on hit. */
-    ResultPtr lookup_memory(const CacheKey& key,
-                            const CompilerOptions& options);
-    /** Memory-cache insert + eviction; must hold mu_. */
-    void insert_memory(MemEntry entry);
-
     /** Jobs queued across all priority classes; must hold mu_. */
     std::size_t queued_total() const;
     /** Retry-after hint from backlog x recent compile EWMA; holds mu_. */
@@ -521,8 +507,6 @@ class CompileService {
     /** Failure-memory bookkeeping after an executed compile; holds mu_. */
     void record_outcome(const std::shared_ptr<Job>& job,
                         const CompileResult& result);
-    /** Evicts oldest-touched negative entries past capacity; holds mu_. */
-    void cap_negative_cache();
 
     Options options_;
     std::optional<DiskCache> disk_;
@@ -537,17 +521,15 @@ class CompileService {
     std::array<std::deque<std::shared_ptr<Job>>, kPriorityCount> queues_;
     std::size_t executing_ = 0;
     /** Failure memory (negative cache + per-key circuit breakers). */
-    std::unordered_map<CacheKey, NegEntry, CacheKeyHash> negative_;
+    Lru<CacheKey, NegEntry, CacheKeyHash> negative_{kNegativeCacheCapacity};
     /** Version negative entries must match to serve (see advance_...). */
     std::uint64_t neg_rule_set_version_ = kRuleSetVersion;
     /** EWMA of executed-compile wall seconds, for retry-after hints. */
     double ewma_compile_seconds_ = 0.05;
     std::unordered_map<CacheKey, std::shared_ptr<Job>, CacheKeyHash>
         inflight_;
-    /** LRU: most-recent at front; index maps key -> list position. */
-    std::list<MemEntry> lru_;
-    std::unordered_map<CacheKey, std::list<MemEntry>::iterator, CacheKeyHash>
-        lru_index_;
+    /** Memory cache (options_.memory_cache_capacity entries). */
+    Lru<CacheKey, MemEntry, CacheKeyHash> memory_;
     ServiceMetrics metrics_;
 
     std::vector<std::thread> workers_;

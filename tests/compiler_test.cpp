@@ -260,6 +260,29 @@ TEST(Compiler, ReportIsPopulated)
     EXPECT_NE(row.find("stop="), std::string::npos);
 }
 
+TEST(Compiler, SaturateRebuildsTheCompiledEGraph)
+{
+    // `dioscc --emit-dot` re-saturates through saturate(); the graph it
+    // dumps must be the one the compile built, strategy included. Under
+    // a two-iteration budget the monolithic runner stops at a smaller
+    // graph than the phased strategy, which spends the budget per phase.
+    CompilerOptions options = test_options();
+    options.limits.iter_limit = 2;
+    options.strategy = *strategy::builtin_strategy("phased");
+    options.sync();
+    const CompiledKernel compiled =
+        compile_kernel(matmul_kernel(2, 2, 2), options);
+    EGraph graph;
+    const ClassId root = graph.add_term(compiled.padded_spec);
+    graph.rebuild();
+    CompileReport report;
+    saturate(graph, root, options, Deadline::unlimited(), report);
+    EXPECT_EQ(graph.num_nodes(), compiled.report.egraph_nodes);
+    EXPECT_EQ(report.strategy_name, "phased");
+    EXPECT_EQ(report.stop_reason, compiled.report.stop_reason);
+    EXPECT_EQ(report.runner_iterations, compiled.report.runner_iterations);
+}
+
 TEST(Compiler, CSourceLooksLikeIntrinsics)
 {
     const CompiledKernel compiled =

@@ -50,9 +50,9 @@ vector_add_kernel(std::int64_t n)
 
 /** Loads from an undeclared array: deterministic UserError, always. */
 Kernel
-poison_kernel()
+poison_kernel(const std::string& name = "bad")
 {
-    KernelBuilder kb("bad");
+    KernelBuilder kb(name);
     const scalar::IntRef size = kb.param("n", 4);
     kb.output("C", size);
     const scalar::IntRef i = KernelBuilder::var("i");
@@ -336,6 +336,33 @@ TEST(Overload, RuleSetVersionBumpInvalidatesNegativeEntries)
     const service::ServiceMetrics m = svc.metrics();
     EXPECT_EQ(m.misses, 2u);
     EXPECT_EQ(m.negative_invalidated, 1u);
+}
+
+TEST(Overload, NegativeCacheEvictsLeastRecentlyUsedKey)
+{
+    CompileService::Options sopts;
+    sopts.breaker_threshold = 0;
+    CompileService svc(sopts);
+    const CompilerOptions options = test_options();
+    const auto poison = [](std::size_t i) {
+        return poison_kernel("bad" + std::to_string(i));
+    };
+    const auto outcome = [&](std::size_t i) {
+        service::Ticket ticket = svc.submit(poison(i), options);
+        EXPECT_FALSE(ticket.get().ok);
+        return ticket.outcome();
+    };
+
+    for (std::size_t i = 0; i < service::kNegativeCacheCapacity; ++i) {
+        EXPECT_EQ(outcome(i), CacheOutcome::kMiss);
+    }
+    // Touch key 0, then overflow by one: key 1 is now the least
+    // recently used, so it is the one displaced.
+    EXPECT_EQ(outcome(0), CacheOutcome::kNegativeHit);
+    EXPECT_EQ(outcome(service::kNegativeCacheCapacity), CacheOutcome::kMiss);
+    EXPECT_EQ(svc.metrics().negative_evictions, 1u);
+    EXPECT_EQ(outcome(0), CacheOutcome::kNegativeHit);
+    EXPECT_EQ(outcome(1), CacheOutcome::kMiss);
 }
 
 TEST(Overload, TransientFailuresAreNeverNegativelyCached)

@@ -334,6 +334,33 @@ TEST_F(Resilience, PersistentRunnerFaultReachesDirectScalarRung)
     expect_correct(result, kernel, 13);
 }
 
+TEST_F(Resilience, DirectScalarRungKeepsItsReportContract)
+{
+    // Rung 3 runs no saturation and ignores the shared deadline (which
+    // is long gone here); its report says so, its validation verdicts
+    // hold by construction, and its artifacts are deterministic.
+    faults::arm("runner.iter", 1, -1);
+    const Kernel kernel = vector_add_kernel(8);
+    CompilerOptions options = test_options();
+    options.deadline_seconds = 1e-9;
+    const CompileResult first = compile_kernel_resilient(kernel, options);
+    const CompileResult second = compile_kernel_resilient(kernel, options);
+    for (const CompileResult* result : {&first, &second}) {
+        ASSERT_TRUE(result->ok) << result->error;
+        EXPECT_EQ(result->fallback_level, 3);
+        const CompileReport& report = result->report();
+        EXPECT_EQ(report.stop_reason, StopReason::kIterLimit);
+        EXPECT_EQ(report.validation, Verdict::kEquivalent);
+        EXPECT_TRUE(report.random_check_passed);
+        EXPECT_EQ(report.runner_iterations, 0u);
+        EXPECT_EQ(report.egraph_nodes, 0u);
+    }
+    expect_correct(first, kernel, 29);
+    EXPECT_EQ(first.compiled->c_source, second.compiled->c_source);
+    EXPECT_EQ(disassemble(first.compiled->machine, 4),
+              disassemble(second.compiled->machine, 4));
+}
+
 TEST_F(Resilience, PersistentBackendFaultFailsWithoutThrowing)
 {
     // A fault that also kills the final rung: the resilient driver must

@@ -6,6 +6,7 @@
 
 #include "support/error.h"
 #include "support/hash.h"
+#include "support/lru.h"
 #include "support/rational.h"
 #include "support/rng.h"
 #include "support/sexpr.h"
@@ -173,6 +174,78 @@ TEST(Hash, CombineSpreadsValues)
     }
     // All 900 (a, b) pairs should hash distinctly.
     EXPECT_EQ(seen.size(), 900u);
+}
+
+TEST(Lru, FindTouches)
+{
+    Lru<int, std::string> lru(2);
+    lru.insert_or_assign(1, "one");
+    lru.insert_or_assign(2, "two");
+    ASSERT_NE(lru.find(1), nullptr);  // 2 is now least recently used
+    lru.insert_or_assign(3, "three");
+    EXPECT_NE(lru.find(1), nullptr);
+    EXPECT_EQ(lru.find(2), nullptr);
+    EXPECT_EQ(*lru.find(3), "three");
+}
+
+TEST(Lru, EvictsLeastRecentlyUsed)
+{
+    Lru<int, int> lru(3);
+    for (int i = 0; i < 5; ++i) {
+        lru.insert_or_assign(i, i * 10);
+    }
+    EXPECT_EQ(lru.size(), 3u);
+    EXPECT_EQ(lru.find(0), nullptr);
+    EXPECT_EQ(lru.find(1), nullptr);
+    EXPECT_EQ(*lru.find(2), 20);
+    EXPECT_EQ(*lru.find(4), 40);
+}
+
+TEST(Lru, InsertOverExistingKeyReplacesAndTouches)
+{
+    Lru<int, std::string> lru(2);
+    lru.insert_or_assign(1, "one");
+    lru.insert_or_assign(2, "two");
+    EXPECT_EQ(*lru.insert_or_assign(1, "uno"), "uno");
+    EXPECT_EQ(lru.size(), 2u);
+    lru.insert_or_assign(3, "three");  // evicts 2, not the re-set 1
+    EXPECT_EQ(*lru.find(1), "uno");
+    EXPECT_EQ(lru.find(2), nullptr);
+    EXPECT_EQ(lru.evictions(), 1u);
+}
+
+TEST(Lru, Erase)
+{
+    Lru<int, int> lru(2);
+    lru.insert_or_assign(1, 1);
+    lru.insert_or_assign(2, 2);
+    EXPECT_TRUE(lru.erase(1));
+    EXPECT_FALSE(lru.erase(1));
+    EXPECT_EQ(lru.find(1), nullptr);
+    EXPECT_EQ(lru.size(), 1u);
+    lru.insert_or_assign(3, 3);  // room freed by erase: no eviction
+    EXPECT_EQ(*lru.find(2), 2);
+    EXPECT_EQ(lru.evictions(), 0u);
+}
+
+TEST(Lru, CountsEvictions)
+{
+    Lru<int, int> lru(1);
+    for (int i = 0; i < 4; ++i) {
+        lru.insert_or_assign(i, i);
+    }
+    lru.insert_or_assign(3, 33);  // replacing is not an eviction
+    EXPECT_EQ(lru.evictions(), 3u);
+    EXPECT_EQ(lru.size(), 1u);
+}
+
+TEST(Lru, CapacityZeroStoresNothing)
+{
+    Lru<int, int> lru(0);
+    EXPECT_EQ(lru.insert_or_assign(1, 1), nullptr);
+    EXPECT_EQ(lru.find(1), nullptr);
+    EXPECT_EQ(lru.size(), 0u);
+    EXPECT_EQ(lru.evictions(), 0u);
 }
 
 TEST(Error, CheckMacroThrowsUserError)

@@ -31,27 +31,24 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs"
 echo "check.sh: all tests passed under ASan+UBSan"
 
 # Rule soundness: every registered rewrite must prove equivalent under
-# the exact validator (non-zero exit on any unsound rule).
-"$build/tools/dioscc" --lint-rules > /dev/null
-echo "check.sh: rule soundness lint passed"
-
-# Strategy self-check: every built-in saturation strategy must resolve
-# all its rule references against the default rule set and round-trip
-# through its canonical DSL text (non-zero exit on any failure).
-"$build/tools/dioscc" --lint-strategies > /dev/null
-echo "check.sh: strategy lint passed"
+# the exact validator (non-zero exit on any unsound rule). Strategy lint:
+# every built-in saturation strategy must resolve all its rule references
+# against the default rule set and round-trip through its canonical DSL
+# text. Both run at every supported vector width.
+for w in 2 4 8 16; do
+    "$build/tools/dioscc" --lint-rules --width "$w" > /dev/null
+    "$build/tools/dioscc" --lint-strategies --width "$w" > /dev/null
+done
+echo "check.sh: rule soundness + strategy lint passed (widths 2/4/8/16)"
 
 # Machine-verifier corpus gate (DESIGN.md §5i): every kernel in
 # tools/kernels compiles under ASan with the full machine-code
 # verification chain engaged — structural M001-M007 checks on the
 # emitted program, the M008 scheduler-preservation proof, and symbolic
 # machine-level translation validation of the scheduled code against
-# the spec. --strict turns any degradation into a hard failure, and the
-# debug build also runs the M-verifier startup self-check on each
-# invocation (planted M004/M008 bugs must be caught before any real
-# compile is attempted).
+# the spec. --strict turns any degradation into a hard failure.
 for ksp in "$repo"/tools/kernels/*.ksp; do
-    DIOS_NO_RULE_LINT=1 "$build/tools/dioscc" "$ksp" \
+    "$build/tools/dioscc" "$ksp" \
         --verify-machine --validate --strict > /dev/null
 done
 echo "check.sh: machine verifier corpus gate passed"
@@ -78,7 +75,7 @@ done
 # Cold (cache-less) reference artifacts; the JSON line carries wall-clock
 # timings, so only the emitted C below it is compared.
 for n in 4 8 12; do
-    DIOS_NO_RULE_LINT=1 "$build/tools/dioscc" "$torture/vadd$n.dios" \
+    "$build/tools/dioscc" "$torture/vadd$n.dios" \
         --json --emit-c 2> /dev/null | tail -n +2 > "$torture/cold$n.c"
 done
 
@@ -93,7 +90,7 @@ for i in $(seq 1 60); do
     find "$cache" -name '*.sexpr' -not -path '*/quarantine/*' \
         | head -n 1 | xargs -r rm -f
     status=0
-    DIOS_CACHE_KILL=$((i % 6 + 1)) DIOS_NO_RULE_LINT=1 \
+    DIOS_CACHE_KILL=$((i % 6 + 1)) \
         "$build/tools/dioscc" --batch "$torture/manifest" \
         --cache-dir "$cache" > /dev/null 2>&1 || status=$?
     if [[ "$status" -eq 137 ]]; then
@@ -110,7 +107,7 @@ fi
 
 # One clean run lets the recovery scan reclaim the orphans of the 60
 # crashes and refill the store.
-DIOS_NO_RULE_LINT=1 "$build/tools/dioscc" --batch "$torture/manifest" \
+"$build/tools/dioscc" --batch "$torture/manifest" \
     --cache-dir "$cache" > /dev/null 2>&1
 
 # Damage 2 of the 3 entries (>25%): truncate one, zero a span in another.
@@ -131,7 +128,7 @@ dd if=/dev/zero of="${entries[1]}" bs=1 seek=$((size / 2)) count=16 \
 # the cold reference — corrupt entries are quarantined and recompiled,
 # never served.
 for n in 4 8 12; do
-    DIOS_NO_RULE_LINT=1 "$build/tools/dioscc" "$torture/vadd$n.dios" \
+    "$build/tools/dioscc" "$torture/vadd$n.dios" \
         --json --emit-c --cache-dir "$cache" 2> /dev/null \
         | tail -n +2 > "$torture/warm$n.c"
     cmp "$torture/cold$n.c" "$torture/warm$n.c"
@@ -246,6 +243,24 @@ fig6_json="$build_bench/BENCH_fig6.json"
 "$build_bench/bench/fig6_timeout" --out "$fig6_json" > /dev/null
 echo "check.sh: fig6 strategy gate passed ($fig6_json)"
 
+# p99 latency gate for a soak run against its checked-in baseline: a
+# >20% regression fails the build. Usage: p99_gate LABEL JSON BASELINE
+p99_gate() {
+    local base cur
+    base=$(sed -n 's/^"p99_ms": \([0-9.]*\).*/\1/p' "$3")
+    cur=$(sed -n 's/^"p99_ms": \([0-9.]*\).*/\1/p' "$2")
+    if [[ -z "$base" || -z "$cur" ]]; then
+        echo "check.sh: missing p99_ms in $1 soak output or baseline" >&2
+        exit 1
+    fi
+    if ! awk -v c="$cur" -v b="$base" 'BEGIN { exit !(c <= b * 1.20) }'; then
+        echo "check.sh: $1 SOAK REGRESSION p99 ${cur}ms vs baseline" \
+             "${base}ms (>20%)" >&2
+        exit 1
+    fi
+    echo "check.sh: $1 soak p99 ${cur}ms <= 1.2 x baseline ${base}ms ($2)"
+}
+
 # Overload soak gate (DESIGN.md §5g): 100k mixed hot/cold/poison
 # requests from 4 client threads with per-request fault injection armed
 # via DIOS_FAULT. The soak binary itself exits non-zero on any lost or
@@ -254,11 +269,11 @@ echo "check.sh: fig6 strategy gate passed ($fig6_json)"
 # single-threaded compile — so `set -e` makes those hard failures.
 # Fault sites are compile-phase ones: fault-armed requests bypass the
 # caches by design, so cache.* sites would never fire here.
-cmake --build "$build_bench" -j "$jobs" --target service_soak
+cmake --build "$build_bench" -j "$jobs" --target soak
 svc_json="$build_bench/BENCH_service.json"
 DIOS_FAULT="runner.iter:1:*,extract.build,lower.term,emit.machine:2" \
-    "$build_bench/bench/service_soak" --requests 100000 --threads 4 \
-    --jobs 2 --out "$svc_json" > /dev/null
+    "$build_bench/bench/soak" --transport service --requests 100000 \
+    --clients 4 --jobs 2 --out "$svc_json" > /dev/null
 echo "check.sh: service soak passed (100k requests, faults armed)"
 
 # A second, deliberately overloaded pass (tiny queue, more clients than
@@ -267,9 +282,9 @@ echo "check.sh: service soak passed (100k requests, faults armed)"
 # silently rot into either "shed everything" or "never shed".
 overload_json="$build_bench/BENCH_service_overload.json"
 DIOS_FAULT="runner.iter:1:*,extract.build" \
-    "$build_bench/bench/service_soak" --requests 20000 --threads 8 \
-    --jobs 1 --capacity 4 --watermark 2 --out "$overload_json" \
-    > /dev/null
+    "$build_bench/bench/soak" --transport service --requests 20000 \
+    --clients 8 --jobs 1 --capacity 4 --watermark 2 \
+    --out "$overload_json" > /dev/null
 sheds=$(sed -n 's/^"shed": \([0-9]*\).*/\1/p' "$overload_json")
 if [[ -z "$sheds" || "$sheds" -eq 0 ]]; then
     echo "check.sh: overloaded soak shed nothing — watermark dead?" >&2
@@ -278,23 +293,7 @@ fi
 echo "check.sh: overloaded soak passed ($sheds requests shed, all" \
      "with retry hints)"
 
-# p99 latency gate against the checked-in baseline: >20% regression of
-# the mixed-workload soak fails the build.
-svc_baseline="$repo/bench/BENCH_service_baseline.json"
-base_p99=$(sed -n 's/^"p99_ms": \([0-9.]*\).*/\1/p' "$svc_baseline")
-cur_p99=$(sed -n 's/^"p99_ms": \([0-9.]*\).*/\1/p' "$svc_json")
-if [[ -z "$base_p99" || -z "$cur_p99" ]]; then
-    echo "check.sh: missing p99_ms in soak output or baseline" >&2
-    exit 1
-fi
-if ! awk -v c="$cur_p99" -v b="$base_p99" \
-        'BEGIN { exit !(c <= b * 1.20) }'; then
-    echo "check.sh: SOAK REGRESSION p99 ${cur_p99}ms vs baseline" \
-         "${base_p99}ms (>20%)" >&2
-    exit 1
-fi
-echo "check.sh: service soak gate passed" \
-     "(p99 ${cur_p99}ms <= 1.2 x baseline ${base_p99}ms, $svc_json)"
+p99_gate service "$svc_json" "$repo/bench/BENCH_service_baseline.json"
 
 # Daemon chaos gate (DESIGN.md §5j): one diosd child + 3 client
 # processes pushing mixed hot/cold/poison traffic over the Unix-socket
@@ -307,9 +306,9 @@ echo "check.sh: service soak gate passed" \
 # assert the chaos actually happened: kills >= 5, shed > 0 (admission
 # control fired over the wire), fallback > 0 (graceful degradation
 # fired).
-cmake --build "$build_bench" -j "$jobs" --target daemon_soak
 daemon_json="$build_bench/BENCH_daemon.json"
-"$build_bench/bench/daemon_soak" --out "$daemon_json" > /dev/null
+"$build_bench/bench/soak" --transport daemon --out "$daemon_json" \
+    > /dev/null
 d_kills=$(sed -n 's/^"kills": \([0-9]*\).*/\1/p' "$daemon_json")
 d_shed=$(sed -n 's/^"shed": \([0-9]*\).*/\1/p' "$daemon_json")
 d_fallback=$(sed -n 's/^"fallback_local": \([0-9]*\).*/\1/p' "$daemon_json")
@@ -326,25 +325,9 @@ if [[ -z "$d_fallback" || "$d_fallback" -eq 0 ]]; then
     echo "check.sh: daemon soak never fell back to local compilation" >&2
     exit 1
 fi
-
-# p99 latency gate for the remote path, same 20% rule as the service
-# soak.
-daemon_baseline="$repo/bench/BENCH_daemon_baseline.json"
-base_p99=$(sed -n 's/^"p99_ms": \([0-9.]*\).*/\1/p' "$daemon_baseline")
-cur_p99=$(sed -n 's/^"p99_ms": \([0-9.]*\).*/\1/p' "$daemon_json")
-if [[ -z "$base_p99" || -z "$cur_p99" ]]; then
-    echo "check.sh: missing p99_ms in daemon soak output or baseline" >&2
-    exit 1
-fi
-if ! awk -v c="$cur_p99" -v b="$base_p99" \
-        'BEGIN { exit !(c <= b * 1.20) }'; then
-    echo "check.sh: DAEMON SOAK REGRESSION p99 ${cur_p99}ms vs baseline" \
-         "${base_p99}ms (>20%)" >&2
-    exit 1
-fi
+p99_gate daemon "$daemon_json" "$repo/bench/BENCH_daemon_baseline.json"
 echo "check.sh: daemon chaos gate passed ($d_kills kills, $d_shed shed," \
-     "$d_fallback local fallbacks, p99 ${cur_p99}ms <= 1.2 x baseline" \
-     "${base_p99}ms, $daemon_json)"
+     "$d_fallback local fallbacks)"
 
 # Native-differential gate (DESIGN.md §5k): emit every Table-1 kernel as
 # multi-ISA C at widths 2/4/8/16, compile each unit with the host

@@ -61,7 +61,9 @@
  *                   machine/emit_c.h)
  *   --emit-asm      print the scheduled DSP assembly
  *   --emit-spec     print the lifted specification
- *   --emit-dot FILE write the saturated e-graph as Graphviz (debugging)
+ *   --emit-dot FILE write the saturated e-graph as Graphviz (debugging);
+ *                   saturation runs exactly as the compile's (honours
+ *                   --strategy)
  *   --json          print the compile report as a JSON object
  *   --run           run on random inputs and compare with the baselines
  *   --seed N        RNG seed for --run (default 1)
@@ -146,7 +148,6 @@
 #include "daemon/client.h"
 #include "daemon/daemon.h"
 #include "analysis/lint_rules.h"
-#include "analysis/verify_machine.h"
 #include "compiler/driver.h"
 #include "machine/emit_c.h"
 #include "service/compile_service.h"
@@ -876,29 +877,18 @@ run_batch(const CliOptions& cli)
 }
 
 /**
- * The maximal rule configuration at the given width: every optional rule
- * family on, so the linter covers the whole inventory in one pass.
- */
-RuleConfig
-maximal_rule_config(int width)
-{
-    RuleConfig config(width);
-    config.enable_scalar_rules = true;
-    config.enable_vector_rules = true;
-    config.full_ac = true;
-    config.target_has_recip = true;
-    return config;
-}
-
-/**
  * --lint-rules driver: prove every registered rewrite rule sound at the
- * CLI's vector width. Returns non-zero if any rule is unsound.
+ * CLI's vector width. Returns non-zero if any rule is unsound. Every
+ * optional rule family is on, so one pass covers the whole inventory.
  */
 int
 run_lint_rules(const CliOptions& cli)
 {
-    const RuleConfig config =
-        maximal_rule_config(cli.compiler.target.vector_width);
+    RuleConfig config(cli.compiler.target.vector_width);
+    config.enable_scalar_rules = true;
+    config.enable_vector_rules = true;
+    config.full_ac = true;
+    config.target_has_recip = true;
     const std::vector<analysis::RuleLintResult> results =
         analysis::lint_rules(config);
     for (const analysis::RuleLintResult& r : results) {
@@ -974,85 +964,6 @@ run_lint_strategies(const CliOptions& cli)
     return ok ? 0 : 1;
 }
 
-/**
- * Debug-build startup self-check: every named built-in strategy must
- * reference only registered rules, so a rule rename cannot silently
- * strand a shipped schedule. Opt out: DIOS_NO_STRATEGY_LINT=1.
- */
-void
-startup_strategy_lint(int width)
-{
-#ifndef NDEBUG
-    if (std::getenv("DIOS_NO_STRATEGY_LINT") != nullptr) {
-        return;
-    }
-    RuleConfig config(width);
-    const std::vector<Rewrite> rules = build_rules(config);
-    for (const std::string& name : strategy::builtin_strategy_names()) {
-        analysis::DiagEngine diags;
-        strategy::resolve_phase_rules(*strategy::builtin_strategy(name),
-                                      rules, diags);
-        if (diags.has_errors()) {
-            std::fprintf(
-                stderr,
-                "dioscc: strategy self-check failed for '%s':\n%s",
-                name.c_str(), diags.render_text().c_str());
-            std::exit(1);
-        }
-    }
-#else
-    (void)width;
-#endif
-}
-
-/**
- * Debug-build startup self-check: the machine verifier must accept a
- * known-good program and catch planted bugs (bad shuffle lane, reordered
- * dependent pair), so a broken gate cannot silently wave miscompiles
- * through. Opt out: DIOS_NO_MACHINE_LINT=1.
- */
-void
-startup_machine_lint()
-{
-#ifndef NDEBUG
-    if (std::getenv("DIOS_NO_MACHINE_LINT") != nullptr) {
-        return;
-    }
-    const std::string problem = analysis::machine_verifier_self_check();
-    if (!problem.empty()) {
-        std::fprintf(stderr,
-                     "dioscc: machine verifier self-check failed: %s\n",
-                     problem.c_str());
-        std::exit(1);
-    }
-#endif
-}
-
-/**
- * Debug-build startup self-check: lint the full rule inventory before
- * compiling anything, so an unsound rewrite is caught at the front door
- * rather than as a miscompiled kernel. Opt out: DIOS_NO_RULE_LINT=1.
- */
-void
-startup_rule_lint(int width)
-{
-#ifndef NDEBUG
-    if (std::getenv("DIOS_NO_RULE_LINT") != nullptr) {
-        return;
-    }
-    analysis::DiagEngine diags;
-    if (!analysis::lint_to_diags(
-            analysis::lint_rules(maximal_rule_config(width)), diags)) {
-        std::fprintf(stderr,
-                     "dioscc: rule soundness self-check failed:\n%s",
-                     diags.render_text().c_str());
-        std::exit(1);
-    }
-#else
-    (void)width;
-#endif
-}
-
 }  // namespace
 
 int
@@ -1066,9 +977,6 @@ try {
     if (cli.lint_strategies) {
         return run_lint_strategies(cli);
     }
-    startup_rule_lint(cli.compiler.target.vector_width);
-    startup_strategy_lint(cli.compiler.target.vector_width);
-    startup_machine_lint();
     if (!cli.serve_socket.empty()) {
         return run_serve(cli);
     }
@@ -1230,9 +1138,10 @@ try {
         CompilerOptions opts = cli.compiler;
         opts.sync();
         EGraph graph;
-        graph.add_term(compiled.padded_spec);
+        const ClassId root = graph.add_term(compiled.padded_spec);
         graph.rebuild();
-        Runner(opts.limits).run(graph, build_rules(opts.rules));
+        CompileReport report;
+        saturate(graph, root, opts, Deadline::unlimited(), report);
         std::ofstream out(cli.dot_path);
         out << graph.to_dot();
         std::fprintf(info,
