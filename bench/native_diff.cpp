@@ -4,10 +4,12 @@
  * For every Table-1 kernel at every requested vector width it:
  *   1. compiles the kernel for that width's target preset;
  *   2. lowers the scheduled machine program to C (machine/emit_c.h) and
- *      compiles it with the *host* toolchain (-O2 -ffp-contract=off,
- *      shared object);
+ *      compiles it with the *host* toolchain (-O2, shared object; the
+ *      unit turns floating-point contraction off itself);
  *   3. dlopens the object and runs both the CPU-dispatched entry point
- *      and the forced-scalar entry point natively;
+ *      and the forced-scalar entry point natively, each on a memory
+ *      image whose constant-pool region is NaN: callers fill only the
+ *      inputs, and the unit supplies the pool;
  *   4. checks agreement: native vs the cycle simulator must match
  *      within a small ULP budget (the emitter's bit-exactness
  *      contract), and native vs the scalar reference interpreter must
@@ -15,9 +17,9 @@
  *   5. times native-dispatched vs native-scalar execution and writes
  *      everything to BENCH_native.json.
  *
- * Widths wider than the host's SIMD registers still run — the emitted
- * leaves chunk wide kernels over narrower registers with scalar tails —
- * so "unsupported" widths degrade, never fail. The selected leaf is
+ * Widths wider than the host's SIMD registers still run — the host
+ * compiler splits a wide vector value over narrower registers — so
+ * "unsupported" widths degrade, never fail. The selected leaf is
  * recorded per case so the gate can see what actually executed.
  *
  * Exit status: 0 when every case agrees (compile failures of the
@@ -27,6 +29,7 @@
 #include <dlfcn.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -179,7 +182,7 @@ load_native(const std::string& c_source, const std::string& symbol,
         }
     }
     const std::string cmd = cc +
-                            " -O2 -fPIC -shared -ffp-contract=off -o " +
+                            " -O2 -fPIC -shared -o " +
                             so_path + " " + c_path + " -lm 2> " +
                             log_path;
     if (std::system(cmd.c_str()) != 0) {
@@ -420,8 +423,12 @@ run(int argc, char** argv)
             const scalar::BufferMap want =
                 scalar::run_reference(inst.kernel, inputs);
 
-            const std::vector<float> image =
+            // Callers fill only the inputs: the pool region starts as NaN.
+            std::vector<float> image =
                 image_of(ck.layout.make_memory(inputs));
+            std::fill(image.begin() + static_cast<std::ptrdiff_t>(
+                                          ck.layout.pool_base_words()),
+                      image.end(), std::numeric_limits<float>::quiet_NaN());
             if (image.size() != nk->mem_words) {
                 cr.status = "native-error";
                 cr.detail = "memory size mismatch: layout " +

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,32 +15,29 @@
 namespace diospyros {
 namespace {
 
-/** Instruction-set flavor of one emitted leaf body. */
-enum class Flavor { kScalar, kX86, kNeon };
-
-/** One leaf body: an ISA name, its dispatch guard, and the SIMD chunk
- *  sizes (in floats) its registers support, widest first. Lanes not
- *  covered by any chunk fall back to a scalar tail loop, so every leaf
- *  can execute every kernel width. */
+/** One SIMD leaf body: an ISA name, its per-function target, and the
+ *  widest register (in floats) it has. Vector registers are GCC/Clang
+ *  vector-extension values, so every op but vsqrt is the same text on
+ *  every leaf. */
 struct Leaf {
     const char* id;
-    Flavor flavor;
-    const char* target_attr;  ///< x86 per-function target; "" = none
-    std::vector<int> chunks;
+    const char* target_attr;  ///< per-function target; "" = none
+    bool neon;
+    int widest;
 };
 
-const char*
-x86_prefix(int chunk)
-{
-    switch (chunk) {
-      case 16:
-        return "_mm512_";
-      case 8:
-        return "_mm256_";
-      default:
-        return "_mm_";
-    }
-}
+constexpr Leaf kX86Leaves[] = {
+    {"sse2", "sse2", false, 4},
+    {"avx2", "avx2", false, 8},
+    {"avx512", "avx512f", false, 16},
+};
+constexpr Leaf kNeonLeaf{"neon", "", true, 4};
+
+/** Every leaf's narrowest register, in floats. Narrower kernels keep the
+ *  scalar core's float arrays and lane loops in their leaves too: there
+ *  the leaf's target attribute alone beats the scalar core on several
+ *  kernels, while `vector_size(8)` values ran slower than both. */
+constexpr int kMinLeafWidth = 4;
 
 /** Float immediates go through their exact bit pattern so the emitted
  *  text round-trips every value (including -0.0 and denormals) without
@@ -109,20 +105,82 @@ vn(int i)
     return "v" + std::to_string(i);
 }
 
-/** Emits one leaf body function. The body mirrors machine/sim.cpp
- *  statement for statement: same IEEE float ops, same (non-fused) MAC,
- *  reciprocal as a literal division. */
+/**
+ * The constant-pool words vector-valued leaves read as literals instead
+ * of from memory: those of absolute loads, unless some store may write
+ * the pool (an absolute store into it, or any store through a base
+ * register). Leaves narrower than kMinLeafWidth keep the scalar core's
+ * form and fold nothing.
+ */
+struct PoolFold {
+    const std::vector<float>* pool = nullptr;  ///< null: nothing folds
+    long long base = 0;
+    long long end = 0;
+
+    /** Whether memory op `i`, `n` words wide, may touch the pool. */
+    bool touches(const Instr& i, int n) const
+    {
+        return i.a >= 0 || (i.imm < end && i.imm + n > base);
+    }
+
+    /** Whether load `i`, `n` words wide, reads only folded pool words. */
+    bool covers(const Instr& i, int n) const
+    {
+        return pool != nullptr && i.a < 0 && i.imm >= base &&
+               i.imm + n <= end;
+    }
+
+    std::string word(long long addr) const
+    {
+        return f32_literal((*pool)[static_cast<std::size_t>(addr - base)]);
+    }
+};
+
+int
+access_words(const Instr& i, int width)
+{
+    return i.op == Opcode::kVLoad || i.op == Opcode::kVStore ? width : 1;
+}
+
+PoolFold
+pool_fold(const Program& program, const EmitCOptions& options)
+{
+    PoolFold fold{nullptr, static_cast<long long>(options.pool_base),
+                  static_cast<long long>(options.pool_base +
+                                         options.pool.size())};
+    for (const Instr& i : program.code) {
+        if ((i.op == Opcode::kFStore || i.op == Opcode::kVStore) &&
+            fold.touches(i, access_words(i, options.vector_width))) {
+            return fold;
+        }
+    }
+    if (!options.pool.empty() && options.vector_width >= kMinLeafWidth) {
+        fold.pool = &options.pool;
+    }
+    return fold;
+}
+
+/** Emits one leaf body. `leaf` is null for the portable scalar core,
+ *  whose vector registers are float arrays and whose vector ops are
+ *  lane loops; SIMD leaves at least kMinLeafWidth wide hold vector
+ *  values and spell each op as one vector expression. Either way the
+ *  body mirrors machine/sim.cpp statement for statement: same IEEE float
+ *  ops, same (non-fused) MAC, reciprocal as a literal division. */
 void
 emit_leaf_body(std::ostringstream& out, const Program& program, int width,
-               const Leaf& leaf, const std::string& name)
+               const Leaf* leaf, const PoolFold& fold,
+               const std::string& name)
 {
     const std::string i1 = "    ";
     const std::string i2 = "        ";
+    const std::string vtype = "dios_vf" + std::to_string(width);
+    const bool vec = leaf != nullptr && width >= kMinLeafWidth;
 
-    if (leaf.target_attr[0] != '\0') {
-        out << "__attribute__((target(\"" << leaf.target_attr << "\")))\n";
+    if (leaf != nullptr && leaf->target_attr[0] != '\0') {
+        out << "__attribute__((target(\"" << leaf->target_attr << "\")))\n";
     }
-    out << "static void\n" << name << "(float* restrict mem)\n{\n";
+    out << "DIOS_NO_CONTRACT\n"
+        << "static void\n" << name << "(float* restrict mem)\n{\n";
     out << i1 << "(void)mem;\n";
 
     const RegCounts regs = count_regs(program);
@@ -133,106 +191,51 @@ emit_leaf_body(std::ostringstream& out, const Program& program, int width,
         out << i1 << "float " << fn(k) << " = 0.0f;\n";
     }
     for (int k = 0; k < regs.v; ++k) {
-        out << i1 << "__attribute__((aligned(64))) float " << vn(k) << "["
-            << width << "] = {0};\n";
+        if (vec) {
+            out << i1 << vtype << " " << vn(k) << " = {0};\n";
+        } else {
+            out << i1 << "__attribute__((aligned(64))) float " << vn(k)
+                << "[" << width << "] = {0};\n";
+        }
     }
 
-    // --- Per-flavor expression builders. -------------------------------
-    const bool neon = leaf.flavor == Flavor::kNeon;
-    auto ld = [&](int c, const std::string& ptr) {
-        if (neon) {
-            return "vld1q_f32(" + ptr + ")";
-        }
-        return std::string(x86_prefix(c)) + "loadu_ps(" + ptr + ")";
+    auto lane_loop = [&](const std::string& stmt) {
+        return "for (int l = 0; l < " + std::to_string(width) +
+               "; ++l) { " + stmt + "; }\n";
     };
-    auto st = [&](int c, const std::string& ptr, const std::string& val) {
-        if (neon) {
-            return "vst1q_f32(" + ptr + ", " + val + ")";
-        }
-        return std::string(x86_prefix(c)) + "storeu_ps(" + ptr + ", " +
-               val + ")";
-    };
-    auto set1 = [&](int c, const std::string& s) {
-        if (neon) {
-            return "vdupq_n_f32(" + s + ")";
-        }
-        return std::string(x86_prefix(c)) + "set1_ps(" + s + ")";
-    };
-    auto arith = [&](int c, const char* x86name, const char* neon_name,
-                     const std::string& a, const std::string& b) {
-        if (neon) {
-            return std::string(neon_name) + "(" + a + ", " + b + ")";
-        }
-        return std::string(x86_prefix(c)) + x86name + "_ps(" + a + ", " +
-               b + ")";
-    };
-    auto sqrtv = [&](int c, const std::string& a) {
-        if (neon) {
-            return "vsqrtq_f32(" + a + ")";
-        }
-        return std::string(x86_prefix(c)) + "sqrt_ps(" + a + ")";
-    };
-    auto negv = [&](int c, const std::string& a) -> std::string {
-        if (neon) {
-            return "vnegq_f32(" + a + ")";
-        }
-        if (c == 16) {
-            // _mm512_xor_ps needs AVX-512DQ; stay within avx512f by
-            // flipping the sign bit in the integer domain.
-            return "_mm512_castsi512_ps(_mm512_xor_epi32("
-                   "_mm512_castps_si512(" +
-                   a + "), _mm512_set1_epi32((int)0x80000000)))";
-        }
-        const std::string p = x86_prefix(c);
-        return p + "xor_ps(" + a + ", " + p + "set1_ps(-0.0f))";
-    };
-
-    /** Emits intrinsic chunks (widest first) then a scalar tail loop. */
-    auto spans = [&](const std::function<std::string(int, const std::string&)>&
-                         chunk_stmt,
-                     const std::function<std::string(const std::string&)>&
-                         lane_stmt) {
-        int at = 0;
-        for (const int c : leaf.chunks) {
-            while (width - at >= c) {
-                out << i2 << chunk_stmt(c, " + " + std::to_string(at))
-                    << ";\n";
-                at += c;
-            }
-        }
-        if (at < width) {
-            out << i2 << "for (int l = " << at << "; l < " << width
-                << "; ++l) { " << lane_stmt("l") << "; }\n";
+    /** A lanewise op: one vector statement on vector-valued leaves, a
+     *  lane loop elsewhere (or where `vec_stmt` is empty). */
+    auto lanewise = [&](const std::string& vec_stmt,
+                        const std::string& lane_stmt) {
+        if (vec && !vec_stmt.empty()) {
+            out << i1 << vec_stmt << ";\n";
+        } else {
+            out << i1 << "{\n" << i2 << lane_loop(lane_stmt) << i1 << "}\n";
         }
     };
-    auto lanewise_binary = [&](const Instr& i, const char* x86name,
-                               const char* neon_name, const char* c_op) {
-        const std::string d = vn(i.dst), a = vn(i.a), b = vn(i.b);
-        out << i1 << "{\n";
-        spans(
-            [&](int c, const std::string& off) {
-                return st(c, d + off,
-                          arith(c, x86name, neon_name, ld(c, a + off),
-                                ld(c, b + off)));
-            },
-            [&](const std::string& l) {
-                return d + "[" + l + "] = " + a + "[" + l + "] " + c_op +
-                       " " + b + "[" + l + "]";
-            });
-        out << i1 << "}\n";
-    };
-
-    auto ea_decl = [&](const Instr& i) {
+    auto addr = [&](const Instr& i) {
         std::string e = std::to_string(i.imm);
         if (i.a >= 0) {
             e = "(ptrdiff_t)" + rn(i.a) + " + " + e;
         }
-        return i2 + "const ptrdiff_t ea = " + e + ";\n";
+        return e;
+    };
+    auto ea_decl = [&](const Instr& i) {
+        return i2 + "const ptrdiff_t ea = " + addr(i) + ";\n";
+    };
+    /** A vector literal from each lane's initializer. */
+    auto literal = [&](const auto& lane) {
+        std::string init = "(" + vtype + "){";
+        for (int l = 0; l < width; ++l) {
+            init += (l == 0 ? "" : ", ") + lane(l);
+        }
+        return init + "}";
     };
 
     // --- Instruction stream. -------------------------------------------
     for (std::size_t idx = 0; idx < program.code.size(); ++idx) {
         const Instr& i = program.code[idx];
+        const std::string d = vn(i.dst), a = vn(i.a), b = vn(i.b);
         out << i1 << "/* " << idx << ": " << disassemble(i, width)
             << " */\n";
         switch (i.op) {
@@ -256,6 +259,11 @@ emit_leaf_body(std::ostringstream& out, const Program& program, int width,
                 << ";\n";
             break;
           case Opcode::kFLoad:
+            if (fold.covers(i, 1)) {
+                out << i1 << fn(i.dst) << " = " << fold.word(i.imm)
+                    << ";\n";
+                break;
+            }
             out << i1 << "{\n"
                 << ea_decl(i) << i2 << fn(i.dst) << " = mem[ea];\n"
                 << i1 << "}\n";
@@ -304,157 +312,118 @@ emit_leaf_body(std::ostringstream& out, const Program& program, int width,
             out << i1 << fn(i.dst) << " += " << fn(i.a) << " * " << fn(i.b)
                 << ";\n";
             break;
-          case Opcode::kVLoad: {
-            const std::string d = vn(i.dst);
-            out << i1 << "{\n" << ea_decl(i);
-            spans(
-                [&](int c, const std::string& off) {
-                    return st(c, d + off, ld(c, "mem + ea" + off));
-                },
-                [&](const std::string& l) {
-                    return d + "[" + l + "] = mem[ea + " + l + "]";
-                });
-            out << i1 << "}\n";
+          case Opcode::kVLoad:
+            if (!vec) {
+                out << i1 << "{\n" << ea_decl(i) << i2
+                    << lane_loop(d + "[l] = mem[ea + l]") << i1 << "}\n";
+            } else if (fold.covers(i, width)) {
+                out << i1 << d << " = " << literal([&](int l) {
+                    return fold.word(i.imm + l);
+                }) << ";\n";
+            } else {
+                out << i1 << "__builtin_memcpy(&" << d << ", mem + "
+                    << addr(i) << ", sizeof " << d << ");\n";
+            }
             break;
-          }
-          case Opcode::kVStore: {
-            const std::string s = vn(i.b);
-            out << i1 << "{\n" << ea_decl(i);
-            spans(
-                [&](int c, const std::string& off) {
-                    return st(c, "mem + ea" + off, ld(c, s + off));
-                },
-                [&](const std::string& l) {
-                    return "mem[ea + " + l + "] = " + s + "[" + l + "]";
-                });
-            out << i1 << "}\n";
+          case Opcode::kVStore:
+            if (!vec) {
+                out << i1 << "{\n" << ea_decl(i) << i2
+                    << lane_loop("mem[ea + l] = " + b + "[l]") << i1
+                    << "}\n";
+            } else {
+                out << i1 << "__builtin_memcpy(mem + " << addr(i) << ", &"
+                    << b << ", sizeof " << b << ");\n";
+            }
             break;
-          }
           case Opcode::kVSplat:
           case Opcode::kVSplatR: {
-            const std::string d = vn(i.dst);
-            const std::string src = i.op == Opcode::kVSplat
-                                        ? f32_literal(i.fimm)
-                                        : fn(i.a);
+            const std::string fill =
+                vec ? d + " = " +
+                          literal([](int) { return std::string("s"); }) +
+                          ";\n"
+                    : lane_loop(d + "[l] = s");
             out << i1 << "{\n"
-                << i2 << "const float s = " << src << ";\n";
-            spans(
-                [&](int c, const std::string& off) {
-                    return st(c, d + off, set1(c, "s"));
-                },
-                [&](const std::string& l) {
-                    return d + "[" + l + "] = s";
-                });
-            out << i1 << "}\n";
+                << i2 << "const float s = "
+                << (i.op == Opcode::kVSplat ? f32_literal(i.fimm)
+                                            : fn(i.a))
+                << ";\n"
+                << i2 << fill << i1 << "}\n";
             break;
           }
           case Opcode::kVAdd:
-            lanewise_binary(i, "add", "vaddq_f32", "+");
-            break;
           case Opcode::kVSub:
-            lanewise_binary(i, "sub", "vsubq_f32", "-");
-            break;
           case Opcode::kVMul:
-            lanewise_binary(i, "mul", "vmulq_f32", "*");
-            break;
-          case Opcode::kVDiv:
-            lanewise_binary(i, "div", "vdivq_f32", "/");
-            break;
-          case Opcode::kVNeg: {
-            const std::string d = vn(i.dst), a = vn(i.a);
-            out << i1 << "{\n";
-            spans(
-                [&](int c, const std::string& off) {
-                    return st(c, d + off, negv(c, ld(c, a + off)));
-                },
-                [&](const std::string& l) {
-                    return d + "[" + l + "] = -" + a + "[" + l + "]";
-                });
-            out << i1 << "}\n";
+          case Opcode::kVDiv: {
+            const std::string op = i.op == Opcode::kVAdd   ? " + "
+                                   : i.op == Opcode::kVSub ? " - "
+                                   : i.op == Opcode::kVMul ? " * "
+                                                           : " / ";
+            lanewise(d + " = " + a + op + b,
+                     d + "[l] = " + a + "[l]" + op + b + "[l]");
             break;
           }
+          case Opcode::kVNeg:
+            lanewise(d + " = -" + a, d + "[l] = -" + a + "[l]");
+            break;
           case Opcode::kVSqrt: {
-            const std::string d = vn(i.dst), a = vn(i.a);
-            out << i1 << "{\n";
-            spans(
-                [&](int c, const std::string& off) {
-                    return st(c, d + off, sqrtv(c, ld(c, a + off)));
-                },
-                [&](const std::string& l) {
-                    return d + "[" + l + "] = sqrtf(" + a + "[" + l + "])";
-                });
-            out << i1 << "}\n";
+            // The leaf's exact sqrt intrinsic, on a cast, when the width
+            // is one of its register widths; otherwise lane by lane.
+            const std::string bits = std::to_string(32 * width);
+            const std::string call =
+                leaf != nullptr && leaf->neon
+                    ? "vsqrtq_f32((float32x4_t)"
+                    : "_mm" + (width == 4 ? "" : bits) + "_sqrt_ps((__m" +
+                          bits + ")";
+            lanewise(vec && width <= leaf->widest
+                         ? d + " = (" + vtype + ")" + call + a + ")"
+                         : "",
+                     d + "[l] = sqrtf(" + a + "[l])");
             break;
           }
-          case Opcode::kVSgn: {
+          case Opcode::kVSgn:
             // Rare op: scalar lanes on every leaf.
-            const std::string d = vn(i.dst), a = vn(i.a);
-            out << i1 << "for (int l = 0; l < " << width << "; ++l) { "
-                << d << "[l] = dios_sgnf(" << a << "[l]); }\n";
+            out << i1 << lane_loop(d + "[l] = dios_sgnf(" + a + "[l])");
             break;
-          }
-          case Opcode::kVRecip: {
+          case Opcode::kVRecip:
             // Exact: the simulator computes 1.0f / x, so no rcpps-style
             // approximation is allowed here.
-            const std::string d = vn(i.dst), a = vn(i.a);
-            out << i1 << "{\n";
-            spans(
-                [&](int c, const std::string& off) {
-                    return st(c, d + off,
-                              arith(c, "div", "vdivq_f32",
-                                    set1(c, "1.0f"), ld(c, a + off)));
-                },
-                [&](const std::string& l) {
-                    return d + "[" + l + "] = 1.0f / " + a + "[" + l + "]";
-                });
-            out << i1 << "}\n";
+            lanewise(d + " = 1.0f / " + a, d + "[l] = 1.0f / " + a + "[l]");
             break;
-          }
-          case Opcode::kVMac: {
-            // Deliberately non-fused (add of a separate multiply) to
-            // match the simulator bit for bit.
-            const std::string d = vn(i.dst), a = vn(i.a), b = vn(i.b);
-            out << i1 << "{\n";
-            spans(
-                [&](int c, const std::string& off) {
-                    return st(c, d + off,
-                              arith(c, "add", "vaddq_f32", ld(c, d + off),
-                                    arith(c, "mul", "vmulq_f32",
-                                          ld(c, a + off),
-                                          ld(c, b + off))));
-                },
-                [&](const std::string& l) {
-                    return d + "[" + l + "] = " + d + "[" + l + "] + (" +
-                           a + "[" + l + "] * " + b + "[" + l + "])";
-                });
-            out << i1 << "}\n";
+          case Opcode::kVMac:
+            // Deliberately non-fused (add of a separate multiply, with
+            // contraction off) to match the simulator bit for bit.
+            lanewise(d + " = " + d + " + " + a + " * " + b,
+                     d + "[l] = " + d + "[l] + (" + a + "[l] * " + b +
+                         "[l])");
             break;
-          }
           case Opcode::kShuf:
           case Opcode::kSel: {
-            // Lane tables are emit-time constants; unroll through
-            // temporaries so a destination aliasing a source reads the
-            // pre-instruction values, exactly like the simulator's
-            // copy-then-write.
-            const std::string d = vn(i.dst), a = vn(i.a), b = vn(i.b);
-            out << i1 << "{\n";
+            // Lane tables are emit-time constants. A vector value gets one
+            // two-source permute (lane >= width picks from the second
+            // source); the scalar core unrolls through temporaries. Both
+            // read every source before writing, like the simulator's
+            // copy-then-write, so a destination may alias a source.
+            const bool sel = i.op == Opcode::kSel;
+            std::string lanes;
+            std::string temps;
             for (int l = 0; l < width; ++l) {
                 const int lane = i.lanes[static_cast<std::size_t>(l)];
-                std::string src;
-                if (i.op == Opcode::kShuf) {
-                    DIOS_ASSERT(lane >= 0 && lane < width,
-                                "emit_c_kernel: shuf lane out of range");
-                    src = a + "[" + std::to_string(lane) + "]";
-                } else {
-                    DIOS_ASSERT(lane >= 0 && lane < 2 * width,
-                                "emit_c_kernel: sel lane out of range");
-                    src = lane < width
-                              ? a + "[" + std::to_string(lane) + "]"
-                              : b + "[" + std::to_string(lane - width) +
-                                    "]";
-                }
-                out << i2 << "const float t" << l << " = " << src << ";\n";
+                DIOS_ASSERT(lane >= 0 && lane < (sel ? 2 : 1) * width,
+                            sel ? "emit_c_kernel: sel lane out of range"
+                                : "emit_c_kernel: shuf lane out of range");
+                lanes += ", " + std::to_string(lane);
+                temps += i2 + "const float t" + std::to_string(l) + " = " +
+                         (lane < width ? a + "[" + std::to_string(lane)
+                                       : b + "[" +
+                                             std::to_string(lane - width)) +
+                         "];\n";
             }
+            if (vec) {
+                out << i1 << d << " = __builtin_shufflevector(" << a << ", "
+                    << (sel ? b : a) << lanes << ");\n";
+                break;
+            }
+            out << i1 << "{\n" << temps;
             for (int l = 0; l < width; ++l) {
                 out << i2 << d << "[" << l << "] = t" << l << ";\n";
             }
@@ -517,6 +486,7 @@ emit_c_kernel(const Program& program, const EmitCOptions& options)
     }
 
     const int width = options.vector_width;
+    const bool vec = width >= kMinLeafWidth;
     std::ostringstream out;
     out << "/* " << sym << ": generated by dioscc --emit-native "
         << "(diospyros native backend).\n"
@@ -524,25 +494,42 @@ emit_c_kernel(const Program& program, const EmitCOptions& options)
         << "-lane kernel over a flat float memory of "
         << options.memory_words << " words.\n"
         << " *\n"
-        << " * Compile (GCC or Clang) with -ffp-contract=off: the scalar\n"
-        << " * tails spell multiply-accumulate as separate multiply and\n"
-        << " * add, and contraction into FMA would change results vs the\n"
-        << " * cycle simulator. E.g.:\n"
-        << " *   cc -O2 -fPIC -shared -ffp-contract=off -o " << sym
-        << ".so " << sym << ".c -lm\n"
+        << " * Compile with " << (vec ? "GCC >= 12 or Clang" : "GCC or Clang")
+        << "; every body turns floating-point\n"
+        << " * contraction off itself, so multiply-accumulates stay unfused"
+           "\n"
+        << " * and match the cycle simulator bit for bit. E.g.:\n"
+        << " *   cc -O2 -fPIC -shared -o " << sym << ".so " << sym
+        << ".c -lm\n"
         << " */\n"
         << "#include <math.h>\n"
         << "#include <stddef.h>\n"
         << "#include <stdint.h>\n"
         << "#include <string.h>\n\n"
+        << "#if defined(__clang__)\n"
+        << "#  pragma clang fp contract(off)\n"
+        << "#  define DIOS_NO_CONTRACT\n"
+        << "#else\n"
+        << "#  define DIOS_NO_CONTRACT "
+           "__attribute__((optimize(\"fp-contract=off\")))\n"
+        << "#endif\n\n"
         << "#if defined(__x86_64__) || defined(__i386__)\n"
         << "#  define DIOS_NATIVE_X86 1\n"
         << "#  include <immintrin.h>\n"
         << "#elif defined(__aarch64__)\n"
         << "#  define DIOS_NATIVE_NEON 1\n"
         << "#  include <arm_neon.h>\n"
-        << "#endif\n\n"
-        << "static inline float\n"
+        << "#endif\n\n";
+    if (vec) {
+        out << "#if !defined(__clang__) && "
+               "!(defined(__GNUC__) && __GNUC__ >= 12)\n"
+            << "#  error \"needs GCC >= 12 or Clang: the SIMD leaves use "
+               "__builtin_shufflevector\"\n"
+            << "#endif\n"
+            << "typedef float dios_vf" << width
+            << " __attribute__((vector_size(" << 4 * width << ")));\n\n";
+    }
+    out << "static inline float\n"
         << "dios_f32_bits(uint32_t bits)\n"
         << "{\n"
         << "    float f;\n"
@@ -568,8 +555,9 @@ emit_c_kernel(const Program& program, const EmitCOptions& options)
         out << "/* Constant pool (materialized literal lane vectors), "
                "copied into\n"
             << " * mem[" << options.pool_base
-            << "..] on every entry — callers only initialize the input\n"
-            << " * arrays. Stored as exact bit patterns. */\n"
+            << "..] before any body reads it from memory — callers only\n"
+            << " * initialize the input arrays. Stored as exact bit "
+               "patterns. */\n"
             << "static const uint32_t " << sym << "_pool_bits["
             << options.pool.size() << "] = {";
         for (std::size_t k = 0; k < options.pool.size(); ++k) {
@@ -588,8 +576,8 @@ emit_c_kernel(const Program& program, const EmitCOptions& options)
                "repeated\n"
             << "     * calls on a persistent buffer would otherwise re-store "
                "words\n"
-            << "     * the SIMD leaves immediately reload as wide vectors, "
-               "and those\n"
+            << "     * a body immediately reloads as wide vectors, and "
+               "those\n"
             << "     * narrow-store/wide-load pairs defeat store "
                "forwarding. */\n"
             << "    if (memcmp(mem + " << options.pool_base << ", " << sym
@@ -599,25 +587,33 @@ emit_c_kernel(const Program& program, const EmitCOptions& options)
             << "    }\n"
             << "}\n\n";
     }
+    const std::string init_pool =
+        has_pool ? "    " + sym + "_init_pool(mem);\n" : "";
 
-    const Leaf scalar_leaf{"scalar", Flavor::kScalar, "", {}};
+    const PoolFold fold = pool_fold(program, options);
     out << "/* Portable scalar core: the reference every SIMD leaf must "
            "match. */\n";
-    emit_leaf_body(out, program, width, scalar_leaf, sym + "_body_scalar");
+    emit_leaf_body(out, program, width, nullptr, PoolFold{},
+                   sym + "_body_scalar");
 
+    // The dispatched entry skips the pool copy on its leaf paths when
+    // every pool word a leaf reads was folded into a literal.
+    bool leaves_read_pool = false;
+    for (const Instr& i : program.code) {
+        const int n = access_words(i, width);
+        leaves_read_pool |= has_pool &&
+                            (i.op == Opcode::kFLoad ||
+                             i.op == Opcode::kVLoad) &&
+                            fold.touches(i, n) && !fold.covers(i, n);
+    }
     out << "#if defined(DIOS_NATIVE_X86)\n\n";
-    const Leaf x86_leaves[] = {
-        {"sse2", Flavor::kX86, "sse2", {4}},
-        {"avx2", Flavor::kX86, "avx2", {8, 4}},
-        {"avx512", Flavor::kX86, "avx512f", {16, 8, 4}},
-    };
-    for (const Leaf& leaf : x86_leaves) {
-        emit_leaf_body(out, program, width, leaf,
+    for (const Leaf& leaf : kX86Leaves) {
+        emit_leaf_body(out, program, width, &leaf, fold,
                        sym + "_body_" + leaf.id);
     }
     out << "#elif defined(DIOS_NATIVE_NEON)\n\n";
-    const Leaf neon_leaf{"neon", Flavor::kNeon, "", {4}};
-    emit_leaf_body(out, program, width, neon_leaf, sym + "_body_neon");
+    emit_leaf_body(out, program, width, &kNeonLeaf, fold,
+                   sym + "_body_neon");
     out << "#endif\n\n";
 
     // ---- Runtime CPU dispatch (hmmer h4_simdvec_width() idiom). -------
@@ -652,13 +648,13 @@ emit_c_kernel(const Program& program, const EmitCOptions& options)
         << "}\n\n"
         << "/* Always-scalar entry point (native baseline timing). */\n"
         << "void\n" << sym << "_scalar(float* mem)\n{\n"
-        << (has_pool ? "    " + sym + "_init_pool(mem);\n" : "")
+        << init_pool
         << "    " << sym << "_body_scalar(mem);\n"
         << "}\n\n"
         << "/* CPU-dispatched entry point: widest leaf the host "
            "supports. */\n"
         << "void\n" << sym << "(float* mem)\n{\n"
-        << (has_pool ? "    " + sym + "_init_pool(mem);\n" : "")
+        << (leaves_read_pool ? init_pool : "")
         << "#if defined(DIOS_NATIVE_X86)\n"
         << "    if (__builtin_cpu_supports(\"avx512f\")) { " << sym
         << "_body_avx512(mem); return; }\n"
@@ -670,6 +666,7 @@ emit_c_kernel(const Program& program, const EmitCOptions& options)
         << "    " << sym << "_body_neon(mem);\n"
         << "    return;\n"
         << "#endif\n"
+        << (leaves_read_pool ? "" : init_pool)
         << "    " << sym << "_body_scalar(mem);\n"
         << "}\n";
 

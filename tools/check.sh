@@ -336,11 +336,10 @@ echo "check.sh: daemon chaos gate passed ($d_kills kills, $d_shed shed," \
 # (5e-3 relative). The binary exits non-zero on any native
 # disagreement, so `set -e` makes that a hard failure. Unsupported leaf
 # widths never need skipping: every emitted unit carries SSE2 / AVX2 /
-# AVX-512 / NEON leaves plus a portable scalar core, each chunked
-# widest-first with a scalar tail, so whatever ISA the host dispatch
-# picks executes every width — a width wider than the host's vectors
-# just runs as multiple narrower chunks. The per-case "isa" field
-# records which leaf the runtime dispatch actually selected.
+# AVX-512 / NEON leaves plus a portable scalar core, and the host
+# compiler splits a vector wider than the host's registers over
+# narrower ones. The per-case "isa" field records which leaf the
+# runtime dispatch actually selected.
 cmake --build "$build_bench" -j "$jobs" --target native_diff
 native_json="$build_bench/BENCH_native.json"
 "$build_bench/bench/native_diff" --out "$native_json" > /dev/null
