@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "support/json.h"
+
 namespace diospyros::analysis {
 
 const char*
@@ -17,42 +19,6 @@ severity_name(Severity severity)
     }
     return "?";
 }
-
-namespace {
-
-std::string
-json_escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-}  // namespace
 
 void
 DiagEngine::add(Diag diag)

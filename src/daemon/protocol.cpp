@@ -124,6 +124,23 @@ encode_compile_request(const CompileRequest& req)
         field("width", {Sexpr::atom(
                            std::to_string(o.target.vector_width))}));
     opt_fields.push_back(field("recip", {bool_atom(o.target.has_reciprocal)}));
+    opt_fields.push_back(
+        field("scalar-mac", {bool_atom(o.target.has_scalar_mac)}));
+    opt_fields.push_back(field(
+        "branch-penalty",
+        {Sexpr::atom(std::to_string(o.target.taken_branch_penalty))}));
+    opt_fields.push_back(field(
+        "issue-width", {Sexpr::atom(std::to_string(o.target.issue_width))}));
+    std::vector<Sexpr> costs;
+    for (const int c : o.target.cost_table) {
+        costs.push_back(Sexpr::atom(std::to_string(c)));
+    }
+    opt_fields.push_back(field("cost-table", std::move(costs)));
+    std::vector<Sexpr> params;
+    for (const auto param : kCostParamFields) {
+        params.push_back(f64_atom(o.cost.*param));
+    }
+    opt_fields.push_back(field("cost", std::move(params)));
     opt_fields.push_back(field(
         "nodes", {Sexpr::atom(std::to_string(o.limits.node_limit))}));
     opt_fields.push_back(field(
@@ -206,6 +223,48 @@ decode_compile_request(const std::string& payload)
                     o.target.vector_width = width;
                 } else if (is_field(g, "recip")) {
                     o.target.has_reciprocal = field_bool(g);
+                } else if (is_field(g, "scalar-mac")) {
+                    o.target.has_scalar_mac = field_bool(g);
+                } else if (is_field(g, "branch-penalty")) {
+                    const std::int64_t penalty = field_i64(g);
+                    DIOS_CHECK(penalty >= 0 && penalty <= 1'000'000,
+                               "daemon payload: branch-penalty out of "
+                               "range");
+                    o.target.taken_branch_penalty = static_cast<int>(penalty);
+                } else if (is_field(g, "issue-width")) {
+                    const std::int64_t issue = field_i64(g);
+                    DIOS_CHECK(issue >= 1 && issue <= kNumFunctionalUnits,
+                               "daemon payload: issue-width out of range");
+                    o.target.issue_width = static_cast<int>(issue);
+                } else if (is_field(g, "cost-table")) {
+                    DIOS_CHECK(g.size() == o.target.cost_table.size() + 1,
+                               "daemon payload: cost-table expects " +
+                                   std::to_string(kNumOpcodes) +
+                                   " entries");
+                    for (std::size_t k = 0; k < o.target.cost_table.size();
+                         ++k) {
+                        DIOS_CHECK(g[k + 1].is_integer() &&
+                                       g[k + 1].as_integer() >= 0 &&
+                                       g[k + 1].as_integer() <= 1'000'000,
+                                   "daemon payload: cost-table expects "
+                                   "latencies in [0, 1000000]");
+                        o.target.cost_table[k] =
+                            static_cast<int>(g[k + 1].as_integer());
+                    }
+                } else if (is_field(g, "cost")) {
+                    DIOS_CHECK(g.size() == kCostParamFields.size() + 1,
+                               "daemon payload: cost expects " +
+                                   std::to_string(kCostParamFields.size()) +
+                                   " numbers");
+                    for (std::size_t k = 0; k < kCostParamFields.size();
+                         ++k) {
+                        DIOS_CHECK(g[k + 1].is_number() &&
+                                       g[k + 1].as_number() > 0.0 &&
+                                       g[k + 1].as_number() < 1e9,
+                                   "daemon payload: cost expects positive "
+                                   "finite numbers");
+                        o.cost.*kCostParamFields[k] = g[k + 1].as_number();
+                    }
                 } else if (is_field(g, "nodes")) {
                     o.limits.node_limit =
                         static_cast<std::size_t>(field_i64(g));

@@ -5,8 +5,10 @@
  * so one parser and one set of escaping rules serves the wire and the
  * store.
  *
- *   compile-request:  kernel name + full kernel source text + the
- *     CLI-settable CompilerOptions subset + admission knobs. The server
+ *   compile-request:  kernel name + full kernel source text + every
+ *     CompilerOptions field the service cache key hashes (target, rules,
+ *     limits, cost parameters, validation, strategy) plus the wall-clock
+ *     budgets and admission knobs. The server
  *     re-parses the kernel with the ordinary scalar parser, so a remote
  *     compile runs exactly the pipeline a local one would — the
  *     precondition for byte-identical results.
@@ -40,7 +42,7 @@ struct CompileRequest {
     std::string kernel_name;
     /** Full kernel source text; the daemon re-parses it. */
     std::string kernel_text;
-    /** CLI-settable compiler options (see encode for the exact subset). */
+    /** Compiler options: every field the cache key hashes travels. */
     CompilerOptions options;
     service::Priority priority = service::Priority::kBatch;
     /** Admission timeout forwarded to submit_for (< 0 blocks). */

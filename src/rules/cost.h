@@ -13,6 +13,8 @@
  */
 #pragma once
 
+#include <array>
+
 #include "egraph/extract.h"
 
 namespace diospyros {
@@ -44,6 +46,26 @@ struct CostParams {
     double concat = 0.25;          ///< structural
     double list = 0.25;            ///< structural
 };
+
+/**
+ * Every CostParams field, in declaration order: the one list that code
+ * visiting all of them iterates (the service cache key, the daemon wire
+ * format), so a new field cannot be hashed but left off the wire.
+ */
+inline constexpr std::array<double CostParams::*, 17> kCostParamFields = {
+    &CostParams::literal,        &CostParams::get,
+    &CostParams::scalar_op,      &CostParams::scalar_div,
+    &CostParams::scalar_sqrt,    &CostParams::scalar_recip,
+    &CostParams::call,           &CostParams::vector_op,
+    &CostParams::vector_div,     &CostParams::vector_sqrt,
+    &CostParams::vector_recip,   &CostParams::vec_contiguous,
+    &CostParams::vec_single_array, &CostParams::vec_multi_array,
+    &CostParams::vec_with_exprs, &CostParams::concat,
+    &CostParams::list,
+};
+static_assert(sizeof(CostParams) ==
+                  kCostParamFields.size() * sizeof(double),
+              "kCostParamFields must list every CostParams field");
 
 /** The Diospyros cost model over the e-graph. */
 class DiosCostModel : public CostModel {

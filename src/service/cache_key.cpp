@@ -52,24 +52,10 @@ compute_cache_key(const scalar::Kernel& kernel,
         .u64(o.limits.backoff_threshold)
         .u64(o.limits.memory_limit_bytes);
 
-    h.tag("cost")
-        .f64(o.cost.literal)
-        .f64(o.cost.get)
-        .f64(o.cost.scalar_op)
-        .f64(o.cost.scalar_div)
-        .f64(o.cost.scalar_sqrt)
-        .f64(o.cost.scalar_recip)
-        .f64(o.cost.call)
-        .f64(o.cost.vector_op)
-        .f64(o.cost.vector_div)
-        .f64(o.cost.vector_sqrt)
-        .f64(o.cost.vector_recip)
-        .f64(o.cost.vec_contiguous)
-        .f64(o.cost.vec_single_array)
-        .f64(o.cost.vec_multi_array)
-        .f64(o.cost.vec_with_exprs)
-        .f64(o.cost.concat)
-        .f64(o.cost.list);
+    h.tag("cost");
+    for (const auto field : kCostParamFields) {
+        h.f64(o.cost.*field);
+    }
 
     h.tag("verify").boolean(o.validate).boolean(o.random_check);
 

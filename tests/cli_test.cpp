@@ -389,6 +389,94 @@ TEST(Cli, BatchJsonHasOneElementPerEntryAndABadPathExits2)
 }
 
 // ---------------------------------------------------------------------------
+// Flags a mode cannot honour are rejected, never silently ignored
+// ---------------------------------------------------------------------------
+
+TEST(Cli, StrictRejectsCacheDirInsteadOfIgnoringIt)
+{
+    TempDir dir("strict");
+    const std::string cache = dir.file("cache");
+    const ToolRun run = dioscc(dir, {kVadd, "--strict", "--cache-dir", cache});
+    EXPECT_EQ(run.code, 2) << run.err;
+    EXPECT_NE(run.err.find("--cache-dir"), std::string::npos) << run.err;
+    EXPECT_EQ(count_cache_entries(cache), 0u);
+    // --strict still honours the flags it can.
+    EXPECT_EQ(dioscc(dir, {kVadd, "--strict", "--verify-machine"}).code, 0);
+}
+
+TEST(Cli, RemoteFallbackHonoursTheCacheDir)
+{
+    TempDir dir("fallback");
+    const std::string cache = dir.file("cache");
+    const ToolRun run = dioscc(dir, {kVadd, "--json", "--remote",
+                                     dir.file("dead.sock"), "--cache-dir",
+                                     cache});
+    EXPECT_EQ(run.code, 0) << run.err;
+    EXPECT_NE(run.out.find("\"cache\":\"local-fallback\""),
+              std::string::npos)
+        << run.out;
+    EXPECT_EQ(count_cache_entries(cache), 1u);
+    // The fallback's store serves the next plain local run.
+    const ToolRun warm = dioscc(dir, {kVadd, "--json", "--cache-dir", cache});
+    EXPECT_NE(warm.out.find("\"cache\":\"hit\""), std::string::npos)
+        << warm.out;
+}
+
+TEST(Cli, EveryFlagIsParsedBeforeAnyModeRuns)
+{
+    TempDir dir("order");
+    EXPECT_EQ(dioscc(dir, {"--list-faults", "--bogus"}).code, 2);
+    EXPECT_EQ(dioscc(dir, {"--bogus", "--list-faults"}).code, 2);
+    const ToolRun list = dioscc(dir, {"--list-faults"});
+    EXPECT_EQ(list.code, 0);
+    EXPECT_FALSE(list.out.empty());
+}
+
+TEST(Cli, FlagsOutsideTheirModeExit2)
+{
+    TempDir dir("modes");
+    const std::string manifest = dir.file("manifest");
+    std::ofstream(manifest) << kVadd << "\n";
+    const std::string sock = dir.file("dead.sock");
+    const std::vector<std::vector<std::string>> rejected = {
+        {"--batch", manifest, "--emit-c"},
+        {"--batch", manifest, "--run"},
+        {"--batch", manifest, kVadd},
+        {kVadd, "--remote", sock, "--strict"},
+        {kVadd, "--remote", sock, "--fault", "lower.term"},
+        {kVadd, "--priority", "batch"},
+        {kVadd, "--lint-rules"},
+        {"--lint-rules", "--json"},
+        {"--list-faults", "--width", "4"},
+    };
+    for (const std::vector<std::string>& args : rejected) {
+        const ToolRun run = dioscc(dir, args);
+        EXPECT_EQ(run.code, 2) << args.back() << "\n" << run.err;
+        EXPECT_TRUE(run.out.empty()) << run.out;
+    }
+    // The deleted server flags: diosd is the only server.
+    for (const char* gone :
+         {"--serve", "--read-deadline-s", "--drain-deadline-s",
+          "--shed-watermark", "--neg-cache-ttl-s"}) {
+        EXPECT_EQ(dioscc(dir, {kVadd, gone, "1"}).code, 2) << gone;
+    }
+}
+
+TEST(Cli, StrictBatchCompilesEveryKernelOnTheStrictRoute)
+{
+    TempDir dir("strict_batch");
+    const std::string manifest = dir.file("manifest");
+    std::ofstream(manifest) << kVadd << "\n" << kDot4 << "\n";
+    const ToolRun run =
+        dioscc(dir, {"--batch", manifest, "--strict", "--json"});
+    EXPECT_EQ(run.code, 0) << run.err;
+    std::size_t elements = 0;
+    EXPECT_TRUE(is_one_json_value(run.out, &elements)) << run.out;
+    EXPECT_EQ(elements, 2u);
+    EXPECT_EQ(run.out.find("\"ok\":false"), std::string::npos) << run.out;
+}
+
+// ---------------------------------------------------------------------------
 // diosd
 // ---------------------------------------------------------------------------
 

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compiler/driver.h"
@@ -25,6 +26,7 @@
 #include "daemon/protocol.h"
 #include "machine/program.h"
 #include "scalar/parse.h"
+#include "service/cache_key.h"
 #include "service/serialize.h"
 #include "support/error.h"
 
@@ -301,6 +303,35 @@ TEST(Protocol, CompileRequestRoundTripsOptions)
     EXPECT_EQ(back.options.limits.iter_limit, 6);
 }
 
+TEST(Protocol, CacheKeySurvivesTheWireForEveryPreset)
+{
+    const scalar::Kernel kernel = scalar::parse_kernel(kVaddText);
+    std::vector<CompilerOptions> cases;
+    for (const int width : {2, 4, 8, 16}) {
+        CompilerOptions o = test_options();
+        o.target = TargetSpec::for_width(width);
+        cases.push_back(o);
+    }
+    CompilerOptions tuned = test_options();
+    tuned.target = TargetSpec::fusion_g3_vliw();
+    tuned.target.taken_branch_penalty = 3;
+    tuned.cost.vec_with_exprs = 3.25;
+    tuned.cost.literal = 0.3;
+    cases.push_back(tuned);
+
+    for (const CompilerOptions& o : cases) {
+        CompileRequest req;
+        req.kernel_name = "vadd4";
+        req.kernel_text = kVaddText;
+        req.options = o;
+        const CompileRequest back =
+            daemon::decode_compile_request(encode_compile_request(req));
+        EXPECT_EQ(service::compute_cache_key(kernel, back.options).hex(),
+                  service::compute_cache_key(kernel, o).hex())
+            << o.target.name;
+    }
+}
+
 TEST(Protocol, RejectsUnsupportedWidthAtTheBoundary)
 {
     CompileRequest req;
@@ -366,6 +397,27 @@ TEST(Protocol, MalformedPayloadsRaiseUserErrorNeverCrash)
         daemon::decode_compile_response(
             "(compile-response (status ok))"),  // ok without an entry
         UserError);
+
+    // Out-of-range target and cost fields fail the one request.
+    CompileRequest req;
+    req.kernel_name = "vadd4";
+    req.kernel_text = kVaddText;
+    req.options = test_options();
+    const std::string wire = encode_compile_request(req);
+    for (const auto& [from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"(issue-width 1)", "(issue-width 0)"},
+             {"(branch-penalty 1)", "(branch-penalty -1)"},
+             {"(cost-table ", "(cost-table 1 "},
+             {"(cost ", "(cost -1 "},
+         }) {
+        std::string mutated = wire;
+        const std::size_t at = mutated.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        mutated.replace(at, from.size(), to);
+        EXPECT_THROW(daemon::decode_compile_request(mutated), UserError)
+            << to;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -382,29 +434,44 @@ TEST(DaemonEndToEnd, RemoteCompileIsByteIdenticalToLocal)
     daemon::Daemon d(dopts);
     d.start();
 
-    const scalar::Kernel kernel = scalar::parse_kernel(kVaddText);
-    const CompilerOptions options = test_options();
-
     RemoteOptions ropts;
     ropts.socket_path = dir.sock();
     ropts.jitter_seed = 1;
     RemoteClient client(ropts);
-    CompileRequest req;
-    req.kernel_name = kernel.name;
-    req.kernel_text = kVaddText;
-    req.options = options;
-    const auto resp = client.compile(req);
-    ASSERT_TRUE(resp.has_value());
-    ASSERT_EQ(resp->status, ResponseStatus::kOk);
-    const CompiledKernel remote =
-        service::compiled_from_entry(kernel, *resp->entry);
 
-    const CompileResult local = compile_kernel_resilient(kernel, options);
-    ASSERT_TRUE(local.ok);
-    EXPECT_EQ(remote.c_source, local.compiled->c_source);
-    EXPECT_EQ(disassemble(remote.machine, options.target.vector_width),
-              disassemble(local.compiled->machine,
-                          options.target.vector_width));
+    // The width-2 preset differs from the default target in fields the
+    // width alone does not carry (a scalar MAC, here), which change the
+    // emitted program for this kernel.
+    CompilerOptions narrow = test_options();
+    narrow.target = TargetSpec::narrow_2wide();
+    const std::pair<const char*, CompilerOptions> cases[] = {
+        {kVaddText, test_options()},
+        {"(kernel norm3 (param n 3) (input a n) (output out 1)\n"
+         "  (store out 0 (sqrt (+ (* (load a 0) (load a 0))\n"
+         "    (* (load a 1) (load a 1)) (* (load a 2) (load a 2))))))\n",
+         narrow},
+    };
+    for (const auto& [text, options] : cases) {
+        const scalar::Kernel kernel = scalar::parse_kernel(text);
+        CompileRequest req;
+        req.kernel_name = kernel.name;
+        req.kernel_text = text;
+        req.options = options;
+        const auto resp = client.compile(req);
+        ASSERT_TRUE(resp.has_value());
+        ASSERT_EQ(resp->status, ResponseStatus::kOk);
+        const CompiledKernel remote =
+            service::compiled_from_entry(kernel, *resp->entry);
+
+        const CompileResult local =
+            compile_kernel_resilient(kernel, options);
+        ASSERT_TRUE(local.ok);
+        EXPECT_EQ(remote.c_source, local.compiled->c_source) << kernel.name;
+        EXPECT_EQ(disassemble(remote.machine, options.target.vector_width),
+                  disassemble(local.compiled->machine,
+                              options.target.vector_width))
+            << kernel.name;
+    }
 
     d.shutdown();
 }

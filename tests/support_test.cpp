@@ -6,6 +6,7 @@
 
 #include "support/error.h"
 #include "support/hash.h"
+#include "support/json.h"
 #include "support/lru.h"
 #include "support/rational.h"
 #include "support/rng.h"
@@ -246,6 +247,18 @@ TEST(Lru, CapacityZeroStoresNothing)
     EXPECT_EQ(lru.find(1), nullptr);
     EXPECT_EQ(lru.size(), 0u);
     EXPECT_EQ(lru.evictions(), 0u);
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters)
+{
+    EXPECT_EQ(json_escape("plain"), "plain");
+    EXPECT_EQ(json_escape("say \"hi\" \\ bye"), "say \\\"hi\\\" \\\\ bye");
+    EXPECT_EQ(json_escape("cc: error\n\tline 2\r\n"),
+              "cc: error\\n\\tline 2\\u000d\\n");
+    EXPECT_EQ(json_escape(std::string("nul\0bell\x07" "esc\x1b", 13)),
+              "nul\\u0000bell\\u0007esc\\u001b");
+    EXPECT_EQ(json_escape("utf-8 \xe2\x80\x94 stays"),
+              "utf-8 \xe2\x80\x94 stays");
 }
 
 TEST(Error, CheckMacroThrowsUserError)

@@ -1,536 +1,289 @@
 /**
  * @file
- * dioscc — the Diospyros command-line compiler.
+ * dioscc — the Diospyros command-line compiler: a kernel written in the
+ * textual input language (src/scalar/parse.h) in, vectorized code and a
+ * compile report out.
  *
- * Compiles a kernel written in the textual input language (see
- * src/scalar/parse.h) through the full pipeline and reports the result:
+ *   dioscc <kernel.ksp> [flags]
+ *   dioscc --batch MANIFEST [flags]
  *
- *   dioscc <kernel.ksp> [options]
+ * `dioscc --help` lists every flag. The list is generated from the flag
+ * table below, which also records the modes that honour each flag; a
+ * flag the chosen mode cannot honour is rejected with exit 2.
  *
- * Options:
- *   --width N       target vector width (default 4)
- *   --iters N       saturation iteration budget (default 12)
- *   --nodes N       e-graph node limit (default 300000)
- *   --timeout S     saturation wall-clock budget in seconds (default 20;
- *                   fractions allowed, e.g. 0.5)
- *   --deadline S    wall-clock budget for the WHOLE compile (all phases
- *                   share one deadline; the final degradation rung is
- *                   exempt so a result is always produced)
- *   --memory BYTES  e-graph memory ceiling for saturation (proxy bytes)
- *   --no-vector     disable vector rewrite rules (§5.6 ablation)
- *   --ac            enable full associativity/commutativity (§3.3)
- *   --recip         target has a fast reciprocal (§6 extension)
- *   --validate      run exact translation validation
- *   --verify-ir     run the static-analysis gates (e-graph audit + VIR
- *                   verifier) inside the compile; always on in debug and
- *                   sanitizer builds
- *   --verify-machine
- *                   run the machine-code gates: structural verification
- *                   of the emitted program (M001-M007), the scheduler-
- *                   preservation proof (M008), and symbolic machine-level
- *                   translation validation of the scheduled code against
- *                   the spec (M009, with a concrete counterexample
- *                   witness on NOT-equivalent). The structural gates are
- *                   always on in debug and sanitizer builds; this flag
- *                   opts release builds in and additionally enables the
- *                   symbolic validation. With --json the verdict lands in
- *                   "machine_validation" / "machine_witness"
- *   --lint-rules    lint every registered rewrite rule for soundness
- *                   against the exact validator and exit (no kernel
- *                   required); non-zero exit if any rule is unsound
- *   --strategy S    saturation strategy: a built-in name ("default",
- *                   "phased") or a strategy file in the s-expression DSL
- *                   (src/strategy/parse.h). Phases, per-phase limits,
- *                   rule schedulers and sketch goals replace the single
- *                   monolithic saturation run; with --json the report
- *                   gains a per-phase "phases" array. A bad name/file
- *                   exits 2 with the S4xx diagnostics.
- *   --lint-strategies
- *                   check every built-in strategy (rule references
- *                   resolve against the registered rule set; canonical
- *                   rendering round-trips through the parser) and exit;
- *                   non-zero exit on any failure
- *   --strict        raw pipeline: fail outright instead of walking the
- *                   degradation ladder on errors
- *   --fault SPEC    arm a fault site, SPEC = site[:nth[:count|*]]
- *                   (also honoured from the DIOS_FAULT env var)
- *   --list-faults   print the fault-site catalog and exit
- *   --emit-c        print the generated C intrinsics
- *   --emit-native   print a host-compilable multi-ISA C kernel
- *                   (SSE/AVX2/AVX-512/NEON leaves + CPU dispatch; see
- *                   machine/emit_c.h)
- *   --emit-asm      print the scheduled DSP assembly
- *   --emit-spec     print the lifted specification
- *   --emit-dot FILE write the saturated e-graph as Graphviz (debugging);
- *                   saturation runs exactly as the compile's (honours
- *                   --strategy)
- *   --json          print the compile report as a JSON object
- *   --run           run on random inputs and compare with the baselines
- *   --seed N        RNG seed for --run (default 1)
+ * A single kernel is a batch of one. Each kernel takes one route and
+ * yields a CompileResult:
+ *   --strict  compile_kernel under the --fault scope: no degradation
+ *             ladder, the first failure is final;
+ *   --remote  a diosd daemon (DESIGN.md §5j), retried under backoff; when
+ *             the daemon stays unreachable, the local route below
+ *             ("cache":"local-fallback" in --json);
+ *   local     one in-process CompileService: the degradation ladder,
+ *             plus the persistent cache with --cache-dir.
+ * The bytes of a successful result never depend on the route.
  *
- * Batch mode (the compile service):
- *   --batch FILE    compile every kernel listed in FILE (one path per
- *                   line; blank lines and '#' comments skipped) through
- *                   the concurrent compile service. With --json, prints
- *                   ONE JSON array with a per-kernel report. The exit
- *                   code is non-zero only for user errors (bad manifest,
- *                   unparsable kernel, invalid options) — degraded or
- *                   failed compiles are reported in-band.
- *   --jobs N        worker threads for --batch (default 1)
- *   --cache-dir D   persistent compile cache directory (also honoured in
- *                   single-kernel mode: a warm run is served from cache)
- *   --cache-disk-budget BYTES
- *                   on-disk cache size budget: the recovery scan evicts
- *                   oldest entries (mtime LRU) past this many bytes
- *                   (0 = unlimited, the default)
- *   --io-retries N  bounded retries (deterministic backoff) for
- *                   transient cache-store I/O failures (default 2)
- *
- * Admission control (service paths: --batch, or --cache-dir):
- *   --priority P    admission class: interactive | batch | background
- *                   (default: interactive for single kernels, batch for
- *                   --batch). Workers drain interactive first; past the
- *                   shed watermark only interactive is admitted.
- *   --submit-timeout-ms N
- *                   wait at most N ms for queue space, then shed with a
- *                   structured Overloaded result (0 = shed immediately;
- *                   default: block indefinitely)
- *   --neg-cache-ttl-s S
- *                   remember deterministic failures for S seconds and
- *                   serve them without recompiling (0 disables the
- *                   failure memory and circuit breaker; default 300)
- *   --shed-watermark N
- *                   once N jobs are queued, shed batch/background
- *                   submits immediately (0 = only the hard queue
- *                   capacity sheds, the default)
- *
- *   Shed or breaker-rejected kernels are reported in-band: the batch
- *   JSON carries "cache":"shed"/"breaker-open"/"negative-hit", the
- *   retry hint in "retry_after_ms", and per-kernel "queue_wait_ms".
- *
- * Daemon mode (DESIGN.md §5j):
- *   --serve SOCK    run as a compile daemon on Unix socket SOCK (the
- *                   in-tool equivalent of the standalone diosd binary;
- *                   combines with --jobs/--cache-dir/admission flags).
- *                   SIGINT/SIGTERM drain gracefully and print the final
- *                   metrics document
- *   --remote SOCK   compile via a daemon at SOCK instead of in-process
- *                   (single-kernel and --batch). Retries under bounded
- *                   exponential backoff with jitter, honours shed
- *                   retry_after_ms hints, and replays torn requests
- *                   against the daemon's dedup table. If the daemon
- *                   stays unreachable, falls back to a local in-process
- *                   compile ("cache":"local-fallback" in --json) — the
- *                   bytes of a successful result never depend on the
- *                   transport
- *   --read-deadline-s S   (--serve) drop connections idle or mid-frame
- *                   for S seconds (default 30)
- *   --drain-deadline-s S  (--serve) escalate a graceful drain to shed
- *                   after S seconds (default 10)
+ * Exit codes: 0 ok; 1 the kernel failed to compile or --run disagreed
+ * with the reference; 2 user error (bad flags, unreadable or unparsable
+ * kernel). Under --batch, compile failures are reported in-band and only
+ * a user error makes the exit code non-zero.
  */
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include <atomic>
-#include <chrono>
-#include <csignal>
-#include <fstream>
-#include <sstream>
-#include <thread>
-
-#include <unistd.h>
-
 #include "analysis/diagnostics.h"
-#include "daemon/client.h"
-#include "daemon/daemon.h"
 #include "analysis/lint_rules.h"
 #include "compiler/driver.h"
-#include "machine/emit_c.h"
-#include "service/compile_service.h"
+#include "daemon/client.h"
 #include "egraph/runner.h"
+#include "kernels/kernels.h"
+#include "machine/emit_c.h"
 #include "rules/rules.h"
 #include "scalar/lower.h"
 #include "scalar/parse.h"
+#include "service/compile_service.h"
 #include "strategy/parse.h"
 #include "strategy/strategy.h"
 #include "support/faults.h"
+#include "support/json.h"
 #include "support/numeric.h"
-#include "support/rng.h"
 
 using namespace diospyros;
 
 namespace {
 
-struct CliOptions {
+/**
+ * The modes dioscc runs in, one bit each. A compile mode is a route
+ * (strict, remote, local) for one kernel or for a --batch manifest; a
+ * route's batch bit is its single-kernel bit shifted left by 3.
+ */
+enum Mode : unsigned {
+    kStrictOne = 1u << 0,
+    kRemoteOne = 1u << 1,
+    kLocalOne = 1u << 2,
+    kStrictBatch = 1u << 3,
+    kRemoteBatch = 1u << 4,
+    kLocalBatch = 1u << 5,
+    kLint = 1u << 6,
+    kListFaults = 1u << 7,
+};
+constexpr unsigned kOne = kStrictOne | kRemoteOne | kLocalOne;
+constexpr unsigned kBatch = kStrictBatch | kRemoteBatch | kLocalBatch;
+constexpr unsigned kCompile = kOne | kBatch;
+constexpr unsigned kStrict = kStrictOne | kStrictBatch;
+constexpr unsigned kRemote = kRemoteOne | kRemoteBatch;
+constexpr unsigned kLocal = kLocalOne | kLocalBatch;
+
+/** Indexed by the Mode bit's position. */
+const char* const kModeNames[] = {
+    "--strict",         "--remote",         "a local compile",
+    "--batch --strict", "--batch --remote", "--batch",
+    "--lint-rules/--lint-strategies",       "--list-faults",
+};
+
+struct Cli {
+    unsigned mode = kLocalOne;
     std::string path;
+    std::string batch_path;
     CompilerOptions compiler;
     bool emit_c = false;
     bool emit_native = false;
     bool emit_asm = false;
     bool emit_spec = false;
+    std::string dot_path;
     bool json = false;
     bool run = false;
+    std::uint64_t seed = 1;
     bool strict = false;
     bool lint_rules = false;
     bool lint_strategies = false;
-    std::string dot_path;
-    std::uint64_t seed = 1;
+    bool list_faults = false;
     int jobs = 1;
     std::string cache_dir;
     std::uintmax_t cache_disk_budget = 0;
-    std::string batch_path;
-    /** Admission-control knobs (service paths only). */
-    service::Priority priority = service::Priority::kBatch;
-    bool priority_set = false;
-    double submit_timeout_seconds = -1.0;  ///< < 0: block (legacy)
-    double neg_cache_ttl_seconds = 300.0;
-    std::size_t shed_watermark = 0;
-    /** Remote mode: compile via a diosd daemon at this socket. */
     std::string remote_socket;
-    /** Serve mode: run a diosd daemon on this socket until a signal. */
-    std::string serve_socket;
-    double read_deadline_seconds = 30.0;
-    double drain_deadline_seconds = 10.0;
+    /** Unset: interactive for one kernel, batch for a manifest. */
+    std::optional<service::Priority> priority;
+    double submit_timeout_seconds = -1.0;  ///< < 0: block
+};
+
+/** One flag occurrence: its spelling (for messages) and its value. */
+struct Arg {
+    std::string flag;
+    std::string value;
+
+    long long pos() const { return require_positive_integer(flag, value); }
+    long long nonneg() const
+    {
+        return require_nonnegative_integer(flag, value);
+    }
+    double secs() const { return require_positive_number(flag, value); }
+};
+
+struct Flag {
+    const char* name;
+    const char* metavar;  ///< nullptr: a switch that takes no value
+    unsigned modes;       ///< the Mode bits that honour this flag
+    const char* help;
+    void (*apply)(Cli&, Arg);
+};
+
+const Flag kFlags[] = {
+    {"--width", "N", kCompile | kLint, "target vector width (default 4)",
+     [](Cli& c, Arg a) { c.compiler.target.vector_width = a.pos(); }},
+    {"--iters", "N", kCompile, "saturation iteration budget (default 12)",
+     [](Cli& c, Arg a) { c.compiler.limits.iter_limit = a.pos(); }},
+    {"--nodes", "N", kCompile, "e-graph node limit (default 300000)",
+     [](Cli& c, Arg a) { c.compiler.limits.node_limit = a.pos(); }},
+    {"--timeout", "S", kCompile, "saturation time budget (default 20 s)",
+     [](Cli& c, Arg a) { c.compiler.limits.time_limit_seconds = a.secs(); }},
+    {"--deadline", "S", kCompile, "time budget for the whole compile",
+     [](Cli& c, Arg a) { c.compiler.deadline_seconds = a.secs(); }},
+    {"--memory", "BYTES", kCompile, "e-graph memory ceiling (proxy bytes)",
+     [](Cli& c, Arg a) { c.compiler.limits.memory_limit_bytes = a.pos(); }},
+    {"--no-vector", nullptr, kCompile, "disable the vector rewrite rules",
+     [](Cli& c, Arg) { c.compiler.rules.enable_vector_rules = false; }},
+    {"--ac", nullptr, kCompile, "enable full associativity/commutativity",
+     [](Cli& c, Arg) { c.compiler.rules.full_ac = true; }},
+    {"--recip", nullptr, kCompile, "the target has a fast reciprocal",
+     [](Cli& c, Arg) { c.compiler.target.has_reciprocal = true; }},
+    {"--validate", nullptr, kCompile, "translation validation + random check",
+     [](Cli& c, Arg) { c.compiler.validate = c.compiler.random_check = true; }},
+    {"--verify-ir", nullptr, kCompile, "run the e-graph and VIR gates",
+     [](Cli& c, Arg) { c.compiler.verify_ir = true; }},
+    {"--verify-machine", nullptr, kCompile, "run the machine-code gates",
+     [](Cli& c, Arg) { c.compiler.verify_machine = true; }},
+    {"--strategy", "NAME|FILE", kCompile, "built-in name or strategy file",
+     [](Cli& c, Arg a) {
+         analysis::DiagEngine diags;
+         auto strat = strategy::load_strategy(a.value, diags);
+         DIOS_CHECK(strat.has_value(),
+                    a.flag + " " + a.value + ":\n" + diags.render_text());
+         c.compiler.strategy = std::move(*strat);
+     }},
+    {"--fault", "SPEC", kStrict | kLocal, "arm a fault: site[:nth[:count|*]]",
+     [](Cli& c, Arg a) { c.compiler.fault_specs.push_back(a.value); }},
+    {"--emit-c", nullptr, kOne, "print the generated C intrinsics",
+     [](Cli& c, Arg) { c.emit_c = true; }},
+    {"--emit-native", nullptr, kOne, "print a host-compilable C kernel",
+     [](Cli& c, Arg) { c.emit_native = true; }},
+    {"--emit-asm", nullptr, kOne, "print the scheduled DSP assembly",
+     [](Cli& c, Arg) { c.emit_asm = true; }},
+    {"--emit-spec", nullptr, kOne, "print the lifted specification",
+     [](Cli& c, Arg) { c.emit_spec = true; }},
+    {"--emit-dot", "FILE", kOne, "write the saturated e-graph as Graphviz",
+     [](Cli& c, Arg a) { c.dot_path = a.value; }},
+    {"--run", nullptr, kOne, "simulate on random inputs vs the baselines",
+     [](Cli& c, Arg) { c.run = true; }},
+    {"--seed", "N", kOne | kRemote, "seed: --run inputs, retry jitter",
+     [](Cli& c, Arg a) { c.seed = a.nonneg(); }},
+    {"--json", nullptr, kCompile, "JSON report (an array under --batch)",
+     [](Cli& c, Arg) { c.json = true; }},
+    {"--batch", "MANIFEST", kBatch, "compile each kernel path in MANIFEST",
+     [](Cli& c, Arg a) { c.batch_path = a.value; }},
+    {"--jobs", "N", kRemote | kLocal, "compile worker threads (default 1)",
+     [](Cli& c, Arg a) { c.jobs = a.pos(); }},
+    {"--cache-dir", "D", kRemote | kLocal, "persistent compile cache",
+     [](Cli& c, Arg a) { c.cache_dir = a.value; }},
+    {"--cache-disk-budget", "BYTES", kRemote | kLocal, "disk cache size cap",
+     [](Cli& c, Arg a) { c.cache_disk_budget = a.nonneg(); }},
+    {"--io-retries", "N", kRemote | kLocal, "cache-store I/O retries (2)",
+     [](Cli& c, Arg a) { c.compiler.io_retries = a.nonneg(); }},
+    {"--remote", "SOCK", kRemote, "compile via the diosd listening at SOCK",
+     [](Cli& c, Arg a) { c.remote_socket = a.value; }},
+    {"--priority", "P", kRemote, "interactive | batch | background",
+     [](Cli& c, Arg a) { c.priority = service::parse_priority(a.value); }},
+    {"--submit-timeout-ms", "N", kRemote, "daemon queue wait before a shed",
+     [](Cli& c, Arg a) { c.submit_timeout_seconds = a.nonneg() / 1000.0; }},
+    {"--strict", nullptr, kStrict, "no degradation ladder",
+     [](Cli& c, Arg) { c.strict = true; }},
+    {"--lint-rules", nullptr, kLint, "prove every rewrite rule sound",
+     [](Cli& c, Arg) { c.lint_rules = true; }},
+    {"--lint-strategies", nullptr, kLint, "check every built-in strategy",
+     [](Cli& c, Arg) { c.lint_strategies = true; }},
+    {"--list-faults", nullptr, kListFaults, "print the fault-site catalog",
+     [](Cli& c, Arg) { c.list_faults = true; }},
 };
 
 [[noreturn]] void
-usage(const char* argv0)
+usage()
 {
-    std::fprintf(stderr,
-                 "usage: %s <kernel.ksp> [--width N] [--iters N] "
-                 "[--nodes N] [--timeout S] [--deadline S] [--memory B] "
-                 "[--no-vector] [--ac] [--recip] [--validate] "
-                 "[--verify-ir] [--verify-machine] [--lint-rules] "
-                 "[--strategy NAME|FILE] "
-                 "[--lint-strategies] [--strict] "
-                 "[--fault SPEC] [--list-faults] [--emit-c] "
-                 "[--emit-native] [--emit-asm] "
-                 "[--emit-spec] [--emit-dot FILE] [--json] [--run] "
-                 "[--seed N] [--batch FILE] [--jobs N] [--cache-dir D] "
-                 "[--cache-disk-budget BYTES] [--io-retries N] "
-                 "[--priority interactive|batch|background] "
-                 "[--submit-timeout-ms N] [--neg-cache-ttl-s S] "
-                 "[--shed-watermark N] [--remote SOCK] [--serve SOCK] "
-                 "[--read-deadline-s S] [--drain-deadline-s S]\n",
-                 argv0);
+    std::fprintf(stderr, "usage: dioscc <kernel.ksp> [flags]\n"
+                         "       dioscc --batch MANIFEST [flags]\n"
+                         "       dioscc --lint-rules | --lint-strategies "
+                         "[--width N]\n"
+                         "       dioscc --list-faults\n\nflags:\n");
+    for (const Flag& f : kFlags) {
+        const std::string spelled =
+            std::string(f.name) + " " + (f.metavar ? f.metavar : "");
+        std::fprintf(stderr, "  %-30s %s\n", spelled.c_str(), f.help);
+    }
     std::exit(2);
 }
 
-CliOptions
+Cli
 parse_cli(int argc, char** argv)
 {
-    CliOptions cli;
+    Cli cli;
     cli.compiler.limits = RunnerLimits{.node_limit = 300'000,
                                        .iter_limit = 12,
                                        .time_limit_seconds = 20.0};
-    // Strict numeric parsing: the whole token must parse and limits must
-    // be positive ("--timeout 0.5" works; "--iters abc" is rejected
-    // instead of silently becoming 0).
-    auto next_arg = [&](int& i) -> std::string {
-        if (i + 1 >= argc) {
-            usage(argv[0]);
-        }
-        return argv[++i];
-    };
+    std::vector<const Flag*> seen;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--width") {
-            cli.compiler.target.vector_width = static_cast<int>(
-                require_positive_integer(arg, next_arg(i)));
-        } else if (arg == "--iters") {
-            cli.compiler.limits.iter_limit = static_cast<int>(
-                require_positive_integer(arg, next_arg(i)));
-        } else if (arg == "--nodes") {
-            cli.compiler.limits.node_limit = static_cast<std::size_t>(
-                require_positive_integer(arg, next_arg(i)));
-        } else if (arg == "--timeout") {
-            cli.compiler.limits.time_limit_seconds =
-                require_positive_number(arg, next_arg(i));
-        } else if (arg == "--deadline") {
-            cli.compiler.deadline_seconds =
-                require_positive_number(arg, next_arg(i));
-        } else if (arg == "--memory") {
-            cli.compiler.limits.memory_limit_bytes =
-                static_cast<std::size_t>(
-                    require_positive_integer(arg, next_arg(i)));
-        } else if (arg == "--no-vector") {
-            cli.compiler.rules.enable_vector_rules = false;
-        } else if (arg == "--ac") {
-            cli.compiler.rules.full_ac = true;
-        } else if (arg == "--recip") {
-            cli.compiler.target.has_reciprocal = true;
-        } else if (arg == "--validate") {
-            cli.compiler.validate = true;
-            cli.compiler.random_check = true;
-        } else if (arg == "--verify-ir") {
-            cli.compiler.verify_ir = true;
-        } else if (arg == "--verify-machine") {
-            cli.compiler.verify_machine = true;
-        } else if (arg == "--lint-rules") {
-            cli.lint_rules = true;
-        } else if (arg == "--strategy") {
-            const std::string ref = next_arg(i);
-            analysis::DiagEngine diags;
-            auto strat = strategy::load_strategy(ref, diags);
-            if (!strat) {
-                // Structured UserError, same convention as every other
-                // bad flag value: "dioscc: error: ..." and exit 2.
-                throw UserError("--strategy " + ref + ":\n" +
-                                diags.render_text());
+        if (arg.empty() || arg[0] != '-') {
+            if (!cli.path.empty()) {
+                usage();
             }
-            cli.compiler.strategy = std::move(*strat);
-        } else if (arg == "--lint-strategies") {
-            cli.lint_strategies = true;
-        } else if (arg == "--strict") {
-            cli.strict = true;
-        } else if (arg == "--fault") {
-            cli.compiler.fault_specs.push_back(next_arg(i));
-        } else if (arg == "--list-faults") {
-            for (const std::string& site : faults::known_sites()) {
-                std::printf("%s\n", site.c_str());
-            }
-            std::exit(0);
-        } else if (arg == "--emit-c") {
-            cli.emit_c = true;
-        } else if (arg == "--emit-native") {
-            cli.emit_native = true;
-        } else if (arg == "--emit-asm") {
-            cli.emit_asm = true;
-        } else if (arg == "--emit-spec") {
-            cli.emit_spec = true;
-        } else if (arg == "--json") {
-            cli.json = true;
-        } else if (arg == "--emit-dot") {
-            cli.dot_path = next_arg(i);
-        } else if (arg == "--run") {
-            cli.run = true;
-        } else if (arg == "--jobs") {
-            cli.jobs = static_cast<int>(
-                require_positive_integer(arg, next_arg(i)));
-        } else if (arg == "--cache-dir") {
-            cli.cache_dir = next_arg(i);
-        } else if (arg == "--cache-disk-budget") {
-            cli.cache_disk_budget = static_cast<std::uintmax_t>(
-                require_nonnegative_integer(arg, next_arg(i)));
-        } else if (arg == "--io-retries") {
-            cli.compiler.io_retries = static_cast<int>(
-                require_nonnegative_integer(arg, next_arg(i)));
-        } else if (arg == "--batch") {
-            cli.batch_path = next_arg(i);
-        } else if (arg == "--priority") {
-            cli.priority = service::parse_priority(next_arg(i));
-            cli.priority_set = true;
-        } else if (arg == "--submit-timeout-ms") {
-            cli.submit_timeout_seconds =
-                static_cast<double>(
-                    require_nonnegative_integer(arg, next_arg(i))) /
-                1000.0;
-        } else if (arg == "--neg-cache-ttl-s") {
-            cli.neg_cache_ttl_seconds =
-                require_nonnegative_number(arg, next_arg(i));
-        } else if (arg == "--shed-watermark") {
-            cli.shed_watermark = static_cast<std::size_t>(
-                require_nonnegative_integer(arg, next_arg(i)));
-        } else if (arg == "--remote") {
-            cli.remote_socket = next_arg(i);
-        } else if (arg == "--serve") {
-            cli.serve_socket = next_arg(i);
-        } else if (arg == "--read-deadline-s") {
-            cli.read_deadline_seconds =
-                require_positive_number(arg, next_arg(i));
-        } else if (arg == "--drain-deadline-s") {
-            cli.drain_deadline_seconds =
-                require_nonnegative_number(arg, next_arg(i));
-        } else if (arg == "--seed") {
-            cli.seed = static_cast<std::uint64_t>(
-                require_nonnegative_integer(arg, next_arg(i)));
-        } else if (!arg.empty() && arg[0] == '-') {
-            usage(argv[0]);
-        } else if (cli.path.empty()) {
             cli.path = arg;
-        } else {
-            usage(argv[0]);
+            continue;
+        }
+        const Flag* flag =
+            std::find_if(std::begin(kFlags), std::end(kFlags),
+                         [&](const Flag& f) { return arg == f.name; });
+        if (flag == std::end(kFlags)) {
+            std::fprintf(stderr, "dioscc: error: unknown flag '%s'\n",
+                         arg.c_str());
+            usage();
+        }
+        if (flag->metavar != nullptr && i + 1 >= argc) {
+            usage();
+        }
+        flag->apply(cli, Arg{arg, flag->metavar ? argv[++i] : ""});
+        seen.push_back(flag);
+    }
+
+    if (cli.list_faults) {
+        cli.mode = kListFaults;
+    } else if (cli.lint_rules || cli.lint_strategies) {
+        cli.mode = kLint;
+    } else {
+        cli.mode = cli.strict                   ? kStrictOne
+                   : !cli.remote_socket.empty() ? kRemoteOne
+                                                : kLocalOne;
+        if (!cli.batch_path.empty()) {
+            cli.mode <<= 3;
         }
     }
-    if (cli.path.empty() && cli.batch_path.empty() && !cli.lint_rules &&
-        !cli.lint_strategies) {
-        usage(argv[0]);
+    for (const Flag* flag : seen) {
+        DIOS_CHECK((flag->modes & cli.mode) != 0,
+                   std::string(flag->name) + " does not apply to " +
+                       kModeNames[std::countr_zero(cli.mode)]);
+    }
+    if (cli.path.empty() == ((cli.mode & kOne) != 0)) {
+        usage();
     }
     return cli;
-}
-
-scalar::BufferMap
-random_inputs(const scalar::Kernel& kernel, std::uint64_t seed)
-{
-    Rng rng(seed);
-    scalar::BufferMap out;
-    for (const auto& decl :
-         kernel.arrays_with_role(scalar::ArrayRole::kInput)) {
-        std::vector<float> data(static_cast<std::size_t>(
-            scalar::array_length(kernel, decl)));
-        for (float& v : data) {
-            v = rng.uniform_float(-2.0f, 2.0f);
-        }
-        out.emplace(decl.name.str(), std::move(data));
-    }
-    return out;
-}
-
-/** JSON-escapes a string (quotes, backslashes, control characters). */
-std::string
-json_escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/**
- * One per-kernel report object (no trailing newline): the single-kernel
- * --json payload, and one element of the --batch --json array.
- */
-void
-print_json_object(const std::string& kernel_name, const CompileReport& r,
-                  const char* cache, double queue_wait_ms = 0.0)
-{
-    std::printf(
-        "{\"kernel\":\"%s\",\"ok\":true,\"cache\":\"%s\","
-        "\"queue_wait_ms\":%.3f,"
-        "\"total_seconds\":%.6f,"
-        "\"saturation_seconds\":%.6f,\"egraph_nodes\":%zu,"
-        "\"egraph_classes\":%zu,\"iterations\":%zu,"
-        "\"stop\":\"%s\",\"extracted_cost\":%.2f,"
-        "\"spec_elements\":%zu,\"memory_proxy_bytes\":%zu,"
-        "\"lvn_removed\":%zu,\"fallback_level\":%d,"
-        "\"fallback\":\"%s\",\"error\":\"%s\","
-        "\"validation\":\"%s\",\"random_check_passed\":%s,"
-        "\"machine_validation\":\"%s\",\"machine_validated\":%s,"
-        "\"machine_witness\":\"%s\",\"attempts\":[",
-        json_escape(kernel_name).c_str(), cache, queue_wait_ms,
-        r.total_seconds,
-        r.saturation_seconds, r.egraph_nodes, r.egraph_classes,
-        r.runner_iterations, stop_reason_name(r.stop_reason),
-        r.extracted_cost, r.spec_elements, r.memory_proxy_bytes,
-        r.lvn.value_numbered + r.lvn.dead_removed, r.fallback_level,
-        fallback_level_name(r.fallback_level),
-        json_escape(r.error).c_str(), verdict_name(r.validation),
-        r.random_check_passed ? "true" : "false",
-        verdict_name(r.machine_validation),
-        r.machine_validated ? "true" : "false",
-        json_escape(r.machine_witness).c_str());
-    for (std::size_t i = 0; i < r.attempts.size(); ++i) {
-        const AttemptDiagnostic& a = r.attempts[i];
-        std::printf("%s{\"level\":%d,\"rung\":\"%s\",\"seconds\":%.6f,"
-                    "\"error\":\"%s\"}",
-                    i == 0 ? "" : ",", a.level,
-                    fallback_level_name(a.level), a.seconds,
-                    json_escape(a.error).c_str());
-    }
-    // Per-rule e-matching profile (rule-set order), plus the totals.
-    std::size_t ematch_matches = 0;
-    double ematch_search = 0.0;
-    double ematch_apply = 0.0;
-    std::printf("],\"rule_stats\":[");
-    for (std::size_t i = 0; i < r.rule_stats.size(); ++i) {
-        const RuleStats& s = r.rule_stats[i];
-        ematch_matches += s.matches;
-        ematch_search += s.search_seconds;
-        ematch_apply += s.apply_seconds;
-        std::printf("%s{\"rule\":\"%s\",\"matches\":%zu,"
-                    "\"applications\":%zu,\"search_seconds\":%.6f,"
-                    "\"apply_seconds\":%.6f,\"times_banned\":%d,"
-                    "\"banned_until\":%d}",
-                    i == 0 ? "" : ",", json_escape(s.name).c_str(),
-                    s.matches, s.applications, s.search_seconds,
-                    s.apply_seconds, s.times_banned, s.banned_until);
-    }
-    std::printf("],\"ematch_matches\":%zu,\"ematch_search_seconds\":%.6f,"
-                "\"ematch_apply_seconds\":%.6f",
-                ematch_matches, ematch_search, ematch_apply);
-    // Strategy runs: the schedule's identity and per-phase telemetry.
-    std::printf(",\"strategy\":\"%s\",\"goal_satisfied\":%s,\"phases\":[",
-                json_escape(r.strategy_name).c_str(),
-                r.strategy_goal_satisfied ? "true" : "false");
-    for (std::size_t i = 0; i < r.strategy_phases.size(); ++i) {
-        const strategy::PhaseReport& p = r.strategy_phases[i];
-        std::size_t matches = 0;
-        std::size_t applications = 0;
-        for (const RuleStats& s : p.runner.rule_stats) {
-            matches += s.matches;
-            applications += s.applications;
-        }
-        std::printf(
-            "%s{\"phase\":\"%s\",\"runs\":%d,\"skipped\":%s,"
-            "\"stop\":\"%s\",\"iterations\":%zu,\"nodes\":%zu,"
-            "\"classes\":%zu,\"matches\":%zu,\"applications\":%zu,"
-            "\"sketch_checked\":%s,\"sketch_satisfied\":%s,"
-            "\"seconds\":%.6f,\"rule_stats\":[",
-            i == 0 ? "" : ",", json_escape(p.name).c_str(), p.runs,
-            p.skipped ? "true" : "false",
-            p.skipped ? "skipped" : stop_reason_name(p.runner.stop_reason),
-            p.runner.iterations.size(), p.runner.final_nodes,
-            p.runner.final_classes, matches, applications,
-            p.sketch_checked ? "true" : "false",
-            p.sketch_satisfied ? "true" : "false", p.seconds);
-        for (std::size_t j = 0; j < p.runner.rule_stats.size(); ++j) {
-            const RuleStats& s = p.runner.rule_stats[j];
-            std::printf("%s{\"rule\":\"%s\",\"matches\":%zu,"
-                        "\"applications\":%zu,\"times_banned\":%d,"
-                        "\"banned_until\":%d}",
-                        j == 0 ? "" : ",", json_escape(s.name).c_str(),
-                        s.matches, s.applications, s.times_banned,
-                        s.banned_until);
-        }
-        std::printf("]}");
-    }
-    std::printf("]}");
-}
-
-/**
- * Report object for a kernel that produced no result at all: parse
- * failures, compile failures, and admission rejections alike. Shed and
- * breaker-open rejections carry their structured retry hint.
- */
-void
-print_json_failure(const std::string& kernel_name, const std::string& error,
-                   bool user_error, const char* cache,
-                   double queue_wait_ms = 0.0,
-                   std::uint64_t retry_after_ms = 0)
-{
-    std::printf("{\"kernel\":\"%s\",\"ok\":false,\"cache\":\"%s\","
-                "\"queue_wait_ms\":%.3f,\"retry_after_ms\":%llu,"
-                "\"user_error\":%s,\"fallback_level\":-1,\"error\":\"%s\"}",
-                json_escape(kernel_name).c_str(), cache, queue_wait_ms,
-                static_cast<unsigned long long>(retry_after_ms),
-                user_error ? "true" : "false", json_escape(error).c_str());
 }
 
 /** Reads a --batch manifest: one kernel path per line, '#' comments. */
@@ -554,11 +307,8 @@ read_manifest(const std::string& path)
     return out;
 }
 
-// ---------------------------------------------------------------------------
-// Signal handling (--batch / --serve): a Ctrl-C or SIGTERM must drain
-// the service and still flush ONE well-formed --json document.
-// ---------------------------------------------------------------------------
-
+// A Ctrl-C or SIGTERM mid-batch sheds the queue and still flushes ONE
+// well-formed --json document.
 std::atomic<bool> g_interrupted{false};
 
 void
@@ -567,313 +317,394 @@ handle_stop_signal(int)
     g_interrupted.store(true);
 }
 
-void
-install_stop_handlers()
+CompileResult
+failure(const std::string& error, FailureClass failure_class)
 {
-    struct sigaction sa = {};
-    sa.sa_handler = handle_stop_signal;
-    sigemptyset(&sa.sa_mask);
-    sigaction(SIGINT, &sa, nullptr);
-    sigaction(SIGTERM, &sa, nullptr);
+    CompileResult r;
+    r.error = error;
+    r.failure_class = failure_class;
+    r.user_error = failure_class == FailureClass::kUser;
+    return r;
 }
 
-/** Whole-file read (the raw kernel text shipped to a remote daemon). */
-std::string
-slurp_file(const std::string& path)
+/** One kernel of the input list, and what its route made of it. */
+struct Job {
+    std::string name;  ///< the kernel's name, or its path if unreadable
+    std::string text;
+    std::optional<scalar::Kernel> kernel;  ///< disengaged: unreadable
+    std::optional<service::Ticket> ticket;  ///< local route, once queued
+    CompileResult result;
+    std::string cache = "none";
+    double queue_wait_ms = 0.0;
+    std::uint64_t retry_after_ms = 0;
+};
+
+Job
+read_job(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    DIOS_CHECK(in.good(), "cannot open kernel file '" + path + "'");
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-/** Client-side counters rendered as a ServiceMetrics JSON document. */
-std::string
-remote_metrics_json(const daemon::ClientCounters& counters)
-{
-    service::ServiceMetrics m;
-    m.remote_requests = counters.remote_requests;
-    m.remote_retries = counters.remote_retries;
-    m.remote_fallback_local = counters.remote_fallback_local;
-    return m.to_json();
-}
-
-/**
- * --batch --remote driver: every manifest kernel through one diosd
- * connection, falling back to local in-process compilation for any
- * request the daemon could not serve. Same output contract as the
- * local batch driver.
- */
-int
-run_batch_remote(const CliOptions& cli)
-{
-    install_stop_handlers();
-    std::FILE* info = cli.json ? stderr : stdout;
-    const std::vector<std::string> paths = read_manifest(cli.batch_path);
-
-    daemon::RemoteOptions ropts;
-    ropts.socket_path = cli.remote_socket;
-    ropts.jitter_seed = cli.seed;
-    daemon::RemoteClient client(ropts);
-
-    bool any_user_error = false;
-    if (cli.json) {
-        std::printf("[");
+    Job job;
+    job.name = path;
+    try {
+        std::ifstream file(path, std::ios::binary);
+        DIOS_CHECK(file.good(), "cannot open kernel file: " + path);
+        std::ostringstream ss;
+        ss << file.rdbuf();
+        job.text = ss.str();
+        job.kernel = scalar::parse_kernel(job.text);
+        job.name = job.kernel->name;
+    } catch (const UserError& e) {
+        job.result = failure(e.what(), FailureClass::kUser);
     }
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-        if (cli.json && i > 0) {
-            std::printf(",");
+    return job;
+}
+
+/** The three routes of the file header, sharing one service and client. */
+class Router {
+  public:
+    Router(const Cli& cli, std::size_t jobs) : cli_(cli)
+    {
+        if (cli.strict) {
+            return;
         }
-        if (g_interrupted.load()) {
-            // Flush the remainder as structured interruptions; the
-            // array still closes and parses.
-            if (cli.json) {
-                print_json_failure(paths[i], "interrupted by signal",
-                                   /*user_error=*/false, "none");
-            }
-            std::fprintf(stderr, "dioscc: interrupted: %s skipped\n",
-                         paths[i].c_str());
-            continue;
+        service::CompileService::Options sopts;
+        sopts.jobs = cli.jobs;
+        sopts.cache_dir = cli.cache_dir;
+        sopts.disk_budget_bytes = cli.cache_disk_budget;
+        sopts.queue_capacity = jobs + 1;  // submit never blocks
+        service_.emplace(sopts);
+        if (!cli.remote_socket.empty()) {
+            client_.emplace(daemon::RemoteOptions{
+                .socket_path = cli.remote_socket, .jitter_seed = cli.seed});
         }
-        std::string name = paths[i];
+    }
+
+    /** Queues `job` on the local route now, so --jobs workers overlap. */
+    void
+    submit(Job& job)
+    {
+        job.ticket = service_->submit(*job.kernel, cli_.compiler);
+    }
+
+    void
+    compile(Job& job)
+    {
+        if (!job.kernel) {
+            return;  // read_job recorded the user error
+        }
+        if (g_interrupted.load() && !job.ticket) {
+            job.result = failure("interrupted by signal", FailureClass::kNone);
+        } else if (cli_.strict) {
+            strict(job);
+        } else if (!client_ || !remote(job)) {
+            local(job);
+        }
+    }
+
+    /** The service counters, with the remote client's folded in. */
+    std::string
+    metrics_json() const
+    {
+        service::ServiceMetrics m = service_->metrics();
+        if (client_) {
+            const daemon::ClientCounters& c = client_->counters();
+            m.remote_requests = c.remote_requests;
+            m.remote_retries = c.remote_retries;
+            m.remote_fallback_local = c.remote_fallback_local;
+        }
+        return m.to_json();
+    }
+
+  private:
+    void
+    strict(Job& job) const
+    {
         try {
-            const scalar::Kernel kernel =
-                scalar::parse_kernel_file(paths[i]);
-            name = kernel.name;
-            daemon::CompileRequest req;
-            req.kernel_name = kernel.name;
-            req.kernel_text = slurp_file(paths[i]);
-            req.options = cli.compiler;
-            req.priority = cli.priority_set ? cli.priority
-                                            : service::Priority::kBatch;
-            req.submit_timeout_seconds = cli.submit_timeout_seconds;
-            const std::optional<daemon::CompileResponse> resp =
-                client.compile(req);
-            if (resp && resp->status == daemon::ResponseStatus::kOk) {
-                const CompiledKernel compiled = service::compiled_from_entry(
-                    kernel, *resp->entry);
-                std::fprintf(info, "; [remote] %s\n",
-                             report_row(name, compiled.report).c_str());
-                if (cli.json) {
-                    print_json_object(name, compiled.report, "remote");
-                }
-            } else if (resp) {
-                any_user_error = any_user_error ||
-                                 resp->failure_class == FailureClass::kUser;
-                std::fprintf(stderr, "dioscc: error: %s: %s\n",
-                             name.c_str(), resp->error.c_str());
-                if (cli.json) {
-                    print_json_failure(
-                        name, resp->error,
-                        resp->failure_class == FailureClass::kUser,
-                        "remote", 0.0, resp->retry_after_ms);
-                }
-            } else {
-                // Daemon unreachable (or kept shedding): local fallback.
-                // Same pipeline, same bytes — only the worker moved.
-                const CompileResult result =
-                    compile_kernel_resilient(kernel, cli.compiler);
-                if (result.ok) {
-                    std::fprintf(
-                        info, "; [local-fallback] %s\n",
-                        report_row(name, result.report()).c_str());
-                    if (cli.json) {
-                        print_json_object(name, result.report(),
-                                          "local-fallback");
-                    }
-                } else {
-                    any_user_error = any_user_error || result.user_error;
-                    std::fprintf(stderr, "dioscc: error: %s: %s\n",
-                                 name.c_str(), result.error.c_str());
-                    if (cli.json) {
-                        print_json_failure(name, result.error,
-                                           result.user_error,
-                                           "local-fallback");
-                    }
-                }
+            std::vector<faults::FaultSpec> specs;
+            for (const std::string& spec : cli_.compiler.fault_specs) {
+                specs.push_back(faults::parse_spec(spec));
             }
+            const faults::ScopedFaults scope(std::move(specs));
+            job.result.compiled = compile_kernel(*job.kernel, cli_.compiler);
+            job.result.ok = true;
         } catch (const UserError& e) {
-            any_user_error = true;
-            std::fprintf(stderr, "dioscc: error: %s: %s\n", name.c_str(),
-                         e.what());
-            if (cli.json) {
-                print_json_failure(name, e.what(), /*user_error=*/true,
-                                   "none");
-            }
+            job.result = failure(e.what(), FailureClass::kUser);
+        } catch (const std::exception& e) {
+            job.result = failure(e.what(), FailureClass::kInternal);
         }
     }
-    if (cli.json) {
-        std::printf("]\n");
-    }
-    std::fprintf(info, "; remote metrics: %s\n",
-                 remote_metrics_json(client.counters()).c_str());
-    return any_user_error ? 2 : 0;
-}
 
-/**
- * --serve driver: run a diosd daemon in-process until SIGINT/SIGTERM,
- * then drain gracefully and flush one final metrics document.
- */
-int
-run_serve(const CliOptions& cli)
-{
-    DIOS_CHECK(cli.path.empty() && cli.batch_path.empty() &&
-                   cli.remote_socket.empty() && !cli.strict && !cli.run,
-               "--serve combines only with --json, --jobs, --cache-dir, "
-               "--cache-disk-budget, --shed-watermark, "
-               "--neg-cache-ttl-s, --read-deadline-s, and "
-               "--drain-deadline-s");
-    daemon::DaemonOptions dopts;
-    dopts.socket_path = cli.serve_socket;
-    dopts.service.jobs = cli.jobs;
-    dopts.service.cache_dir = cli.cache_dir;
-    dopts.service.disk_budget_bytes = cli.cache_disk_budget;
-    dopts.service.negative_ttl_seconds = cli.neg_cache_ttl_seconds;
-    dopts.service.shed_watermark = cli.shed_watermark;
-    dopts.read_deadline_seconds = cli.read_deadline_seconds;
-    dopts.drain_deadline_seconds = cli.drain_deadline_seconds;
-
-    daemon::Daemon daemon(dopts);
-    daemon.start();
-    install_stop_handlers();
-    std::fprintf(stderr, "; dioscc: serving on %s (pid %d, %d jobs)\n",
-                 cli.serve_socket.c_str(), ::getpid(), cli.jobs);
-    while (!g_interrupted.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    std::fprintf(stderr, "; dioscc: signal received, draining\n");
-    daemon.shutdown(service::DrainMode::kFinish);
-    if (cli.json) {
-        std::printf("%s\n", daemon.status_json().c_str());
-    } else {
-        std::printf("; daemon metrics: %s\n",
-                    daemon.status_json().c_str());
-    }
-    return 0;
-}
-
-/**
- * --batch driver: every manifest kernel through one CompileService.
- * Returns non-zero only when some kernel failed with a *user* error.
- */
-int
-run_batch(const CliOptions& cli)
-{
-    DIOS_CHECK(!cli.strict && !cli.run && !cli.emit_c &&
-                   !cli.emit_native && !cli.emit_asm && !cli.emit_spec &&
-                   cli.dot_path.empty() && cli.path.empty(),
-               "--batch combines only with --json, --jobs, --cache-dir, "
-               "--cache-disk-budget, and compiler options");
-
-    install_stop_handlers();
-    std::FILE* info = cli.json ? stderr : stdout;
-    const std::vector<std::string> paths = read_manifest(cli.batch_path);
-
-    service::CompileService::Options sopts;
-    sopts.jobs = cli.jobs;
-    sopts.cache_dir = cli.cache_dir;
-    sopts.disk_budget_bytes = cli.cache_disk_budget;
-    sopts.queue_capacity = paths.size() + 1;  // submit never blocks here
-    sopts.negative_ttl_seconds = cli.neg_cache_ttl_seconds;
-    sopts.shed_watermark = cli.shed_watermark;
-    service::CompileService svc(sopts);
-
-    service::SubmitOptions subopts;
-    subopts.priority =
-        cli.priority_set ? cli.priority : service::Priority::kBatch;
-    subopts.submit_timeout_seconds = cli.submit_timeout_seconds;
-
-    struct Item {
-        std::string path;
-        std::string name;
-        service::Ticket ticket;
-        bool submitted = false;
-        std::string parse_error;
-    };
-    std::vector<Item> items;
-    items.reserve(paths.size());
-    for (const std::string& path : paths) {
-        Item item;
-        item.path = path;
-        try {
-            const scalar::Kernel kernel = scalar::parse_kernel_file(path);
-            item.name = kernel.name;
-            item.ticket = svc.submit(kernel, cli.compiler, subopts);
-            item.submitted = true;
-        } catch (const UserError& e) {
-            item.name = path;
-            item.parse_error = e.what();
+    /** False when the daemon stayed unreachable. */
+    bool
+    remote(Job& job)
+    {
+        const service::Priority priority = cli_.priority.value_or(
+            (cli_.mode & kBatch) != 0 ? service::Priority::kBatch
+                                      : service::Priority::kInteractive);
+        const std::optional<daemon::CompileResponse> resp =
+            client_->compile({job.name, job.text, cli_.compiler, priority,
+                              cli_.submit_timeout_seconds});
+        if (!resp) {
+            return false;
         }
-        items.push_back(std::move(item));
+        job.cache = "remote";
+        job.retry_after_ms = resp->retry_after_ms;
+        if (resp->status != daemon::ResponseStatus::kOk) {
+            job.result = failure(resp->error, resp->failure_class);
+            return true;
+        }
+        job.result.ok = true;
+        job.result.compiled =
+            service::compiled_from_entry(*job.kernel, *resp->entry);
+        job.result.fallback_level = job.result.report().fallback_level;
+        return true;
     }
 
-    bool any_user_error = false;
-    bool drained = false;
-    if (cli.json) {
-        std::printf("[");
-    }
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        Item& item = items[i];
-        if (cli.json && i > 0) {
-            std::printf(",");
+    void
+    local(Job& job)
+    {
+        if (!job.ticket) {
+            submit(job);
         }
-        if (!item.submitted) {
-            any_user_error = true;
-            std::fprintf(stderr, "dioscc: error: %s: %s\n",
-                         item.path.c_str(), item.parse_error.c_str());
-            if (cli.json) {
-                print_json_failure(item.name, item.parse_error,
-                                   /*user_error=*/true, "none");
-            }
-            continue;
-        }
-        // Poll instead of blocking so a SIGINT/SIGTERM mid-batch sheds
-        // the queue and every remaining ticket resolves with a
-        // structured Overloaded result — the JSON array always closes.
-        while (!drained) {
-            if (g_interrupted.load()) {
+        const service::Ticket& ticket = *job.ticket;
+        // Poll so a stop signal can shed the queue: every queued ticket
+        // then resolves as Overloaded.
+        while (ticket.future.wait_for(std::chrono::milliseconds(100)) !=
+               std::future_status::ready) {
+            if (g_interrupted.load() && !drained_) {
                 std::fprintf(stderr,
-                             "dioscc: interrupted: shedding queued "
-                             "kernels\n");
-                svc.drain(service::DrainMode::kShed);
-                drained = true;
-                break;
-            }
-            if (item.ticket.future.wait_for(
-                    std::chrono::milliseconds(100)) ==
-                std::future_status::ready) {
-                break;
+                             "dioscc: interrupted: shedding queued kernels\n");
+                service_->drain(service::DrainMode::kShed);
+                drained_ = true;
             }
         }
-        const CompileResult& result = item.ticket.get();
-        const char* cache =
-            service::cache_outcome_json_name(item.ticket.outcome());
-        const double wait_ms = item.ticket.queue_wait_seconds() * 1000.0;
-        if (result.ok) {
-            std::fprintf(info, "; [%s] %s\n", cache,
-                         report_row(item.name, result.report()).c_str());
-            if (cli.json) {
-                print_json_object(item.name, result.report(), cache,
-                                  wait_ms);
-            }
-        } else {
-            any_user_error = any_user_error || result.user_error;
-            std::fprintf(stderr, "dioscc: error: %s: %s\n",
-                         item.name.c_str(), result.error.c_str());
-            if (cli.json) {
-                print_json_failure(item.name, result.error,
-                                   result.user_error, cache, wait_ms,
-                                   item.ticket.retry_after_ms());
-            }
-        }
+        job.result = ticket.get();
+        job.cache = client_ ? "local-fallback"
+                            : service::cache_outcome_json_name(
+                                  ticket.outcome());
+        job.queue_wait_ms = ticket.queue_wait_seconds() * 1000.0;
+        job.retry_after_ms = ticket.retry_after_ms();
     }
-    if (cli.json) {
-        std::printf("]\n");
+
+    const Cli& cli_;
+    std::optional<service::CompileService> service_;
+    std::optional<daemon::RemoteClient> client_;
+    bool drained_ = false;
+};
+
+struct RuleTotals {
+    std::size_t matches = 0;
+    std::size_t applications = 0;
+    double search_seconds = 0.0;
+    double apply_seconds = 0.0;
+};
+
+/** Prints a per-rule e-matching profile array and returns its totals. */
+RuleTotals
+print_rule_stats(const std::vector<RuleStats>& stats)
+{
+    RuleTotals t;
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+        const RuleStats& s = stats[i];
+        t.matches += s.matches;
+        t.applications += s.applications;
+        t.search_seconds += s.search_seconds;
+        t.apply_seconds += s.apply_seconds;
+        std::printf("%s{\"rule\":\"%s\",\"matches\":%zu,"
+                    "\"applications\":%zu,\"search_seconds\":%.6f,"
+                    "\"apply_seconds\":%.6f,\"times_banned\":%d,"
+                    "\"banned_until\":%d}",
+                    i == 0 ? "[" : ",", json_escape(s.name).c_str(),
+                    s.matches, s.applications, s.search_seconds,
+                    s.apply_seconds, s.times_banned, s.banned_until);
     }
-    std::fprintf(info, "; service metrics: %s\n",
-                 svc.metrics().to_json().c_str());
-    return any_user_error ? 2 : 0;
+    std::printf(stats.empty() ? "[]" : "]");
+    return t;
+}
+
+/** One --json report object (no trailing newline). */
+void
+print_json(const Job& o)
+{
+    std::printf("{\"kernel\":\"%s\",\"ok\":%s,\"cache\":\"%s\","
+                "\"queue_wait_ms\":%.3f,",
+                json_escape(o.name).c_str(), o.result.ok ? "true" : "false",
+                o.cache.c_str(), o.queue_wait_ms);
+    if (!o.result.ok) {
+        std::printf("\"retry_after_ms\":%llu,\"user_error\":%s,"
+                    "\"fallback_level\":-1,\"error\":\"%s\"}",
+                    static_cast<unsigned long long>(o.retry_after_ms),
+                    o.result.user_error ? "true" : "false",
+                    json_escape(o.result.error).c_str());
+        return;
+    }
+    const CompileReport& r = o.result.report();
+    std::printf(
+        "\"total_seconds\":%.6f,"
+        "\"saturation_seconds\":%.6f,\"egraph_nodes\":%zu,"
+        "\"egraph_classes\":%zu,\"iterations\":%zu,"
+        "\"stop\":\"%s\",\"extracted_cost\":%.2f,"
+        "\"spec_elements\":%zu,\"memory_proxy_bytes\":%zu,"
+        "\"lvn_removed\":%zu,\"fallback_level\":%d,"
+        "\"fallback\":\"%s\",\"error\":\"%s\","
+        "\"validation\":\"%s\",\"random_check_passed\":%s,"
+        "\"machine_validation\":\"%s\",\"machine_validated\":%s,"
+        "\"machine_witness\":\"%s\",\"attempts\":[",
+        r.total_seconds, r.saturation_seconds, r.egraph_nodes,
+        r.egraph_classes, r.runner_iterations,
+        stop_reason_name(r.stop_reason), r.extracted_cost, r.spec_elements,
+        r.memory_proxy_bytes, r.lvn.value_numbered + r.lvn.dead_removed,
+        r.fallback_level, fallback_level_name(r.fallback_level),
+        json_escape(r.error).c_str(), verdict_name(r.validation),
+        r.random_check_passed ? "true" : "false",
+        verdict_name(r.machine_validation),
+        r.machine_validated ? "true" : "false",
+        json_escape(r.machine_witness).c_str());
+    for (std::size_t i = 0; i < r.attempts.size(); ++i) {
+        const AttemptDiagnostic& a = r.attempts[i];
+        std::printf("%s{\"level\":%d,\"rung\":\"%s\",\"seconds\":%.6f,"
+                    "\"error\":\"%s\"}",
+                    i == 0 ? "" : ",", a.level,
+                    fallback_level_name(a.level), a.seconds,
+                    json_escape(a.error).c_str());
+    }
+    std::printf("],\"rule_stats\":");
+    const RuleTotals totals = print_rule_stats(r.rule_stats);
+    std::printf(",\"ematch_matches\":%zu,\"ematch_search_seconds\":%.6f,"
+                "\"ematch_apply_seconds\":%.6f",
+                totals.matches, totals.search_seconds, totals.apply_seconds);
+    // Strategy runs: the schedule's identity and per-phase telemetry.
+    std::printf(",\"strategy\":\"%s\",\"goal_satisfied\":%s,\"phases\":[",
+                json_escape(r.strategy_name).c_str(),
+                r.strategy_goal_satisfied ? "true" : "false");
+    for (std::size_t i = 0; i < r.strategy_phases.size(); ++i) {
+        const strategy::PhaseReport& p = r.strategy_phases[i];
+        std::printf(
+            "%s{\"phase\":\"%s\",\"runs\":%d,\"skipped\":%s,"
+            "\"stop\":\"%s\",\"iterations\":%zu,\"nodes\":%zu,"
+            "\"classes\":%zu,\"sketch_checked\":%s,\"sketch_satisfied\":%s,"
+            "\"seconds\":%.6f,\"rule_stats\":",
+            i == 0 ? "" : ",", json_escape(p.name).c_str(), p.runs,
+            p.skipped ? "true" : "false",
+            p.skipped ? "skipped" : stop_reason_name(p.runner.stop_reason),
+            p.runner.iterations.size(), p.runner.final_nodes,
+            p.runner.final_classes, p.sketch_checked ? "true" : "false",
+            p.sketch_satisfied ? "true" : "false", p.seconds);
+        const RuleTotals phase = print_rule_stats(p.runner.rule_stats);
+        std::printf(",\"matches\":%zu,\"applications\":%zu}", phase.matches,
+                    phase.applications);
+    }
+    std::printf("]}");
+}
+
+/** Reports one job: commentary on `info`, failures on stderr. */
+void
+print_outcome(const Job& job, std::FILE* info)
+{
+    if (!job.result.ok) {
+        std::fprintf(stderr, "dioscc: error: %s: %s\n", job.name.c_str(),
+                     job.result.error.c_str());
+        return;
+    }
+    const CompileReport& r = job.result.report();
+    std::fprintf(info, "; [%s] %s\n", job.cache.c_str(),
+                 report_row(job.name, r).c_str());
+    if (r.fallback_level > 0) {
+        std::fprintf(info, "; DEGRADED to rung %d (%s) after: %s\n",
+                     r.fallback_level, fallback_level_name(r.fallback_level),
+                     r.error.c_str());
+    }
+    if (r.validation != Verdict::kUnknown) {
+        std::fprintf(info,
+                     "; translation validation: %s; random check: %s\n",
+                     verdict_name(r.validation),
+                     r.random_check_passed ? "passed" : "FAILED");
+    }
+    if (r.machine_validated) {
+        std::fprintf(info, "; machine-level validation: %s%s%s\n",
+                     verdict_name(r.machine_validation),
+                     r.machine_witness.empty() ? "" : "; ",
+                     r.machine_witness.c_str());
+    }
+}
+
+/** The single-kernel post-steps: --emit-dot, --emit-*, --run. */
+int
+post_steps(const Cli& cli, const CompiledKernel& compiled,
+           std::FILE* info)
+{
+    const TargetSpec& target = cli.compiler.target;
+    if (!cli.dot_path.empty()) {
+        // Re-run saturation on the padded spec to obtain the e-graph (the
+        // compiled artifact does not retain it), then dump Graphviz.
+        CompilerOptions opts = cli.compiler;
+        opts.sync();
+        EGraph graph;
+        const ClassId root = graph.add_term(compiled.padded_spec);
+        graph.rebuild();
+        CompileReport report;
+        saturate(graph, root, opts, Deadline::unlimited(), report);
+        std::ofstream out(cli.dot_path);
+        out << graph.to_dot();
+        std::fprintf(info,
+                     "; wrote e-graph (%zu nodes, %zu classes) to %s\n",
+                     graph.num_nodes(), graph.num_classes(),
+                     cli.dot_path.c_str());
+    }
+    if (cli.emit_spec) {
+        std::printf("\n; lifted specification\n%s\n",
+                    Term::to_string(compiled.padded_spec).c_str());
+    }
+    if (cli.emit_c) {
+        std::printf("\n%s", compiled.c_source.c_str());
+    }
+    if (cli.emit_native) {
+        EmitCOptions copts;
+        copts.symbol = native_symbol_for(compiled.kernel.name);
+        copts.vector_width = target.vector_width;
+        copts.memory_words = compiled.layout.memory_words();
+        copts.pool = compiled.layout.pool();
+        copts.pool_base = compiled.layout.pool_base_words();
+        std::printf("\n%s",
+                    emit_c_kernel(compiled.machine, copts).c_str());
+    }
+    if (cli.emit_asm) {
+        std::printf("\n; scheduled DSP assembly\n%s",
+                    disassemble(compiled.machine, target.vector_width)
+                        .c_str());
+    }
+    if (!cli.run) {
+        return 0;
+    }
+    const scalar::Kernel& kernel = compiled.kernel;
+    const scalar::BufferMap inputs = kernels::make_inputs(kernel, cli.seed);
+    const auto run = compiled.run(inputs, target);
+    const auto naive = scalar::run_baseline(
+        kernel, inputs, scalar::LowerMode::kNaiveParametric, target);
+    const auto fixed = scalar::run_baseline(
+        kernel, inputs, scalar::LowerMode::kNaiveFixed, target);
+    const scalar::BufferMap want = scalar::run_reference(kernel, inputs);
+    // Shape-check before comparing so a mis-sized simulated buffer is
+    // reported, not read out of bounds.
+    const OutputComparison cmp = compare_outputs(run.outputs, want);
+    if (!cmp.shapes_ok()) {
+        std::fprintf(stderr,
+                     "dioscc: error: simulated outputs do not match the "
+                     "kernel manifest: %s\n",
+                     cmp.shape_error.c_str());
+        return 1;
+    }
+    std::fprintf(info, "\n; simulated cycles\n");
+    std::fprintf(info, ";   naive (parametric) : %llu\n",
+                 static_cast<unsigned long long>(naive.result.cycles));
+    std::fprintf(info, ";   naive (fixed size) : %llu\n",
+                 static_cast<unsigned long long>(fixed.result.cycles));
+    std::fprintf(info, ";   diospyros          : %llu (%.2fx over fixed)\n",
+                 static_cast<unsigned long long>(run.result.cycles),
+                 static_cast<double>(fixed.result.cycles) /
+                     static_cast<double>(run.result.cycles));
+    std::fprintf(info, ";   max |error| vs reference: %g\n",
+                 cmp.max_abs_error);
+    return cmp.max_abs_error > 1e-2f ? 1 : 0;
 }
 
 /**
@@ -882,7 +713,7 @@ run_batch(const CliOptions& cli)
  * optional rule family is on, so one pass covers the whole inventory.
  */
 int
-run_lint_rules(const CliOptions& cli)
+run_lint_rules(const Cli& cli)
 {
     RuleConfig config(cli.compiler.target.vector_width);
     config.enable_scalar_rules = true;
@@ -920,7 +751,7 @@ run_lint_rules(const CliOptions& cli)
  * rendering. Returns non-zero on any failure.
  */
 int
-run_lint_strategies(const CliOptions& cli)
+run_lint_strategies(const Cli& cli)
 {
     RuleConfig config(cli.compiler.target.vector_width);
     const std::vector<Rewrite> rules = build_rules(config);
@@ -964,253 +795,75 @@ run_lint_strategies(const CliOptions& cli)
     return ok ? 0 : 1;
 }
 
+
 }  // namespace
 
 int
 main(int argc, char** argv)
 try {
-    CliOptions cli = parse_cli(argc, argv);
+    const Cli cli = parse_cli(argc, argv);
     faults::arm_from_env();
-    if (cli.lint_rules) {
-        return run_lint_rules(cli);
+    if (cli.mode == kListFaults) {
+        for (const std::string& site : faults::known_sites()) {
+            std::printf("%s\n", site.c_str());
+        }
+        return 0;
     }
-    if (cli.lint_strategies) {
-        return run_lint_strategies(cli);
+    if (cli.mode == kLint) {
+        const int rules = cli.lint_rules ? run_lint_rules(cli) : 0;
+        const int strategies =
+            cli.lint_strategies ? run_lint_strategies(cli) : 0;
+        return std::max(rules, strategies);
     }
-    if (!cli.serve_socket.empty()) {
-        return run_serve(cli);
-    }
-    if (!cli.batch_path.empty()) {
-        return cli.remote_socket.empty() ? run_batch(cli)
-                                         : run_batch_remote(cli);
-    }
-    const scalar::Kernel kernel = scalar::parse_kernel_file(cli.path);
 
-    // With --json, stdout must stay machine-parseable; with
-    // --emit-native it must stay host-compilable (the ';' commentary
-    // is not C). Route the commentary to stderr in both cases.
+    const bool batch = (cli.mode & kBatch) != 0;
+    if (batch) {
+        std::signal(SIGINT, handle_stop_signal);
+        std::signal(SIGTERM, handle_stop_signal);
+    }
+    // With --json, stdout must stay machine-parseable; with --emit-native
+    // it must stay host-compilable (the ';' commentary is not C).
     std::FILE* info = (cli.json || cli.emit_native) ? stderr : stdout;
 
-    std::fprintf(info, "; kernel '%s' from %s\n", kernel.name.c_str(),
-                 cli.path.c_str());
-
-    CompiledKernel compiled;
-    const char* cache = "none";
-    if (!cli.remote_socket.empty()) {
-        DIOS_CHECK(!cli.strict,
-                   "--remote and --strict do not combine: the strict "
-                   "path is local by definition");
-        daemon::RemoteOptions ropts;
-        ropts.socket_path = cli.remote_socket;
-        ropts.jitter_seed = cli.seed;
-        daemon::RemoteClient client(ropts);
-        daemon::CompileRequest req;
-        req.kernel_name = kernel.name;
-        req.kernel_text = slurp_file(cli.path);
-        req.options = cli.compiler;
-        req.priority = cli.priority_set ? cli.priority
-                                        : service::Priority::kInteractive;
-        req.submit_timeout_seconds = cli.submit_timeout_seconds;
-        const std::optional<daemon::CompileResponse> resp =
-            client.compile(req);
-        if (resp && resp->status == daemon::ResponseStatus::kOk) {
-            compiled = service::compiled_from_entry(kernel, *resp->entry);
-            cache = "remote";
-        } else if (resp) {
-            std::fprintf(stderr, "dioscc: error: %s\n",
-                         resp->error.c_str());
-            return resp->failure_class == FailureClass::kUser ? 2 : 1;
-        } else {
-            // Unreachable daemon: degrade to a local compile. Identical
-            // pipeline and options — the artifact bytes do not change,
-            // only the process that computed them, so the notice goes
-            // to stderr even when commentary is routed to stdout.
-            std::fprintf(stderr,
-                         "; daemon unreachable after %llu retries: "
-                         "compiling locally\n",
-                         static_cast<unsigned long long>(
-                             client.counters().remote_retries));
-            CompileResult result =
-                compile_kernel_resilient(kernel, cli.compiler);
-            if (!result.ok) {
-                std::fprintf(stderr, "dioscc: error: %s\n",
-                             result.error.c_str());
-                return result.user_error ? 2 : 1;
-            }
-            if (result.fallback_level > 0) {
-                std::fprintf(info,
-                             "; DEGRADED to rung %d (%s) after: %s\n",
-                             result.fallback_level,
-                             fallback_level_name(result.fallback_level),
-                             result.compiled->report.error.c_str());
-            }
-            compiled = std::move(*result.compiled);
-            cache = "local-fallback";
-        }
-    } else if (cli.strict) {
-        // The resilient driver arms --fault specs itself; the strict
-        // path must arm them here or they would be silently ignored.
-        for (const std::string& spec : cli.compiler.fault_specs) {
-            faults::arm(faults::parse_spec(spec));
-        }
-        compiled = compile_kernel(kernel, cli.compiler);
-    } else if (!cli.cache_dir.empty()) {
-        // Route through the compile service so a warm --cache-dir run is
-        // served from the persistent cache instead of re-saturating.
-        service::CompileService::Options sopts;
-        sopts.jobs = cli.jobs;
-        sopts.cache_dir = cli.cache_dir;
-        sopts.disk_budget_bytes = cli.cache_disk_budget;
-        sopts.negative_ttl_seconds = cli.neg_cache_ttl_seconds;
-        sopts.shed_watermark = cli.shed_watermark;
-        service::CompileService svc(sopts);
-        // A human at the keyboard is the definition of interactive.
-        service::SubmitOptions subopts;
-        subopts.priority = cli.priority_set
-                               ? cli.priority
-                               : service::Priority::kInteractive;
-        subopts.submit_timeout_seconds = cli.submit_timeout_seconds;
-        service::Ticket ticket =
-            svc.submit(kernel, cli.compiler, subopts);
-        const CompileResult& result = ticket.get();
-        cache = service::cache_outcome_json_name(ticket.outcome());
-        if (!result.ok) {
-            std::fprintf(stderr, "dioscc: error: %s\n",
-                         result.error.c_str());
-            return result.user_error ? 2 : 1;
-        }
-        if (result.fallback_level > 0) {
-            std::fprintf(info, "; DEGRADED to rung %d (%s) after: %s\n",
-                         result.fallback_level,
-                         fallback_level_name(result.fallback_level),
-                         result.compiled->report.error.c_str());
-        }
-        std::fprintf(info, "; compile cache: %s\n",
-                     service::cache_outcome_name(ticket.outcome()));
-        compiled = *result.compiled;
-    } else {
-        CompileResult result =
-            compile_kernel_resilient(kernel, cli.compiler);
-        if (!result.ok) {
-            std::fprintf(stderr,
-                         "dioscc: error: all %zu degradation rungs "
-                         "failed: %s\n",
-                         result.attempts.size(), result.error.c_str());
-            for (const AttemptDiagnostic& a : result.attempts) {
-                std::fprintf(stderr, ";   rung %d (%s): %s\n", a.level,
-                             fallback_level_name(a.level),
-                             a.error.c_str());
-            }
-            return 1;
-        }
-        if (result.fallback_level > 0) {
-            std::fprintf(info, "; DEGRADED to rung %d (%s) after: %s\n",
-                         result.fallback_level,
-                         fallback_level_name(result.fallback_level),
-                         result.compiled->report.error.c_str());
-        }
-        compiled = std::move(*result.compiled);
+    std::vector<Job> jobs;
+    for (const std::string& path :
+         batch ? read_manifest(cli.batch_path)
+               : std::vector<std::string>{cli.path}) {
+        jobs.push_back(read_job(path));
     }
-
-    std::fprintf(info, "; %s\n",
-                 report_row(kernel.name, compiled.report).c_str());
+    Router router(cli, jobs.size());
+    if ((cli.mode & kLocal) != 0) {
+        for (Job& job : jobs) {
+            if (job.kernel) {
+                router.submit(job);
+            }
+        }
+    }
+    bool any_user_error = false;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        router.compile(jobs[i]);
+        print_outcome(jobs[i], info);
+        if (cli.json) {
+            std::printf("%s", !batch ? "" : i == 0 ? "[" : ",");
+            print_json(jobs[i]);
+        }
+        any_user_error = any_user_error || jobs[i].result.user_error;
+    }
     if (cli.json) {
-        print_json_object(kernel.name, compiled.report, cache);
-        std::printf("\n");
+        std::printf(batch ? "]\n" : "\n");
     }
-    if (cli.compiler.validate) {
-        std::fprintf(info,
-                     "; translation validation: %s; random check: %s\n",
-                     verdict_name(compiled.report.validation),
-                     compiled.report.random_check_passed ? "passed"
-                                                         : "FAILED");
-    }
-    if (compiled.report.machine_validated) {
-        std::fprintf(info, "; machine-level validation: %s%s%s\n",
-                     verdict_name(compiled.report.machine_validation),
-                     compiled.report.machine_witness.empty() ? "" : "; ",
-                     compiled.report.machine_witness.c_str());
-    }
-
-    if (!cli.dot_path.empty()) {
-        // Re-run saturation on the padded spec to obtain the e-graph (the
-        // compiled artifact does not retain it), then dump Graphviz.
-        CompilerOptions opts = cli.compiler;
-        opts.sync();
-        EGraph graph;
-        const ClassId root = graph.add_term(compiled.padded_spec);
-        graph.rebuild();
-        CompileReport report;
-        saturate(graph, root, opts, Deadline::unlimited(), report);
-        std::ofstream out(cli.dot_path);
-        out << graph.to_dot();
-        std::fprintf(info,
-                     "; wrote e-graph (%zu nodes, %zu classes) to %s\n",
-                     graph.num_nodes(), graph.num_classes(),
-                     cli.dot_path.c_str());
-    }
-
-    if (cli.emit_spec) {
-        std::printf("\n; lifted specification\n%s\n",
-                    Term::to_string(compiled.padded_spec).c_str());
-    }
-    if (cli.emit_c) {
-        std::printf("\n%s", compiled.c_source.c_str());
-    }
-    if (cli.emit_native) {
-        EmitCOptions copts;
-        copts.symbol = native_symbol_for(kernel.name);
-        copts.vector_width = cli.compiler.target.vector_width;
-        copts.memory_words = compiled.layout.memory_words();
-        copts.pool = compiled.layout.pool();
-        copts.pool_base = compiled.layout.pool_base_words();
-        std::printf("\n%s",
-                    emit_c_kernel(compiled.machine, copts).c_str());
-    }
-    if (cli.emit_asm) {
-        std::printf("\n; scheduled DSP assembly\n%s",
-                    disassemble(compiled.machine,
-                                cli.compiler.target.vector_width)
-                        .c_str());
-    }
-
-    if (cli.run) {
-        const scalar::BufferMap inputs = random_inputs(kernel, cli.seed);
-        const auto run = compiled.run(inputs, cli.compiler.target);
-        const auto naive = scalar::run_baseline(
-            kernel, inputs, scalar::LowerMode::kNaiveParametric,
-            cli.compiler.target);
-        const auto fixed = scalar::run_baseline(
-            kernel, inputs, scalar::LowerMode::kNaiveFixed,
-            cli.compiler.target);
-        const scalar::BufferMap want =
-            scalar::run_reference(kernel, inputs);
-        // Shape-check before comparing so a mis-sized simulated buffer
-        // is reported, not read out of bounds.
-        const OutputComparison cmp = compare_outputs(run.outputs, want);
-        if (!cmp.shapes_ok()) {
-            std::fprintf(stderr,
-                         "dioscc: error: simulated outputs do not match "
-                         "the kernel manifest: %s\n",
-                         cmp.shape_error.c_str());
-            return 1;
+    if (batch) {
+        if (!cli.strict) {
+            std::fprintf(info, "; service metrics: %s\n",
+                         router.metrics_json().c_str());
         }
-        std::fprintf(info, "\n; simulated cycles\n");
-        std::fprintf(info, ";   naive (parametric) : %llu\n",
-                     static_cast<unsigned long long>(naive.result.cycles));
-        std::fprintf(info, ";   naive (fixed size) : %llu\n",
-                     static_cast<unsigned long long>(fixed.result.cycles));
-        std::fprintf(info, ";   diospyros          : %llu (%.2fx over fixed)\n",
-                     static_cast<unsigned long long>(run.result.cycles),
-                     static_cast<double>(fixed.result.cycles) /
-                         static_cast<double>(run.result.cycles));
-        std::fprintf(info, ";   max |error| vs reference: %g\n",
-                     cmp.max_abs_error);
-        if (cmp.max_abs_error > 1e-2f) {
-            return 1;
-        }
+        return any_user_error ? 2 : 0;
     }
-    return 0;
+    const CompileResult& result = jobs.front().result;
+    if (!result.ok) {
+        return result.user_error ? 2 : 1;
+    }
+    return post_steps(cli, *result.compiled, info);
 } catch (const UserError& e) {
     std::fprintf(stderr, "dioscc: error: %s\n", e.what());
     return 2;
