@@ -243,13 +243,14 @@ decode_compile_request(const std::string& payload)
                                    " entries");
                     for (std::size_t k = 0; k < o.target.cost_table.size();
                          ++k) {
-                        DIOS_CHECK(g[k + 1].is_integer() &&
-                                       g[k + 1].as_integer() >= 0 &&
-                                       g[k + 1].as_integer() <= 1'000'000,
+                        DIOS_CHECK(g[k + 1].is_integer(),
                                    "daemon payload: cost-table expects "
-                                   "latencies in [0, 1000000]");
-                        o.target.cost_table[k] =
-                            static_cast<int>(g[k + 1].as_integer());
+                                   "integers");
+                        const std::int64_t latency = g[k + 1].as_integer();
+                        DIOS_CHECK(latency >= 0 && latency <= 1'000'000,
+                                   "daemon payload: cost-table latency out "
+                                   "of range");
+                        o.target.cost_table[k] = static_cast<int>(latency);
                     }
                 } else if (is_field(g, "cost")) {
                     DIOS_CHECK(g.size() == kCostParamFields.size() + 1,
@@ -258,12 +259,12 @@ decode_compile_request(const std::string& payload)
                                    " numbers");
                     for (std::size_t k = 0; k < kCostParamFields.size();
                          ++k) {
-                        DIOS_CHECK(g[k + 1].is_number() &&
-                                       g[k + 1].as_number() > 0.0 &&
-                                       g[k + 1].as_number() < 1e9,
-                                   "daemon payload: cost expects positive "
-                                   "finite numbers");
-                        o.cost.*kCostParamFields[k] = g[k + 1].as_number();
+                        DIOS_CHECK(g[k + 1].is_number(),
+                                   "daemon payload: cost expects numbers");
+                        const double cost = g[k + 1].as_number();
+                        DIOS_CHECK(cost > 0.0 && cost < 1e9,
+                                   "daemon payload: cost out of range");
+                        o.cost.*kCostParamFields[k] = cost;
                     }
                 } else if (is_field(g, "nodes")) {
                     o.limits.node_limit =
