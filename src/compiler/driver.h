@@ -54,7 +54,11 @@
 
 namespace diospyros {
 
-/** Compiler configuration (paper §5.2 defaults). */
+/**
+ * Compiler configuration (paper §5.2 defaults). compiler/option_fields.h
+ * lists every field once: its wire name, valid range, and whether (and
+ * if not, why not) it is part of the cache key.
+ */
 struct CompilerOptions {
     TargetSpec target = TargetSpec::fusion_g3_like();
     RuleConfig rules{target.vector_width};
@@ -81,16 +85,14 @@ struct CompilerOptions {
      * A service threads the *request* deadline (which started ticking at
      * admission, so queue wait counts against it) through here; the
      * compile then honors whichever budget expires first. Unlimited by
-     * default. Like the other wall-clock budgets, excluded from the
-     * cache key (service/cache_key.h).
+     * default.
      */
     Deadline absolute_deadline;
     /**
      * Bounded retries for transient cache-store/scan I/O failures
      * (service/disk_cache.h IoPolicy): each store attempt may be retried
      * this many times with deterministic backoff before the failure
-     * surfaces. Excluded from the cache key — it shapes durability, not
-     * the artifact. Load-side corruption is never retried (quarantined).
+     * surfaces. Load-side corruption is never retried (quarantined).
      */
     int io_retries = 2;
     /**
@@ -129,8 +131,7 @@ struct CompilerOptions {
      * into. The degradation ladder keeps the strategy on rung 1 (the
      * reduced base limits clamp each phase) and drops it from rung 2 on
      * (vector rules are off there, so phase rule subsets would no
-     * longer resolve). Folded into the service cache key via its
-     * canonical rendering.
+     * longer resolve).
      */
     std::optional<strategy::Strategy> strategy;
 

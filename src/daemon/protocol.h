@@ -5,13 +5,13 @@
  * so one parser and one set of escaping rules serves the wire and the
  * store.
  *
- *   compile-request:  kernel name + full kernel source text + every
- *     CompilerOptions field the service cache key hashes (target, rules,
- *     limits, cost parameters, validation, strategy) plus the wall-clock
- *     budgets and admission knobs. The server
- *     re-parses the kernel with the ordinary scalar parser, so a remote
- *     compile runs exactly the pipeline a local one would — the
- *     precondition for byte-identical results.
+ *   compile-request:  kernel name + full kernel source text + the
+ *     `(options ...)` written by looping over the one CompilerOptions
+ *     field list (compiler/option_fields.h), plus the admission knobs.
+ *     The decoder range-checks every option there. The server re-parses
+ *     the kernel with the ordinary scalar parser, so a remote compile
+ *     runs exactly the pipeline a local one would — the precondition
+ *     for byte-identical results.
  *   compile-response: ok (cached-entry payload, reusing the §5e envelope
  *     body), shed (retry_after_ms hint), or failed (failure class +
  *     message).
@@ -42,7 +42,7 @@ struct CompileRequest {
     std::string kernel_name;
     /** Full kernel source text; the daemon re-parses it. */
     std::string kernel_text;
-    /** Compiler options: every field the cache key hashes travels. */
+    /** Compiler options: every field of compiler/option_fields.h. */
     CompilerOptions options;
     service::Priority priority = service::Priority::kBatch;
     /** Admission timeout forwarded to submit_for (< 0 blocks). */

@@ -48,9 +48,9 @@ struct CostParams {
 };
 
 /**
- * Every CostParams field, in declaration order: the one list that code
- * visiting all of them iterates (the service cache key, the daemon wire
- * format), so a new field cannot be hashed but left off the wire.
+ * Every CostParams field, in declaration order. The CompilerOptions
+ * field list (compiler/option_fields.h) iterates it as its "cost" entry,
+ * so a new field is hashed and carried on the wire without more code.
  */
 inline constexpr std::array<double CostParams::*, 17> kCostParamFields = {
     &CostParams::literal,        &CostParams::get,

@@ -17,13 +17,6 @@ fail(const std::string& what, const Sexpr& at)
                     at.to_string());
 }
 
-bool
-is_head(const Sexpr& s, const char* name)
-{
-    return s.is_list() && s.size() >= 1 && s[0].is_atom() &&
-           s[0].token() == name;
-}
-
 IntRef
 parse_iexpr(const Sexpr& s)
 {
@@ -219,8 +212,8 @@ parse_stmt(const Sexpr& s)
         return Stmt::if_then(parse_cond(s[1]), parse_stmts(s, 2));
     }
     if (op == "if-else") {
-        if (s.size() != 4 || !is_head(s[2], "then") ||
-            !is_head(s[3], "else")) {
+        if (s.size() != 4 || !is_field(s[2], "then") ||
+            !is_field(s[3], "else")) {
             fail("expects (if-else <cond> (then ...) (else ...))", s);
         }
         return Stmt::if_then(parse_cond(s[1]), parse_stmts(s[2], 1),
@@ -283,7 +276,7 @@ Kernel
 parse_kernel(const std::string& text)
 {
     const Sexpr top = parse_sexpr(text);
-    if (!is_head(top, "kernel") || top.size() < 2 || !top[1].is_atom()) {
+    if (!is_field(top, "kernel") || top.size() < 2 || !top[1].is_atom()) {
         throw UserError(
             "kernel source must start with (kernel <name> ...)");
     }
@@ -292,13 +285,13 @@ parse_kernel(const std::string& text)
     // Declarations first.
     for (; i < top.size(); ++i) {
         const Sexpr& d = top[i];
-        if (is_head(d, "param")) {
+        if (is_field(d, "param")) {
             if (d.size() != 3 || !d[1].is_atom() || !d[2].is_integer()) {
                 fail("expects (param <name> <int>)", d);
             }
             kb.param(d[1].token(), d[2].as_integer());
-        } else if (is_head(d, "input") || is_head(d, "output") ||
-                   is_head(d, "scratch")) {
+        } else if (is_field(d, "input") || is_field(d, "output") ||
+                   is_field(d, "scratch")) {
             if (d.size() != 3 || !d[1].is_atom()) {
                 fail("expects (<role> <name> <size>)", d);
             }

@@ -6,23 +6,15 @@
  *  - the spec half hashes the kernel's canonical serialization
  *    (scalar/canonical.h) — byte-stable, pointer-free, and independent of
  *    parameter declaration order;
- *  - the options half hashes every CompilerOptions field that can change
- *    the *artifact*: vector width and target capabilities, which rule
- *    families are enabled, search limits (node / iteration / match /
- *    backoff / memory), the extraction cost model, and the validation
- *    switches, plus the rule-set version below.
+ *  - the options half hashes the rule-set version below plus every
+ *    CompilerOptions field that the one field list
+ *    (compiler/option_fields.h) marks as part of the artifact identity.
+ *    The list gives the reason for each field it leaves out.
  *
- * Deliberately excluded: wall-clock budgets (`time_limit_seconds`,
- * `deadline_seconds`, and the request-scoped `absolute_deadline` the
- * service derives from them). Re-running with a different timeout must *hit* an
- * already-successful entry — paying saturation again because the budget
- * string changed would defeat the cache. The service separately refuses
- * to serve a cached entry whose saturation was time-bound to a request
- * with a larger budget (see CompileService), so the exclusion never
- * pins a kernel to a worse result. `fault_specs` is excluded too:
- * fault-armed compiles bypass the cache entirely. `io_retries` is
- * excluded for the same reason as the budgets: it shapes how durably an
- * artifact is persisted, never what the artifact is.
+ * Leaving out the wall-clock budgets lets a new timeout hit an already
+ * successful entry. The service separately refuses to serve an entry
+ * whose saturation was time-bound to a request with a larger budget (see
+ * CompileService), so the exclusion never pins a kernel to a worse result.
  */
 #pragma once
 

@@ -7,9 +7,11 @@
 
 #include "analysis/verify_machine.h"
 #include "analysis/verify_vir.h"
+#include "compiler/option_fields.h"
 #include "service/serialize.h"
 #include "support/error.h"
 #include "support/faults.h"
+#include "support/sexpr.h"
 
 namespace diospyros::service {
 
@@ -121,17 +123,8 @@ priority_name(Priority p)
 Priority
 parse_priority(const std::string& text)
 {
-    if (text == "interactive") {
-        return Priority::kInteractive;
-    }
-    if (text == "batch") {
-        return Priority::kBatch;
-    }
-    if (text == "background") {
-        return Priority::kBackground;
-    }
-    detail::raise_user("unknown priority '" + text +
-                       "' (expected interactive, batch, or background)");
+    return enum_from_name(text, kPriorityCount, priority_name,
+                          "unknown priority");
 }
 
 const char*
@@ -385,6 +378,19 @@ CompileService::submit(const scalar::Kernel& kernel, CompilerOptions options,
     std::unique_lock<std::mutex> lock(mu_);
     DIOS_CHECK(!stopping_, "submit() after CompileService shutdown");
     ++metrics_.submitted;
+
+    // Out-of-range options (a zero timeout, say) fail the one request
+    // before any cache lookup. Never inside the compile: the kUser
+    // failure would be remembered under a key that excludes the budgets
+    // and poison valid requests.
+    try {
+        check_options(job->options);
+    } catch (const UserError& e) {
+        ++metrics_.failures;
+        ++metrics_.user_errors;
+        reject(job, CacheOutcome::kMiss, FailureClass::kUser, 0, e.what());
+        return ticket;
+    }
 
     if (draining_) {
         ++metrics_.shed_draining;

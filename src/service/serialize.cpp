@@ -1,7 +1,5 @@
 #include "service/serialize.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 
 #include "machine/target.h"
@@ -16,25 +14,14 @@ namespace {
 // Atom helpers
 // ---------------------------------------------------------------------------
 
-/** Exact round-trip for doubles: hexfloat atoms ("0x1.8p+1"). */
-Sexpr
-f64_atom(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return Sexpr::atom(buf);
-}
+constexpr const char* kWhere = "cache entry";
 
-Sexpr
-i64_atom(std::int64_t v)
+Verdict
+verdict_from_name(const std::string& name)
 {
-    return Sexpr::atom(std::to_string(v));
-}
-
-Sexpr
-u64_atom(std::uint64_t v)
-{
-    return Sexpr::atom(std::to_string(v));
+    return enum_from_name(name, static_cast<int>(Verdict::kUnknown) + 1,
+                          verdict_name,
+                          "cache entry: unknown validation verdict");
 }
 
 Sexpr
@@ -43,89 +30,11 @@ hex_atom(std::uint64_t v)
     return Sexpr::atom(hash_hex(v));
 }
 
-double
-as_f64(const Sexpr& s)
-{
-    DIOS_CHECK(s.is_number(), "cache entry: expected a number, got '" +
-                                  s.to_string() + "'");
-    return s.as_number();
-}
-
-std::int64_t
-as_i64(const Sexpr& s)
-{
-    DIOS_CHECK(s.is_integer(), "cache entry: expected an integer, got '" +
-                                   s.to_string() + "'");
-    return s.as_integer();
-}
-
 std::uint64_t
 as_hex(const Sexpr& s)
 {
     DIOS_CHECK(s.is_atom(), "cache entry: expected a hex atom");
     return std::strtoull(s.token().c_str(), nullptr, 16);
-}
-
-/** A (name value...) field node. */
-Sexpr
-field(const std::string& name, std::vector<Sexpr> values)
-{
-    std::vector<Sexpr> children;
-    children.reserve(values.size() + 1);
-    children.push_back(Sexpr::atom(name));
-    for (Sexpr& v : values) {
-        children.push_back(std::move(v));
-    }
-    return Sexpr::list(std::move(children));
-}
-
-/** True when `s` is a list whose head atom equals `name`. */
-bool
-is_field(const Sexpr& s, const char* name)
-{
-    return s.is_list() && s.size() >= 1 && s[0].is_atom() &&
-           s[0].token() == name;
-}
-
-// ---------------------------------------------------------------------------
-// Enum spellings (reverse lookups over the existing name functions)
-// ---------------------------------------------------------------------------
-
-Opcode
-opcode_from_name(const std::string& name)
-{
-    for (int i = 0; i < kNumOpcodes; ++i) {
-        const auto op = static_cast<Opcode>(i);
-        if (name == opcode_name(op)) {
-            return op;
-        }
-    }
-    detail::raise_user("cache entry: unknown opcode '" + name + "'");
-}
-
-StopReason
-stop_reason_from_name(const std::string& name)
-{
-    for (int i = 0; i < kNumStopReasons; ++i) {
-        const auto r = static_cast<StopReason>(i);
-        if (name == stop_reason_name(r)) {
-            return r;
-        }
-    }
-    detail::raise_user("cache entry: unknown stop reason '" + name + "'");
-}
-
-Verdict
-verdict_from_name(const std::string& name)
-{
-    for (int i = 0; i <= static_cast<int>(Verdict::kUnknown); ++i) {
-        const auto v = static_cast<Verdict>(i);
-        if (name == verdict_name(v)) {
-            return v;
-        }
-    }
-    detail::raise_user("cache entry: unknown validation verdict '" + name +
-                       "'");
 }
 
 // ---------------------------------------------------------------------------
@@ -149,18 +58,18 @@ report_to_sexpr(const CompileReport& r)
                {f64_atom(r.lift_seconds), f64_atom(r.saturation_seconds),
                 f64_atom(r.extract_seconds), f64_atom(r.backend_seconds),
                 f64_atom(r.total_seconds)}),
-         field("spec", {u64_atom(r.spec_elements),
-                        u64_atom(r.spec_dag_nodes)}),
+         field("spec", {i64_atom(r.spec_elements),
+                        i64_atom(r.spec_dag_nodes)}),
          field("egraph",
-               {u64_atom(r.egraph_nodes), u64_atom(r.egraph_classes),
-                u64_atom(r.memory_proxy_bytes),
-                u64_atom(r.runner_iterations)}),
+               {i64_atom(r.egraph_nodes), i64_atom(r.egraph_classes),
+                i64_atom(r.memory_proxy_bytes),
+                i64_atom(r.runner_iterations)}),
          field("stop", {Sexpr::atom(stop_reason_name(r.stop_reason))}),
          field("cost", {f64_atom(r.extracted_cost)}),
          field("lvn",
-               {u64_atom(r.lvn.input_instrs), u64_atom(r.lvn.value_numbered),
-                u64_atom(r.lvn.dead_removed),
-                u64_atom(r.lvn.output_instrs)}),
+               {i64_atom(r.lvn.input_instrs), i64_atom(r.lvn.value_numbered),
+                i64_atom(r.lvn.dead_removed),
+                i64_atom(r.lvn.output_instrs)}),
          field("validation", {Sexpr::atom(verdict_name(r.validation)),
                               i64_atom(r.random_check_passed ? 1 : 0)}),
          field("machine-validation",
@@ -186,49 +95,57 @@ report_from_sexpr(const Sexpr& s)
     for (std::size_t i = 1; i < s.size(); ++i) {
         const Sexpr& f = s[i];
         if (is_field(f, "phases") && f.size() == 6) {
-            r.lift_seconds = as_f64(f[1]);
-            r.saturation_seconds = as_f64(f[2]);
-            r.extract_seconds = as_f64(f[3]);
-            r.backend_seconds = as_f64(f[4]);
-            r.total_seconds = as_f64(f[5]);
+            r.lift_seconds = as_f64(f[1], kWhere);
+            r.saturation_seconds = as_f64(f[2], kWhere);
+            r.extract_seconds = as_f64(f[3], kWhere);
+            r.backend_seconds = as_f64(f[4], kWhere);
+            r.total_seconds = as_f64(f[5], kWhere);
         } else if (is_field(f, "spec") && f.size() == 3) {
-            r.spec_elements = static_cast<std::size_t>(as_i64(f[1]));
-            r.spec_dag_nodes = static_cast<std::size_t>(as_i64(f[2]));
+            r.spec_elements = static_cast<std::size_t>(as_i64(f[1], kWhere));
+            r.spec_dag_nodes = static_cast<std::size_t>(as_i64(f[2], kWhere));
         } else if (is_field(f, "egraph") && f.size() == 5) {
-            r.egraph_nodes = static_cast<std::size_t>(as_i64(f[1]));
-            r.egraph_classes = static_cast<std::size_t>(as_i64(f[2]));
-            r.memory_proxy_bytes = static_cast<std::size_t>(as_i64(f[3]));
-            r.runner_iterations = static_cast<std::size_t>(as_i64(f[4]));
+            r.egraph_nodes = static_cast<std::size_t>(as_i64(f[1], kWhere));
+            r.egraph_classes = static_cast<std::size_t>(as_i64(f[2], kWhere));
+            r.memory_proxy_bytes =
+                static_cast<std::size_t>(as_i64(f[3], kWhere));
+            r.runner_iterations =
+                static_cast<std::size_t>(as_i64(f[4], kWhere));
         } else if (is_field(f, "stop") && f.size() == 2) {
-            r.stop_reason = stop_reason_from_name(f[1].token());
+            r.stop_reason =
+                enum_from_name(f[1].token(), kNumStopReasons, stop_reason_name,
+                               "cache entry: unknown stop reason");
         } else if (is_field(f, "cost") && f.size() == 2) {
-            r.extracted_cost = as_f64(f[1]);
+            r.extracted_cost = as_f64(f[1], kWhere);
         } else if (is_field(f, "lvn") && f.size() == 5) {
-            r.lvn.input_instrs = static_cast<std::size_t>(as_i64(f[1]));
-            r.lvn.value_numbered = static_cast<std::size_t>(as_i64(f[2]));
-            r.lvn.dead_removed = static_cast<std::size_t>(as_i64(f[3]));
-            r.lvn.output_instrs = static_cast<std::size_t>(as_i64(f[4]));
+            r.lvn.input_instrs =
+                static_cast<std::size_t>(as_i64(f[1], kWhere));
+            r.lvn.value_numbered =
+                static_cast<std::size_t>(as_i64(f[2], kWhere));
+            r.lvn.dead_removed =
+                static_cast<std::size_t>(as_i64(f[3], kWhere));
+            r.lvn.output_instrs =
+                static_cast<std::size_t>(as_i64(f[4], kWhere));
         } else if (is_field(f, "validation") && f.size() == 3) {
             r.validation = verdict_from_name(f[1].token());
-            r.random_check_passed = as_i64(f[2]) != 0;
+            r.random_check_passed = as_i64(f[2], kWhere) != 0;
         } else if (is_field(f, "machine-validation") && f.size() == 4) {
             r.machine_validation = verdict_from_name(f[1].token());
-            r.machine_validated = as_i64(f[2]) != 0;
+            r.machine_validated = as_i64(f[2], kWhere) != 0;
             r.machine_witness = f[3].token();
         } else if (is_field(f, "fallback") && f.size() == 3) {
-            r.fallback_level = static_cast<int>(as_i64(f[1]));
+            r.fallback_level = static_cast<int>(as_i64(f[1], kWhere));
             r.error = f[2].token();
         } else if (is_field(f, "strategy") && f.size() == 3) {
             r.strategy_name = f[1].token();
-            r.strategy_goal_satisfied = as_i64(f[2]) != 0;
+            r.strategy_goal_satisfied = as_i64(f[2], kWhere) != 0;
         } else if (is_field(f, "attempts")) {
             for (std::size_t j = 1; j < f.size(); ++j) {
                 const Sexpr& a = f[j];
                 DIOS_CHECK(a.is_list() && a.size() == 3,
                            "cache entry: malformed attempt record");
                 AttemptDiagnostic diag;
-                diag.level = static_cast<int>(as_i64(a[0]));
-                diag.seconds = as_f64(a[1]);
+                diag.level = static_cast<int>(as_i64(a[0], kWhere));
+                diag.seconds = as_f64(a[1], kWhere);
                 diag.error = a[2].token();
                 r.attempts.push_back(std::move(diag));
             }
@@ -279,22 +196,24 @@ program_from_sexpr(const Sexpr& s)
     for (std::size_t i = 1; i < s.size(); ++i) {
         const Sexpr& f = s[i];
         if (is_field(f, "regs") && f.size() == 4) {
-            p.num_int_regs = static_cast<int>(as_i64(f[1]));
-            p.num_float_regs = static_cast<int>(as_i64(f[2]));
-            p.num_vec_regs = static_cast<int>(as_i64(f[3]));
+            p.num_int_regs = static_cast<int>(as_i64(f[1], kWhere));
+            p.num_float_regs = static_cast<int>(as_i64(f[2], kWhere));
+            p.num_vec_regs = static_cast<int>(as_i64(f[3], kWhere));
         } else if (is_field(f, "code")) {
             for (std::size_t j = 1; j < f.size(); ++j) {
                 const Sexpr& node = f[j];
                 DIOS_CHECK(node.is_list() && node.size() >= 7,
                            "cache entry: malformed instruction");
                 Instr instr;
-                instr.op = opcode_from_name(node[0].token());
-                instr.dst = static_cast<int>(as_i64(node[1]));
-                instr.a = static_cast<int>(as_i64(node[2]));
-                instr.b = static_cast<int>(as_i64(node[3]));
-                instr.imm = static_cast<int>(as_i64(node[4]));
-                instr.fimm = static_cast<float>(as_f64(node[5]));
-                const std::int64_t nlanes = as_i64(node[6]);
+                instr.op = enum_from_name(node[0].token(), kNumOpcodes,
+                                          opcode_name,
+                                          "cache entry: unknown opcode");
+                instr.dst = static_cast<int>(as_i64(node[1], kWhere));
+                instr.a = static_cast<int>(as_i64(node[2], kWhere));
+                instr.b = static_cast<int>(as_i64(node[3], kWhere));
+                instr.imm = static_cast<int>(as_i64(node[4], kWhere));
+                instr.fimm = static_cast<float>(as_f64(node[5], kWhere));
+                const std::int64_t nlanes = as_i64(node[6], kWhere);
                 DIOS_CHECK(nlanes >= 0 && nlanes <= kMaxVectorWidth &&
                                node.size() ==
                                    7 + static_cast<std::size_t>(nlanes),
@@ -302,7 +221,8 @@ program_from_sexpr(const Sexpr& s)
                 for (std::int64_t k = 0; k < nlanes; ++k) {
                     instr.lanes[static_cast<std::size_t>(k)] =
                         static_cast<std::int16_t>(
-                            as_i64(node[7 + static_cast<std::size_t>(k)]));
+                            as_i64(node[7 + static_cast<std::size_t>(k)],
+                                   kWhere));
                 }
                 p.code.push_back(instr);
             }
@@ -324,7 +244,7 @@ entry_to_sexpr(const CachedEntry& entry)
 
     return Sexpr::list(
         {Sexpr::atom("dios-cache-entry"),
-         field("version", {u64_atom(entry.rule_set_version)}),
+         field("version", {i64_atom(entry.rule_set_version)}),
          field("key", {hex_atom(entry.key.spec_hash),
                        hex_atom(entry.key.options_hash)}),
          field("kernel", {Sexpr::string_atom(entry.kernel_name)}),
@@ -339,9 +259,7 @@ entry_to_sexpr(const CachedEntry& entry)
 CachedEntry
 entry_from_sexpr(const Sexpr& sexpr)
 {
-    DIOS_CHECK(sexpr.is_list() && sexpr.size() >= 1 &&
-                   sexpr[0].is_atom() &&
-                   sexpr[0].token() == "dios-cache-entry",
+    DIOS_CHECK(is_field(sexpr, "dios-cache-entry"),
                "not a dios-cache-entry s-expression");
     CachedEntry entry;
     bool saw_version = false;
@@ -349,7 +267,7 @@ entry_from_sexpr(const Sexpr& sexpr)
         const Sexpr& f = sexpr[i];
         if (is_field(f, "version") && f.size() == 2) {
             entry.rule_set_version =
-                static_cast<std::uint64_t>(as_i64(f[1]));
+                static_cast<std::uint64_t>(as_i64(f[1], kWhere));
             saw_version = true;
         } else if (is_field(f, "key") && f.size() == 3) {
             entry.key.spec_hash = as_hex(f[1]);
@@ -357,24 +275,28 @@ entry_from_sexpr(const Sexpr& sexpr)
         } else if (is_field(f, "kernel") && f.size() == 2) {
             entry.kernel_name = f[1].token();
         } else if (is_field(f, "width") && f.size() == 2) {
-            entry.vector_width = static_cast<int>(as_i64(f[1]));
+            entry.vector_width = static_cast<int>(as_i64(f[1], kWhere));
         } else if (is_field(f, "time-limit") && f.size() == 2) {
-            entry.time_limit_seconds = as_f64(f[1]);
+            entry.time_limit_seconds = as_f64(f[1], kWhere);
         } else if (is_field(f, "fallback-level") && f.size() == 2) {
-            entry.fallback_level = static_cast<int>(as_i64(f[1]));
+            entry.fallback_level = static_cast<int>(as_i64(f[1], kWhere));
         } else if (is_field(f, "report")) {
             entry.report = report_from_sexpr(f);
         } else if (is_field(f, "c-source") && f.size() == 2) {
             entry.c_source = f[1].token();
         } else if (is_field(f, "pool")) {
             for (std::size_t j = 1; j < f.size(); ++j) {
-                entry.pool.push_back(static_cast<float>(as_f64(f[j])));
+                entry.pool.push_back(static_cast<float>(as_f64(f[j], kWhere)));
             }
         } else if (is_field(f, "machine")) {
             entry.machine = program_from_sexpr(f);
         }
     }
     DIOS_CHECK(saw_version, "cache entry: missing version field");
+    // A bad lane count would crash the reader (pad_lifted_spec divides
+    // by it): fail here, so a disk entry is quarantined and a daemon
+    // response is retried.
+    check_vector_width(entry.vector_width);
     return entry;
 }
 
@@ -385,8 +307,8 @@ envelope_to_sexpr(const CachedEntry& entry)
     const std::uint64_t checksum = stable_hash_string(payload.to_string());
     return Sexpr::list(
         {Sexpr::atom("dios-cache-envelope"),
-         field("format-version", {u64_atom(kCacheFormatVersion)}),
-         field("rule-set-version", {u64_atom(entry.rule_set_version)}),
+         field("format-version", {i64_atom(kCacheFormatVersion)}),
+         field("rule-set-version", {i64_atom(entry.rule_set_version)}),
          field("checksum", {hex_atom(checksum)}),
          field("payload", {std::move(payload)})});
 }
@@ -395,8 +317,7 @@ EnvelopeFields
 envelope_fields(const Sexpr& sexpr)
 {
     EnvelopeFields env;
-    if (!(sexpr.is_list() && sexpr.size() == 5 && sexpr[0].is_atom() &&
-          sexpr[0].token() == "dios-cache-envelope")) {
+    if (!is_field(sexpr, "dios-cache-envelope") || sexpr.size() != 5) {
         env.error = "not a dios-cache-envelope";
         return env;
     }
@@ -405,12 +326,13 @@ envelope_fields(const Sexpr& sexpr)
         const Sexpr& f = sexpr[i];
         if (is_field(f, "format-version") && f.size() == 2 &&
             f[1].is_integer()) {
-            env.format_version = static_cast<std::uint64_t>(as_i64(f[1]));
+            env.format_version =
+                static_cast<std::uint64_t>(as_i64(f[1], kWhere));
             saw_format = true;
         } else if (is_field(f, "rule-set-version") && f.size() == 2 &&
                    f[1].is_integer()) {
             env.rule_set_version =
-                static_cast<std::uint64_t>(as_i64(f[1]));
+                static_cast<std::uint64_t>(as_i64(f[1], kWhere));
             saw_rules = true;
         } else if (is_field(f, "checksum") && f.size() == 2 &&
                    f[1].is_atom()) {

@@ -13,13 +13,6 @@ namespace {
 
 constexpr const char* kPass = "strategy-parse";
 
-bool
-is_form(const Sexpr& e, const char* head)
-{
-    return e.is_list() && e.size() >= 1 && e[0].is_atom() &&
-           e[0].token() == head;
-}
-
 std::optional<Sketch>
 sketch_from_sexpr(const Sexpr& e, analysis::DiagEngine& diags)
 {
@@ -293,7 +286,7 @@ parse_strategy(const std::string& text, analysis::DiagEngine& diags)
                     std::string("unreadable strategy: ") + err.what());
         return std::nullopt;
     }
-    if (!is_form(e, "strategy") || e.size() < 3 || !e[1].is_atom()) {
+    if (!is_field(e, "strategy") || e.size() < 3 || !e[1].is_atom()) {
         diags.error(kPass, "S400",
                     "expected (strategy <name> (phase ...) ... [(goal "
                     "...)]), got " +
@@ -304,13 +297,13 @@ parse_strategy(const std::string& text, analysis::DiagEngine& diags)
     strategy.name = e[1].token();
     for (std::size_t i = 2; i < e.size(); ++i) {
         const Sexpr& form = e[i];
-        if (is_form(form, "phase")) {
+        if (is_field(form, "phase")) {
             auto phase = phase_from_sexpr(form, diags);
             if (!phase) {
                 return std::nullopt;
             }
             strategy.phases.push_back(std::move(*phase));
-        } else if (is_form(form, "goal")) {
+        } else if (is_field(form, "goal")) {
             if (form.size() != 2) {
                 diags.error(kPass, "S406",
                             "(goal ...) takes exactly one sketch");

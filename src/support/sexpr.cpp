@@ -1,6 +1,7 @@
 #include "support/sexpr.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -363,6 +364,61 @@ parse_sexpr_list(const std::string& text)
         p.skip_space();
     }
     return out;
+}
+
+Sexpr
+field(const std::string& name, std::vector<Sexpr> values)
+{
+    values.insert(values.begin(), Sexpr::atom(name));
+    return Sexpr::list(std::move(values));
+}
+
+bool
+is_field(const Sexpr& s, std::string_view name)
+{
+    return s.is_list() && s.size() >= 1 && s[0].is_atom() &&
+           s[0].token() == name;
+}
+
+Sexpr
+f64_atom(double v)
+{
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return Sexpr::atom(buf);
+}
+
+Sexpr
+i64_atom(std::int64_t v)
+{
+    return Sexpr::atom(std::to_string(v));
+}
+
+std::int64_t
+as_i64(const Sexpr& s, std::string_view where)
+{
+    DIOS_CHECK(s.is_integer(), std::string(where) +
+                                   ": expected an integer, got '" +
+                                   s.to_string() + "'");
+    return s.as_integer();
+}
+
+double
+as_f64(const Sexpr& s, std::string_view where)
+{
+    DIOS_CHECK(s.is_number(), std::string(where) +
+                                  ": expected a number, got '" +
+                                  s.to_string() + "'");
+    return s.as_number();
+}
+
+const Sexpr&
+field_value(const Sexpr& f, std::string_view where)
+{
+    DIOS_CHECK(f.size() == 2 && f[1].is_atom(),
+               std::string(where) + ": field '" + f[0].token() +
+                   "' expects one atom");
+    return f[1];
 }
 
 }  // namespace diospyros

@@ -11,7 +11,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "support/error.h"
 
 namespace diospyros {
 
@@ -90,5 +93,47 @@ Sexpr parse_sexpr(const std::string& text);
 
 /** Parses a sequence of s-expressions (e.g. a rule file). */
 std::vector<Sexpr> parse_sexpr_list(const std::string& text);
+
+// Field helpers for `(name value...)` records (the daemon wire format, the
+// cache envelope). Readers raise UserError prefixed with `where`.
+
+/** A `(name values...)` field node. */
+Sexpr field(const std::string& name, std::vector<Sexpr> values);
+
+/** True when `s` is a list whose head atom equals `name`. */
+bool is_field(const Sexpr& s, std::string_view name);
+
+/** Exact round trip for doubles: a hexfloat atom ("0x1.8p+1"). */
+Sexpr f64_atom(double v);
+
+/** A decimal integer atom. */
+Sexpr i64_atom(std::int64_t v);
+
+/** `s` as an integer atom. */
+std::int64_t as_i64(const Sexpr& s, std::string_view where);
+
+/** `s` as a number atom (integer, decimal or hexfloat). */
+double as_f64(const Sexpr& s, std::string_view where);
+
+/** The single value of field `f`, which must be an atom: `(name atom)`. */
+const Sexpr& field_value(const Sexpr& f, std::string_view where);
+
+/**
+ * The reverse of a name function: the enumerator among the first `count`
+ * that `name_of` spells `name`. Raises UserError "<what> '<name>'" when
+ * none does.
+ */
+template <class Enum>
+Enum
+enum_from_name(std::string_view name, int count, const char* (*name_of)(Enum),
+               std::string_view what)
+{
+    for (int i = 0; i < count; ++i) {
+        if (name == name_of(static_cast<Enum>(i))) {
+            return static_cast<Enum>(i);
+        }
+    }
+    detail::raise_user(std::string(what) + " '" + std::string(name) + "'");
+}
 
 }  // namespace diospyros

@@ -318,6 +318,21 @@ TEST(Cli, ExitCodes)
     EXPECT_EQ(dioscc(dir, {kVadd, "--fault", "lower.term:1:*"}).code, 1);
 }
 
+TEST(Cli, HelpPrintsEveryFlagOnStdoutAndExits0)
+{
+    TempDir dir("help");
+    const ToolRun run = dioscc(dir, {"--help"});
+    EXPECT_EQ(run.code, 0) << run.err;
+    EXPECT_TRUE(run.err.empty()) << run.err;
+    EXPECT_EQ(run.out.rfind("usage: dioscc", 0), 0u) << run.out;
+    for (const char* flag : {"--width", "--verify-machine", "--strategy",
+                             "--cache-dir", "--list-faults"}) {
+        EXPECT_NE(run.out.find(flag), std::string::npos) << flag;
+    }
+    // After a kernel path, --help still only prints the help.
+    EXPECT_EQ(dioscc(dir, {kVadd, "--help"}).code, 0);
+}
+
 // ---------------------------------------------------------------------------
 // --json --emit-c, and byte identity across compile routes
 // ---------------------------------------------------------------------------

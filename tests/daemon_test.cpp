@@ -12,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "compiler/driver.h"
+#include "compiler/option_fields.h"
 #include "daemon/client.h"
 #include "daemon/daemon.h"
 #include "daemon/frame.h"
@@ -28,6 +30,7 @@
 #include "scalar/parse.h"
 #include "service/cache_key.h"
 #include "service/serialize.h"
+#include "strategy/strategy.h"
 #include "support/error.h"
 
 namespace diospyros {
@@ -36,6 +39,7 @@ namespace {
 namespace fs = std::filesystem;
 
 using daemon::CompileRequest;
+using service::CacheKey;
 using daemon::CompileResponse;
 using daemon::Frame;
 using daemon::FrameDecoder;
@@ -418,6 +422,133 @@ TEST(Protocol, MalformedPayloadsRaiseUserErrorNeverCrash)
         EXPECT_THROW(daemon::decode_compile_request(mutated), UserError)
             << to;
     }
+
+    // Budgets must be finite, the timeout > 0 and the deadline >= 0: a
+    // zero timeout would compile a truncated artifact under a key that
+    // larger budgets hit.
+    for (const auto& [name, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"timeout", "0"},
+             {"timeout", "-0x1p+0"},
+             {"timeout", "inf"},
+             {"timeout", "nan"},
+             {"deadline", "-1"},
+             {"deadline", "inf"},
+         }) {
+        std::string mutated = wire;
+        const std::string tag = "(" + name + " ";
+        const std::size_t at = mutated.find(tag);
+        ASSERT_NE(at, std::string::npos) << name;
+        mutated.replace(at, mutated.find(')', at) - at, tag + value);
+        EXPECT_THROW(daemon::decode_compile_request(mutated), UserError)
+            << name << " " << value;
+    }
+}
+
+TEST(Protocol, ResponseEntryWithABadWidthIsRejected)
+{
+    // The reader pads the spec to the entry's width, so a zero width
+    // would divide by zero there: decoding must fail instead, and the
+    // client then retries or falls back.
+    for (const int width : {0, 3, -4, 32}) {
+        CompileResponse ok;
+        ok.status = ResponseStatus::kOk;
+        ok.entry.emplace();
+        ok.entry->vector_width = width;
+        EXPECT_THROW(daemon::decode_compile_response(
+                         daemon::encode_compile_response(ok)),
+                     UserError)
+            << "width " << width;
+    }
+    CompileResponse ok;
+    ok.status = ResponseStatus::kOk;
+    ok.entry.emplace();
+    ok.entry->vector_width = 8;
+    EXPECT_EQ(daemon::decode_compile_response(
+                  daemon::encode_compile_response(ok))
+                  .entry->vector_width,
+              8);
+}
+
+TEST(Protocol, EveryOptionFieldRoundTripsAndKeysByIdentity)
+{
+    // Walks the one CompilerOptions field list: each wire field survives
+    // the codec at a non-default value, and it changes the cache key
+    // exactly when the list marks it as part of the artifact identity.
+    const scalar::Kernel kernel = scalar::parse_kernel(kVaddText);
+    const CompilerOptions base = test_options();
+    const CacheKey base_key = service::compute_cache_key(kernel, base);
+    std::size_t wire_fields = 0;
+    for (const OptionField& f : option_fields()) {
+        SCOPED_TRACE(f.name);
+        if (!f.identity()) {
+            EXPECT_GT(std::strlen(f.not_identity), 0u);
+        }
+        ++wire_fields;
+        CompilerOptions o = base;
+        if (f.kind == OptionKind::kStrategy) {
+            o.strategy = strategy::builtin_phased();
+        }
+        for (std::size_t i = 0; i < f.count; ++i) {
+            const double v = f.access.get(base, i);
+            const double other = v != f.range.hi ? f.range.hi
+                                 : f.range.lo_open ? f.range.hi / 2
+                                                   : f.range.lo;
+            ASSERT_NO_THROW(f.check(other)) << other;
+            f.access.set(o, i, other);
+            ASSERT_NE(f.access.get(o, i), v);
+        }
+        CompileRequest req;
+        req.kernel_name = "vadd4";
+        req.kernel_text = kVaddText;
+        req.options = o;
+        const std::string wire = encode_compile_request(req);
+        EXPECT_NE(wire.find(std::string("(") + f.name + " "),
+                  std::string::npos);
+        const CompilerOptions back =
+            daemon::decode_compile_request(wire).options;
+        for (std::size_t i = 0; i < f.count; ++i) {
+            EXPECT_EQ(f.access.get(back, i), f.access.get(o, i)) << i;
+        }
+        EXPECT_EQ(back.strategy.has_value(), o.strategy.has_value());
+        EXPECT_EQ(service::compute_cache_key(kernel, o) != base_key,
+                  f.identity());
+    }
+    EXPECT_GE(wire_fields, 20u);
+
+    // The fields never on the wire are never hashed either.
+    CompilerOptions local = base;
+    local.fault_specs = {"lower.term:1"};
+    local.absolute_deadline = Deadline::after_seconds(5.0);
+    EXPECT_EQ(service::compute_cache_key(kernel, local), base_key);
+    CompileRequest req;
+    req.kernel_name = "vadd4";
+    req.kernel_text = kVaddText;
+    req.options = local;
+    EXPECT_TRUE(daemon::decode_compile_request(encode_compile_request(req))
+                    .options.fault_specs.empty());
+
+    // Wire order does not matter, and unknown option fields are skipped.
+    CompilerOptions tuned = base;
+    tuned.target = TargetSpec::fusion_g3_vliw();
+    tuned.limits.time_limit_seconds = 7.0;
+    tuned.strategy = strategy::builtin_phased();
+    req.options = tuned;
+    std::vector<Sexpr> top =
+        parse_sexpr(encode_compile_request(req)).children();
+    for (Sexpr& part : top) {
+        if (is_field(part, "options")) {
+            std::vector<Sexpr> opts = part.children();
+            std::reverse(opts.begin() + 1, opts.end());
+            opts.push_back(field("from-a-newer-client", {i64_atom(1)}));
+            part = Sexpr::list(std::move(opts));
+        }
+    }
+    const CompilerOptions back =
+        daemon::decode_compile_request(Sexpr::list(top).to_string()).options;
+    EXPECT_EQ(service::compute_cache_key(kernel, back),
+              service::compute_cache_key(kernel, tuned));
+    EXPECT_EQ(back.limits.time_limit_seconds, 7.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -338,6 +338,35 @@ TEST(CorruptionRecoveryExtra, MisfiledEntryIsCorrupt)
     EXPECT_NE(r.detail.find("misfiled"), std::string::npos) << r.detail;
 }
 
+TEST(CorruptionRecoveryExtra, ChecksumValidEntryWithABadWidthIsCorrupt)
+{
+    // Written by a buggy producer, so the checksum holds; served, the
+    // zero width would crash the reader where it pads the spec.
+    TempDir dir("bad_width");
+    const CompilerOptions options = test_options();
+    const Kernel kernel = vector_add_kernel(4);
+    const CacheKey key = service::compute_cache_key(kernel, options);
+    CachedEntry entry = compiled_entry(kernel, options);
+    entry.vector_width = 0;
+    {
+        DiskCache disk(dir.str());
+        disk.store(entry);
+        const LoadResult r = disk.load(key);
+        EXPECT_EQ(r.status, LoadStatus::kCorrupt);
+        EXPECT_FALSE(r.checksum_mismatch);
+        EXPECT_NE(r.detail.find("vector width"), std::string::npos)
+            << r.detail;
+    }
+
+    CompileService::Options sopts;
+    sopts.cache_dir = dir.str();
+    CompileService svc(sopts);
+    service::Ticket t = svc.submit(kernel, options);
+    ASSERT_TRUE(t.get().ok) << t.get().error;
+    EXPECT_EQ(t.outcome(), CacheOutcome::kMiss);
+    EXPECT_EQ(svc.metrics().quarantined, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Fault matrix: every cache.* site, with and without retry budget
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -299,6 +300,46 @@ TEST(Overload, NegativeCacheServesRememberedUserError)
     EXPECT_EQ(m.misses, 1u);  // compiled exactly once
     EXPECT_EQ(m.negative_hits, 1u);
     EXPECT_EQ(m.negative_insertions, 1u);
+}
+
+TEST(Overload, OutOfRangeBudgetsAreRejectedBeforeTheCaches)
+{
+    // A zero timeout means "expire now" to the runner but "unlimited" to
+    // the service's budget comparison, so compiling it would cache a
+    // truncated artifact that larger budgets then hit. Budgets must be
+    // finite, the timeout > 0 and the deadline >= 0.
+    CompileService svc(CompileService::Options{});
+    const Kernel kernel = vector_add_kernel(8);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double timeout : {0.0, -1.0, nan, inf}) {
+        CompilerOptions bad = test_options();
+        bad.limits.time_limit_seconds = timeout;
+        service::Ticket t = svc.submit(kernel, bad);
+        const CompileResult& r = t.get();
+        EXPECT_FALSE(r.ok) << "timeout " << timeout;
+        EXPECT_EQ(r.failure_class, FailureClass::kUser);
+        EXPECT_NE(r.error.find("timeout"), std::string::npos) << r.error;
+    }
+    for (const double deadline : {-1.0, nan, inf}) {
+        CompilerOptions bad = test_options();
+        bad.deadline_seconds = deadline;
+        service::Ticket t = svc.submit(kernel, bad);
+        EXPECT_FALSE(t.get().ok) << "deadline " << deadline;
+        EXPECT_EQ(t.get().failure_class, FailureClass::kUser);
+    }
+
+    // Nothing was compiled or remembered: a valid budget is a clean miss
+    // that runs its full saturation.
+    service::Ticket good = svc.submit(kernel, test_options());
+    const CompileResult& r = good.get();
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(good.outcome(), CacheOutcome::kMiss);
+    EXPECT_NE(r.report().stop_reason, StopReason::kTimeLimit);
+    const service::ServiceMetrics m = svc.metrics();
+    EXPECT_EQ(m.misses, 1u);
+    EXPECT_EQ(m.user_errors, 7u);
+    EXPECT_EQ(m.negative_insertions, 0u);
 }
 
 TEST(Overload, NegativeTtlExpiryRecompiles)

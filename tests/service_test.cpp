@@ -522,6 +522,40 @@ TEST(CompileService, TimeoutChangeStillHitsSuccessfulEntry)
     EXPECT_EQ(t.outcome(), CacheOutcome::kMemoryHit);
 }
 
+TEST(CompileService, VerifyMachineRunIsNotServedAnUnverifiedArtifact)
+{
+    // verify_machine decides whether machine validation ran, and the
+    // verdict lives in the cached report: a run that asks for it must
+    // miss on an entry compiled without it.
+    TempDir dir("verify_machine");
+    CompileService::Options sopts;
+    sopts.cache_dir = dir.str();
+    const Kernel kernel = dot_kernel(4);
+    const CompilerOptions plain = test_options();
+    CompilerOptions verified = plain;
+    verified.verify_machine = true;
+    {
+        CompileService cold(sopts);
+        service::Ticket t = cold.submit(kernel, plain);
+        ASSERT_TRUE(t.get().ok) << t.get().error;
+        EXPECT_FALSE(t.get().report().machine_validated);
+        cold.wait_idle();
+    }
+
+    CompileService svc(sopts);  // only the disk is warm
+    service::Ticket t = svc.submit(kernel, verified);
+    const CompileResult& r = t.get();
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(t.outcome(), CacheOutcome::kMiss);
+    EXPECT_TRUE(r.report().machine_validated);
+    EXPECT_EQ(r.report().machine_validation, Verdict::kEquivalent);
+
+    // Its own rerun hits and carries the verdict.
+    service::Ticket again = svc.submit(kernel, verified);
+    EXPECT_TRUE(again.get().report().machine_validated);
+    EXPECT_EQ(again.outcome(), CacheOutcome::kMemoryHit);
+}
+
 TEST(CompileService, FaultArmedCompilesBypassTheCache)
 {
     TempDir dir("fault");

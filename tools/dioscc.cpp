@@ -215,20 +215,21 @@ const Flag kFlags[] = {
      [](Cli& c, Arg) { c.list_faults = true; }},
 };
 
+/** Prints the usage and flag table to `out` and exits with `code`. */
 [[noreturn]] void
-usage()
+usage(std::FILE* out = stderr, int code = 2)
 {
-    std::fprintf(stderr, "usage: dioscc <kernel.ksp> [flags]\n"
-                         "       dioscc --batch MANIFEST [flags]\n"
-                         "       dioscc --lint-rules | --lint-strategies "
-                         "[--width N]\n"
-                         "       dioscc --list-faults\n\nflags:\n");
+    std::fprintf(out, "usage: dioscc <kernel.ksp> [flags]\n"
+                      "       dioscc --batch MANIFEST [flags]\n"
+                      "       dioscc --lint-rules | --lint-strategies "
+                      "[--width N]\n"
+                      "       dioscc --list-faults\n\nflags:\n");
     for (const Flag& f : kFlags) {
         const std::string spelled =
             std::string(f.name) + " " + (f.metavar ? f.metavar : "");
-        std::fprintf(stderr, "  %-30s %s\n", spelled.c_str(), f.help);
+        std::fprintf(out, "  %-30s %s\n", spelled.c_str(), f.help);
     }
-    std::exit(2);
+    std::exit(code);
 }
 
 Cli
@@ -241,6 +242,9 @@ parse_cli(int argc, char** argv)
     std::vector<const Flag*> seen;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (arg == "--help") {
+            usage(stdout, 0);
+        }
         if (arg.empty() || arg[0] != '-') {
             if (!cli.path.empty()) {
                 usage();
