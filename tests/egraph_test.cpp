@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "egraph/egraph.h"
 #include "egraph/extract.h"
@@ -576,10 +577,38 @@ TEST(OpIndex, StaysCanonicalAndCompleteAcrossMerges)
               (std::vector<ClassId>{root, g.find(g1)}));
 }
 
+/**
+ * The O(1) counters against a full recount, and class_ids() against
+ * creation order: each canonical class appears at the position of the
+ * first id (0..last_id, the order ids were handed out) that resolves to
+ * it.
+ */
+void
+expect_counts_and_creation_order(EGraph& g, ClassId last_id)
+{
+    const std::vector<ClassId> ids = g.class_ids();
+    std::size_t nodes = 0;
+    for (const ClassId id : ids) {
+        nodes += g.eclass(id).nodes.size();
+    }
+    EXPECT_EQ(g.num_nodes(), nodes);
+    EXPECT_EQ(g.num_classes(), ids.size());
+    std::vector<ClassId> creation_order;
+    std::set<ClassId> seen;
+    for (ClassId raw = 0; raw <= last_id; ++raw) {
+        if (seen.insert(g.find(raw)).second) {
+            creation_order.push_back(g.find(raw));
+        }
+    }
+    EXPECT_EQ(ids, creation_order);
+}
+
 TEST(OpIndex, AgreesWithFullScanOnRandomGraphs)
 {
     // Property: under arbitrary interleavings of adds, merges, and
-    // rebuilds, the op-index equals a recomputed full scan for every op.
+    // rebuilds, the op-index equals a recomputed full scan for every op,
+    // the node and class counters equal a recount, and class_ids() keeps
+    // creation order.
     Rng rng(17);
     for (int trial = 0; trial < 10; ++trial) {
         EGraph g(false);
@@ -612,11 +641,15 @@ TEST(OpIndex, AgreesWithFullScanOnRandomGraphs)
                     const Op op = static_cast<Op>(op_i);
                     EXPECT_EQ(g.classes_with_op(op), classes_holding(g, op));
                 }
+                expect_counts_and_creation_order(
+                    g, *std::max_element(ids.begin(), ids.end()));
                 break;
             }
         }
         g.rebuild();
         g.check_invariants();
+        expect_counts_and_creation_order(
+            g, *std::max_element(ids.begin(), ids.end()));
         for (int op_i = 0; op_i < kNumOps; ++op_i) {
             const Op op = static_cast<Op>(op_i);
             EXPECT_EQ(g.classes_with_op(op), classes_holding(g, op));

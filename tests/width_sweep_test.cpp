@@ -5,13 +5,24 @@
 //  (ii) the simulated compiled kernel agrees with the scalar reference
 //       interpreter on concrete inputs;
 // (iii) each width gets its own cache key, so a multi-width service can
-//       never serve 4-wide code to a 16-wide client.
+//       never serve 4-wide code to a 16-wide client;
+//  (iv) every saturation outcome matches the checked-in golden file
+//       tests/golden/width_sweep.golden: the extracted term (as a stable
+//       hash of its printed form), its cost, the e-graph's node and class
+//       counts, the iteration count and the stop reason. Any change to
+//       e-graph storage, matching order or merge direction shows up here.
+//       On a mismatch the computed lines are written next to the test
+//       binary as width_sweep.golden.actual.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "compiler/driver.h"
@@ -19,6 +30,7 @@
 #include "machine/program.h"
 #include "scalar/interp.h"
 #include "service/cache_key.h"
+#include "support/hash.h"
 
 namespace diospyros {
 namespace {
@@ -37,12 +49,85 @@ sweep_options(int width)
     return options;
 }
 
+/**
+ * One golden line: what saturation and extraction decided for a case.
+ * Budget stops that depend on wall-clock time cannot be pinned, so a
+ * case that hits one fails the test instead of recording a value.
+ */
+std::string
+golden_line(const std::string& label, int width, const CompiledKernel& k)
+{
+    const CompileReport& r = k.report;
+    EXPECT_NE(r.stop_reason, StopReason::kTimeLimit) << label;
+    EXPECT_NE(r.stop_reason, StopReason::kDeadline) << label;
+    char cost[64];
+    std::snprintf(cost, sizeof cost, "%.17g", r.extracted_cost);
+    std::string name = label;
+    std::replace(name.begin(), name.end(), ' ', '_');
+    std::ostringstream os;
+    os << "w" << width << ' ' << name << " term="
+       << hash_hex(stable_hash_string(Term::to_string(k.extracted)))
+       << " cost=" << cost << " nodes=" << r.egraph_nodes
+       << " classes=" << r.egraph_classes
+       << " iters=" << r.runner_iterations
+       << " stop=" << stop_reason_name(r.stop_reason);
+    return os.str();
+}
+
+/** Golden lines keyed by their first two fields (width and case). */
+std::map<std::string, std::string>
+read_golden()
+{
+    std::map<std::string, std::string> out;
+    std::ifstream in(DIOS_SOURCE_DIR "/tests/golden/width_sweep.golden");
+    EXPECT_TRUE(in.good()) << "missing tests/golden/width_sweep.golden";
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#') {
+            continue;
+        }
+        const std::size_t second = line.find(' ', line.find(' ') + 1);
+        out.emplace(line.substr(0, second), line);
+    }
+    return out;
+}
+
+/**
+ * Compares computed golden lines against the file and, on any mismatch,
+ * appends them to width_sweep.golden.actual in the working directory.
+ */
+void
+check_golden(const std::vector<std::string>& lines)
+{
+    static const std::map<std::string, std::string> golden = read_golden();
+    bool all_match = true;
+    for (const std::string& line : lines) {
+        const std::size_t second = line.find(' ', line.find(' ') + 1);
+        const auto it = golden.find(line.substr(0, second));
+        if (it == golden.end()) {
+            ADD_FAILURE() << "no golden line for: " << line;
+            all_match = false;
+        } else if (it->second != line) {
+            ADD_FAILURE() << "golden mismatch\n  want: " << it->second
+                          << "\n  got:  " << line;
+            all_match = false;
+        }
+    }
+    if (!all_match) {
+        std::ofstream actual("width_sweep.golden.actual", std::ios::app);
+        for (const std::string& line : lines) {
+            actual << line << '\n';
+        }
+    }
+}
+
 class WidthSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(WidthSweep, CorpusIsDeterministicAndAgreesWithReference)
 {
     const int width = GetParam();
     const CompilerOptions options = sweep_options(width);
+    std::vector<std::string> golden;
     for (const kernels::BenchmarkInstance& inst :
          kernels::table1_instances()) {
         SCOPED_TRACE(inst.label() + " @ width " + std::to_string(width));
@@ -53,6 +138,7 @@ TEST_P(WidthSweep, CorpusIsDeterministicAndAgreesWithReference)
                   disassemble(b.machine, width))
             << "extraction must be deterministic per width";
         EXPECT_EQ(a.layout.pool(), b.layout.pool());
+        golden.push_back(golden_line(inst.label(), width, a));
 
         const scalar::BufferMap inputs =
             kernels::make_inputs(inst.kernel, 11);
@@ -72,6 +158,7 @@ TEST_P(WidthSweep, CorpusIsDeterministicAndAgreesWithReference)
             }
         }
     }
+    check_golden(golden);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, WidthSweep,
@@ -79,6 +166,19 @@ INSTANTIATE_TEST_SUITE_P(AllWidths, WidthSweep,
                          [](const ::testing::TestParamInfo<int>& info) {
                              return "w" + std::to_string(info.param);
                          });
+
+TEST(WidthSweepExtra, FullAcPhasedCaseMatchesGolden)
+{
+    // The explosive full-AC rule set under the phased strategy: the
+    // strategy path (phase limits, goal stop, backoff) on a graph far
+    // larger than the curated rules build.
+    CompilerOptions options = sweep_options(4);
+    options.rules.full_ac = true;
+    options.strategy = strategy::builtin_phased();
+    const CompiledKernel k =
+        compile_kernel(kernels::make_conv2d(3, 5, 3, 3), options);
+    check_golden({golden_line("2DConv 3x5, 3x3 full-ac phased", 4, k)});
+}
 
 TEST(WidthSweepExtra, WidthsGetDistinctCacheKeys)
 {
