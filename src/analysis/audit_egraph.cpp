@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -44,8 +45,8 @@ audit_egraph(const EGraph& graph, DiagEngine& diags)
                         -1, id);
             continue;
         }
-        for (const ENode& raw : graph.eclass(id).nodes) {
-            ENode node = raw;
+        for (const ENodeView raw : graph.class_nodes(id)) {
+            ENode node = raw.to_enode();
             bool children_ok = true;
             for (ClassId& c : node.children) {
                 c = graph.find_const(c);
@@ -108,7 +109,7 @@ audit_egraph(const EGraph& graph, DiagEngine& diags)
                             -1, id);
                 continue;
             }
-            for (const ENode& n : graph.eclass(id).nodes) {
+            for (const ENodeView n : graph.class_nodes(id)) {
                 if (n.op == op) {
                     has_op = true;
                     break;
@@ -123,7 +124,7 @@ audit_egraph(const EGraph& graph, DiagEngine& diags)
         }
         for (const ClassId id : ids) {
             bool has_op = false;
-            for (const ENode& n : graph.eclass(id).nodes) {
+            for (const ENodeView n : graph.class_nodes(id)) {
                 if (n.op == op) {
                     has_op = true;
                     break;
@@ -149,7 +150,7 @@ audit_extraction(const EGraph& graph, const CostModel& cost,
 
     // E201: strict monotonicity of the model itself.
     for (const ClassId id : ids) {
-        for (const ENode& node : graph.eclass(id).nodes) {
+        for (const ENodeView node : graph.class_nodes(id)) {
             const double c = cost.node_cost(graph, node);
             if (!(c > 0.0)) {
                 diags.error(kPass, "E201",
@@ -165,7 +166,7 @@ audit_extraction(const EGraph& graph, const CostModel& cost,
     }
 
     // Total cost of realizing `node`, given the extractor's class costs.
-    auto node_total = [&](const ENode& node) {
+    auto node_total = [&](const ENodeView& node) {
         double total = cost.node_cost(graph, node);
         for (const ClassId child : node.children) {
             total += extractor->class_cost(child);
@@ -176,14 +177,14 @@ audit_extraction(const EGraph& graph, const CostModel& cost,
     // E202 / E204: each class's cost is the minimum over its nodes and
     // is achieved by at least one of them. Also record that argmin node
     // for the acyclicity walk below.
-    std::unordered_map<ClassId, const ENode*> chosen;
+    std::unordered_map<ClassId, ENodeView> chosen;
     for (const ClassId id : ids) {
         const double cc = extractor->class_cost(id);
         if (!std::isfinite(cc)) {
             continue;  // unrealizable class (e.g. pure cycle): no choice
         }
-        const ENode* best = nullptr;
-        for (const ENode& node : graph.eclass(id).nodes) {
+        std::optional<ENodeView> best;
+        for (const ENodeView node : graph.class_nodes(id)) {
             const double total = node_total(node);
             if (!std::isfinite(total)) {
                 continue;
@@ -196,17 +197,17 @@ audit_extraction(const EGraph& graph, const CostModel& cost,
                                 std::to_string(total),
                             -1, id);
             }
-            if (best == nullptr && close(total, cc)) {
-                best = &node;
+            if (!best && close(total, cc)) {
+                best = node;
             }
         }
-        if (best == nullptr) {
+        if (!best) {
             diags.error(kPass, "E204",
                         "class cost " + std::to_string(cc) +
                             " is not achieved by any e-node in the class",
                         -1, id);
         } else {
-            chosen.emplace(id, best);
+            chosen.emplace(id, *best);
         }
     }
 
@@ -226,14 +227,14 @@ audit_extraction(const EGraph& graph, const CostModel& cost,
             auto& [id, next_child] = stack.back();
             const auto it = chosen.find(id);
             const std::size_t arity =
-                it == chosen.end() ? 0 : it->second->children.size();
+                it == chosen.end() ? 0 : it->second.children.size();
             if (next_child >= arity) {
                 marks[id] = Mark::kDone;
                 stack.pop_back();
                 continue;
             }
             const ClassId child =
-                graph.find_const(it->second->children[next_child++]);
+                graph.find_const(it->second.children[next_child++]);
             const auto mark = marks.find(child);
             if (mark == marks.end()) {
                 marks[child] = Mark::kOnStack;

@@ -343,7 +343,7 @@ lint_custom_rule(const Rewrite& rule, int width)
     const Extractor extractor(graph, tree_cost);
     root = graph.find(root);
     res.verdict = Verdict::kEquivalent;
-    for (const ENode& node : graph.eclass(root).nodes) {
+    for (const ENodeView node : graph.class_nodes(root)) {
         std::vector<TermRef> kids;
         kids.reserve(node.children.size());
         for (const ClassId child : node.children) {

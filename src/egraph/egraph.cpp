@@ -2,34 +2,149 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "support/error.h"
 
 namespace diospyros {
 
+namespace {
+
+/** The 32 bits of a content hash the hashcons keeps (mixed, high half). */
+std::uint32_t
+slot_hash(std::size_t hash)
+{
+    return static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(hash) * 0x9e3779b97f4a7c15ULL) >> 32);
+}
+
+}  // namespace
+
+NodeId
+EGraph::store_node(const ENodeView& node, ClassId cls)
+{
+    const auto id = static_cast<NodeId>(nodes_.size());
+    NodeRec rec{static_cast<std::uint32_t>(children_.size()),
+                static_cast<std::uint32_t>(node.children.size()), cls,
+                kNoPayload, node.op};
+    if (node.value != Rational() || node.symbol.valid() || node.index != 0) {
+        rec.payload = static_cast<std::uint32_t>(payloads_.size());
+        payloads_.push_back(Payload{node.value, node.symbol, node.index});
+    }
+    children_.insert(children_.end(), node.children.begin(),
+                     node.children.end());
+    nodes_.push_back(rec);
+    versions_.push_back(0);
+    push_tracked(classes_[cls].nodes, id);
+    return id;
+}
+
+NodeId
+EGraph::memo_find(const ENodeView& key, std::size_t hash) const
+{
+    if (memo_.empty()) {
+        return kNoNode;
+    }
+    const std::uint32_t h = slot_hash(hash);
+    const std::size_t mask = memo_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+        const Slot& s = memo_[i];
+        if (s.node == kNoNode) {
+            return kNoNode;
+        }
+        if (s.hash == h) {
+            const NodeRec& r = nodes_[s.node];
+            if (r.op == key.op && r.arity == key.children.size() &&
+                node(s.node).same_as(key)) {
+                return s.node;
+            }
+        }
+    }
+}
+
+void
+EGraph::memo_insert(NodeId id, std::size_t hash)
+{
+    if ((memo_size_ + 1) * 4 > memo_.size() * 3) {
+        // Grow to keep the load factor at or below 3/4.
+        std::vector<Slot> old(std::max<std::size_t>(64, memo_.size() * 2),
+                              Slot{0, kNoNode});
+        old.swap(memo_);
+        const std::size_t mask = memo_.size() - 1;
+        for (const Slot& s : old) {
+            if (s.node == kNoNode) {
+                continue;
+            }
+            std::size_t i = s.hash & mask;
+            while (memo_[i].node != kNoNode) {
+                i = (i + 1) & mask;
+            }
+            memo_[i] = s;
+        }
+    }
+    const std::uint32_t h = slot_hash(hash);
+    const std::size_t mask = memo_.size() - 1;
+    std::size_t i = h & mask;
+    while (memo_[i].node != kNoNode) {
+        i = (i + 1) & mask;
+    }
+    memo_[i] = Slot{h, id};
+    ++memo_size_;
+}
+
+void
+EGraph::memo_erase(const ENodeView& key, std::size_t hash)
+{
+    if (memo_.empty()) {
+        return;
+    }
+    const std::uint32_t h = slot_hash(hash);
+    const std::size_t mask = memo_.size() - 1;
+    std::size_t i = h & mask;
+    for (;; i = (i + 1) & mask) {
+        const Slot& s = memo_[i];
+        if (s.node == kNoNode) {
+            return;
+        }
+        if (s.hash == h && node(s.node).same_as(key)) {
+            break;
+        }
+    }
+    // Backward-shift deletion: pull later entries of the probe run into
+    // the hole unless that would move them before their home slot.
+    for (std::size_t j = (i + 1) & mask; memo_[j].node != kNoNode;
+         j = (j + 1) & mask) {
+        const std::size_t home = memo_[j].hash & mask;
+        const bool stays = i <= j ? (i < home && home <= j)
+                                  : (i < home || home <= j);
+        if (!stays) {
+            memo_[i] = memo_[j];
+            i = j;
+        }
+    }
+    memo_[i].node = kNoNode;
+    --memo_size_;
+}
+
 ClassId
 EGraph::add(ENode node)
 {
     node.canonicalize(uf_);
-    auto it = memo_.find(node);
-    if (it != memo_.end()) {
-        return uf_.find(it->second);
+    const std::size_t hash = enode_hash(node);
+    if (const NodeId hit = memo_find(node, hash); hit != kNoNode) {
+        return uf_.find(nodes_[hit].cls);
     }
     const ClassId id = uf_.make_set();
-    EClass cls;
+    classes_.emplace_back();
     if (fold_constants_) {
-        cls.constant = fold_node(node);
+        classes_[id].constant = fold_node(node);
     }
+    const NodeId nid = store_node(node, id);
     for (const ClassId child : node.children) {
-        classes_.at(child).parents.emplace_back(node, id);
+        push_tracked(classes_[child].parents_, EClass::Parent{nid, 0});
     }
-    const Op op = node.op;
-    cls.nodes.push_back(node);
-    memo_.emplace(std::move(node), id);
-    classes_.emplace(id, std::move(cls));
-    creation_order_.push_back(id);
-    index_op(op, id);
+    memo_insert(nid, hash);
+    index_op(node.op, id);
     modify(id);
     return uf_.find(id);
 }
@@ -103,23 +218,17 @@ EGraph::merge(ClassId a, ClassId b)
     ++index_version_;
 
     // Join analysis data and splice the absorbed class into the root.
-    {
-        EClass& rc = classes_.at(root);
-        EClass& ac = classes_.at(absorbed);
-        if (!rc.constant.has_value()) {
-            rc.constant = ac.constant;
-        } else if (ac.constant.has_value()) {
-            DIOS_ASSERT(*rc.constant == *ac.constant,
-                        "constant analysis disagreement: unsound rewrite?");
-        }
-        rc.nodes.insert(rc.nodes.end(),
-                        std::make_move_iterator(ac.nodes.begin()),
-                        std::make_move_iterator(ac.nodes.end()));
-        rc.parents.insert(rc.parents.end(),
-                          std::make_move_iterator(ac.parents.begin()),
-                          std::make_move_iterator(ac.parents.end()));
+    EClass& rc = classes_[root];
+    EClass& ac = classes_[absorbed];
+    if (!rc.constant.has_value()) {
+        rc.constant = ac.constant;
+    } else if (ac.constant.has_value()) {
+        DIOS_ASSERT(*rc.constant == *ac.constant,
+                    "constant analysis disagreement: unsound rewrite?");
     }
-    classes_.erase(absorbed);
+    ac.constant.reset();
+    splice_tracked(rc.nodes, ac.nodes);
+    splice_tracked(rc.parents_, ac.parents_);
     dirty_.push_back(root);
     modify(root);
     return true;
@@ -132,10 +241,12 @@ EGraph::rebuild()
         std::vector<ClassId> todo;
         todo.swap(dirty_);
         // Dedup on canonical representatives.
-        std::unordered_set<ClassId> seen;
+        class_mark_.resize(classes_.size(), 0);
+        const std::uint32_t stamp = ++class_stamp_;
         for (const ClassId raw : todo) {
             const ClassId id = uf_.find(raw);
-            if (seen.insert(id).second) {
+            if (class_mark_[id] != stamp) {
+                class_mark_[id] = stamp;
                 repair(id);
             }
         }
@@ -145,43 +256,132 @@ EGraph::rebuild()
 void
 EGraph::repair(ClassId id)
 {
+    // The congruence repair of egg, over node ids. Each parent entry
+    // records which version of its node's children it saw; the node
+    // itself is only rewritten at the end, so every hashcons probe below
+    // sees the same keys the node-copying layout did.
     id = uf_.find(id);
-    auto parents_it = classes_.find(id);
-    if (parents_it == classes_.end()) {
-        // The class was absorbed by a merge triggered from an earlier
-        // repair in this round; its new root is (or will be) repaired.
-        return;
-    }
-    std::vector<std::pair<ENode, ClassId>> parents =
-        std::move(parents_it->second.parents);
-    parents_it->second.parents.clear();
+    std::vector<EClass::Parent> parents;
+    parents.swap(classes_[id].parents_);
+    list_bytes_ -= parents.capacity() * sizeof(EClass::Parent);
 
-    // Remove stale (pre-merge) keys before re-inserting canonical ones.
-    for (const auto& [pnode, pclass] : parents) {
-        (void)pclass;
-        memo_.erase(pnode);
+    // Remove stale keys before re-inserting canonical ones. An entry that
+    // saw an older version holds content no canonical lookup can match
+    // any more, so only current versions are erased.
+    for (const EClass::Parent& p : parents) {
+        if (p.version == versions_[p.node]) {
+            const ENodeView v = node(p.node);
+            memo_erase(v, enode_hash(v));
+        }
     }
 
-    // Re-canonicalize; congruent duplicates collapse via merge().
-    std::unordered_map<ENode, ClassId, ENodeHash> new_parents;
-    for (auto& [pnode, pclass] : parents) {
-        pnode.canonicalize(uf_);
-        auto [it, inserted] = new_parents.try_emplace(pnode, pclass);
+    // Snapshot each entry's canonical children (as of its turn: merges
+    // below move later snapshots on).
+    const std::size_t n = parents.size();
+    snap_first_.clear();
+    snap_children_.clear();
+    auto snapshot = [&](std::size_t i) {
+        ENodeView v = node(parents[i].node);
+        v.children = {snap_children_.data() + snap_first_[i],
+                      v.children.size()};
+        return v;
+    };
+    struct SnapHash {
+        const decltype(snapshot)* snap;
+        std::size_t
+        operator()(std::uint32_t i) const
+        {
+            return enode_hash((*snap)(i));
+        }
+    };
+    struct SnapEq {
+        const decltype(snapshot)* snap;
+        bool
+        operator()(std::uint32_t a, std::uint32_t b) const
+        {
+            return (*snap)(a).same_as((*snap)(b));
+        }
+    };
+    // Keyed by snapshot content with ENodeHash's values, so iteration
+    // (and hence merge) order is the node-copying layout's exactly.
+    std::unordered_map<std::uint32_t, ClassId, SnapHash, SnapEq> new_parents(
+        0, SnapHash{&snapshot}, SnapEq{&snapshot});
+    for (std::size_t i = 0; i < n; ++i) {
+        snap_first_.push_back(static_cast<std::uint32_t>(snap_children_.size()));
+        for (const ClassId c : node(parents[i].node).children) {
+            snap_children_.push_back(uf_.find(c));
+        }
+        const ClassId pclass = nodes_[parents[i].node].cls;
+        auto [it, inserted] =
+            new_parents.try_emplace(static_cast<std::uint32_t>(i), pclass);
         if (!inserted) {
             merge(pclass, it->second);
         }
         it->second = uf_.find(it->second);
     }
 
-    for (auto& [pnode, pclass] : new_parents) {
-        const ClassId canonical_parent = uf_.find(pclass);
-        auto [it, inserted] = memo_.try_emplace(pnode, canonical_parent);
-        if (!inserted && uf_.find(it->second) != canonical_parent) {
-            merge(it->second, canonical_parent);
+    // Each node's last snapshot is the content it is rewritten to; a node
+    // whose content changes moves to the next version.
+    node_mark_.resize(nodes_.size(), Mark{0, 0});
+    const std::uint32_t stamp = ++node_stamp_;
+    for (std::size_t i = n; i-- > 0;) {
+        Mark& m = node_mark_[parents[i].node];
+        if (m.stamp != stamp) {
+            m = Mark{stamp, static_cast<std::uint32_t>(i)};
         }
-        it->second = uf_.find(it->second);
-        classes_.at(uf_.find(id))
-            .parents.emplace_back(pnode, uf_.find(pclass));
+    }
+    auto is_last = [&](std::size_t i) {
+        const std::uint32_t last = node_mark_[parents[i].node].index;
+        return i == last || snapshot(i).same_as(snapshot(last));
+    };
+    auto changes = [&](std::size_t i) {
+        const std::uint32_t last = node_mark_[parents[i].node].index;
+        const auto now = node(parents[i].node).children;
+        const auto to = snapshot(last).children;
+        return !std::equal(now.begin(), now.end(), to.begin(), to.end());
+    };
+
+    // Look each distinct snapshot up in the hashcons; congruent classes
+    // merge. Misses are inserted once the nodes hold their new content.
+    std::vector<std::uint32_t> misses;
+    for (auto& [i, pclass] : new_parents) {
+        const ClassId canonical_parent = uf_.find(pclass);
+        const ENodeView snap = snapshot(i);
+        const NodeId hit = memo_find(snap, enode_hash(snap));
+        if (hit == kNoNode) {
+            misses.push_back(i);
+        } else if (uf_.find(nodes_[hit].cls) != canonical_parent) {
+            merge(nodes_[hit].cls, canonical_parent);
+        }
+        const NodeId pnode = parents[i].node;
+        const std::uint32_t version =
+            versions_[pnode] + (is_last(i) && changes(i) ? 1 : 0);
+        push_tracked(classes_[uf_.find(id)].parents_,
+                     EClass::Parent{pnode, version});
+    }
+
+    // Rewrite changed nodes in place (dropping the hashcons entry a node
+    // holds under its old content), then insert the misses.
+    for (std::size_t i = 0; i < n; ++i) {
+        const NodeId pnode = parents[i].node;
+        if (node_mark_[pnode].index != i || !changes(i)) {
+            continue;
+        }
+        const ENodeView old = node(pnode);
+        const std::size_t old_hash = enode_hash(old);
+        if (memo_find(old, old_hash) == pnode) {
+            memo_erase(old, old_hash);
+        }
+        const ENodeView snap = snapshot(i);
+        std::copy(snap.children.begin(), snap.children.end(),
+                  children_.begin() + nodes_[pnode].first);
+        ++versions_[pnode];
+    }
+    for (const std::uint32_t i : misses) {
+        if (is_last(i)) {
+            const ENodeView snap = snapshot(i);
+            memo_insert(parents[i].node, enode_hash(snap));
+        }
     }
 }
 
@@ -189,11 +389,11 @@ std::optional<ClassId>
 EGraph::lookup(ENode node)
 {
     node.canonicalize(uf_);
-    auto it = memo_.find(node);
-    if (it == memo_.end()) {
+    const NodeId hit = memo_find(node, enode_hash(node));
+    if (hit == kNoNode) {
         return std::nullopt;
     }
-    return uf_.find(it->second);
+    return uf_.find(nodes_[hit].cls);
 }
 
 std::optional<ClassId>
@@ -202,22 +402,23 @@ EGraph::lookup_const(ENode node) const
     for (ClassId& c : node.children) {
         c = uf_.find_const(c);
     }
-    auto it = memo_.find(node);
-    if (it == memo_.end()) {
+    const NodeId hit = memo_find(node, enode_hash(node));
+    if (hit == kNoNode) {
         return std::nullopt;
     }
-    return uf_.find_const(it->second);
+    return uf_.find_const(nodes_[hit].cls);
 }
 
 std::vector<ClassId>
 EGraph::class_ids() const
 {
+    // A class sits at the position of its smallest member id: the order
+    // a scan of ids in creation order first reaches it.
     std::vector<ClassId> out;
-    out.reserve(classes_.size());
-    std::unordered_set<ClassId> seen;
-    for (const ClassId raw : creation_order_) {
+    out.reserve(num_classes());
+    for (ClassId raw = 0; raw < classes_.size(); ++raw) {
         const ClassId id = uf_.find_const(raw);
-        if (classes_.count(id) && seen.insert(id).second) {
+        if (uf_.min_member(id) == raw) {
             out.push_back(id);
         }
     }
@@ -236,12 +437,13 @@ EGraph::classes_with_op(Op op) const
     // Compact the journal: canonicalize, dedup, and sort by the class's
     // creation ordinal (its smallest member id) so candidates come back
     // in exactly the order a naive class_ids() scan visits them.
-    std::unordered_set<ClassId> seen;
-    seen.reserve(entry.size());
+    class_mark_.resize(classes_.size(), 0);
+    const std::uint32_t stamp = ++class_stamp_;
     std::size_t keep = 0;
     for (const ClassId raw : entry) {
         const ClassId id = uf_.find_const(raw);
-        if (seen.insert(id).second) {
+        if (class_mark_[id] != stamp) {
+            class_mark_[id] = stamp;
             entry[keep++] = id;
         }
     }
@@ -254,25 +456,31 @@ EGraph::classes_with_op(Op op) const
 }
 
 std::size_t
-EGraph::num_nodes() const
+EGraph::memory_proxy_bytes() const
 {
-    std::size_t total = 0;
-    for (const auto& [id, cls] : classes_) {
-        (void)id;
-        total += cls.nodes.size();
+    std::size_t bytes = nodes_.capacity() * sizeof(NodeRec) +
+                        children_.capacity() * sizeof(ClassId) +
+                        payloads_.capacity() * sizeof(Payload) +
+                        versions_.capacity() * sizeof(std::uint32_t) +
+                        classes_.capacity() * sizeof(EClass) + list_bytes_ +
+                        memo_.capacity() * sizeof(Slot) +
+                        uf_.memory_bytes() +
+                        dirty_.capacity() * sizeof(ClassId) +
+                        snap_children_.capacity() * sizeof(ClassId) +
+                        snap_first_.capacity() * sizeof(std::uint32_t) +
+                        class_mark_.capacity() * sizeof(std::uint32_t) +
+                        node_mark_.capacity() * sizeof(Mark);
+    for (const std::vector<ClassId>& journal : op_index_) {
+        bytes += journal.capacity() * sizeof(ClassId);
     }
-    return total;
+    return bytes;
 }
 
 std::optional<Rational>
-EGraph::fold_node(const ENode& node) const
+EGraph::fold_node(const ENodeView& node) const
 {
     auto child_const = [&](std::size_t i) -> std::optional<Rational> {
-        auto it = classes_.find(uf_.find_const(node.children[i]));
-        if (it == classes_.end()) {
-            return std::nullopt;
-        }
-        return it->second.constant;
+        return classes_[uf_.find_const(node.children[i])].constant;
     };
     try {
         switch (node.op) {
@@ -335,20 +543,19 @@ EGraph::modify(ClassId id)
         return;
     }
     id = uf_.find(id);
-    EClass& cls = classes_.at(id);
-    if (!cls.constant.has_value()) {
+    const std::optional<Rational> constant = classes_[id].constant;
+    if (!constant.has_value()) {
         return;
     }
-    ENode cn = ENode::make_const(*cls.constant);
-    auto it = memo_.find(cn);
-    if (it != memo_.end()) {
-        if (uf_.find(it->second) != id) {
-            merge(it->second, id);
+    const ENode cn = ENode::make_const(*constant);
+    const std::size_t hash = enode_hash(cn);
+    if (const NodeId hit = memo_find(cn, hash); hit != kNoNode) {
+        if (uf_.find(nodes_[hit].cls) != id) {
+            merge(nodes_[hit].cls, id);
         }
         return;
     }
-    memo_.emplace(cn, id);
-    cls.nodes.push_back(std::move(cn));
+    memo_insert(store_node(cn, id), hash);
     index_op(Op::kConst, id);
 }
 
@@ -357,20 +564,25 @@ EGraph::check_invariants() const
 {
     DIOS_ASSERT(dirty_.empty(), "check_invariants() on a dirty e-graph");
     std::unordered_map<ENode, ClassId, ENodeHash> canonical_nodes;
+    const std::vector<ClassId> ids = class_ids();
     std::size_t total = 0;
-    for (const auto& [id, cls] : classes_) {
-        DIOS_ASSERT(uf_.find_const(id) == id,
-                    "classes_ key is not canonical");
-        for (const ENode& raw : cls.nodes) {
-            ENode node = raw;
+    std::size_t lists = 0;
+    for (const EClass& cls : classes_) {
+        lists += cls.nodes.capacity() * sizeof(NodeId) +
+                 cls.parents_.capacity() * sizeof(EClass::Parent);
+    }
+    for (const ClassId id : ids) {
+        DIOS_ASSERT(uf_.find_const(id) == id, "class id is not canonical");
+        for (const ENodeView raw : class_nodes(id)) {
+            ENode node = raw.to_enode();
             for (ClassId& c : node.children) {
                 c = uf_.find_const(c);
             }
-            auto memo_it = memo_.find(node);
-            DIOS_ASSERT(memo_it != memo_.end(),
+            const NodeId hit = memo_find(node, enode_hash(node));
+            DIOS_ASSERT(hit != kNoNode,
                         "canonical e-node missing from hashcons: " +
                             node.to_string());
-            DIOS_ASSERT(uf_.find_const(memo_it->second) == id,
+            DIOS_ASSERT(uf_.find_const(nodes_[hit].cls) == id,
                         "hashcons points to the wrong class for " +
                             node.to_string());
             auto [it, inserted] = canonical_nodes.try_emplace(node, id);
@@ -382,17 +594,30 @@ EGraph::check_invariants() const
             ++total;
         }
     }
-    (void)total;
-    for (const auto& [node, id] : memo_) {
-        ENode canonical = node;
+    DIOS_ASSERT(total == num_nodes(), "node counter disagrees with classes");
+    DIOS_ASSERT(ids.size() == num_classes(),
+                "class counter disagrees with the union-find");
+    DIOS_ASSERT(lists == list_bytes_,
+                "list byte counter disagrees with the class lists");
+    std::size_t entries = 0;
+    for (const Slot& s : memo_) {
+        if (s.node == kNoNode) {
+            continue;
+        }
+        ++entries;
+        const ENodeView key = node(s.node);
+        DIOS_ASSERT(s.hash == slot_hash(enode_hash(key)),
+                    "hashcons entry filed under another content's hash");
+        ENode canonical = key.to_enode();
         for (ClassId& c : canonical.children) {
             c = uf_.find_const(c);
         }
-        DIOS_ASSERT(canonical == node || memo_.count(canonical),
+        DIOS_ASSERT(canonical == key.to_enode() ||
+                        memo_find(canonical, enode_hash(canonical)) !=
+                            kNoNode,
                     "stale hashcons entry without canonical counterpart");
-        DIOS_ASSERT(classes_.count(uf_.find_const(id)),
-                    "hashcons refers to an absent class");
     }
+    DIOS_ASSERT(entries == memo_size_, "hashcons size counter is wrong");
 }
 
 std::string
@@ -405,7 +630,7 @@ EGraph::dump() const
         if (cls.constant) {
             os << " [= " << *cls.constant << "]";
         }
-        for (const ENode& n : cls.nodes) {
+        for (const ENodeView n : class_nodes(id)) {
             os << ' ' << n.to_string();
         }
         os << '\n';
@@ -426,9 +651,9 @@ EGraph::to_dot() const
             os << " = " << cls.constant->to_string();
         }
         os << "\";\n";
-        for (std::size_t n = 0; n < cls.nodes.size(); ++n) {
-            const ENode& node = cls.nodes[n];
-            os << "    n" << id << "_" << n << " [label=\"";
+        std::size_t n = 0;
+        for (const ENodeView node : class_nodes(id)) {
+            os << "    n" << id << "_" << n++ << " [label=\"";
             os << op_name(node.op);
             if (node.op == Op::kConst) {
                 os << ' ' << node.value.to_string();
@@ -446,13 +671,14 @@ EGraph::to_dot() const
     // Child edges: from each node to the first node of the child class
     // (lhead pins the arrow on the cluster border).
     for (const ClassId id : class_ids()) {
-        const EClass& cls = eclass(id);
-        for (std::size_t n = 0; n < cls.nodes.size(); ++n) {
-            for (const ClassId raw_child : cls.nodes[n].children) {
+        std::size_t n = 0;
+        for (const ENodeView node : class_nodes(id)) {
+            for (const ClassId raw_child : node.children) {
                 const ClassId child = uf_.find_const(raw_child);
                 os << "  n" << id << "_" << n << " -> n" << child
                    << "_0 [lhead=cluster_" << child << "];\n";
             }
+            ++n;
         }
     }
     os << "}\n";
@@ -460,7 +686,7 @@ EGraph::to_dot() const
 }
 
 TermRef
-enode_to_term(const ENode& node, const std::vector<TermRef>& kids)
+enode_to_term(const ENodeView& node, const std::vector<TermRef>& kids)
 {
     switch (node.op) {
       case Op::kConst:

@@ -7,6 +7,14 @@
  * rebuild() restores it in a batched pass. Rewrites therefore run in
  * match-all-then-apply-then-rebuild rounds (see Runner).
  *
+ * Storage is flat and indexed by dense ids. Each e-node is stored once,
+ * as a NodeId into one node table whose children live in a single
+ * ClassId pool; classes sit in a vector indexed by ClassId and list their
+ * nodes and parents by NodeId; the hashcons is an open-addressing set of
+ * NodeIds hashed by canonical content. DESIGN.md ("E-graph storage")
+ * states the order rules this layout keeps identical to the node-copying
+ * layout it replaced.
+ *
  * A built-in constant-folding e-class analysis tracks classes whose value
  * is a known rational and injects the corresponding Const node, mirroring
  * egg's analysis mechanism.
@@ -17,7 +25,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "egraph/enode.h"
@@ -26,15 +33,26 @@
 
 namespace diospyros {
 
+/** Identifier of a stored e-node (index into the graph's node table). */
+using NodeId = std::uint32_t;
+
 /** An equivalence class of e-nodes. */
 class EClass {
   public:
-    /** E-nodes in this class (canonical after rebuild()). */
-    std::vector<ENode> nodes;
-    /** Uses of this class: (parent node as added, parent class). */
-    std::vector<std::pair<ENode, ClassId>> parents;
+    /** Nodes of this class, in the order they joined it. */
+    std::vector<NodeId> nodes;
     /** Constant-folding analysis: value if the class is a known constant. */
     std::optional<Rational> constant;
+
+  private:
+    friend class EGraph;
+
+    /** A use of this class, and which version of its content was seen. */
+    struct Parent {
+        NodeId node;
+        std::uint32_t version;
+    };
+    std::vector<Parent> parents_;
 };
 
 /** E-graph over the vector DSL. */
@@ -95,13 +113,85 @@ class EGraph {
     const EClass&
     eclass(ClassId id) const
     {
-        auto it = classes_.find(uf_.find_const(id));
-        DIOS_ASSERT(it != classes_.end(), "no such e-class");
-        return it->second;
+        return classes_[uf_.find_const(id)];
+    }
+
+    /**
+     * A stored e-node. Its children are raw class ids (canonical as of
+     * the last rebuild that touched the node): pass them through
+     * find_const() before comparing.
+     */
+    ENodeView
+    node(NodeId id) const
+    {
+        const NodeRec& r = nodes_[id];
+        ENodeView v;
+        v.op = r.op;
+        v.children = {children_.data() + r.first, r.arity};
+        if (r.payload != kNoPayload) {
+            const Payload& p = payloads_[r.payload];
+            v.value = p.value;
+            v.symbol = p.symbol;
+            v.index = p.index;
+        }
+        return v;
+    }
+
+    /** The nodes of a class as views, in class order. */
+    class NodeRange {
+      public:
+        class iterator {
+          public:
+            ENodeView operator*() const { return graph_->node(*at_); }
+            iterator&
+            operator++()
+            {
+                ++at_;
+                return *this;
+            }
+            bool operator!=(const iterator& o) const { return at_ != o.at_; }
+
+          private:
+            friend class NodeRange;
+            iterator(const EGraph* graph, const NodeId* at)
+                : graph_(graph), at_(at)
+            {
+            }
+            const EGraph* graph_;
+            const NodeId* at_;
+        };
+
+        iterator begin() const { return {graph_, ids_.data()}; }
+        iterator
+        end() const
+        {
+            return {graph_, ids_.data() + ids_.size()};
+        }
+
+      private:
+        friend class EGraph;
+        NodeRange(const EGraph* graph, const std::vector<NodeId>& ids)
+            : graph_(graph), ids_(ids)
+        {
+        }
+        const EGraph* graph_;
+        const std::vector<NodeId>& ids_;
+    };
+
+    NodeRange
+    class_nodes(ClassId id) const
+    {
+        return NodeRange(this, eclass(id).nodes);
     }
 
     /** All canonical class ids (stable order of creation). */
     std::vector<ClassId> class_ids() const;
+
+    /**
+     * One past the largest class id ever handed out: dense per-class
+     * tables (the extractor's) are sized by it.
+     */
+    std::size_t class_id_bound() const { return classes_.size(); }
 
     /**
      * Op-index: the canonical classes containing at least one e-node with
@@ -118,27 +208,28 @@ class EGraph {
      */
     const std::vector<ClassId>& classes_with_op(Op op) const;
 
-    /** Total number of e-nodes across canonical classes. */
-    std::size_t num_nodes() const;
+    /**
+     * Number of stored e-nodes. Congruent duplicates that rebuild() found
+     * stay in their (merged) class and are counted, so this equals the
+     * sum of eclass(id).nodes.size() over class_ids().
+     */
+    std::size_t num_nodes() const { return nodes_.size(); }
 
     /** Number of canonical e-classes. */
-    std::size_t num_classes() const { return classes_.size(); }
+    std::size_t num_classes() const { return classes_.size() - union_count_; }
 
     /** Number of unions performed since construction. */
     std::size_t union_count() const { return union_count_; }
 
     /**
-     * Estimated resident memory of the e-graph in bytes — the Table 1
-     * "Memory" proxy, also used by the saturation runner's mid-iteration
-     * memory watchdog (RunnerLimits::memory_limit_bytes). E-nodes
-     * dominate; counts node + hashcons + class overhead per node, plus
-     * per-class bookkeeping.
+     * Bytes the e-graph's storage holds right now: the capacities of the
+     * node table, child pool, payloads, class table, class node and
+     * parent lists, hashcons, union-find and op-index. Table 1's
+     * "Memory" column, `dioscc --json`'s memory_proxy_bytes and the
+     * saturation runner's memory watchdog
+     * (RunnerLimits::memory_limit_bytes) all read it. O(1).
      */
-    std::size_t
-    memory_proxy_bytes() const
-    {
-        return num_nodes() * (sizeof(ENode) + 96) + num_classes() * 160;
-    }
+    std::size_t memory_proxy_bytes() const;
 
     /** True when no merge is pending a rebuild. */
     bool is_clean() const { return dirty_.empty(); }
@@ -152,7 +243,8 @@ class EGraph {
 
     /**
      * Checks internal invariants (hashcons canonical and complete,
-     * congruence closed); for tests. Requires a clean graph.
+     * congruence closed, node and class counters exact); for tests.
+     * Requires a clean graph.
      */
     void check_invariants() const;
 
@@ -167,19 +259,42 @@ class EGraph {
     std::string to_dot() const;
 
   private:
-    EClass&
-    eclass_mut(ClassId id)
-    {
-        auto it = classes_.find(uf_.find(id));
-        DIOS_ASSERT(it != classes_.end(), "no such e-class");
-        return it->second;
-    }
+    static constexpr std::uint32_t kNoPayload = 0xffffffffu;
+    static constexpr NodeId kNoNode = 0xffffffffu;
+
+    /** One stored e-node. */
+    struct NodeRec {
+        /** Children: children_[first, first + arity). */
+        std::uint32_t first;
+        std::uint32_t arity;
+        /** The class the node was added to (find() gives its class). */
+        ClassId cls;
+        /** Index into payloads_, or kNoPayload for a default payload. */
+        std::uint32_t payload;
+        Op op;
+    };
+
+    /** Leaf payload, stored only when it differs from the default. */
+    struct Payload {
+        Rational value;
+        Symbol symbol;
+        std::int64_t index;
+    };
+
+    /** Hashcons slot: a node id and 32 bits of its content hash. */
+    struct Slot {
+        std::uint32_t hash;
+        NodeId node;
+    };
+
+    /** Appends `node` (children already canonical) to class `cls`. */
+    NodeId store_node(const ENodeView& node, ClassId cls);
 
     /** Re-canonicalizes the parents of a just-merged class. */
     void repair(ClassId id);
 
     /** Computes the analysis value of a node from child analyses. */
-    std::optional<Rational> fold_node(const ENode& node) const;
+    std::optional<Rational> fold_node(const ENodeView& node) const;
 
     /** Applies analysis consequences (inject Const node) to a class. */
     void modify(ClassId id);
@@ -192,13 +307,68 @@ class EGraph {
         ++index_version_;
     }
 
+    /** push_back that keeps list_bytes_ equal to the lists' capacity. */
+    template <typename T>
+    void
+    push_tracked(std::vector<T>& list, T value)
+    {
+        const std::size_t before = list.capacity();
+        list.push_back(value);
+        list_bytes_ += (list.capacity() - before) * sizeof(T);
+    }
+
+    /** Moves all of `from` onto the end of `to`, freeing `from`. */
+    template <typename T>
+    void
+    splice_tracked(std::vector<T>& to, std::vector<T>& from)
+    {
+        const std::size_t before = to.capacity() + from.capacity();
+        to.insert(to.end(), from.begin(), from.end());
+        std::vector<T>().swap(from);
+        list_bytes_ += to.capacity() * sizeof(T);
+        list_bytes_ -= before * sizeof(T);
+    }
+
+    /** Hashcons: the node whose content equals `key`, or kNoNode. */
+    NodeId memo_find(const ENodeView& key, std::size_t hash) const;
+    /** Hashcons: adds `node` under its current content. */
+    void memo_insert(NodeId node, std::size_t hash);
+    /** Hashcons: removes the entry whose content equals `key`, if any. */
+    void memo_erase(const ENodeView& key, std::size_t hash);
+
     UnionFind uf_;
-    std::unordered_map<ENode, ClassId, ENodeHash> memo_;
-    std::unordered_map<ClassId, EClass> classes_;
+    std::vector<NodeRec> nodes_;
+    std::vector<ClassId> children_;
+    std::vector<Payload> payloads_;
+    /**
+     * Per node: bumped whenever repair() rewrites its children, so a
+     * parent entry can tell whether it saw the node's current content.
+     */
+    std::vector<std::uint32_t> versions_;
+    /** Indexed by ClassId; absorbed classes keep an empty slot. */
+    std::vector<EClass> classes_;
+    /** Open-addressing hashcons (linear probing, power-of-two size). */
+    std::vector<Slot> memo_;
+    std::size_t memo_size_ = 0;
     std::vector<ClassId> dirty_;
-    std::vector<ClassId> creation_order_;
     std::size_t union_count_ = 0;
+    /** Sum of capacity() * element size over all class lists. */
+    std::size_t list_bytes_ = 0;
     bool fold_constants_;
+
+    /** repair() scratch, reused across calls. */
+    std::vector<ClassId> snap_children_;
+    std::vector<std::uint32_t> snap_first_;
+    /** Per-class stamps for the dedup passes of rebuild and the index. */
+    mutable std::vector<std::uint32_t> class_mark_;
+    mutable std::uint32_t class_stamp_ = 0;
+    /** Per node, within one repair(): its last parent-entry index. */
+    struct Mark {
+        std::uint32_t stamp;
+        std::uint32_t index;
+    };
+    std::vector<Mark> node_mark_;
+    std::uint32_t node_stamp_ = 0;
 
     /**
      * Op → classes journal (see classes_with_op). Mutable: queries
@@ -215,6 +385,7 @@ class EGraph {
  * Reconstructs a term for `node` given already-extracted child terms.
  * Used by extraction.
  */
-TermRef enode_to_term(const ENode& node, const std::vector<TermRef>& kids);
+TermRef enode_to_term(const ENodeView& node,
+                      const std::vector<TermRef>& kids);
 
 }  // namespace diospyros

@@ -7,33 +7,36 @@ namespace diospyros {
 
 Extractor::Extractor(const EGraph& graph, const CostModel& cost,
                      const Deadline& deadline)
-    : graph_(graph)
+    : graph_(graph), best_(graph.class_id_bound())
 {
     DIOS_ASSERT(graph.is_clean(), "extraction requires a rebuilt e-graph");
     const std::vector<ClassId> ids = graph.class_ids();
-    for (const ClassId id : ids) {
-        best_.emplace(id, Choice{});
-    }
+    // A node's own cost depends only on the (unchanging) graph: price
+    // each node once, on the first pass.
+    std::vector<double> node_costs(graph.num_nodes());
 
     // Bellman-Ford-style relaxation to a fixpoint. Each pass is linear in
     // the number of e-nodes; the pass count is bounded by the extraction
     // DAG depth.
+    bool first_pass = true;
     bool changed = true;
     while (changed) {
         deadline.check("extraction");
         changed = false;
         for (const ClassId id : ids) {
-            const EClass& cls = graph.eclass(id);
-            Choice& choice = best_.at(id);
-            for (std::size_t i = 0; i < cls.nodes.size(); ++i) {
-                const ENode& node = cls.nodes[i];
-                double total = cost.node_cost(graph, node);
-                DIOS_ASSERT(total > 0.0,
-                            "cost model must be strictly monotonic");
+            Choice& choice = best_[id];
+            for (const NodeId n : graph.eclass(id).nodes) {
+                const ENodeView node = graph.node(n);
+                if (first_pass) {
+                    node_costs[n] = cost.node_cost(graph, node);
+                    DIOS_ASSERT(node_costs[n] > 0.0,
+                                "cost model must be strictly monotonic");
+                }
+                double total = node_costs[n];
                 bool realizable = true;
                 for (const ClassId child : node.children) {
-                    const Choice& cc = best_.at(graph.find_const(child));
-                    if (cc.node < 0) {
+                    const Choice& cc = best_[graph.find_const(child)];
+                    if (cc.node == kNoChoice) {
                         realizable = false;
                         break;
                     }
@@ -41,20 +44,26 @@ Extractor::Extractor(const EGraph& graph, const CostModel& cost,
                 }
                 if (realizable && total < choice.cost) {
                     choice.cost = total;
-                    choice.node = static_cast<int>(i);
+                    choice.node = n;
                     changed = true;
                 }
             }
         }
+        first_pass = false;
     }
+}
+
+const Extractor::Choice&
+Extractor::choice(ClassId id) const
+{
+    DIOS_ASSERT(id < best_.size(), "extraction query for unknown class");
+    return best_[graph_.find_const(id)];
 }
 
 double
 Extractor::class_cost(ClassId id) const
 {
-    auto it = best_.find(graph_.find_const(id));
-    DIOS_ASSERT(it != best_.end(), "class_cost() for unknown class");
-    return it->second.cost;
+    return choice(id).cost;
 }
 
 Extraction
@@ -62,21 +71,8 @@ Extractor::extract(ClassId id) const
 {
     DIOS_FAULT_POINT("extract.build");
     id = graph_.find_const(id);
-    auto it = best_.find(id);
-    DIOS_ASSERT(it != best_.end(), "extract() for unknown class");
-    DIOS_CHECK(it->second.node >= 0,
+    DIOS_CHECK(choice(id).node != kNoChoice,
                "e-class has no realizable term (cyclic without leaves)");
-    std::unordered_map<ClassId, TermRef> memo;
-    Extraction result;
-    result.term = build(id, memo);
-    result.cost = it->second.cost;
-    return result;
-}
-
-TermRef
-Extractor::build(ClassId id,
-                 std::unordered_map<ClassId, TermRef>& memo) const
-{
     // Explicit worklist instead of recursion: the extracted term's depth
     // is bounded only by the e-graph (a chain of n adds extracts as a
     // depth-n term), and deep kernels used to overflow the call stack
@@ -86,19 +82,19 @@ Extractor::build(ClassId id,
         ClassId id;
         bool expanded;
     };
+    std::vector<TermRef> built(best_.size());
     std::vector<Frame> stack;
-    stack.push_back(Frame{graph_.find_const(id), false});
+    stack.push_back(Frame{id, false});
     while (!stack.empty()) {
         Frame& frame = stack.back();
         const ClassId cur = frame.id;
-        if (memo.count(cur) != 0) {
+        if (built[cur] != nullptr) {
             stack.pop_back();
             continue;
         }
-        const Choice& choice = best_.at(cur);
-        DIOS_ASSERT(choice.node >= 0, "building an unrealizable class");
-        const ENode& node =
-            graph_.eclass(cur).nodes[static_cast<std::size_t>(choice.node)];
+        const NodeId chosen = best_[cur].node;
+        DIOS_ASSERT(chosen != kNoChoice, "building an unrealizable class");
+        const ENodeView node = graph_.node(chosen);
         if (!frame.expanded) {
             frame.expanded = true;
             // Push children in reverse so they build left-to-right,
@@ -106,7 +102,7 @@ Extractor::build(ClassId id,
             for (auto it = node.children.rbegin();
                  it != node.children.rend(); ++it) {
                 const ClassId child = graph_.find_const(*it);
-                if (memo.count(child) == 0) {
+                if (built[child] == nullptr) {
                     stack.push_back(Frame{child, false});
                 }
             }
@@ -115,12 +111,15 @@ Extractor::build(ClassId id,
         std::vector<TermRef> kids;
         kids.reserve(node.children.size());
         for (const ClassId child : node.children) {
-            kids.push_back(memo.at(graph_.find_const(child)));
+            kids.push_back(built[graph_.find_const(child)]);
         }
-        memo.emplace(cur, enode_to_term(node, kids));
+        built[cur] = enode_to_term(node, kids);
         stack.pop_back();
     }
-    return memo.at(graph_.find_const(id));
+    Extraction result;
+    result.term = built[id];
+    result.cost = best_[id].cost;
+    return result;
 }
 
 }  // namespace diospyros

@@ -14,7 +14,6 @@
 
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "egraph/egraph.h"
@@ -33,14 +32,14 @@ class CostModel {
      * meaningful costs on cyclic e-graphs.
      */
     virtual double node_cost(const EGraph& graph,
-                             const ENode& node) const = 0;
+                             const ENodeView& node) const = 0;
 };
 
 /** Counts every node as 1 (extracts the smallest tree). */
 class TreeSizeCost : public CostModel {
   public:
     double
-    node_cost(const EGraph&, const ENode&) const override
+    node_cost(const EGraph&, const ENodeView&) const override
     {
         return 1.0;
     }
@@ -57,7 +56,8 @@ class Extractor {
   public:
     /**
      * Computes best costs for every class reachable in the graph.
-     * Requires a clean (rebuilt) graph. The compile-wide `deadline` is
+     * Requires a clean (rebuilt) graph, which must outlive the extractor
+     * and stay unchanged while it is used. The compile-wide `deadline` is
      * checked once per relaxation pass (each pass is linear in the
      * e-graph, so large partial graphs cannot run away unbounded);
      * expiry raises DeadlineExceeded.
@@ -72,17 +72,20 @@ class Extractor {
     Extraction extract(ClassId id) const;
 
   private:
+    static constexpr NodeId kNoChoice = 0xffffffffu;
+
     struct Choice {
         double cost = std::numeric_limits<double>::infinity();
-        /** Index of the best node in the class, or -1. */
-        int node = -1;
+        /** The best node of the class, or kNoChoice. */
+        NodeId node = kNoChoice;
     };
 
-    TermRef build(ClassId id,
-                  std::unordered_map<ClassId, TermRef>& memo) const;
+    /** The choice for a class id (any member of the class). */
+    const Choice& choice(ClassId id) const;
 
     const EGraph& graph_;
-    std::unordered_map<ClassId, Choice> best_;
+    /** Indexed by canonical ClassId. */
+    std::vector<Choice> best_;
 };
 
 }  // namespace diospyros

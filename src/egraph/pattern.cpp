@@ -117,7 +117,7 @@ pattern_from_sexpr(const Sexpr& s, std::vector<Symbol>& vars)
 
 /** True when an e-node's operator and payload match a pattern prototype. */
 bool
-prototype_matches(const ENode& proto, const ENode& node,
+prototype_matches(const ENode& proto, const ENodeView& node,
                   std::size_t pattern_arity)
 {
     if (proto.op != node.op || node.children.size() != pattern_arity) {
@@ -140,10 +140,10 @@ prototype_matches(const ENode& proto, const ENode& node,
  * Backtracking e-matcher. Goals still to be solved form an intrusive
  * stack-allocated list (`Pending`); a single mutable Subst is threaded
  * through the whole search, bindings undone via truncate() when a branch
- * is exhausted. The Subst is copied exactly once per emitted match,
- * instead of once per pattern level as the previous cross-product
- * matcher did. Enumeration order (depth-first, children left to right,
- * class nodes in storage order) matches the old matcher exactly.
+ * is exhausted. Each complete match is appended straight to the caller's
+ * buffer as a RuleMatch — the Subst is copied exactly once, into it.
+ * Enumeration order (depth-first, children left to right, class nodes in
+ * storage order) matches the old matcher exactly.
  */
 struct Pending {
     const PatternNode* pattern;
@@ -152,11 +152,11 @@ struct Pending {
 };
 
 void
-solve(const EGraph& graph, const Pending* goals, Subst& subst,
-      std::vector<Subst>& out)
+solve(const EGraph& graph, const Pending* goals, Subst& subst, ClassId root,
+      std::vector<RuleMatch>& out)
 {
     if (goals == nullptr) {
-        out.push_back(subst);
+        out.push_back(RuleMatch{root, subst});
         return;
     }
     const PatternNode& pattern = *goals->pattern;
@@ -164,13 +164,13 @@ solve(const EGraph& graph, const Pending* goals, Subst& subst,
     if (pattern.kind() == PatternNode::Kind::kVar) {
         if (auto bound = subst.find(pattern.var_name())) {
             if (graph.find_const(*bound) == id) {
-                solve(graph, goals->rest, subst, out);
+                solve(graph, goals->rest, subst, root, out);
             }
             return;
         }
         const std::size_t mark = subst.size();
         subst.bind(pattern.var_name(), id);
-        solve(graph, goals->rest, subst, out);
+        solve(graph, goals->rest, subst, root, out);
         subst.truncate(mark);
         return;
     }
@@ -184,13 +184,12 @@ solve(const EGraph& graph, const Pending* goals, Subst& subst,
         frame_heap.resize(arity);
         frames = frame_heap.data();
     }
-    const EClass& cls = graph.eclass(id);
-    for (const ENode& node : cls.nodes) {
+    for (const ENodeView node : graph.class_nodes(id)) {
         if (!prototype_matches(pattern.prototype(), node, arity)) {
             continue;
         }
         if (arity == 0) {
-            solve(graph, goals->rest, subst, out);
+            solve(graph, goals->rest, subst, root, out);
             continue;
         }
         for (std::size_t i = 0; i < arity; ++i) {
@@ -198,7 +197,7 @@ solve(const EGraph& graph, const Pending* goals, Subst& subst,
             frames[i].cls = node.children[i];
             frames[i].rest = i + 1 < arity ? &frames[i + 1] : goals->rest;
         }
-        solve(graph, frames, subst, out);
+        solve(graph, frames, subst, root, out);
     }
 }
 
@@ -232,13 +231,25 @@ Pattern::parse(const std::string& text)
     return p;
 }
 
+void
+Pattern::search(const EGraph& graph, ClassId id,
+                std::vector<RuleMatch>& out) const
+{
+    Subst subst;
+    const Pending root_goal{root_.get(), id, nullptr};
+    solve(graph, &root_goal, subst, id, out);
+}
+
 std::vector<Subst>
 Pattern::match_class(const EGraph& graph, ClassId id) const
 {
+    std::vector<RuleMatch> matches;
+    search(graph, id, matches);
     std::vector<Subst> out;
-    Subst subst;
-    const Pending root_goal{root_.get(), id, nullptr};
-    solve(graph, &root_goal, subst, out);
+    out.reserve(matches.size());
+    for (RuleMatch& m : matches) {
+        out.push_back(std::move(m.subst));
+    }
     return out;
 }
 

@@ -98,6 +98,12 @@ class Subst {
     std::size_t size_ = 0;
 };
 
+/** One place a rule fired: the matched class plus variable bindings. */
+struct RuleMatch {
+    ClassId root;
+    Subst subst;
+};
+
 class PatternNode;
 using PatternRef = std::shared_ptr<const PatternNode>;
 
@@ -141,9 +147,15 @@ class Pattern {
     std::string to_string() const { return root_->to_string(); }
 
     /**
-     * Enumerates all substitutions under which `id` contains this pattern.
-     * Requires a clean (rebuilt) e-graph.
+     * Appends a RuleMatch rooted at `id` for every substitution under
+     * which `id` contains this pattern, in enumeration order (depth-first,
+     * children left to right, class nodes in storage order). Requires a
+     * clean (rebuilt) e-graph.
      */
+    void search(const EGraph& graph, ClassId id,
+                std::vector<RuleMatch>& out) const;
+
+    /** The substitutions search() finds, on their own. */
     std::vector<Subst> match_class(const EGraph& graph, ClassId id) const;
 
     /**

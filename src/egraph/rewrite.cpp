@@ -12,9 +12,7 @@ search_over(const Searcher& searcher, const EGraph& graph,
 {
     std::vector<RuleMatch> out;
     for (const ClassId id : ids) {
-        std::vector<RuleMatch> matches = searcher.search_class(graph, id);
-        out.insert(out.end(), std::make_move_iterator(matches.begin()),
-                   std::make_move_iterator(matches.end()));
+        searcher.search_class(graph, id, out);
     }
     return out;
 }
@@ -36,14 +34,11 @@ Searcher::search_naive(const EGraph& graph) const
     return search_over(*this, graph, graph.class_ids());
 }
 
-std::vector<RuleMatch>
-PatternSearcher::search_class(const EGraph& graph, ClassId id) const
+void
+PatternSearcher::search_class(const EGraph& graph, ClassId id,
+                              std::vector<RuleMatch>& out) const
 {
-    std::vector<RuleMatch> out;
-    for (Subst& subst : pattern_.match_class(graph, id)) {
-        out.push_back(RuleMatch{id, std::move(subst)});
-    }
-    return out;
+    pattern_.search(graph, id, out);
 }
 
 std::optional<Op>
@@ -75,10 +70,11 @@ class NaiveSearchAdapter : public Searcher {
     {
     }
 
-    std::vector<RuleMatch>
-    search_class(const EGraph& graph, ClassId id) const override
+    void
+    search_class(const EGraph& graph, ClassId id,
+                 std::vector<RuleMatch>& out) const override
     {
-        return inner_->search_class(graph, id);
+        inner_->search_class(graph, id, out);
     }
 
   private:

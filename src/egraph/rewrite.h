@@ -20,20 +20,17 @@
 
 namespace diospyros {
 
-/** One place a rule fired: the matched class plus variable bindings. */
-struct RuleMatch {
-    ClassId root;
-    Subst subst;
-};
-
 /** Finds instances of a rule's left-hand side. */
 class Searcher {
   public:
     virtual ~Searcher() = default;
 
-    /** Matches within one e-class. */
-    virtual std::vector<RuleMatch> search_class(const EGraph& graph,
-                                                ClassId id) const = 0;
+    /**
+     * Matches within one e-class, appended to `out` (the rule's one match
+     * buffer for the whole search).
+     */
+    virtual void search_class(const EGraph& graph, ClassId id,
+                              std::vector<RuleMatch>& out) const = 0;
 
     /**
      * Operator that any matched class must contain at its root, or
@@ -79,8 +76,8 @@ class PatternSearcher : public Searcher {
     {
     }
 
-    std::vector<RuleMatch> search_class(const EGraph& graph,
-                                        ClassId id) const override;
+    void search_class(const EGraph& graph, ClassId id,
+                      std::vector<RuleMatch>& out) const override;
 
     /** The root prototype's operator, when the root is not a variable. */
     std::optional<Op> root_op() const override;

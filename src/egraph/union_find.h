@@ -33,6 +33,13 @@ class UnionFind {
 
     std::size_t size() const { return parents_.size(); }
 
+    /** Bytes held by the forest's two tables. */
+    std::size_t
+    memory_bytes() const
+    {
+        return (parents_.capacity() + min_.capacity()) * sizeof(ClassId);
+    }
+
     /** Canonical representative of id's set (with path halving). */
     ClassId
     find(ClassId id)

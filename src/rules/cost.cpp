@@ -1,11 +1,14 @@
 #include "rules/cost.h"
 
+#include <optional>
+
 #include "rules/rules.h"
 
 namespace diospyros {
 
 DiosCostModel::VecKind
-DiosCostModel::classify_vec(const EGraph& graph, const ENode& vec) const
+DiosCostModel::classify_vec(const EGraph& graph,
+                            const ENodeView& vec) const
 {
     // Inspect lane *classes*: a lane counts as a leaf if its class offers
     // a Get node or a constant. This is class-level information, so the
@@ -28,20 +31,20 @@ DiosCostModel::classify_vec(const EGraph& graph, const ENode& vec) const
         // several arrays (e.g. hold both (Get b 9) and (Get a 1)), and
         // taking whichever Get happens to be stored first would classify
         // by the alias instead of the run the vector is actually reading.
-        const ENode* get = nullptr;
-        for (const ENode& n : graph.eclass(id).nodes) {
+        std::optional<ENodeView> get;
+        for (const ENodeView n : graph.class_nodes(id)) {
             if (n.op != Op::kGet) {
                 continue;
             }
-            if (get == nullptr) {
-                get = &n;
+            if (!get) {
+                get = n;
             }
             if (saw_array && n.symbol == array) {
-                get = &n;
+                get = n;
                 break;
             }
         }
-        if (get == nullptr) {
+        if (!get) {
             return VecKind::kHasScalarComputation;
         }
         if (!saw_array) {
@@ -69,16 +72,14 @@ DiosCostModel::classify_vec(const EGraph& graph, const ENode& vec) const
     // may also alias a foreign array's element, and an unqualified "first
     // Get" could report that alias's index here.
     if (saw_array && contiguous) {
-        const ENode* first_get = nullptr;
-        for (const ENode& n :
-             graph.eclass(graph.find_const(vec.children[0])).nodes) {
+        std::optional<std::int64_t> first_index;
+        for (const ENodeView n : graph.class_nodes(vec.children[0])) {
             if (n.op == Op::kGet && n.symbol == array) {
-                first_get = &n;
+                first_index = n.index;
                 break;
             }
         }
-        if (first_get != nullptr && width_ > 0 &&
-            first_get->index % width_ == 0) {
+        if (first_index && width_ > 0 && *first_index % width_ == 0) {
             return VecKind::kContiguousLoad;
         }
     }
@@ -86,7 +87,8 @@ DiosCostModel::classify_vec(const EGraph& graph, const ENode& vec) const
 }
 
 double
-DiosCostModel::node_cost(const EGraph& graph, const ENode& node) const
+DiosCostModel::node_cost(const EGraph& graph,
+                         const ENodeView& node) const
 {
     switch (node.op) {
       case Op::kConst:

@@ -80,7 +80,8 @@ class DiosCostModel : public CostModel {
     {
     }
 
-    double node_cost(const EGraph& graph, const ENode& node) const override;
+    double node_cost(const EGraph& graph,
+                     const ENodeView& node) const override;
 
     /** Data-movement category of a Vec node (exposed for tests). */
     enum class VecKind {
@@ -90,7 +91,7 @@ class DiosCostModel : public CostModel {
         kHasScalarComputation,
     };
 
-    VecKind classify_vec(const EGraph& graph, const ENode& vec) const;
+    VecKind classify_vec(const EGraph& graph, const ENodeView& vec) const;
 
   private:
     CostParams params_;

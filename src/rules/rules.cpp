@@ -14,7 +14,7 @@ class_constant(const EGraph& graph, ClassId id)
     if (cls.constant.has_value()) {
         return cls.constant;
     }
-    for (const ENode& n : cls.nodes) {
+    for (const ENodeView n : graph.class_nodes(id)) {
         if (n.op == Op::kConst) {
             return n.value;
         }
@@ -38,15 +38,16 @@ is_zero_class(const EGraph& graph, ClassId id)
 
 class ListChunkSearcher : public Searcher {
   public:
-    std::vector<RuleMatch>
-    search_class(const EGraph& graph, ClassId id) const override
+    void
+    search_class(const EGraph& graph, ClassId id,
+                 std::vector<RuleMatch>& out) const override
     {
-        for (const ENode& n : graph.eclass(id).nodes) {
+        for (const ENodeView n : graph.class_nodes(id)) {
             if (n.op == Op::kList) {
-                return {RuleMatch{id, Subst{}}};
+                out.push_back(RuleMatch{id, Subst{}});
+                return;
             }
         }
-        return {};
     }
 
     std::optional<Op> root_op() const override { return Op::kList; }
@@ -60,11 +61,12 @@ class ListChunkApplier : public Applier {
     apply(EGraph& graph, const RuleMatch& match) const override
     {
         const ClassId root = graph.find(match.root);
-        // Copy the List nodes first: merging mutates the class.
+        // Copy the List nodes first: merging mutates the class, and
+        // adding nodes moves the graph's child pool.
         std::vector<ENode> lists;
-        for (const ENode& n : graph.eclass(root).nodes) {
+        for (const ENodeView n : graph.class_nodes(root)) {
             if (n.op == Op::kList) {
-                lists.push_back(n);
+                lists.push_back(n.to_enode());
             }
         }
         bool changed = false;
@@ -123,7 +125,7 @@ class VecBinaryLiftSearcher : public Searcher {
     match_lane(const EGraph& graph, ClassId lane) const
     {
         const ClassId id = graph.find_const(lane);
-        for (const ENode& n : graph.eclass(id).nodes) {
+        for (const ENodeView n : graph.class_nodes(id)) {
             if (n.op == scalar_op_ && n.children.size() == 2) {
                 return LaneMatch{graph.find_const(n.children[0]),
                                  graph.find_const(n.children[1]), true};
@@ -140,10 +142,11 @@ class VecBinaryLiftSearcher : public Searcher {
         return std::nullopt;
     }
 
-    std::vector<RuleMatch>
-    search_class(const EGraph& graph, ClassId id) const override
+    void
+    search_class(const EGraph& graph, ClassId id,
+                 std::vector<RuleMatch>& out) const override
     {
-        for (const ENode& n : graph.eclass(id).nodes) {
+        for (const ENodeView n : graph.class_nodes(id)) {
             if (n.op != Op::kVec ||
                 static_cast<int>(n.children.size()) != width_) {
                 continue;
@@ -159,10 +162,10 @@ class VecBinaryLiftSearcher : public Searcher {
                 real += m->real_op ? 1 : 0;
             }
             if (all_ok && real >= 1) {
-                return {RuleMatch{id, Subst{}}};
+                out.push_back(RuleMatch{id, Subst{}});
+                return;
             }
         }
-        return {};
     }
 
     std::optional<Op> root_op() const override { return Op::kVec; }
@@ -189,11 +192,13 @@ class VecBinaryLiftApplier : public Applier {
     apply(EGraph& graph, const RuleMatch& match) const override
     {
         const ClassId root = graph.find(match.root);
+        // Copy the Vec nodes first: merging mutates the class, and
+        // adding nodes moves the graph's child pool.
         std::vector<ENode> vecs;
-        for (const ENode& n : graph.eclass(root).nodes) {
+        for (const ENodeView n : graph.class_nodes(root)) {
             if (n.op == Op::kVec && static_cast<int>(n.children.size()) ==
                                         searcher_.width()) {
-                vecs.push_back(n);
+                vecs.push_back(n.to_enode());
             }
         }
         bool changed = false;
@@ -259,7 +264,7 @@ class VecUnaryLiftSearcher : public Searcher {
     match_lane(const EGraph& graph, ClassId lane, bool* real_op) const
     {
         const ClassId id = graph.find_const(lane);
-        for (const ENode& n : graph.eclass(id).nodes) {
+        for (const ENodeView n : graph.class_nodes(id)) {
             if (n.op == scalar_op_ && n.children.size() == 1) {
                 *real_op = true;
                 return graph.find_const(n.children[0]);
@@ -273,10 +278,11 @@ class VecUnaryLiftSearcher : public Searcher {
         return std::nullopt;
     }
 
-    std::vector<RuleMatch>
-    search_class(const EGraph& graph, ClassId id) const override
+    void
+    search_class(const EGraph& graph, ClassId id,
+                 std::vector<RuleMatch>& out) const override
     {
-        for (const ENode& n : graph.eclass(id).nodes) {
+        for (const ENodeView n : graph.class_nodes(id)) {
             if (n.op != Op::kVec ||
                 static_cast<int>(n.children.size()) != width_) {
                 continue;
@@ -293,10 +299,10 @@ class VecUnaryLiftSearcher : public Searcher {
                 real += lane_real ? 1 : 0;
             }
             if (all_ok && real >= 1) {
-                return {RuleMatch{id, Subst{}}};
+                out.push_back(RuleMatch{id, Subst{}});
+                return;
             }
         }
-        return {};
     }
 
     std::optional<Op> root_op() const override { return Op::kVec; }
@@ -322,11 +328,13 @@ class VecUnaryLiftApplier : public Applier {
     apply(EGraph& graph, const RuleMatch& match) const override
     {
         const ClassId root = graph.find(match.root);
+        // Copy the Vec nodes first: merging mutates the class, and
+        // adding nodes moves the graph's child pool.
         std::vector<ENode> vecs;
-        for (const ENode& n : graph.eclass(root).nodes) {
+        for (const ENodeView n : graph.class_nodes(root)) {
             if (n.op == Op::kVec && static_cast<int>(n.children.size()) ==
                                         searcher_.width()) {
-                vecs.push_back(n);
+                vecs.push_back(n.to_enode());
             }
         }
         bool changed = false;
@@ -389,7 +397,7 @@ class VecMacSearcher : public Searcher {
     static std::optional<std::pair<ClassId, ClassId>>
     find_mul(const EGraph& graph, ClassId id)
     {
-        for (const ENode& n : graph.eclass(graph.find_const(id)).nodes) {
+        for (const ENodeView n : graph.class_nodes(id)) {
             if (n.op == Op::kMul && n.children.size() == 2) {
                 return std::make_pair(graph.find_const(n.children[0]),
                                       graph.find_const(n.children[1]));
@@ -404,7 +412,7 @@ class VecMacSearcher : public Searcher {
         const ClassId id = graph.find_const(lane);
         // (+ a (* b c)) or (+ (* b c) a): the limited commutativity the
         // paper re-enables inside the custom searcher.
-        for (const ENode& n : graph.eclass(id).nodes) {
+        for (const ENodeView n : graph.class_nodes(id)) {
             if (n.op != Op::kAdd || n.children.size() != 2) {
                 continue;
             }
@@ -428,10 +436,11 @@ class VecMacSearcher : public Searcher {
         return LaneMatch{id, kZeroMarker, kZeroMarker, false};
     }
 
-    std::vector<RuleMatch>
-    search_class(const EGraph& graph, ClassId id) const override
+    void
+    search_class(const EGraph& graph, ClassId id,
+                 std::vector<RuleMatch>& out) const override
     {
-        for (const ENode& n : graph.eclass(id).nodes) {
+        for (const ENodeView n : graph.class_nodes(id)) {
             if (n.op != Op::kVec ||
                 static_cast<int>(n.children.size()) != width_) {
                 continue;
@@ -441,10 +450,10 @@ class VecMacSearcher : public Searcher {
                 real += match_lane(graph, lane).has_mul ? 1 : 0;
             }
             if (real >= 1) {
-                return {RuleMatch{id, Subst{}}};
+                out.push_back(RuleMatch{id, Subst{}});
+                return;
             }
         }
-        return {};
     }
 
     std::optional<Op> root_op() const override { return Op::kVec; }
@@ -465,11 +474,13 @@ class VecMacApplier : public Applier {
     apply(EGraph& graph, const RuleMatch& match) const override
     {
         const ClassId root = graph.find(match.root);
+        // Copy the Vec nodes first: merging mutates the class, and
+        // adding nodes moves the graph's child pool.
         std::vector<ENode> vecs;
-        for (const ENode& n : graph.eclass(root).nodes) {
+        for (const ENodeView n : graph.class_nodes(root)) {
             if (n.op == Op::kVec && static_cast<int>(n.children.size()) ==
                                         searcher_.width()) {
-                vecs.push_back(n);
+                vecs.push_back(n.to_enode());
             }
         }
         bool changed = false;

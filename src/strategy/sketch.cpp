@@ -63,7 +63,7 @@ class SketchMatcher {
           case Sketch::Kind::kAny:
             return true;
           case Sketch::Kind::kOp: {
-            for (const ENode& node : graph_.eclass(root).nodes) {
+            for (const ENodeView node : graph_.class_nodes(root)) {
                 if (node.op != sketch.op ||
                     sketch.children.size() > node.children.size()) {
                     continue;
@@ -92,7 +92,7 @@ class SketchMatcher {
                 if (satisfied(id, sketch.children[0])) {
                     return true;
                 }
-                for (const ENode& node : graph_.eclass(id).nodes) {
+                for (const ENodeView node : graph_.class_nodes(id)) {
                     for (const ClassId child : node.children) {
                         const ClassId c = graph_.find_const(child);
                         if (!seen.count(c)) {

@@ -471,7 +471,7 @@ TEST(AuditExtraction, FlagsNonMonotonicCostModel)
 {
     struct ZeroCost : CostModel {
         double
-        node_cost(const EGraph&, const ENode&) const override
+        node_cost(const EGraph&, const ENodeView&) const override
         {
             return 0.0;
         }

@@ -246,7 +246,7 @@ TEST(Runner, SaturatesMacFusion)
 
     // The root class must now contain a VecMAC node.
     bool found = false;
-    for (const ENode& n : g.eclass(g.find(root)).nodes) {
+    for (const ENodeView n : g.class_nodes(root)) {
         found |= n.op == Op::kVecMAC;
     }
     EXPECT_TRUE(found);
@@ -536,7 +536,7 @@ classes_holding(const EGraph& g, Op op)
 {
     std::vector<ClassId> out;
     for (const ClassId id : g.class_ids()) {
-        for (const ENode& n : g.eclass(id).nodes) {
+        for (const ENodeView n : g.class_nodes(id)) {
             if (n.op == op) {
                 out.push_back(id);
                 break;

@@ -34,7 +34,7 @@ brute_force_costs(const EGraph& g, const CostModel& cost)
     // Repeat n_classes times: guarantees convergence on any DAG depth.
     for (std::size_t round = 0; round < g.num_classes() + 1; ++round) {
         for (const ClassId id : g.class_ids()) {
-            for (const ENode& node : g.eclass(id).nodes) {
+            for (const ENodeView node : g.class_nodes(id)) {
                 double total = cost.node_cost(g, node);
                 bool ok = true;
                 for (const ClassId child : node.children) {

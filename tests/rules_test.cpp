@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "egraph/extract.h"
 #include "egraph/runner.h"
 #include "ir/eval.h"
@@ -65,13 +67,13 @@ TEST(ListChunk, SplitsIntoWidthVectorsWithPadding)
     g.rebuild();
     Runner(small_limits()).run(g, build_rules(config));
 
-    const ENode* concat = nullptr;
-    for (const ENode& n : g.eclass(g.find(root)).nodes) {
+    std::optional<ENodeView> concat;
+    for (const ENodeView n : g.class_nodes(root)) {
         if (n.op == Op::kConcat) {
-            concat = &n;
+            concat = n;
         }
     }
-    ASSERT_NE(concat, nullptr) << "root class lacks the chunked form";
+    ASSERT_TRUE(concat.has_value()) << "root class lacks the chunked form";
 
     // Force extraction of the chunked form by extracting its children and
     // reassembling; padding zeros must land at the tail.
@@ -292,7 +294,7 @@ TEST(CostModel, ClassifiesVecDataMovement)
     auto classify = [&](const std::string& vec) {
         const ClassId id = g.add_term(Term::parse(vec));
         g.rebuild();
-        for (const ENode& n : g.eclass(g.find(id)).nodes) {
+        for (const ENodeView n : g.class_nodes(id)) {
             if (n.op == Op::kVec) {
                 return cost.classify_vec(g, n);
             }
@@ -337,7 +339,7 @@ TEST(CostModel, AliasedLanesClassifyByTheTrackedArray)
     const ClassId vec = g.add_op(Op::kVec, {a0, g.find(b9), a2, a3});
     g.rebuild();
     bool checked = false;
-    for (const ENode& n : g.eclass(g.find(vec)).nodes) {
+    for (const ENodeView n : g.class_nodes(vec)) {
         if (n.op == Op::kVec) {
             EXPECT_EQ(cost.classify_vec(g, n),
                       DiosCostModel::VecKind::kContiguousLoad);
@@ -360,7 +362,7 @@ TEST(CostModel, MultiArrayVecNeverCostsContiguous)
         const ClassId id = g.add_term(Term::parse(text));
         g.rebuild();
         bool checked = false;
-        for (const ENode& n : g.eclass(g.find(id)).nodes) {
+        for (const ENodeView n : g.class_nodes(id)) {
             if (n.op == Op::kVec) {
                 EXPECT_EQ(cost.classify_vec(g, n),
                           DiosCostModel::VecKind::kMultiArraySelect)
@@ -383,7 +385,7 @@ TEST(CostModel, ForeignLanesDoNotBreakTheTrackedRun)
     const ClassId id = g.add_term(
         Term::parse("(Vec (Get a 0) (Get b 5) (Get a 1) (Get a 2))"));
     g.rebuild();
-    for (const ENode& n : g.eclass(g.find(id)).nodes) {
+    for (const ENodeView n : g.class_nodes(id)) {
         if (n.op == Op::kVec) {
             EXPECT_EQ(cost.classify_vec(g, n),
                       DiosCostModel::VecKind::kMultiArraySelect);
