@@ -22,8 +22,14 @@
 #include <thread>
 #include <vector>
 
+#include "compiler/driver.h"
+#include "kernels/kernels.h"
+#include "machine/program.h"
+#include "scalar/parse.h"
+
 namespace {
 
+using namespace diospyros;
 namespace fs = std::filesystem;
 
 const std::string kVadd =
@@ -380,6 +386,54 @@ TEST(Cli, EmitCBytesAreIdenticalOnEveryRoute)
     EXPECT_EQ(emit_c({"--remote", daemon.socket()}, "remote"), local);
     EXPECT_EQ(emit_c({"--remote", dir.file("dead.sock")}, "local-fallback"),
               local);
+}
+
+TEST(Cli, WidthSelectsTheWidthPresetOnEveryRoute)
+{
+    // `--width N` compiles for TargetSpec::for_width(N) — the target the
+    // benches measure, its vector div/sqrt penalties included — locally
+    // and through diosd alike. A lane count on the default target would
+    // schedule the same code but simulate fewer cycles.
+    TempDir dir("width");
+    const std::string ksp = dir.file("vnorm.ksp");
+    std::ofstream(ksp) << "(kernel vnorm (param n 8) (input a n) "
+                          "(input b n) (output c n) (for i 0 n (store c i "
+                          "(/ (load a i) (sqrt (load b i))))))\n";
+    const scalar::Kernel kernel = scalar::parse_kernel_file(ksp);
+    CompilerOptions options;
+    options.target = TargetSpec::for_width(8);
+    options.limits = RunnerLimits{.node_limit = 300'000,
+                                  .iter_limit = 12,
+                                  .time_limit_seconds = 20.0};
+    const CompiledKernel want = compile_kernel(kernel, options);
+    const std::string want_text =
+        "\n" + want.c_source + "\n; scheduled DSP assembly\n" +
+        disassemble(want.machine, 8);
+    const std::uint64_t want_cycles =
+        want.run(kernels::make_inputs(kernel, 1), options.target)
+            .result.cycles;
+    const std::string want_run =
+        ";   diospyros          : " + std::to_string(want_cycles) + " (";
+
+    auto check = [&](std::vector<std::string> extra, const char* route) {
+        std::vector<std::string> args = {ksp,        "--width",    "8",
+                                         "--json",   "--emit-c",   "--emit-asm"};
+        args.insert(args.end(), extra.begin(), extra.end());
+        const ToolRun emitted = dioscc(dir, args);
+        ASSERT_EQ(emitted.code, 0) << route << ": " << emitted.err;
+        EXPECT_EQ(split_json_line(emitted.out).c, want_text) << route;
+
+        args = {ksp, "--width", "8", "--run", "--seed", "1"};
+        args.insert(args.end(), extra.begin(), extra.end());
+        const ToolRun ran = dioscc(dir, args);
+        ASSERT_EQ(ran.code, 0) << route << ": " << ran.err;
+        EXPECT_NE(ran.out.find(want_run), std::string::npos)
+            << route << ": want " << want_run << "\n" << ran.out;
+    };
+    check({}, "local");
+    Diosd daemon(dir);
+    ASSERT_TRUE(daemon.listening());
+    check({"--remote", daemon.socket()}, "remote");
 }
 
 // ---------------------------------------------------------------------------

@@ -139,8 +139,15 @@ struct Flag {
 };
 
 const Flag kFlags[] = {
-    {"--width", "N", kCompile | kLint, "target vector width (default 4)",
-     [](Cli& c, Arg a) { c.compiler.target.vector_width = a.pos(); }},
+    {"--width", "N", kCompile | kLint,
+     "target preset for N lanes: 2, 4, 8 or 16 (default 4)",
+     [](Cli& c, Arg a) {
+         // The whole preset, cost table included: the target the benches
+         // measure. --recip may come before or after --width.
+         const bool recip = c.compiler.target.has_reciprocal;
+         c.compiler.target = TargetSpec::for_width(a.pos());
+         c.compiler.target.has_reciprocal |= recip;
+     }},
     {"--iters", "N", kCompile, "saturation iteration budget (default 12)",
      [](Cli& c, Arg a) { c.compiler.limits.iter_limit = a.pos(); }},
     {"--nodes", "N", kCompile, "e-graph node limit (default 300000)",
