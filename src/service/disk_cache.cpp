@@ -265,7 +265,7 @@ write_all(int fd, const fs::path& path, const std::string& text)
     // half-written (torn) temp file on disk.
     const std::size_t half = text.size() / 2;
     const char* data = text.data();
-    for (const auto [off, len] :
+    for (const auto& [off, len] :
          {std::pair<std::size_t, std::size_t>{0, half},
           {half, text.size() - half}}) {
         std::size_t done = 0;

@@ -181,9 +181,11 @@ echo "check.sh: service + resilience + analysis + durability + overload" \
 # op-indexed benchmark regresses more than 20% against the checked-in
 # baseline (bench/BENCH_ematch_baseline.json). The naive entries are
 # recorded for the speedup ratio but not gated — they are the "before".
+# The default build is configured with -Werror: the tree builds without
+# a warning, and a new one fails the check.
 build_bench="$repo/build"
 if [[ "${1:-}" != "--fast" || ! -d "$build_bench" ]]; then
-    cmake --preset default -S "$repo"
+    cmake --preset default -S "$repo" -DCMAKE_CXX_FLAGS=-Werror
 fi
 cmake --build "$build_bench" -j "$jobs" --target egraph_micro
 bench_json="$build_bench/BENCH_ematch.json"
