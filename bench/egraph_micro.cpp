@@ -75,12 +75,13 @@ bm_ematch_mac_pattern(benchmark::State& state)
     g.add_term(matmul_spec(static_cast<int>(state.range(0))));
     g.rebuild();
     const Pattern p = Pattern::parse("(+ ?a (* ?b ?c))");
+    std::vector<RuleMatch> matches;
     for (auto _ : state) {
-        std::size_t matches = 0;
+        matches.clear();
         for (const ClassId id : g.class_ids()) {
-            matches += p.match_class(g, id).size();
+            p.search(g, id, matches);
         }
-        benchmark::DoNotOptimize(matches);
+        benchmark::DoNotOptimize(matches.data());
     }
 }
 

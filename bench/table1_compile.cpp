@@ -4,11 +4,11 @@
  * benchmark kernels (2DConv x11, MatMul x7, QProd, QRDecomp x2).
  *
  * Columns mirror the paper: wall-clock compile time (symbolic evaluation
- * + saturation + extraction + code generation), a peak-memory proxy
- * derived from the e-graph size, and whether equality saturation hit its
- * budget (the paper's "†  timed out" markers — half its benchmarks hit
- * the 3-minute limit; ours hit the scaled budget on the same large
- * kernels).
+ * + saturation + extraction + code generation), the bytes the saturated
+ * e-graph holds (EGraph::memory_proxy_bytes()), and whether equality
+ * saturation hit its budget (the paper's "†  timed out" markers — half
+ * its benchmarks hit the 3-minute limit; ours hit the scaled budget on
+ * the same large kernels).
  *
  * Additionally registers google-benchmark timers over representative
  * kernels so compile-time can be measured with statistical repetition:

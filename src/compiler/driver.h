@@ -9,7 +9,7 @@
  * The driver also pads the spec so each output array starts on a
  * vector-width boundary (vector stores never straddle arrays) and
  * produces the compile report that Table 1 summarizes: wall-clock per
- * phase, e-graph size, stop reason, and a memory proxy.
+ * phase, e-graph size, stop reason, and the e-graph's measured bytes.
  *
  * Two entry points:
  *  - compile_kernel(): the raw pipeline; throws on any failure
@@ -211,7 +211,10 @@ struct CompileReport {
     bool strategy_goal_satisfied = false;
     double extracted_cost = 0.0;
     vir::LvnStats lvn;
-    /** Estimated peak e-graph memory (bytes), the Table 1 "Memory" proxy. */
+    /**
+     * Bytes the saturated e-graph holds (EGraph::memory_proxy_bytes()),
+     * Table 1's "Memory" column.
+     */
     std::size_t memory_proxy_bytes = 0;
     Verdict validation = Verdict::kUnknown;
     bool random_check_passed = true;

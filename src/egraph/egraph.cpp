@@ -241,8 +241,7 @@ EGraph::rebuild()
         std::vector<ClassId> todo;
         todo.swap(dirty_);
         // Dedup on canonical representatives.
-        class_mark_.resize(classes_.size(), 0);
-        const std::uint32_t stamp = ++class_stamp_;
+        const std::uint32_t stamp = next_class_stamp();
         for (const ClassId raw : todo) {
             const ClassId id = uf_.find(raw);
             if (class_mark_[id] != stamp) {
@@ -323,7 +322,11 @@ EGraph::repair(ClassId id)
     // Each node's last snapshot is the content it is rewritten to; a node
     // whose content changes moves to the next version.
     node_mark_.resize(nodes_.size(), Mark{0, 0});
-    const std::uint32_t stamp = ++node_stamp_;
+    if (++node_stamp_ == 0) {
+        std::fill(node_mark_.begin(), node_mark_.end(), Mark{0, 0});
+        node_stamp_ = 1;
+    }
+    const std::uint32_t stamp = node_stamp_;
     for (std::size_t i = n; i-- > 0;) {
         Mark& m = node_mark_[parents[i].node];
         if (m.stamp != stamp) {
@@ -409,6 +412,17 @@ EGraph::lookup_const(ENode node) const
     return uf_.find_const(nodes_[hit].cls);
 }
 
+std::uint32_t
+EGraph::next_class_stamp() const
+{
+    class_mark_.resize(classes_.size(), 0);
+    if (++class_stamp_ == 0) {
+        std::fill(class_mark_.begin(), class_mark_.end(), 0);
+        class_stamp_ = 1;
+    }
+    return class_stamp_;
+}
+
 std::vector<ClassId>
 EGraph::class_ids() const
 {
@@ -437,8 +451,7 @@ EGraph::classes_with_op(Op op) const
     // Compact the journal: canonicalize, dedup, and sort by the class's
     // creation ordinal (its smallest member id) so candidates come back
     // in exactly the order a naive class_ids() scan visits them.
-    class_mark_.resize(classes_.size(), 0);
-    const std::uint32_t stamp = ++class_stamp_;
+    const std::uint32_t stamp = next_class_stamp();
     std::size_t keep = 0;
     for (const ClassId raw : entry) {
         const ClassId id = uf_.find_const(raw);

@@ -24,6 +24,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -138,50 +139,11 @@ class EGraph {
     }
 
     /** The nodes of a class as views, in class order. */
-    class NodeRange {
-      public:
-        class iterator {
-          public:
-            ENodeView operator*() const { return graph_->node(*at_); }
-            iterator&
-            operator++()
-            {
-                ++at_;
-                return *this;
-            }
-            bool operator!=(const iterator& o) const { return at_ != o.at_; }
-
-          private:
-            friend class NodeRange;
-            iterator(const EGraph* graph, const NodeId* at)
-                : graph_(graph), at_(at)
-            {
-            }
-            const EGraph* graph_;
-            const NodeId* at_;
-        };
-
-        iterator begin() const { return {graph_, ids_.data()}; }
-        iterator
-        end() const
-        {
-            return {graph_, ids_.data() + ids_.size()};
-        }
-
-      private:
-        friend class EGraph;
-        NodeRange(const EGraph* graph, const std::vector<NodeId>& ids)
-            : graph_(graph), ids_(ids)
-        {
-        }
-        const EGraph* graph_;
-        const std::vector<NodeId>& ids_;
-    };
-
-    NodeRange
+    auto
     class_nodes(ClassId id) const
     {
-        return NodeRange(this, eclass(id).nodes);
+        return eclass(id).nodes |
+               std::views::transform([this](NodeId n) { return node(n); });
     }
 
     /** All canonical class ids (stable order of creation). */
@@ -359,6 +321,9 @@ class EGraph {
     /** repair() scratch, reused across calls. */
     std::vector<ClassId> snap_children_;
     std::vector<std::uint32_t> snap_first_;
+    /** A fresh stamp for a class_mark_ pass (marks sized to the table). */
+    std::uint32_t next_class_stamp() const;
+
     /** Per-class stamps for the dedup passes of rebuild and the index. */
     mutable std::vector<std::uint32_t> class_mark_;
     mutable std::uint32_t class_stamp_ = 0;

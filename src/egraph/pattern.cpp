@@ -240,19 +240,6 @@ Pattern::search(const EGraph& graph, ClassId id,
     solve(graph, &root_goal, subst, id, out);
 }
 
-std::vector<Subst>
-Pattern::match_class(const EGraph& graph, ClassId id) const
-{
-    std::vector<RuleMatch> matches;
-    search(graph, id, matches);
-    std::vector<Subst> out;
-    out.reserve(matches.size());
-    for (RuleMatch& m : matches) {
-        out.push_back(std::move(m.subst));
-    }
-    return out;
-}
-
 ClassId
 Pattern::instantiate(EGraph& graph, const Subst& subst) const
 {

@@ -155,9 +155,6 @@ class Pattern {
     void search(const EGraph& graph, ClassId id,
                 std::vector<RuleMatch>& out) const;
 
-    /** The substitutions search() finds, on their own. */
-    std::vector<Subst> match_class(const EGraph& graph, ClassId id) const;
-
     /**
      * Instantiates the pattern under a substitution, adding any new nodes,
      * and returns the resulting class. All pattern variables must be bound.

@@ -45,8 +45,8 @@ struct RunnerLimits {
      */
     std::size_t backoff_threshold = 0;
     /**
-     * Stop when the e-graph memory proxy
-     * (EGraph::memory_proxy_bytes()) passes this ceiling (0 = unlimited).
+     * Stop when the bytes the e-graph holds
+     * (EGraph::memory_proxy_bytes()) pass this ceiling (0 = unlimited).
      */
     std::size_t memory_limit_bytes = 0;
 };

@@ -174,6 +174,15 @@ TEST(Pattern, ParsesVariablesAndLiterals)
     EXPECT_EQ(p.to_string(), "(+ ?a (* ?b 0))");
 }
 
+/** The matches of `p` rooted at class `id`. */
+std::vector<RuleMatch>
+match_class(const Pattern& p, const EGraph& g, ClassId id)
+{
+    std::vector<RuleMatch> out;
+    p.search(g, id, out);
+    return out;
+}
+
 TEST(Pattern, MatchesSimpleExpression)
 {
     EGraph g;
@@ -181,9 +190,9 @@ TEST(Pattern, MatchesSimpleExpression)
         g.add_term(Term::parse("(+ (Get a 0) (* (Get b 0) (Get c 0)))"));
     g.rebuild();
     const Pattern p = Pattern::parse("(+ ?x (* ?y ?z))");
-    const auto matches = p.match_class(g, id);
+    const auto matches = match_class(p, g, id);
     ASSERT_EQ(matches.size(), 1u);
-    EXPECT_EQ(matches[0].bindings().size(), 3u);
+    EXPECT_EQ(matches[0].subst.bindings().size(), 3u);
 }
 
 TEST(Pattern, NonlinearPatternsRequireConsistency)
@@ -193,8 +202,8 @@ TEST(Pattern, NonlinearPatternsRequireConsistency)
     const ClassId diff = g.add_term(Term::parse("(+ (Get a 0) (Get a 1))"));
     g.rebuild();
     const Pattern p = Pattern::parse("(+ ?x ?x)");
-    EXPECT_EQ(p.match_class(g, same).size(), 1u);
-    EXPECT_TRUE(p.match_class(g, diff).empty());
+    EXPECT_EQ(match_class(p, g, same).size(), 1u);
+    EXPECT_TRUE(match_class(p, g, diff).empty());
 }
 
 TEST(Pattern, MatchesAcrossEquivalentNodes)
@@ -207,7 +216,7 @@ TEST(Pattern, MatchesAcrossEquivalentNodes)
     g.merge(x, y);  // pretend a rule proved them equal
     g.rebuild();
     const Pattern p = Pattern::parse("(+ (* ?p ?q) (* ?r ?s))");
-    EXPECT_EQ(p.match_class(g, g.find(sum)).size(), 1u);
+    EXPECT_EQ(match_class(p, g, g.find(sum)).size(), 1u);
 }
 
 TEST(Rewrite, RejectsUnboundRhsVariables)

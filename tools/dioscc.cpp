@@ -156,7 +156,7 @@ const Flag kFlags[] = {
      [](Cli& c, Arg a) { c.compiler.limits.time_limit_seconds = a.secs(); }},
     {"--deadline", "S", kCompile, "time budget for the whole compile",
      [](Cli& c, Arg a) { c.compiler.deadline_seconds = a.secs(); }},
-    {"--memory", "BYTES", kCompile, "e-graph memory ceiling (proxy bytes)",
+    {"--memory", "BYTES", kCompile, "e-graph memory ceiling in bytes",
      [](Cli& c, Arg a) { c.compiler.limits.memory_limit_bytes = a.pos(); }},
     {"--no-vector", nullptr, kCompile, "disable the vector rewrite rules",
      [](Cli& c, Arg) { c.compiler.rules.enable_vector_rules = false; }},
