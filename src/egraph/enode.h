@@ -85,8 +85,6 @@ struct ENode {
         return n;
     }
 
-    bool is_leaf() const { return children.empty(); }
-
     /** Rewrites children to their canonical representatives. */
     void
     canonicalize(UnionFind& uf)
@@ -124,8 +122,6 @@ struct ENodeView {
           children(n.children)
     {
     }
-
-    bool is_leaf() const { return children.empty(); }
 
     /** Same operator, payload and child ids. */
     bool
