@@ -107,8 +107,9 @@ bm_saturation_iteration(benchmark::State& state)
  * Cold saturation of an n×n×n matmul spec — graph build plus the full
  * run to quiescence — through the op-indexed searchers. Paired with
  * bm_saturation_cold_naive below; the ratio is the e-matching fast
- * path's end-to-end win, and tools/check.sh gates on this benchmark
- * regressing against bench/BENCH_ematch_baseline.json.
+ * path's end-to-end win. tools/check.sh gates both the indexed time and
+ * the ratio through the `ematch` gate of bench/perf_gates.json
+ * (re-capture: tools/perf_gate.py capture).
  */
 void
 bm_saturation_cold_indexed(benchmark::State& state)

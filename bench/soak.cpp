@@ -26,8 +26,8 @@
  *
  * Prints one JSON object (one field per line, awk-friendly) with p50/p99
  * latency and the counters, also to --out; exits non-zero iff an
- * invariant is violated. tools/check.sh gates on both and compares p99
- * with bench/BENCH_{service,daemon}_baseline.json.
+ * invariant is violated. tools/check.sh gates on both through the soak
+ * gates of bench/perf_gates.json (p99 floors and the chaos counters).
  */
 #include <sys/wait.h>
 #include <unistd.h>

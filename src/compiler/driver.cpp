@@ -316,26 +316,19 @@ void
 saturate(EGraph& graph, ClassId root, const CompilerOptions& options,
          const Deadline& deadline, CompileReport& report)
 {
-    const std::vector<Rewrite> rules = build_rules(options.rules);
-    if (options.strategy) {
-        strategy::StrategyRunOptions sro;
-        sro.base = options.limits;
-        sro.deadline = deadline;
-        const strategy::StrategyReport sr = strategy::run_strategy(
-            graph, root, rules, *options.strategy, sro);
-        report.stop_reason = sr.stop_reason;
-        report.runner_iterations = sr.iterations;
-        report.rule_stats = sr.rule_stats;
-        report.strategy_name = sr.strategy_name;
-        report.strategy_phases = sr.phases;
-        report.strategy_goal_satisfied = sr.goal_satisfied;
-    } else {
-        Runner runner(options.limits);
-        const RunnerReport rr = runner.run(graph, rules, deadline);
-        report.stop_reason = rr.stop_reason;
-        report.runner_iterations = rr.iterations.size();
-        report.rule_stats = rr.rule_stats;
-    }
+    strategy::StrategyRunOptions sro;
+    sro.base = options.limits;
+    sro.deadline = deadline;
+    const strategy::StrategyReport sr = strategy::run_strategy(
+        graph, root, build_rules(options.rules),
+        options.strategy ? *options.strategy : strategy::builtin_default(),
+        sro);
+    report.stop_reason = sr.stop_reason;
+    report.runner_iterations = sr.iterations;
+    report.rule_stats = sr.rule_stats;
+    report.strategy_name = sr.strategy_name;
+    report.strategy_phases = sr.phases;
+    report.strategy_goal_satisfied = sr.goal_satisfied;
 }
 
 const char*

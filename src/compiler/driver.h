@@ -125,13 +125,13 @@ struct CompilerOptions {
     bool verify_machine = false;
     /**
      * Saturation strategy (strategy/strategy.h). Disengaged (the
-     * default), saturation is the legacy monolithic `Runner::run` under
-     * `limits`. Engaged, the strategy's phases run over the shared
-     * e-graph with `limits` as the base budget every phase tightens
-     * into. The degradation ladder keeps the strategy on rung 1 (the
-     * reduced base limits clamp each phase) and drops it from rung 2 on
-     * (vector rules are off there, so phase rule subsets would no
-     * longer resolve).
+     * default), saturation runs `strategy::builtin_default()`: one
+     * all-rules phase, the monolithic run under `limits`. Engaged, the
+     * strategy's phases run over the shared e-graph with `limits` as
+     * the base budget every phase tightens into. The degradation
+     * ladder keeps the strategy on rung 1 (the reduced base limits
+     * clamp each phase) and drops it from rung 2 on (vector rules are
+     * off there, so phase rule subsets would no longer resolve).
      */
     std::optional<strategy::Strategy> strategy;
 
@@ -200,14 +200,14 @@ struct CompileReport {
      * search/apply wall-clock. Surfaced via `dioscc --json`.
      */
     std::vector<RuleStats> rule_stats;
-    /** Strategy that drove saturation ("" = legacy monolithic run). */
+    /** Strategy that drove saturation ("" = saturation did not run). */
     std::string strategy_name;
     /**
-     * Per-phase reports when a strategy drove saturation (else empty) —
+     * Per-phase reports of the saturation run (empty on a cache hit) —
      * the `phases` array of `dioscc --json`.
      */
     std::vector<strategy::PhaseReport> strategy_phases;
-    /** The strategy goal sketch was satisfied (strategy runs only). */
+    /** The strategy goal sketch was satisfied (false without a goal). */
     bool strategy_goal_satisfied = false;
     double extracted_cost = 0.0;
     vir::LvnStats lvn;
@@ -337,11 +337,11 @@ std::string report_row(const std::string& name, const CompileReport& r);
 
 /**
  * Equality saturation exactly as the compiler runs it, over `graph`
- * rooted at `root`: the phases of `options.strategy` when one is
- * engaged, else the monolithic Runner under `options.limits`, both
- * stopping at `deadline`. `options` must be synced (see
- * CompilerOptions::sync). Fills the report's stop reason, iteration
- * count, rule stats and, for strategy runs, the strategy fields.
+ * rooted at `root`: the phases of `options.strategy`, or of
+ * `strategy::builtin_default()` when none is engaged, under
+ * `options.limits` and stopping at `deadline`. `options` must be synced
+ * (see CompilerOptions::sync). Fills the report's stop reason,
+ * iteration count, rule stats and strategy fields.
  */
 void saturate(EGraph& graph, ClassId root, const CompilerOptions& options,
               const Deadline& deadline, CompileReport& report);

@@ -352,6 +352,12 @@ TEST(Cli, JsonEmitCIsOneObjectThenTheCText)
     EXPECT_TRUE(is_one_json_value(parts.json)) << parts.json;
     EXPECT_EQ(parts.json.front(), '{');
     EXPECT_NE(parts.json.find("\"ok\":true"), std::string::npos);
+    // Without --strategy, saturation runs the built-in default strategy.
+    EXPECT_NE(parts.json.find("\"strategy\":\"default\""),
+              std::string::npos);
+    EXPECT_NE(parts.json.find("\"phases\":[{\"phase\":\"saturate\""),
+              std::string::npos)
+        << parts.json;
     EXPECT_NE(parts.c.find("// Generated by"), std::string::npos) << parts.c;
 }
 

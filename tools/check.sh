@@ -7,11 +7,13 @@
 # under ThreadSanitizer and run service_test + resilience_test, so
 # data races in the worker pool fail the gate too. In between, a
 # crash-consistency torture loop SIGKILLs dioscc mid-store and
-# bit-flips cache entries to prove the disk cache self-heals.
-# Run from anywhere; ~5-10 minutes.
+# bit-flips cache entries to prove the disk cache self-heals. Last, the
+# perf gates of bench/perf_gates.json run from the default build.
+# Run from anywhere; ~10-15 minutes.
 #
 #   tools/check.sh            # ASan+UBSan + TSan gates
 #   tools/check.sh --fast     # reuse existing build dirs without reconfigure
+#                             # (build/ still reconfigures without -Werror)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -174,64 +176,19 @@ ctest --test-dir "$build_tsan" --output-on-failure \
 echo "check.sh: service + resilience + analysis + durability + overload" \
      "+ strategy + daemon tests passed under TSan"
 
-# E-matching benchmark gate: run the matcher microbenchmarks from the
-# default (non-sanitized, RelWithDebInfo) build so timings are
-# representative, write BENCH_ematch.json (cold saturation + search wall
-# time, naive and op-indexed — the before/after pair), and fail when an
-# op-indexed benchmark regresses more than 20% against the checked-in
-# baseline (bench/BENCH_ematch_baseline.json). The naive entries are
-# recorded for the speedup ratio but not gated — they are the "before".
-# The default build is configured with -Werror: the tree builds without
-# a warning, and a new one fails the check.
+# Perf gates (bench/perf_gates.json, run by tools/perf_gate.py): the
+# e-matching microbenchmarks, the chaos soaks and the native
+# differential, from the default RelWithDebInfo tree. The table says what
+# each gate runs and checks; re-capture after an intended change with
+# `tools/perf_gate.py capture`. The tree is configured with -Werror (also
+# under --fast when an earlier configure dropped it).
 build_bench="$repo/build"
-if [[ "${1:-}" != "--fast" || ! -d "$build_bench" ]]; then
+if [[ "${1:-}" != "--fast" ]] ||
+       ! grep -qs -- '-Werror' "$build_bench/CMakeCache.txt"; then
     cmake --preset default -S "$repo" -DCMAKE_CXX_FLAGS=-Werror
 fi
-cmake --build "$build_bench" -j "$jobs" --target egraph_micro
-bench_json="$build_bench/BENCH_ematch.json"
-"$build_bench/bench/egraph_micro" \
-    --benchmark_filter='bm_(saturation_cold|search_all_rules)_' \
-    --benchmark_out="$bench_json" --benchmark_out_format=json \
-    > /dev/null
-baseline="$repo/bench/BENCH_ematch_baseline.json"
-awk '
-    $0 ~ /"name":/ { split($0, q, "\""); name = q[4] }
-    $0 ~ /"real_time":/ {
-        v = $0; sub(/.*"real_time": */, "", v); sub(/,.*/, "", v)
-        if (FILENAME == ARGV[1]) { base[name] = v + 0 }
-        else                     { cur[name] = v + 0 }
-    }
-    END {
-        status = 0
-        for (n in base) {
-            if (n !~ /indexed/) { continue }
-            if (!(n in cur)) {
-                printf "check.sh: benchmark %s missing from run\n", n
-                status = 1
-                continue
-            }
-            if (cur[n] > base[n] * 1.20) {
-                printf "check.sh: BENCH REGRESSION %s: %.3f vs baseline %.3f (+%d%%)\n", \
-                    n, cur[n], base[n], int((cur[n] / base[n] - 1) * 100)
-                status = 1
-            } else {
-                printf "check.sh: bench ok %s: %.3f (baseline %.3f)\n", \
-                    n, cur[n], base[n]
-            }
-        }
-        sat_n = cur["bm_saturation_cold_naive/4"]
-        sat_i = cur["bm_saturation_cold_indexed/4"]
-        if (sat_i > 0 && sat_n > 0) {
-            printf "check.sh: cold-saturation speedup (naive/indexed): %.2fx\n", \
-                sat_n / sat_i
-            if (sat_n / sat_i < 1.5) {
-                printf "check.sh: indexed e-matching lost its speedup\n"
-                status = 1
-            }
-        }
-        exit status
-    }' "$baseline" "$bench_json"
-echo "check.sh: e-matching benchmark gate passed ($bench_json)"
+python3 "$repo/tools/perf_gate.py" check --build "$build_bench"
+echo "check.sh: perf gates passed (bench/perf_gates.json)"
 
 # Figure-6 strategy gate (DESIGN.md §5h): sweep kernel sizes with and
 # without the explosive full-AC rules, monolithic saturation vs the
@@ -244,130 +201,6 @@ cmake --build "$build_bench" -j "$jobs" --target fig6_timeout
 fig6_json="$build_bench/BENCH_fig6.json"
 "$build_bench/bench/fig6_timeout" --out "$fig6_json" > /dev/null
 echo "check.sh: fig6 strategy gate passed ($fig6_json)"
-
-# p99 latency gate for a soak run against its checked-in baseline: a
-# >20% regression fails the build. Usage: p99_gate LABEL JSON BASELINE
-p99_gate() {
-    local base cur
-    base=$(sed -n 's/^"p99_ms": \([0-9.]*\).*/\1/p' "$3")
-    cur=$(sed -n 's/^"p99_ms": \([0-9.]*\).*/\1/p' "$2")
-    if [[ -z "$base" || -z "$cur" ]]; then
-        echo "check.sh: missing p99_ms in $1 soak output or baseline" >&2
-        exit 1
-    fi
-    if ! awk -v c="$cur" -v b="$base" 'BEGIN { exit !(c <= b * 1.20) }'; then
-        echo "check.sh: $1 SOAK REGRESSION p99 ${cur}ms vs baseline" \
-             "${base}ms (>20%)" >&2
-        exit 1
-    fi
-    echo "check.sh: $1 soak p99 ${cur}ms <= 1.2 x baseline ${base}ms ($2)"
-}
-
-# Overload soak gate (DESIGN.md §5g): 100k mixed hot/cold/poison
-# requests from 4 client threads with per-request fault injection armed
-# via DIOS_FAULT. The soak binary itself exits non-zero on any lost or
-# duplicated response, any shed response missing its retry_after_ms
-# hint, or any served artifact that is not byte-identical to a cold
-# single-threaded compile — so `set -e` makes those hard failures.
-# Fault sites are compile-phase ones: fault-armed requests bypass the
-# caches by design, so cache.* sites would never fire here.
-cmake --build "$build_bench" -j "$jobs" --target soak
-svc_json="$build_bench/BENCH_service.json"
-DIOS_FAULT="runner.iter:1:*,extract.build,lower.term,emit.machine:2" \
-    "$build_bench/bench/soak" --transport service --requests 100000 \
-    --clients 4 --jobs 2 --out "$svc_json" > /dev/null
-echo "check.sh: service soak passed (100k requests, faults armed)"
-
-# A second, deliberately overloaded pass (tiny queue, more clients than
-# workers) must actually exercise load shedding — and still lose
-# nothing. The shed count is asserted, so admission control cannot
-# silently rot into either "shed everything" or "never shed".
-overload_json="$build_bench/BENCH_service_overload.json"
-DIOS_FAULT="runner.iter:1:*,extract.build" \
-    "$build_bench/bench/soak" --transport service --requests 20000 \
-    --clients 8 --jobs 1 --capacity 4 --watermark 2 \
-    --out "$overload_json" > /dev/null
-sheds=$(sed -n 's/^"shed": \([0-9]*\).*/\1/p' "$overload_json")
-if [[ -z "$sheds" || "$sheds" -eq 0 ]]; then
-    echo "check.sh: overloaded soak shed nothing — watermark dead?" >&2
-    exit 1
-fi
-echo "check.sh: overloaded soak passed ($sheds requests shed, all" \
-     "with retry hints)"
-
-p99_gate service "$svc_json" "$repo/bench/BENCH_service_baseline.json"
-
-# Daemon chaos gate (DESIGN.md §5j): one diosd child + 3 client
-# processes pushing mixed hot/cold/poison traffic over the Unix-socket
-# protocol while the harness SIGKILLs and restarts the daemon >=5 times
-# mid-flight (including one extended dead window that exhausts client
-# retry budgets). The binary itself exits non-zero on any lost or
-# duplicated response, any artifact not byte-identical to a cold local
-# compile, or an unreachable-daemon request that failed to complete via
-# local fallback — `set -e` makes those hard failures. On top of that,
-# assert the chaos actually happened: kills >= 5, shed > 0 (admission
-# control fired over the wire), fallback > 0 (graceful degradation
-# fired).
-daemon_json="$build_bench/BENCH_daemon.json"
-"$build_bench/bench/soak" --transport daemon --out "$daemon_json" \
-    > /dev/null
-d_kills=$(sed -n 's/^"kills": \([0-9]*\).*/\1/p' "$daemon_json")
-d_shed=$(sed -n 's/^"shed": \([0-9]*\).*/\1/p' "$daemon_json")
-d_fallback=$(sed -n 's/^"fallback_local": \([0-9]*\).*/\1/p' "$daemon_json")
-if [[ -z "$d_kills" || "$d_kills" -lt 5 ]]; then
-    echo "check.sh: daemon soak killed the daemon only ${d_kills:-0}/5" \
-         "times — chaos schedule never landed" >&2
-    exit 1
-fi
-if [[ -z "$d_shed" || "$d_shed" -eq 0 ]]; then
-    echo "check.sh: daemon soak shed nothing over the wire" >&2
-    exit 1
-fi
-if [[ -z "$d_fallback" || "$d_fallback" -eq 0 ]]; then
-    echo "check.sh: daemon soak never fell back to local compilation" >&2
-    exit 1
-fi
-p99_gate daemon "$daemon_json" "$repo/bench/BENCH_daemon_baseline.json"
-echo "check.sh: daemon chaos gate passed ($d_kills kills, $d_shed shed," \
-     "$d_fallback local fallbacks)"
-
-# Native-differential gate (DESIGN.md §5k): emit every Table-1 kernel as
-# multi-ISA C at widths 2/4/8/16, compile each unit with the host
-# toolchain, execute natively, and check ULP-bounded agreement against
-# the cycle simulator (<= 4 ULP) and the scalar reference interpreter
-# (5e-3 relative). The binary exits non-zero on any native
-# disagreement, so `set -e` makes that a hard failure. Unsupported leaf
-# widths never need skipping: every emitted unit carries SSE2 / AVX2 /
-# AVX-512 / NEON leaves plus a portable scalar core, and the host
-# compiler splits a vector wider than the host's registers over
-# narrower ones. The per-case "isa" field records which leaf the
-# runtime dispatch actually selected.
-cmake --build "$build_bench" -j "$jobs" --target native_diff
-native_json="$build_bench/BENCH_native.json"
-"$build_bench/bench/native_diff" --out "$native_json" > /dev/null
-host_isa=$(sed -n 's/.*"isa": "\([a-z0-9_]*\)".*/\1/p' "$native_json" \
-    | head -n 1)
-echo "check.sh: native differential passed (host ISA:" \
-     "${host_isa:-unknown}, $native_json)"
-
-# Speedup gate against the checked-in baseline: the geomean
-# native-vs-scalar speedup must not regress more than 20%.
-native_baseline="$repo/bench/BENCH_native_baseline.json"
-base_g=$(sed -n 's/.*"geomean_speedup": \([0-9.]*\).*/\1/p' \
-    "$native_baseline")
-cur_g=$(sed -n 's/.*"geomean_speedup": \([0-9.]*\).*/\1/p' "$native_json")
-if [[ -z "$base_g" || -z "$cur_g" ]]; then
-    echo "check.sh: missing geomean_speedup in native output or baseline" >&2
-    exit 1
-fi
-if ! awk -v c="$cur_g" -v b="$base_g" \
-        'BEGIN { exit !(c >= b * 0.80) }'; then
-    echo "check.sh: NATIVE REGRESSION geomean speedup ${cur_g}x vs" \
-         "baseline ${base_g}x (>20%)" >&2
-    exit 1
-fi
-echo "check.sh: native speedup gate passed" \
-     "(geomean ${cur_g}x >= 0.8 x baseline ${base_g}x)"
 
 # A quick ASan pass of the harness itself (one kernel, all widths,
 # correctness only): the dlopen/dlsym loader, the memory-image
