@@ -9,10 +9,14 @@
 //  (iv) every saturation outcome matches the checked-in golden file
 //       tests/golden/width_sweep.golden: the extracted term (as a stable
 //       hash of its printed form), its cost, the e-graph's node and class
-//       counts, the iteration count and the stop reason. Any change to
-//       e-graph storage, matching order or merge direction shows up here.
-//       On a mismatch the computed lines are written next to the test
-//       binary as width_sweep.golden.actual.
+//       counts, the iteration count, the stop reason, and the summed
+//       rule matches and applications. A change that alters what gets
+//       matched, applied or extracted shows up here; one that only
+//       reorders merges inside a rebuild (e.g. which class survives a
+//       congruence merge) may not, because the rebuilt partition and
+//       the counts do not depend on it. On a mismatch the computed
+//       lines are written next to the test binary as
+//       width_sweep.golden.actual.
 
 #include <gtest/gtest.h>
 
@@ -71,6 +75,13 @@ golden_line(const std::string& label, int width, const CompiledKernel& k)
        << " classes=" << r.egraph_classes
        << " iters=" << r.runner_iterations
        << " stop=" << stop_reason_name(r.stop_reason);
+    std::size_t matches = 0;
+    std::size_t applications = 0;
+    for (const RuleStats& s : r.rule_stats) {
+        matches += s.matches;
+        applications += s.applications;
+    }
+    os << " matches=" << matches << " applications=" << applications;
     return os.str();
 }
 
