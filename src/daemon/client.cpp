@@ -15,19 +15,6 @@
 
 namespace diospyros::daemon {
 
-namespace {
-
-std::uint64_t
-xorshift64(std::uint64_t& state)
-{
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state * 0x2545F4914F6CDD1DULL;
-}
-
-}  // namespace
-
 RemoteClient::RemoteClient(RemoteOptions options)
     : options_(std::move(options))
 {
@@ -38,8 +25,8 @@ RemoteClient::RemoteClient(RemoteOptions options)
         .u64(static_cast<std::uint64_t>(now.count()))
         .u64(options_.jitter_seed);
     client_id_ = h.digest();
-    rng_state_ = options_.jitter_seed != 0 ? options_.jitter_seed
-                                           : (client_id_ | 1);
+    rng_ = Rng(options_.jitter_seed != 0 ? options_.jitter_seed
+                                         : (client_id_ | 1));
 }
 
 RemoteClient::~RemoteClient() { disconnect(); }
@@ -81,10 +68,7 @@ RemoteClient::ensure_connected()
 double
 RemoteClient::jittered(double base_ms)
 {
-    const double unit =
-        static_cast<double>(xorshift64(rng_state_) >> 11) /
-        static_cast<double>(1ULL << 53);
-    return base_ms * (0.5 + unit);
+    return base_ms * rng_.uniform(0.5, 1.5);
 }
 
 void

@@ -29,6 +29,7 @@
 
 #include "daemon/frame.h"
 #include "daemon/protocol.h"
+#include "support/rng.h"
 
 namespace diospyros::daemon {
 
@@ -86,7 +87,7 @@ class RemoteClient {
     int fd_ = -1;
     std::uint64_t client_id_ = 0;
     std::uint64_t next_seq_ = 1;
-    std::uint64_t rng_state_ = 0;
+    Rng rng_;
     ClientCounters counters_;
 };
 

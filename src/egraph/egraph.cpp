@@ -34,7 +34,6 @@ EGraph::store_node(const ENodeView& node, ClassId cls)
     children_.insert(children_.end(), node.children.begin(),
                      node.children.end());
     nodes_.push_back(rec);
-    versions_.push_back(0);
     push_tracked(classes_[cls].nodes, id);
     return id;
 }
@@ -93,20 +92,18 @@ EGraph::memo_insert(NodeId id, std::size_t hash)
 }
 
 void
-EGraph::memo_erase(const ENodeView& key, std::size_t hash)
+EGraph::memo_erase(NodeId id, std::size_t hash)
 {
     if (memo_.empty()) {
         return;
     }
-    const std::uint32_t h = slot_hash(hash);
     const std::size_t mask = memo_.size() - 1;
-    std::size_t i = h & mask;
+    std::size_t i = slot_hash(hash) & mask;
     for (;; i = (i + 1) & mask) {
-        const Slot& s = memo_[i];
-        if (s.node == kNoNode) {
+        if (memo_[i].node == kNoNode) {
             return;
         }
-        if (s.hash == h && node(s.node).same_as(key)) {
+        if (memo_[i].node == id) {
             break;
         }
     }
@@ -141,7 +138,7 @@ EGraph::add(ENode node)
     }
     const NodeId nid = store_node(node, id);
     for (const ClassId child : node.children) {
-        push_tracked(classes_[child].parents_, EClass::Parent{nid, 0});
+        push_tracked(classes_[child].parents_, nid);
     }
     memo_insert(nid, hash);
     index_op(node.op, id);
@@ -228,8 +225,11 @@ EGraph::merge(ClassId a, ClassId b)
     }
     ac.constant.reset();
     splice_tracked(rc.nodes, ac.nodes);
+    // The absorbed class's parents are the nodes whose children just
+    // went non-canonical.
+    pending_.insert(pending_.end(), ac.parents_.begin(), ac.parents_.end());
     splice_tracked(rc.parents_, ac.parents_);
-    dirty_.push_back(root);
+    dirty_ = true;
     modify(root);
     return true;
 }
@@ -237,155 +237,30 @@ EGraph::merge(ClassId a, ClassId b)
 void
 EGraph::rebuild()
 {
-    while (!dirty_.empty()) {
-        std::vector<ClassId> todo;
-        todo.swap(dirty_);
-        // Dedup on canonical representatives.
-        const std::uint32_t stamp = next_class_stamp();
-        for (const ClassId raw : todo) {
-            const ClassId id = uf_.find(raw);
-            if (class_mark_[id] != stamp) {
-                class_mark_[id] = stamp;
-                repair(id);
-            }
-        }
-    }
-}
-
-void
-EGraph::repair(ClassId id)
-{
-    // The congruence repair of egg, over node ids. Each parent entry
-    // records which version of its node's children it saw; the node
-    // itself is only rewritten at the end, so every hashcons probe below
-    // sees the same keys the node-copying layout did.
-    id = uf_.find(id);
-    std::vector<EClass::Parent> parents;
-    parents.swap(classes_[id].parents_);
-    list_bytes_ -= parents.capacity() * sizeof(EClass::Parent);
-
-    // Remove stale keys before re-inserting canonical ones. An entry that
-    // saw an older version holds content no canonical lookup can match
-    // any more, so only current versions are erased.
-    for (const EClass::Parent& p : parents) {
-        if (p.version == versions_[p.node]) {
-            const ENodeView v = node(p.node);
-            memo_erase(v, enode_hash(v));
-        }
-    }
-
-    // Snapshot each entry's canonical children (as of its turn: merges
-    // below move later snapshots on).
-    const std::size_t n = parents.size();
-    snap_first_.clear();
-    snap_children_.clear();
-    auto snapshot = [&](std::size_t i) {
-        ENodeView v = node(parents[i].node);
-        v.children = {snap_children_.data() + snap_first_[i],
-                      v.children.size()};
-        return v;
-    };
-    struct SnapHash {
-        const decltype(snapshot)* snap;
-        std::size_t
-        operator()(std::uint32_t i) const
-        {
-            return enode_hash((*snap)(i));
-        }
-    };
-    struct SnapEq {
-        const decltype(snapshot)* snap;
-        bool
-        operator()(std::uint32_t a, std::uint32_t b) const
-        {
-            return (*snap)(a).same_as((*snap)(b));
-        }
-    };
-    // Keyed by snapshot content with ENodeHash's values, so iteration
-    // (and hence merge) order is the node-copying layout's exactly.
-    std::unordered_map<std::uint32_t, ClassId, SnapHash, SnapEq> new_parents(
-        0, SnapHash{&snapshot}, SnapEq{&snapshot});
-    for (std::size_t i = 0; i < n; ++i) {
-        snap_first_.push_back(static_cast<std::uint32_t>(snap_children_.size()));
-        for (const ClassId c : node(parents[i].node).children) {
-            snap_children_.push_back(uf_.find(c));
-        }
-        const ClassId pclass = nodes_[parents[i].node].cls;
-        auto [it, inserted] =
-            new_parents.try_emplace(static_cast<std::uint32_t>(i), pclass);
-        if (!inserted) {
-            merge(pclass, it->second);
-        }
-        it->second = uf_.find(it->second);
-    }
-
-    // Each node's last snapshot is the content it is rewritten to; a node
-    // whose content changes moves to the next version.
-    node_mark_.resize(nodes_.size(), Mark{0, 0});
-    if (++node_stamp_ == 0) {
-        std::fill(node_mark_.begin(), node_mark_.end(), Mark{0, 0});
-        node_stamp_ = 1;
-    }
-    const std::uint32_t stamp = node_stamp_;
-    for (std::size_t i = n; i-- > 0;) {
-        Mark& m = node_mark_[parents[i].node];
-        if (m.stamp != stamp) {
-            m = Mark{stamp, static_cast<std::uint32_t>(i)};
-        }
-    }
-    auto is_last = [&](std::size_t i) {
-        const std::uint32_t last = node_mark_[parents[i].node].index;
-        return i == last || snapshot(i).same_as(snapshot(last));
-    };
-    auto changes = [&](std::size_t i) {
-        const std::uint32_t last = node_mark_[parents[i].node].index;
-        const auto now = node(parents[i].node).children;
-        const auto to = snapshot(last).children;
-        return !std::equal(now.begin(), now.end(), to.begin(), to.end());
-    };
-
-    // Look each distinct snapshot up in the hashcons; congruent classes
-    // merge. Misses are inserted once the nodes hold their new content.
-    std::vector<std::uint32_t> misses;
-    for (auto& [i, pclass] : new_parents) {
-        const ClassId canonical_parent = uf_.find(pclass);
-        const ENodeView snap = snapshot(i);
-        const NodeId hit = memo_find(snap, enode_hash(snap));
-        if (hit == kNoNode) {
-            misses.push_back(i);
-        } else if (uf_.find(nodes_[hit].cls) != canonical_parent) {
-            merge(nodes_[hit].cls, canonical_parent);
-        }
-        const NodeId pnode = parents[i].node;
-        const std::uint32_t version =
-            versions_[pnode] + (is_last(i) && changes(i) ? 1 : 0);
-        push_tracked(classes_[uf_.find(id)].parents_,
-                     EClass::Parent{pnode, version});
-    }
-
-    // Rewrite changed nodes in place (dropping the hashcons entry a node
-    // holds under its old content), then insert the misses.
-    for (std::size_t i = 0; i < n; ++i) {
-        const NodeId pnode = parents[i].node;
-        if (node_mark_[pnode].index != i || !changes(i)) {
+    // egg's rebuild: re-canonicalize each pending node in place. One
+    // whose new content another node already owns is congruent to it,
+    // so their classes merge, which queues more parents.
+    while (!pending_.empty()) {
+        const NodeId id = pending_.back();
+        pending_.pop_back();
+        const NodeRec rec = nodes_[id];
+        const auto kids = children_.begin() + rec.first;
+        if (std::all_of(kids, kids + rec.arity,
+                        [&](ClassId c) { return uf_.find(c) == c; })) {
             continue;
         }
-        const ENodeView old = node(pnode);
-        const std::size_t old_hash = enode_hash(old);
-        if (memo_find(old, old_hash) == pnode) {
-            memo_erase(old, old_hash);
-        }
-        const ENodeView snap = snapshot(i);
-        std::copy(snap.children.begin(), snap.children.end(),
-                  children_.begin() + nodes_[pnode].first);
-        ++versions_[pnode];
-    }
-    for (const std::uint32_t i : misses) {
-        if (is_last(i)) {
-            const ENodeView snap = snapshot(i);
-            memo_insert(parents[i].node, enode_hash(snap));
+        memo_erase(id, enode_hash(node(id)));
+        std::transform(kids, kids + rec.arity, kids,
+                       [&](ClassId c) { return uf_.find(c); });
+        const ENodeView now = node(id);
+        const std::size_t hash = enode_hash(now);
+        if (const NodeId owner = memo_find(now, hash); owner == kNoNode) {
+            memo_insert(id, hash);
+        } else {
+            merge(nodes_[owner].cls, rec.cls);
         }
     }
+    dirty_ = false;
 }
 
 std::optional<ClassId>
@@ -412,17 +287,6 @@ EGraph::lookup_const(ENode node) const
     return uf_.find_const(nodes_[hit].cls);
 }
 
-std::uint32_t
-EGraph::next_class_stamp() const
-{
-    class_mark_.resize(classes_.size(), 0);
-    if (++class_stamp_ == 0) {
-        std::fill(class_mark_.begin(), class_mark_.end(), 0);
-        class_stamp_ = 1;
-    }
-    return class_stamp_;
-}
-
 std::vector<ClassId>
 EGraph::class_ids() const
 {
@@ -442,7 +306,7 @@ EGraph::class_ids() const
 const std::vector<ClassId>&
 EGraph::classes_with_op(Op op) const
 {
-    DIOS_ASSERT(dirty_.empty(), "classes_with_op() on a dirty e-graph");
+    DIOS_ASSERT(!dirty_, "classes_with_op() on a dirty e-graph");
     const auto slot = static_cast<std::size_t>(op);
     std::vector<ClassId>& entry = op_index_[slot];
     if (op_index_clean_[slot] == index_version_) {
@@ -451,7 +315,12 @@ EGraph::classes_with_op(Op op) const
     // Compact the journal: canonicalize, dedup, and sort by the class's
     // creation ordinal (its smallest member id) so candidates come back
     // in exactly the order a naive class_ids() scan visits them.
-    const std::uint32_t stamp = next_class_stamp();
+    class_mark_.resize(classes_.size(), 0);
+    if (++class_stamp_ == 0) {
+        std::fill(class_mark_.begin(), class_mark_.end(), 0);
+        class_stamp_ = 1;
+    }
+    const std::uint32_t stamp = class_stamp_;
     std::size_t keep = 0;
     for (const ClassId raw : entry) {
         const ClassId id = uf_.find_const(raw);
@@ -474,15 +343,11 @@ EGraph::memory_proxy_bytes() const
     std::size_t bytes = nodes_.capacity() * sizeof(NodeRec) +
                         children_.capacity() * sizeof(ClassId) +
                         payloads_.capacity() * sizeof(Payload) +
-                        versions_.capacity() * sizeof(std::uint32_t) +
                         classes_.capacity() * sizeof(EClass) + list_bytes_ +
+                        pending_.capacity() * sizeof(NodeId) +
                         memo_.capacity() * sizeof(Slot) +
                         uf_.memory_bytes() +
-                        dirty_.capacity() * sizeof(ClassId) +
-                        snap_children_.capacity() * sizeof(ClassId) +
-                        snap_first_.capacity() * sizeof(std::uint32_t) +
-                        class_mark_.capacity() * sizeof(std::uint32_t) +
-                        node_mark_.capacity() * sizeof(Mark);
+                        class_mark_.capacity() * sizeof(std::uint32_t);
     for (const std::vector<ClassId>& journal : op_index_) {
         bytes += journal.capacity() * sizeof(ClassId);
     }
@@ -575,14 +440,14 @@ EGraph::modify(ClassId id)
 void
 EGraph::check_invariants() const
 {
-    DIOS_ASSERT(dirty_.empty(), "check_invariants() on a dirty e-graph");
+    DIOS_ASSERT(!dirty_, "check_invariants() on a dirty e-graph");
     std::unordered_map<ENode, ClassId, ENodeHash> canonical_nodes;
     const std::vector<ClassId> ids = class_ids();
     std::size_t total = 0;
     std::size_t lists = 0;
     for (const EClass& cls : classes_) {
         lists += cls.nodes.capacity() * sizeof(NodeId) +
-                 cls.parents_.capacity() * sizeof(EClass::Parent);
+                 cls.parents_.capacity() * sizeof(NodeId);
     }
     for (const ClassId id : ids) {
         DIOS_ASSERT(uf_.find_const(id) == id, "class id is not canonical");

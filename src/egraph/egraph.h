@@ -11,9 +11,11 @@
  * as a NodeId into one node table whose children live in a single
  * ClassId pool; classes sit in a vector indexed by ClassId and list their
  * nodes and parents by NodeId; the hashcons is an open-addressing set of
- * NodeIds hashed by canonical content. DESIGN.md ("E-graph storage")
- * states the order rules this layout keeps identical to the node-copying
- * layout it replaced.
+ * NodeIds hashed by their current content. A merge queues the absorbed
+ * class's parents, the only nodes that can hold a non-canonical child,
+ * and rebuild() re-canonicalizes exactly those, as egg does. DESIGN.md
+ * ("E-graph storage") states the order rules that decide what gets
+ * extracted.
  *
  * A built-in constant-folding e-class analysis tracks classes whose value
  * is a known rational and injects the corresponding Const node, mirroring
@@ -48,12 +50,8 @@ class EClass {
   private:
     friend class EGraph;
 
-    /** A use of this class, and which version of its content was seen. */
-    struct Parent {
-        NodeId node;
-        std::uint32_t version;
-    };
-    std::vector<Parent> parents_;
+    /** Nodes that have this class as a child. */
+    std::vector<NodeId> parents_;
 };
 
 /** E-graph over the vector DSL. */
@@ -186,15 +184,15 @@ class EGraph {
     /**
      * Bytes the e-graph's storage holds right now: the capacities of the
      * node table, child pool, payloads, class table, class node and
-     * parent lists, hashcons, union-find and op-index. Table 1's
-     * "Memory" column, `dioscc --json`'s memory_proxy_bytes and the
-     * saturation runner's memory watchdog
+     * parent lists, rebuild's pending list, hashcons, union-find and
+     * op-index. Table 1's "Memory" column, `dioscc --json`'s
+     * memory_proxy_bytes and the saturation runner's memory watchdog
      * (RunnerLimits::memory_limit_bytes) all read it. O(1).
      */
     std::size_t memory_proxy_bytes() const;
 
-    /** True when no merge is pending a rebuild. */
-    bool is_clean() const { return dirty_.empty(); }
+    /** True when no merge happened since the last rebuild(). */
+    bool is_clean() const { return !dirty_; }
 
     /** Constant value of a class, if the analysis derived one. */
     std::optional<Rational>
@@ -252,9 +250,6 @@ class EGraph {
     /** Appends `node` (children already canonical) to class `cls`. */
     NodeId store_node(const ENodeView& node, ClassId cls);
 
-    /** Re-canonicalizes the parents of a just-merged class. */
-    void repair(ClassId id);
-
     /** Computes the analysis value of a node from child analyses. */
     std::optional<Rational> fold_node(const ENodeView& node) const;
 
@@ -295,45 +290,30 @@ class EGraph {
     NodeId memo_find(const ENodeView& key, std::size_t hash) const;
     /** Hashcons: adds `node` under its current content. */
     void memo_insert(NodeId node, std::size_t hash);
-    /** Hashcons: removes the entry whose content equals `key`, if any. */
-    void memo_erase(const ENodeView& key, std::size_t hash);
+    /** Hashcons: removes `node`'s entry (filed under `hash`), if any. */
+    void memo_erase(NodeId node, std::size_t hash);
 
     UnionFind uf_;
     std::vector<NodeRec> nodes_;
     std::vector<ClassId> children_;
     std::vector<Payload> payloads_;
-    /**
-     * Per node: bumped whenever repair() rewrites its children, so a
-     * parent entry can tell whether it saw the node's current content.
-     */
-    std::vector<std::uint32_t> versions_;
     /** Indexed by ClassId; absorbed classes keep an empty slot. */
     std::vector<EClass> classes_;
     /** Open-addressing hashcons (linear probing, power-of-two size). */
     std::vector<Slot> memo_;
     std::size_t memo_size_ = 0;
-    std::vector<ClassId> dirty_;
+    /** Parents of absorbed classes, not yet re-canonicalized. */
+    std::vector<NodeId> pending_;
+    /** Set by merge(), cleared by rebuild(). */
+    bool dirty_ = false;
     std::size_t union_count_ = 0;
     /** Sum of capacity() * element size over all class lists. */
     std::size_t list_bytes_ = 0;
     bool fold_constants_;
 
-    /** repair() scratch, reused across calls. */
-    std::vector<ClassId> snap_children_;
-    std::vector<std::uint32_t> snap_first_;
-    /** A fresh stamp for a class_mark_ pass (marks sized to the table). */
-    std::uint32_t next_class_stamp() const;
-
-    /** Per-class stamps for the dedup passes of rebuild and the index. */
+    /** Per-class stamps for the op-index's dedup pass. */
     mutable std::vector<std::uint32_t> class_mark_;
     mutable std::uint32_t class_stamp_ = 0;
-    /** Per node, within one repair(): its last parent-entry index. */
-    struct Mark {
-        std::uint32_t stamp;
-        std::uint32_t index;
-    };
-    std::vector<Mark> node_mark_;
-    std::uint32_t node_stamp_ = 0;
 
     /**
      * Op → classes journal (see classes_with_op). Mutable: queries

@@ -17,6 +17,9 @@
 //       the counts do not depend on it. On a mismatch the computed
 //       lines are written next to the test binary as
 //       width_sweep.golden.actual.
+//   (v) the e-graph invariants hold after every iteration of real-rule
+//       saturation on a few Table-1 kernels, in any build type (the
+//       Runner checks them itself only when NDEBUG is off).
 
 #include <gtest/gtest.h>
 
@@ -30,9 +33,12 @@
 #include <string>
 
 #include "compiler/driver.h"
+#include "egraph/runner.h"
 #include "kernels/kernels.h"
 #include "machine/program.h"
+#include "rules/rules.h"
 #include "scalar/interp.h"
+#include "scalar/symbolic.h"
 #include "service/cache_key.h"
 #include "support/hash.h"
 
@@ -189,6 +195,40 @@ TEST(WidthSweepExtra, FullAcPhasedCaseMatchesGolden)
     const CompiledKernel k =
         compile_kernel(kernels::make_conv2d(3, 5, 3, 3), options);
     check_golden({golden_line("2DConv 3x5, 3x3 full-ac phased", 4, k)});
+}
+
+TEST(WidthSweepExtra, InvariantsHoldAfterEveryRealRuleIteration)
+{
+    // One iteration per Runner::run, invariants checked after each, then
+    // the counts compared with one run of the same number of iterations
+    // (no backoff, so the split changes nothing the runner decides).
+    constexpr int kIters = 8;
+    const std::vector<Rewrite> rules = build_rules(RuleConfig(4));
+    for (const scalar::Kernel& kernel :
+         {kernels::make_conv2d(8, 8, 3, 3), kernels::make_qrdecomp(3),
+          kernels::make_qprod()}) {
+        SCOPED_TRACE(kernel.name);
+        const TermRef spec = pad_lifted_spec(scalar::lift(kernel), 4).first;
+        EGraph stepped;
+        stepped.add_term(spec);
+        stepped.rebuild();
+        const std::size_t start = stepped.num_nodes();
+        const Runner one(RunnerLimits{.iter_limit = 1});
+        for (int i = 0; i < kIters; ++i) {
+            const RunnerReport r = one.run(stepped, rules);
+            stepped.check_invariants();
+            if (r.stop_reason == StopReason::kSaturated) {
+                break;
+            }
+        }
+        EGraph whole;
+        whole.add_term(spec);
+        whole.rebuild();
+        Runner(RunnerLimits{.iter_limit = kIters}).run(whole, rules);
+        EXPECT_GT(stepped.num_nodes(), start);
+        EXPECT_EQ(stepped.num_nodes(), whole.num_nodes());
+        EXPECT_EQ(stepped.num_classes(), whole.num_classes());
+    }
 }
 
 TEST(WidthSweepExtra, WidthsGetDistinctCacheKeys)

@@ -7,9 +7,11 @@
 # under ThreadSanitizer and run service_test + resilience_test, so
 # data races in the worker pool fail the gate too. In between, a
 # crash-consistency torture loop SIGKILLs dioscc mid-store and
-# bit-flips cache entries to prove the disk cache self-heals. Last, the
-# perf gates of bench/perf_gates.json run from the default build.
-# Run from anywhere; ~10-15 minutes.
+# bit-flips cache entries to prove the disk cache self-heals. A Debug
+# build (the only one without NDEBUG) runs the e-graph, strategy and
+# width-sweep tests with the runner's per-rebuild invariant checks on.
+# Last, the perf gates of bench/perf_gates.json run from the default
+# build. Run from anywhere; ~10-15 minutes.
 #
 #   tools/check.sh            # ASan+UBSan + TSan gates
 #   tools/check.sh --fast     # reuse existing build dirs without reconfigure
@@ -19,6 +21,7 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="$repo/build-asan"
 build_tsan="$repo/build-tsan"
+build_debug="$repo/build-debug"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 if [[ "${1:-}" != "--fast" || ! -d "$build" ]]; then
@@ -175,6 +178,18 @@ ctest --test-dir "$build_tsan" --output-on-failure \
 
 echo "check.sh: service + resilience + analysis + durability + overload" \
      "+ strategy + daemon tests passed under TSan"
+
+# Debug leg: every other tree defines NDEBUG, so only here does the
+# saturation runner call check_invariants() after each rebuild.
+if [[ "${1:-}" != "--fast" || ! -d "$build_debug" ]]; then
+    cmake --preset debug -S "$repo"
+fi
+cmake --build "$build_debug" -j "$jobs" \
+      --target egraph_test strategy_test width_sweep_test
+ctest --test-dir "$build_debug" --output-on-failure \
+      -R '^(egraph_test|strategy_test|width_sweep_test)$'
+
+echo "check.sh: egraph + strategy + width-sweep tests passed in the Debug build"
 
 # Perf gates (bench/perf_gates.json, run by tools/perf_gate.py): the
 # e-matching microbenchmarks, the chaos soaks and the native
