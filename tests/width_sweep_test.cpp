@@ -11,12 +11,12 @@
 //       hash of its printed form), its cost, the e-graph's node and class
 //       counts, the iteration count, the stop reason, and the summed
 //       rule matches and applications. A change that alters what gets
-//       matched, applied or extracted shows up here; one that only
-//       reorders merges inside a rebuild (e.g. which class survives a
-//       congruence merge) may not, because the rebuilt partition and
-//       the counts do not depend on it. On a mismatch the computed
-//       lines are written next to the test binary as
-//       width_sweep.golden.actual.
+//       matched, applied or extracted shows up here. One that only picks
+//       which class survives a congruence merge inside a rebuild does
+//       not: the rebuilt partition and the counts do not depend on it,
+//       and flipping that merge direction leaves every line unchanged.
+//       On a mismatch the computed lines are written next to the test
+//       binary as width_sweep.golden.actual.
 //   (v) the e-graph invariants hold after every iteration of real-rule
 //       saturation on a few Table-1 kernels, in any build type (the
 //       Runner checks them itself only when NDEBUG is off).
