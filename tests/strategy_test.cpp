@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/audit_egraph.h"
@@ -259,6 +264,69 @@ TEST(StrategyDslTest, MalformedInputsGetStableCodes)
         EXPECT_TRUE(diags.has_errors()) << c.text;
         EXPECT_TRUE(diags.has_code(c.code))
             << c.text << "\n" << diags.render_text();
+    }
+}
+
+/**
+ * Every shipped strategy: the built-ins by name, then the example files
+ * under examples/strategies/ in path order, each labelled as it appears
+ * in tests/golden/strategies.golden.
+ */
+std::vector<std::pair<std::string, std::string>>
+shipped_strategy_texts()
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const std::string& name : strategy::builtin_strategy_names()) {
+        out.emplace_back("builtin " + name,
+                         strategy::builtin_strategy(name)->to_string());
+    }
+    std::vector<std::filesystem::path> examples;
+    for (const auto& entry : std::filesystem::directory_iterator(
+             DIOS_SOURCE_DIR "/examples/strategies")) {
+        if (entry.path().extension() == ".strat") {
+            examples.push_back(entry.path());
+        }
+    }
+    std::sort(examples.begin(), examples.end());
+    for (const std::filesystem::path& path : examples) {
+        std::ifstream in(path);
+        std::ostringstream text;
+        text << in.rdbuf();
+        out.emplace_back("example " + path.filename().string(), text.str());
+    }
+    return out;
+}
+
+TEST(StrategyDslTest, ShippedStrategiesParseResolveRoundTripAndMatchGolden)
+{
+    std::string rendered;
+    for (const auto& [label, text] : shipped_strategy_texts()) {
+        SCOPED_TRACE(label);
+        analysis::DiagEngine diags;
+        const auto parsed = strategy::parse_strategy(text, diags);
+        ASSERT_FALSE(diags.has_errors()) << diags.render_text();
+        ASSERT_TRUE(parsed.has_value());
+        for (const int width : {2, 4, 8, 16}) {
+            analysis::DiagEngine resolve;
+            strategy::resolve_phase_rules(
+                *parsed, build_rules(RuleConfig(width)), resolve);
+            EXPECT_FALSE(resolve.has_errors())
+                << "width " << width << "\n" << resolve.render_text();
+        }
+        const std::string canonical = parsed->to_string();
+        const auto reparsed = strategy::parse_strategy(canonical, diags);
+        ASSERT_TRUE(reparsed.has_value()) << diags.render_text();
+        EXPECT_EQ(*reparsed, *parsed);
+        rendered += "; " + label + "\n" + canonical;
+    }
+
+    std::ifstream in(DIOS_SOURCE_DIR "/tests/golden/strategies.golden");
+    EXPECT_TRUE(in.good()) << "missing tests/golden/strategies.golden";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(rendered, golden.str());
+    if (rendered != golden.str()) {
+        std::ofstream("strategies.golden.actual") << rendered;
     }
 }
 
