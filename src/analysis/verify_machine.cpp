@@ -1282,80 +1282,4 @@ validate_machine_translation(const TermRef& padded_spec,
     return result;
 }
 
-// ---------------------------------------------------------------------------
-// Debug startup self-check
-// ---------------------------------------------------------------------------
-
-std::string
-machine_verifier_self_check()
-{
-    const TargetSpec target = TargetSpec::fusion_g3_like();
-    const int width = target.vector_width;
-    std::vector<int> identity(static_cast<std::size_t>(width));
-    for (int l = 0; l < width; ++l) {
-        identity[static_cast<std::size_t>(l)] = l;
-    }
-
-    // A known-good program must verify cleanly.
-    ProgramBuilder good;
-    const int v0 = good.fresh_vec();
-    const int v1 = good.fresh_vec();
-    const int v2 = good.fresh_vec();
-    const int f0 = good.fresh_float();
-    good.vsplat(v0, 1.5f);
-    good.vsplat(v1, 2.0f);
-    good.vbinop(Opcode::kVAdd, v2, v0, v1);
-    good.shuf(v2, v2, identity);
-    good.vextract(f0, v2, 0);
-    good.halt();
-    const Program ok = good.finish();
-    {
-        DiagEngine diags;
-        if (!verify_machine_program(ok, target, diags)) {
-            return "machine verifier rejected a known-good program:\n" +
-                   diags.render_text();
-        }
-    }
-
-    // A planted out-of-range shuffle lane must be caught as M004.
-    {
-        Program bad = ok;
-        for (Instr& i : bad.code) {
-            if (i.op == Opcode::kShuf) {
-                i.lanes[0] = static_cast<std::int16_t>(width + 3);
-            }
-        }
-        DiagEngine diags;
-        if (verify_machine_program(bad, target, diags) ||
-            !diags.has_code("M004")) {
-            return "machine verifier missed a planted bad shuffle lane "
-                   "(expected M004)";
-        }
-    }
-
-    // A planted dependence-violating reorder must be caught as M008.
-    {
-        ProgramBuilder pb;
-        const int a = pb.fresh_float();
-        const int b = pb.fresh_float();
-        pb.fmov_i(a, 1.0f);
-        pb.fbinop(Opcode::kFAdd, b, a, a);
-        pb.halt();
-        const Program before = pb.finish();
-        Program after = before;
-        std::swap(after.code[0], after.code[1]);
-        ScheduleStats stats;
-        stats.applied = true;
-        stats.order = {1, 0};
-        DiagEngine diags;
-        if (check_schedule_preservation(before, after, stats, target,
-                                        diags) ||
-            !diags.has_code("M008")) {
-            return "machine verifier missed a planted dependence-"
-                   "violating reorder (expected M008)";
-        }
-    }
-    return "";
-}
-
 }  // namespace diospyros::analysis

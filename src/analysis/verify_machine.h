@@ -116,14 +116,6 @@ MachineValidation validate_machine_translation(
     const TargetSpec& target, const ValidationLimits& limits = {});
 
 /**
- * Debug-startup self-check (dioscc, mirroring --lint-rules): verifies a
- * known-good program passes cleanly and that planted bugs (a bad
- * shuffle lane, a dependence-violating reorder) are caught with their
- * M-codes. Returns "" on success, else a description of what broke.
- */
-std::string machine_verifier_self_check();
-
-/**
  * Machine gates share the VIR gates' default: always on in debug and
  * sanitizer builds; release builds opt in via
  * CompilerOptions::verify_machine (dioscc --verify-machine).

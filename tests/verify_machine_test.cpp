@@ -47,11 +47,6 @@ verify(const Program& p, const TargetSpec& t,
 
 // --- Known-good programs pass cleanly -----------------------------------------
 
-TEST(VerifyMachine, StartupSelfCheckPasses)
-{
-    EXPECT_EQ(analysis::machine_verifier_self_check(), "");
-}
-
 TEST(VerifyMachine, StraightLineProgramPasses)
 {
     ProgramBuilder pb;
@@ -345,6 +340,29 @@ TEST(VerifyMachine, M008WarViolatingSwapIsCaught)
     sim.run(b2, m1);
     sim.run(a2, m2);
     EXPECT_NE(m1.at(0), m2.at(0));
+}
+
+TEST(VerifyMachine, M008RawViolatingSwapIsCaught)
+{
+    // f0=1; f1=f0+f0 swapped so the add reads f0 before it is written:
+    // a read-after-write dependence broken by the reorder.
+    ProgramBuilder pb;
+    const int f0 = pb.fresh_float();
+    const int f1 = pb.fresh_float();
+    pb.fmov_i(f0, 1.0f);
+    pb.fbinop(Opcode::kFAdd, f1, f0, f0);
+    pb.halt();
+    const Program before = pb.finish();
+    Program after = before;
+    std::swap(after.code[0], after.code[1]);
+    ScheduleStats stats;
+    stats.applied = true;
+    stats.order = {1, 0};
+
+    DiagEngine diags;
+    EXPECT_FALSE(analysis::check_schedule_preservation(
+        before, after, stats, width4(), diags));
+    EXPECT_TRUE(diags.has_code("M008")) << diags.render_text();
 }
 
 TEST(VerifyMachine, M008TamperedInstructionUnderIdentityOrder)
