@@ -1,10 +1,8 @@
 #include "egraph/runner.h"
 
-#include <cstdlib>
+#include <algorithm>
 #include <optional>
-#include <sstream>
 
-#include "strategy/scheduler.h"
 #include "support/faults.h"
 #include "support/timer.h"
 
@@ -32,31 +30,39 @@ stop_reason_name(StopReason r)
     return "unknown";
 }
 
-std::string
-RunnerReport::to_string() const
+RuleStats&
+RuleStats::operator+=(const RuleStats& other)
 {
-    std::ostringstream os;
-    os << "stop=" << stop_reason_name(stop_reason)
-       << " iters=" << iterations.size() << " nodes=" << final_nodes
-       << " classes=" << final_classes << " time=" << total_seconds << "s";
-    return os.str();
+    matches += other.matches;
+    applications += other.applications;
+    search_seconds += other.search_seconds;
+    apply_seconds += other.apply_seconds;
+    times_banned += other.times_banned;
+    banned_until = std::max(banned_until, other.banned_until);
+    return *this;
+}
+
+std::size_t
+backoff_admit(const RunnerLimits& limits, RuleStats& rule, int iter,
+              std::size_t found)
+{
+    std::size_t allowed = found;
+    if (limits.backoff_threshold != 0 && found > limits.backoff_threshold) {
+        // Ban for a geometrically growing window and keep only the
+        // threshold's worth of matches this round.
+        ++rule.times_banned;
+        rule.banned_until = iter + 1 + (1 << std::min(rule.times_banned, 10));
+        allowed = limits.backoff_threshold;
+    }
+    if (limits.match_limit_per_rule != 0 &&
+        allowed > limits.match_limit_per_rule) {
+        allowed = limits.match_limit_per_rule;
+    }
+    return allowed;
 }
 
 RunnerReport
 Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
-            const Deadline& deadline) const
-{
-    // The legacy admission policy, now spelled as a scheduler: the
-    // limits' backoff threshold and flat match cap. Byte-identical to
-    // the historical inline implementation (pinned by strategy_test).
-    strategy::BackoffScheduler scheduler(limits_.backoff_threshold,
-                                         limits_.match_limit_per_rule);
-    return run(graph, rules, scheduler, deadline);
-}
-
-RunnerReport
-Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
-            strategy::RuleScheduler& scheduler,
             const Deadline& deadline) const
 {
     RunnerReport report;
@@ -92,8 +98,6 @@ Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
     };
     constexpr std::size_t kWatchdogStride = 1024;
 
-    scheduler.begin(rules.size());
-
     report.rule_stats.resize(rules.size());
     for (std::size_t r = 0; r < rules.size(); ++r) {
         report.rule_stats[r].name = rules[r].name();
@@ -101,7 +105,6 @@ Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
 
     for (int iter = 0; iter < limits_.iter_limit; ++iter) {
         DIOS_FAULT_POINT("runner.iter");
-        Timer iter_timer;
         IterationStats stats;
         const std::size_t unions_before = graph.union_count();
         const std::size_t nodes_before = graph.num_nodes();
@@ -115,7 +118,8 @@ Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
         std::vector<std::vector<RuleMatch>> all_matches;
         all_matches.reserve(rules.size());
         for (std::size_t r = 0; r < rules.size(); ++r) {
-            if (!scheduler.allow(r, iter)) {
+            RuleStats& rule = report.rule_stats[r];
+            if (iter < rule.banned_until) {
                 ++stats.banned_rules;
                 all_matches.emplace_back();
                 continue;
@@ -123,16 +127,11 @@ Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
             Timer search_timer;
             std::vector<RuleMatch> matches =
                 rules[r].searcher().search(graph);
-            const double search_s = search_timer.elapsed_seconds();
-            stats.search_seconds += search_s;
-            report.rule_stats[r].search_seconds += search_s;
-            const std::size_t admitted =
-                scheduler.admit(r, iter, matches.size());
-            if (admitted < matches.size()) {
-                matches.resize(admitted);
-            }
+            rule.search_seconds += search_timer.elapsed_seconds();
+            matches.resize(
+                backoff_admit(limits_, rule, iter, matches.size()));
             stats.matches += matches.size();
-            report.rule_stats[r].matches += matches.size();
+            rule.matches += matches.size();
             all_matches.push_back(std::move(matches));
             if (total.elapsed_seconds() > limits_.time_limit_seconds ||
                 deadline.expired()) {
@@ -162,35 +161,23 @@ Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
                     }
                 }
             }
-            const double apply_s = apply_timer.elapsed_seconds();
-            stats.apply_seconds += apply_s;
-            report.rule_stats[r].apply_seconds += apply_s;
+            report.rule_stats[r].apply_seconds +=
+                apply_timer.elapsed_seconds();
             if (over_budget()) {
                 break;
             }
         }
 
         // Phase 3: one batched congruence restoration.
-        Timer rebuild_timer;
         graph.rebuild();
 #ifndef NDEBUG
         // Debug builds re-verify the e-graph invariants after every
-        // rebuild (hashcons, congruence, canonical ids); export
-        // DIOS_SKIP_EGRAPH_CHECKS=1 to opt out when iterating on huge
-        // graphs.
-        {
-            static const bool skip_checks =
-                std::getenv("DIOS_SKIP_EGRAPH_CHECKS") != nullptr;
-            if (!skip_checks) {
-                graph.check_invariants();
-            }
-        }
+        // rebuild (hashcons, congruence, canonical ids).
+        graph.check_invariants();
 #endif
 
-        stats.rebuild_seconds = rebuild_timer.elapsed_seconds();
         stats.nodes_after = graph.num_nodes();
         stats.classes_after = graph.num_classes();
-        stats.seconds = iter_timer.elapsed_seconds();
         report.iterations.push_back(stats);
 
         const bool changed = graph.union_count() != unions_before ||
@@ -219,13 +206,6 @@ Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
         if (iter + 1 == limits_.iter_limit) {
             report.stop_reason = StopReason::kIterLimit;
         }
-    }
-
-    // Surface the scheduler's final per-rule ban state so `--json`
-    // consumers can see which rules were throttled and for how long.
-    for (std::size_t r = 0; r < rules.size(); ++r) {
-        report.rule_stats[r].times_banned = scheduler.times_banned(r);
-        report.rule_stats[r].banned_until = scheduler.banned_until(r);
     }
 
     report.total_seconds = total.elapsed_seconds();

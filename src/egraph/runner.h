@@ -12,6 +12,13 @@
  * *mid-iteration* (inside the search and apply loops) so a single
  * explosive iteration cannot overshoot the ceilings by more than one
  * batch of one rule.
+ *
+ * Rule admission is egg's exponential backoff, applied by the runner
+ * itself from two numbers in `RunnerLimits`: a rule banned by an
+ * earlier over-threshold search skips the search, and the matches a
+ * rule keeps are truncated to the threshold and then to the flat
+ * per-rule cap. A strategy phase (strategy/strategy.h) overrides the
+ * pair; there is no other admission policy.
  */
 #pragma once
 
@@ -20,10 +27,6 @@
 
 #include "egraph/rewrite.h"
 #include "support/deadline.h"
-
-namespace diospyros::strategy {
-class RuleScheduler;  // strategy/scheduler.h (header-only interface)
-}  // namespace diospyros::strategy
 
 namespace diospyros {
 
@@ -39,9 +42,11 @@ struct RunnerLimits {
     std::size_t match_limit_per_rule = 0;
     /**
      * Exponential rule backoff (egg's BackoffScheduler): a rule whose
-     * match count exceeds `backoff_threshold` in one iteration is banned
-     * for a geometrically growing number of iterations, preventing one
-     * explosive rule from starving the rest. 0 disables backoff.
+     * match count exceeds `backoff_threshold` in one iteration keeps
+     * only that many matches and is banned for a geometrically growing
+     * number of iterations, preventing one explosive rule from starving
+     * the rest. 0 disables backoff; `match_limit_per_rule` still caps
+     * what is left.
      */
     std::size_t backoff_threshold = 0;
     /**
@@ -76,11 +81,6 @@ struct IterationStats {
     std::size_t classes_after = 0;
     /** Rules skipped this iteration because of backoff bans. */
     std::size_t banned_rules = 0;
-    double seconds = 0.0;
-    /** Phase breakdown of `seconds` (search / apply / rebuild). */
-    double search_seconds = 0.0;
-    double apply_seconds = 0.0;
-    double rebuild_seconds = 0.0;
 };
 
 /**
@@ -96,15 +96,32 @@ struct RuleStats {
     std::size_t applications = 0;
     double search_seconds = 0.0;
     double apply_seconds = 0.0;
-    /** Times the scheduler banned this rule during the run. */
+    /** Times backoff banned this rule during the run. */
     int times_banned = 0;
     /**
      * First iteration the rule may search again, as of run end (0 when
      * it was never banned). Together with `times_banned` this makes a
-     * misbehaving scheduler debuggable from `dioscc --json` alone.
+     * throttled rule visible from `dioscc --json` alone.
      */
     int banned_until = 0;
+
+    /**
+     * Adds another run's totals for the same rule: counts and seconds
+     * sum, `banned_until` keeps the later window. `name` is kept.
+     */
+    RuleStats& operator+=(const RuleStats& other);
 };
+
+/**
+ * egg's backoff for one rule in iteration `iter`, given `found`
+ * matches: above a non-zero `limits.backoff_threshold` the rule keeps
+ * the threshold's worth, `rule.times_banned` grows and the rule is
+ * banned until iteration `iter + 1 + 2^min(times_banned, 10)`; then a
+ * non-zero `limits.match_limit_per_rule` caps what is left. Returns
+ * how many matches may be applied.
+ */
+std::size_t backoff_admit(const RunnerLimits& limits, RuleStats& rule,
+                          int iter, std::size_t found);
 
 /** Overall saturation report. */
 struct RunnerReport {
@@ -115,8 +132,6 @@ struct RunnerReport {
     double total_seconds = 0.0;
     std::size_t final_nodes = 0;
     std::size_t final_classes = 0;
-
-    std::string to_string() const;
 };
 
 /** Drives equality saturation over a rule set. */
@@ -133,24 +148,11 @@ class Runner {
      * expired deadline here stops gracefully; the *caller* decides
      * whether to keep going or degrade).
      *
-     * Rule admission follows the limits' legacy policy: exactly
-     * `strategy::BackoffScheduler(limits.backoff_threshold,
-     * limits.match_limit_per_rule)` — see the scheduler overload below.
+     * Rule admission is egg's backoff (backoff_admit) over the limits'
+     * `backoff_threshold` and `match_limit_per_rule`; its final per-rule
+     * ban state is in the report's RuleStats.
      */
     RunnerReport run(EGraph& graph, const std::vector<Rewrite>& rules,
-                     const Deadline& deadline = {}) const;
-
-    /**
-     * As above, but with an explicit rule scheduler deciding per
-     * iteration which rules may search and how many matches each may
-     * apply (strategy/scheduler.h). `scheduler.begin()` is called here;
-     * its final ban state is copied into the report's RuleStats. With
-     * an explicit scheduler the limits' own `backoff_threshold` /
-     * `match_limit_per_rule` fields are NOT applied — the scheduler is
-     * the whole admission policy.
-     */
-    RunnerReport run(EGraph& graph, const std::vector<Rewrite>& rules,
-                     strategy::RuleScheduler& scheduler,
                      const Deadline& deadline = {}) const;
 
   private:

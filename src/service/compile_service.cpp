@@ -940,12 +940,14 @@ CompileService::finish(const std::shared_ptr<Job>& job, ResultPtr result,
                 metrics_.extract_seconds += r.extract_seconds;
                 metrics_.backend_seconds += r.backend_seconds;
                 metrics_.total_seconds += r.total_seconds;
+                RuleStats sum;
                 for (const RuleStats& rs : r.rule_stats) {
-                    metrics_.ematch_matches += rs.matches;
-                    metrics_.ematch_applications += rs.applications;
-                    metrics_.ematch_search_seconds += rs.search_seconds;
-                    metrics_.ematch_apply_seconds += rs.apply_seconds;
+                    sum += rs;
                 }
+                metrics_.ematch_matches += sum.matches;
+                metrics_.ematch_applications += sum.applications;
+                metrics_.ematch_search_seconds += sum.search_seconds;
+                metrics_.ematch_apply_seconds += sum.apply_seconds;
             } else {
                 ++metrics_.failures;
                 if (result->user_error) {

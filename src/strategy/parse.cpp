@@ -88,8 +88,13 @@ clause_uint(const Sexpr& clause, const char* what, std::int64_t& out,
     return true;
 }
 
+/**
+ * Reads `(scheduler limits|none|backoff T [C]|match-cap C)` into the
+ * phase's backoff pair; `limits` leaves it unset (inherit the base).
+ */
 bool
-scheduler_from_sexpr(const Sexpr& clause, SchedulerSpec& out,
+scheduler_from_sexpr(const Sexpr& clause,
+                     std::optional<PhaseLimits::Backoff>& out,
                      analysis::DiagEngine& diags)
 {
     if (clause.size() < 2 || !clause[1].is_atom()) {
@@ -105,8 +110,11 @@ scheduler_from_sexpr(const Sexpr& clause, SchedulerSpec& out,
                         "(scheduler " + kind + ") takes no arguments");
             return false;
         }
-        out.kind = kind == "none" ? SchedulerSpec::Kind::kNone
-                                  : SchedulerSpec::Kind::kFromLimits;
+        if (kind == "none") {
+            out.emplace();
+        } else {
+            out.reset();
+        }
         return true;
     }
     if (kind == "backoff") {
@@ -119,11 +127,13 @@ scheduler_from_sexpr(const Sexpr& clause, SchedulerSpec& out,
                         "or two non-negative integers");
             return false;
         }
-        out.kind = SchedulerSpec::Kind::kBackoff;
-        out.threshold = static_cast<std::size_t>(clause[2].as_integer());
-        out.match_cap = clause.size() == 4 ? static_cast<std::size_t>(
-                                                 clause[3].as_integer())
-                                           : 0;
+        out = PhaseLimits::Backoff{
+            .backoff_threshold =
+                static_cast<std::size_t>(clause[2].as_integer()),
+            .match_limit_per_rule =
+                clause.size() == 4
+                    ? static_cast<std::size_t>(clause[3].as_integer())
+                    : 0};
         return true;
     }
     if (kind == "match-cap") {
@@ -134,8 +144,9 @@ scheduler_from_sexpr(const Sexpr& clause, SchedulerSpec& out,
                         "integer");
             return false;
         }
-        out.kind = SchedulerSpec::Kind::kMatchCap;
-        out.match_cap = static_cast<std::size_t>(clause[2].as_integer());
+        out = PhaseLimits::Backoff{
+            .match_limit_per_rule =
+                static_cast<std::size_t>(clause[2].as_integer())};
         return true;
     }
     diags.error(kPass, "S405", "unknown scheduler kind '" + kind + "'");
@@ -212,7 +223,7 @@ phase_from_sexpr(const Sexpr& e, analysis::DiagEngine& diags)
             }
             phase.limits.time_limit_seconds = clause[1].as_number();
         } else if (head == "scheduler") {
-            if (!scheduler_from_sexpr(clause, phase.scheduler, diags)) {
+            if (!scheduler_from_sexpr(clause, phase.limits.backoff, diags)) {
                 return std::nullopt;
             }
         } else if (head == "until") {

@@ -1,13 +1,11 @@
 #include "strategy/strategy.h"
 
 #include <algorithm>
-#include <memory>
+#include <charconv>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "analysis/diagnostics.h"
-#include "strategy/scheduler.h"
 #include "support/error.h"
 #include "support/timer.h"
 
@@ -15,35 +13,32 @@ namespace diospyros::strategy {
 
 namespace {
 
+/** Shortest text that reads back as exactly `s`. */
 std::string
 format_seconds(double s)
 {
-    std::ostringstream os;
-    os << s;
-    return os.str();
+    char buf[32];
+    const auto result = std::to_chars(buf, buf + sizeof buf, s);
+    return std::string(buf, result.ptr);
 }
 
 std::string
-scheduler_to_string(const SchedulerSpec& spec)
+backoff_to_string(const PhaseLimits::Backoff& b)
 {
-    switch (spec.kind) {
-      case SchedulerSpec::Kind::kFromLimits:
-        return "(scheduler limits)";
-      case SchedulerSpec::Kind::kNone:
-        return "(scheduler none)";
-      case SchedulerSpec::Kind::kBackoff: {
-        std::string out = "(scheduler backoff " + std::to_string(spec.threshold);
-        if (spec.match_cap != 0) {
-            out += ' ';
-            out += std::to_string(spec.match_cap);
-        }
-        out += ')';
-        return out;
-      }
-      case SchedulerSpec::Kind::kMatchCap:
-        return "(scheduler match-cap " + std::to_string(spec.match_cap) + ")";
+    if (b.backoff_threshold == 0) {
+        return b.match_limit_per_rule == 0
+                   ? "(scheduler none)"
+                   : "(scheduler match-cap " +
+                         std::to_string(b.match_limit_per_rule) + ")";
     }
-    return "(scheduler limits)";
+    std::string out =
+        "(scheduler backoff " + std::to_string(b.backoff_threshold);
+    if (b.match_limit_per_rule != 0) {
+        out += ' ';
+        out += std::to_string(b.match_limit_per_rule);
+    }
+    out += ')';
+    return out;
 }
 
 std::string
@@ -69,9 +64,9 @@ phase_to_string(const Phase& phase)
         out += " (memory " +
                std::to_string(*phase.limits.memory_limit_bytes) + ")";
     }
-    if (phase.scheduler != SchedulerSpec{}) {
+    if (phase.limits.backoff) {
         out += ' ';
-        out += scheduler_to_string(phase.scheduler);
+        out += backoff_to_string(*phase.limits.backoff);
     }
     if (phase.until) {
         out += " (until " + phase.until->to_string() + ")";
@@ -104,7 +99,10 @@ glob_match(const std::string& pattern, const std::string& name)
                         suffix) == 0;
 }
 
-/** Builds the effective per-phase limits: base tightened by the phase. */
+/**
+ * Builds the effective per-phase limits: base tightened by the phase,
+ * with the phase's backoff pair (if any) in place of the base one.
+ */
 RunnerLimits
 effective_limits(const RunnerLimits& base, const Phase& phase,
                  double remaining_seconds)
@@ -128,26 +126,11 @@ effective_limits(const RunnerLimits& base, const Phase& phase,
                 : std::min(*phase.limits.memory_limit_bytes,
                            base.memory_limit_bytes);
     }
-    return l;
-}
-
-/** Instantiates the scheduler a phase asked for. */
-std::unique_ptr<RuleScheduler>
-make_scheduler(const SchedulerSpec& spec, const RunnerLimits& base)
-{
-    switch (spec.kind) {
-      case SchedulerSpec::Kind::kFromLimits:
-        return std::make_unique<BackoffScheduler>(base.backoff_threshold,
-                                                  base.match_limit_per_rule);
-      case SchedulerSpec::Kind::kNone:
-        return std::make_unique<NullScheduler>();
-      case SchedulerSpec::Kind::kBackoff:
-        return std::make_unique<BackoffScheduler>(spec.threshold,
-                                                  spec.match_cap);
-      case SchedulerSpec::Kind::kMatchCap:
-        return std::make_unique<MatchCapScheduler>(spec.match_cap);
+    if (phase.limits.backoff) {
+        l.backoff_threshold = phase.limits.backoff->backoff_threshold;
+        l.match_limit_per_rule = phase.limits.backoff->match_limit_per_rule;
     }
-    return std::make_unique<NullScheduler>();
+    return l;
 }
 
 /** Appends a repeat run's report onto the phase's merged report. */
@@ -163,14 +146,7 @@ merge_run(RunnerReport& into, const RunnerReport& run)
                            run.iterations.end());
     for (std::size_t r = 0;
          r < into.rule_stats.size() && r < run.rule_stats.size(); ++r) {
-        RuleStats& a = into.rule_stats[r];
-        const RuleStats& b = run.rule_stats[r];
-        a.matches += b.matches;
-        a.applications += b.applications;
-        a.search_seconds += b.search_seconds;
-        a.apply_seconds += b.apply_seconds;
-        a.times_banned += b.times_banned;
-        a.banned_until = std::max(a.banned_until, b.banned_until);
+        into.rule_stats[r] += run.rule_stats[r];
     }
     into.total_seconds += run.total_seconds;
     into.final_nodes = run.final_nodes;
@@ -293,8 +269,7 @@ builtin_phased()
     mac.name = "mac";
     mac.rules = {"vec-mac", "vec-mac-fuse", "vec-mac-fuse-l"};
     mac.limits.iter_limit = 8;
-    mac.scheduler.kind = SchedulerSpec::Kind::kBackoff;
-    mac.scheduler.threshold = 4096;
+    mac.limits.backoff = PhaseLimits::Backoff{.backoff_threshold = 4096};
     mac.always = true;
     s.phases.push_back(std::move(mac));
 
@@ -302,8 +277,7 @@ builtin_phased()
     lift.name = "lift";
     lift.rules = {"*-lift"};
     lift.limits.iter_limit = 8;
-    lift.scheduler.kind = SchedulerSpec::Kind::kBackoff;
-    lift.scheduler.threshold = 1024;
+    lift.limits.backoff = PhaseLimits::Backoff{.backoff_threshold = 1024};
     lift.always = true;
     s.phases.push_back(std::move(lift));
 
@@ -434,9 +408,7 @@ run_strategy(EGraph& graph, ClassId root, const std::vector<Rewrite>& rules,
             const Runner runner(effective_limits(options.base, phase,
                                                  remaining));
             const RunnerReport rr =
-                runner.run(graph, subset, *make_scheduler(phase.scheduler,
-                                                          options.base),
-                           options.deadline);
+                runner.run(graph, subset, options.deadline);
             merge_run(pr.runner, rr);
             ++pr.runs;
             report.iterations += rr.iterations.size();
@@ -479,14 +451,7 @@ run_strategy(EGraph& graph, ClassId root, const std::vector<Rewrite>& rules,
         for (std::size_t i = 0; i < phase_rules[p].size() &&
                                 i < pr.runner.rule_stats.size();
              ++i) {
-            RuleStats& a = report.rule_stats[phase_rules[p][i]];
-            const RuleStats& b = pr.runner.rule_stats[i];
-            a.matches += b.matches;
-            a.applications += b.applications;
-            a.search_seconds += b.search_seconds;
-            a.apply_seconds += b.apply_seconds;
-            a.times_banned += b.times_banned;
-            a.banned_until = std::max(a.banned_until, b.banned_until);
+            report.rule_stats[phase_rules[p][i]] += pr.runner.rule_stats[i];
         }
 
         if (!hard_stop && strategy.goal && !goal_satisfied) {

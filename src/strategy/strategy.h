@@ -6,28 +6,29 @@
  * A `Strategy` turns the monolithic `Runner::run` call into an ordered
  * list of *phases* executed over one shared e-graph. Each phase names a
  * rule subset (exact names, `*` globs, or "all"), optional tightenings
- * of the base `RunnerLimits`, and a rule scheduler
- * (strategy/scheduler.h). Between phases the engine checks sketch goals
- * (strategy/sketch.h): a phase with an `until` sketch re-runs while the
- * sketch is unsatisfied (up to `repeat` runs), and once the
- * strategy-level `goal` sketch is satisfied every remaining phase not
- * marked `always` is skipped — growth stops as soon as a Vec-shaped
- * program is reachable (StopReason::kGoalReached).
+ * of the base `RunnerLimits`, and optionally its own backoff pair
+ * (threshold, match cap) for the runner. Between phases the engine
+ * checks sketch goals (strategy/sketch.h): a phase with an `until`
+ * sketch re-runs while the sketch is unsatisfied (up to `repeat` runs),
+ * and once the strategy-level `goal` sketch is satisfied every
+ * remaining phase not marked `always` is skipped — growth stops as soon
+ * as a Vec-shaped program is reachable (StopReason::kGoalReached).
  *
  * Strategies are data: the s-expression DSL in strategy/parse.h loads
  * them from files (`dioscc --strategy <file|name>`), and
  * `Strategy::to_string()` is the canonical identity folded into the
  * service cache key. Two built-ins ship:
  *
- *  - "default" — one phase, all rules, limits-derived scheduler: the
- *    exact legacy single-phase behavior (byte-identical, pinned by
- *    tests/strategy_test.cpp);
+ *  - "default" — one phase, all rules, the base backoff pair: the
+ *    exact monolithic `Runner::run` behavior (byte-identical, pinned
+ *    by tests/strategy_test.cpp);
  *  - "phased"  — chunk → MAC → lift → cleanup with backoff and a
  *    MAC-shaped goal, the schedule that breaks the Figure-6 timeout
  *    wall on large matmul/conv kernels (bench/fig6_timeout.cpp).
  *
  * Budget model: a phase may only *tighten* the base limits (its
- * node/iteration/time values are clamped to the base), and the base
+ * node/iteration/time/memory values are clamped to the base; only its
+ * backoff pair replaces the base one), and the base
  * `time_limit_seconds` is one budget shared by all phases — so a
  * strategy never exceeds the budget the monolithic run was given, and
  * the degradation ladder's reduced rungs bound every phase
@@ -50,35 +51,30 @@ class DiagEngine;
 
 namespace diospyros::strategy {
 
-/** Which admission policy a phase runs under. */
-struct SchedulerSpec {
-    enum class Kind {
-        /**
-         * Derive from the base RunnerLimits: exactly
-         * BackoffScheduler(backoff_threshold, match_limit_per_rule) —
-         * the legacy policy, and the default.
-         */
-        kFromLimits,
-        kNone,      ///< admit everything
-        kBackoff,   ///< BackoffScheduler(threshold, match_cap)
-        kMatchCap,  ///< MatchCapScheduler(match_cap)
-    };
-    Kind kind = Kind::kFromLimits;
-    std::size_t threshold = 0;  ///< kBackoff
-    std::size_t match_cap = 0;  ///< kBackoff (optional) / kMatchCap
-
-    bool operator==(const SchedulerSpec&) const = default;
-};
-
 /**
- * Per-phase tightenings of the base RunnerLimits. Engaged fields are
- * clamped to the base (a phase can only shrink the budget it inherits).
+ * Per-phase tightenings of the base RunnerLimits. Engaged size and time
+ * fields are clamped to the base (a phase can only shrink the budget it
+ * inherits).
  */
 struct PhaseLimits {
     std::optional<std::size_t> node_limit;
     std::optional<int> iter_limit;
     std::optional<double> time_limit_seconds;
     std::optional<std::size_t> memory_limit_bytes;
+
+    /** The runner's backoff pair (RunnerLimits fields of the same names). */
+    struct Backoff {
+        std::size_t backoff_threshold = 0;
+        std::size_t match_limit_per_rule = 0;
+
+        bool operator==(const Backoff&) const = default;
+    };
+    /**
+     * `(scheduler ...)`: when engaged, replaces the base backoff pair
+     * unclamped; unset inherits it. `none` is (0, 0), `match-cap C` is
+     * (0, C) and `backoff T [C]` is (T, C or 0).
+     */
+    std::optional<Backoff> backoff;
 
     bool operator==(const PhaseLimits&) const = default;
 };
@@ -93,7 +89,6 @@ struct Phase {
      */
     std::vector<std::string> rules;
     PhaseLimits limits;
-    SchedulerSpec scheduler;
     /**
      * Goal for this phase: after a run, the phase re-runs while the
      * sketch is unsatisfied and fewer than `repeat` runs have happened.
@@ -131,7 +126,7 @@ const std::vector<std::string>& builtin_strategy_names();
 /** Built-in strategy by name (nullopt when unknown). */
 std::optional<Strategy> builtin_strategy(const std::string& name);
 
-/** "default": one phase, all rules, limits scheduler — legacy behavior. */
+/** "default": one phase, all rules, base backoff — the monolithic run. */
 Strategy builtin_default();
 
 /** "phased": chunk → MAC → lift → cleanup with a MAC-shaped goal. */

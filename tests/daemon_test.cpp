@@ -551,6 +551,32 @@ TEST(Protocol, EveryOptionFieldRoundTripsAndKeysByIdentity)
     EXPECT_EQ(back.limits.time_limit_seconds, 7.0);
 }
 
+TEST(Protocol, StrategyPhaseTimeoutTravelsExactly)
+{
+    // The strategy crosses the wire as its canonical text, so a phase
+    // timeout must render in full: a rounded one would run a different
+    // budget remotely and share a cache key with a different strategy.
+    const scalar::Kernel kernel = scalar::parse_kernel(kVaddText);
+    CompilerOptions o = test_options();
+    o.strategy = strategy::builtin_phased();
+    o.strategy->phases[0].limits.time_limit_seconds = 0.1234567;
+    CompileRequest req;
+    req.kernel_name = "vadd4";
+    req.kernel_text = kVaddText;
+    req.options = o;
+    const CompilerOptions back =
+        daemon::decode_compile_request(encode_compile_request(req)).options;
+    ASSERT_TRUE(back.strategy.has_value());
+    EXPECT_EQ(*back.strategy, *o.strategy);
+    EXPECT_EQ(service::compute_cache_key(kernel, back),
+              service::compute_cache_key(kernel, o));
+
+    CompilerOptions near = o;
+    near.strategy->phases[0].limits.time_limit_seconds = 0.1234568;
+    EXPECT_NE(service::compute_cache_key(kernel, near),
+              service::compute_cache_key(kernel, o));
+}
+
 // ---------------------------------------------------------------------------
 // Live daemon end to end
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Tests for the saturation strategy subsystem (src/strategy/):
-// schedulers, the sketch goal language, the phase engine, the DSL
+// the runner's rule backoff, the sketch goal language, the phase engine, the DSL
 // round-trip, and the pinned guarantee that the built-in "default"
 // strategy reproduces the legacy monolithic Runner::run byte for byte.
 
@@ -21,7 +21,6 @@
 #include "rules/cost.h"
 #include "rules/rules.h"
 #include "strategy/parse.h"
-#include "strategy/scheduler.h"
 #include "strategy/sketch.h"
 #include "strategy/strategy.h"
 #include "support/error.h"
@@ -29,8 +28,6 @@
 namespace diospyros {
 namespace {
 
-using strategy::BackoffScheduler;
-using strategy::MatchCapScheduler;
 using strategy::Phase;
 using strategy::PhaseReport;
 using strategy::Sketch;
@@ -81,53 +78,92 @@ extract_text(EGraph& graph, ClassId root, int width = 4)
 }
 
 // ---------------------------------------------------------------------
-// Schedulers.
+// Rule backoff.
 
-TEST(BackoffSchedulerTest, BansGeometricallyAboveThreshold)
+TEST(BackoffTest, BansGeometricallyAboveThreshold)
 {
-    BackoffScheduler sched(/*threshold=*/4);
-    sched.begin(2);
-    EXPECT_TRUE(sched.allow(0, 0));
+    const RunnerLimits limits{.backoff_threshold = 4};
+    RuleStats rule;
     // 10 matches > threshold 4: truncated to 4 and banned.
-    EXPECT_EQ(sched.admit(0, 0, 10), 4u);
-    EXPECT_EQ(sched.times_banned(0), 1);
-    // Ban window: iter + 1 + 2^min(bans,10) = 0 + 1 + 2 = 3.
-    EXPECT_EQ(sched.banned_until(0), 3);
-    EXPECT_FALSE(sched.allow(0, 1));
-    EXPECT_FALSE(sched.allow(0, 2));
-    EXPECT_TRUE(sched.allow(0, 3));
+    EXPECT_EQ(backoff_admit(limits, rule, 0, 10), 4u);
+    EXPECT_EQ(rule.times_banned, 1);
+    // Ban window: iter + 1 + 2^min(bans,10) = 0 + 1 + 2 = 3, so the rule
+    // skips iterations 1 and 2 and searches again in 3.
+    EXPECT_EQ(rule.banned_until, 3);
     // Second offense doubles the window: 3 + 1 + 4 = 8.
-    EXPECT_EQ(sched.admit(0, 3, 100), 4u);
-    EXPECT_EQ(sched.banned_until(0), 8);
-    // Rule 1 is untouched.
-    EXPECT_TRUE(sched.allow(1, 1));
-    EXPECT_EQ(sched.admit(1, 1, 3), 3u);
-    EXPECT_EQ(sched.times_banned(1), 0);
-    // begin() resets everything.
-    sched.begin(2);
-    EXPECT_TRUE(sched.allow(0, 0));
-    EXPECT_EQ(sched.times_banned(0), 0);
+    EXPECT_EQ(backoff_admit(limits, rule, 3, 100), 4u);
+    EXPECT_EQ(rule.times_banned, 2);
+    EXPECT_EQ(rule.banned_until, 8);
+    // At or below the threshold nothing changes.
+    RuleStats quiet;
+    EXPECT_EQ(backoff_admit(limits, quiet, 1, 4), 4u);
+    EXPECT_EQ(backoff_admit(limits, quiet, 1, 3), 3u);
+    EXPECT_EQ(quiet.times_banned, 0);
+    EXPECT_EQ(quiet.banned_until, 0);
+    // The exponent stops at 10: the eleventh and twelfth bans both last
+    // 2^10 iterations.
+    for (int i = 0; i < 9; ++i) {
+        backoff_admit(limits, rule, 10, 5);
+    }
+    EXPECT_EQ(rule.times_banned, 11);
+    EXPECT_EQ(rule.banned_until, 10 + 1 + 1024);
+    backoff_admit(limits, rule, 20, 5);
+    EXPECT_EQ(rule.banned_until, 20 + 1 + 1024);
 }
 
-TEST(BackoffSchedulerTest, ZeroThresholdNeverBansAndCapApplies)
+TEST(BackoffTest, ZeroThresholdNeverBansAndCapApplies)
 {
-    BackoffScheduler sched(/*threshold=*/0, /*match_cap=*/5);
-    sched.begin(1);
-    EXPECT_TRUE(sched.allow(0, 0));
-    EXPECT_EQ(sched.admit(0, 0, 1000), 5u);
-    EXPECT_EQ(sched.times_banned(0), 0);
-    EXPECT_TRUE(sched.allow(0, 1));
+    const RunnerLimits limits{.match_limit_per_rule = 5};
+    RuleStats rule;
+    EXPECT_EQ(backoff_admit(limits, rule, 0, 1000), 5u);
+    EXPECT_EQ(backoff_admit(limits, rule, 0, 2), 2u);
+    EXPECT_EQ(rule.times_banned, 0);
+    EXPECT_EQ(rule.banned_until, 0);
+    // Without either number every match is admitted.
+    EXPECT_EQ(backoff_admit(RunnerLimits{}, rule, 0, 1000), 1000u);
 }
 
-TEST(MatchCapSchedulerTest, CapsButNeverBans)
+TEST(BackoffTest, CapAppliesAfterThresholdTruncation)
 {
-    MatchCapScheduler sched(3);
-    sched.begin(1);
-    EXPECT_TRUE(sched.allow(0, 0));
-    EXPECT_EQ(sched.admit(0, 0, 10), 3u);
-    EXPECT_EQ(sched.admit(0, 0, 2), 2u);
-    EXPECT_TRUE(sched.allow(0, 99));
-    EXPECT_EQ(sched.times_banned(0), 0);
+    const RunnerLimits limits{.match_limit_per_rule = 3,
+                              .backoff_threshold = 8};
+    RuleStats rule;
+    EXPECT_EQ(backoff_admit(limits, rule, 0, 100), 3u);
+    EXPECT_EQ(rule.times_banned, 1);
+    EXPECT_EQ(backoff_admit(limits, rule, 5, 6), 3u);
+    EXPECT_EQ(rule.times_banned, 1);
+}
+
+TEST(BackoffTest, RunnerSkipsBannedRulesUntilTheirWindowEnds)
+{
+    // Full-AC rules on the MAC spec with threshold 1: a rule that finds
+    // two or more matches in iteration i is banned until i + 3, so it
+    // skips iterations i + 1 and i + 2.
+    RuleConfig config(4);
+    config.full_ac = true;
+    const std::vector<Rewrite> rules = build_rules(config);
+    EGraph graph;
+    graph.add_term(Term::parse(kMacSpec));
+    RunnerLimits limits = small_limits();
+    limits.iter_limit = 3;
+    limits.backoff_threshold = 1;
+    const RunnerReport report = Runner(limits).run(graph, rules);
+    ASSERT_EQ(report.iterations.size(), 3u);
+    std::size_t banned_at[3] = {0, 0, 0};
+    for (const RuleStats& rule : report.rule_stats) {
+        if (rule.times_banned > 0) {
+            // Banned once at most: a ban outlasts the remaining budget.
+            EXPECT_EQ(rule.times_banned, 1) << rule.name;
+            ASSERT_GE(rule.banned_until, 3) << rule.name;
+            ASSERT_LE(rule.banned_until, 5) << rule.name;
+            ++banned_at[rule.banned_until - 3];
+        }
+    }
+    EXPECT_GT(banned_at[0], 0u);
+    EXPECT_EQ(report.iterations[0].banned_rules, 0u);
+    EXPECT_EQ(report.iterations[1].banned_rules, banned_at[0]);
+    EXPECT_EQ(report.iterations[2].banned_rules,
+              banned_at[0] + banned_at[1]);
 }
 
 // ---------------------------------------------------------------------
@@ -203,23 +239,22 @@ TEST(StrategyDslTest, EveryClauseRoundTrips)
     a.limits.node_limit = 1000;
     a.limits.time_limit_seconds = 2.5;
     a.limits.memory_limit_bytes = 1 << 20;
-    a.scheduler.kind = strategy::SchedulerSpec::Kind::kBackoff;
-    a.scheduler.threshold = 64;
-    a.scheduler.match_cap = 128;
+    a.limits.backoff = strategy::PhaseLimits::Backoff{
+        .backoff_threshold = 64, .match_limit_per_rule = 128};
     a.until = Sketch::contains(Sketch::of_op(Op::kVecMAC));
     a.repeat = 3;
     s.phases.push_back(a);
     Phase b;
     b.name = "clean";
     b.rules = {"all"};
-    b.scheduler.kind = strategy::SchedulerSpec::Kind::kMatchCap;
-    b.scheduler.match_cap = 9;
+    b.limits.backoff =
+        strategy::PhaseLimits::Backoff{.match_limit_per_rule = 9};
     b.always = true;
     s.phases.push_back(b);
     Phase c;
     c.name = "open";
     c.rules = {"mul-1"};
-    c.scheduler.kind = strategy::SchedulerSpec::Kind::kNone;
+    c.limits.backoff = strategy::PhaseLimits::Backoff{};
     s.phases.push_back(c);
     s.goal = Sketch::contains(
         Sketch::of_op(Op::kVecAdd, {Sketch::any(), Sketch::any()}));
@@ -229,6 +264,67 @@ TEST(StrategyDslTest, EveryClauseRoundTrips)
     ASSERT_FALSE(diags.has_errors()) << diags.render_text();
     ASSERT_TRUE(reparsed.has_value());
     EXPECT_EQ(*reparsed, s);
+}
+
+TEST(StrategyDslTest, PhaseTimeoutRoundTripsExactly)
+{
+    for (const double seconds :
+         {0.1234567, 1234567.0, 0.1, 2.5, 1e-9, 1e20, 180.0}) {
+        Strategy s;
+        s.name = "t";
+        Phase p;
+        p.name = "p";
+        p.rules = {"all"};
+        p.limits.time_limit_seconds = seconds;
+        s.phases.push_back(p);
+        analysis::DiagEngine diags;
+        const auto reparsed = strategy::parse_strategy(s.to_string(), diags);
+        ASSERT_TRUE(reparsed.has_value()) << diags.render_text();
+        EXPECT_EQ(reparsed->phases[0].limits.time_limit_seconds, seconds)
+            << s.to_string();
+    }
+    Strategy s;
+    s.name = "t";
+    Phase p;
+    p.name = "p";
+    p.rules = {"all"};
+    p.limits.time_limit_seconds = 2.5;
+    s.phases.push_back(p);
+    EXPECT_EQ(s.to_string(),
+              "(strategy t\n  (phase p (rules all) (timeout 2.5)))\n");
+}
+
+TEST(StrategyDslTest, SchedulerSpellingsMapToOneBackoffPair)
+{
+    // Each spelling is a (threshold, cap) pair; the canonical text is the
+    // shortest spelling of that pair, so equal pairs share one identity.
+    const struct {
+        const char* clause;
+        const char* canonical;  ///< nullptr: no clause (base pair)
+    } cases[] = {
+        {"(scheduler limits)", nullptr},
+        {"(scheduler none)", "(scheduler none)"},
+        {"(scheduler backoff 0)", "(scheduler none)"},
+        {"(scheduler backoff 0 7)", "(scheduler match-cap 7)"},
+        {"(scheduler match-cap 7)", "(scheduler match-cap 7)"},
+        {"(scheduler backoff 64)", "(scheduler backoff 64)"},
+        {"(scheduler backoff 64 128)", "(scheduler backoff 64 128)"},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.clause);
+        analysis::DiagEngine diags;
+        const auto parsed = strategy::parse_strategy(
+            std::string("(strategy s (phase p (rules all) ") + c.clause +
+                "))",
+            diags);
+        ASSERT_TRUE(parsed.has_value()) << diags.render_text();
+        const std::string want =
+            c.canonical == nullptr
+                ? "(strategy s\n  (phase p (rules all)))\n"
+                : std::string("(strategy s\n  (phase p (rules all) ") +
+                      c.canonical + "))\n";
+        EXPECT_EQ(parsed->to_string(), want);
+    }
 }
 
 TEST(StrategyDslTest, MalformedInputsGetStableCodes)
@@ -582,8 +678,8 @@ TEST(StrategyRunTest, BackoffBansSurfaceInRuleStats)
     Phase p;
     p.name = "grow";
     p.rules = {"all"};
-    p.scheduler.kind = strategy::SchedulerSpec::Kind::kBackoff;
-    p.scheduler.threshold = 1;  // ban nearly everything immediately
+    // Ban nearly everything immediately.
+    p.limits.backoff = strategy::PhaseLimits::Backoff{.backoff_threshold = 1};
     s.phases.push_back(p);
 
     Prepared g = prepare(kMacSpec);

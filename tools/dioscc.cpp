@@ -502,24 +502,14 @@ class Router {
     bool drained_ = false;
 };
 
-struct RuleTotals {
-    std::size_t matches = 0;
-    std::size_t applications = 0;
-    double search_seconds = 0.0;
-    double apply_seconds = 0.0;
-};
-
-/** Prints a per-rule e-matching profile array and returns its totals. */
-RuleTotals
+/** Prints a per-rule e-matching profile array and returns its sum. */
+RuleStats
 print_rule_stats(const std::vector<RuleStats>& stats)
 {
-    RuleTotals t;
+    RuleStats t;
     for (std::size_t i = 0; i < stats.size(); ++i) {
         const RuleStats& s = stats[i];
-        t.matches += s.matches;
-        t.applications += s.applications;
-        t.search_seconds += s.search_seconds;
-        t.apply_seconds += s.apply_seconds;
+        t += s;
         std::printf("%s{\"rule\":\"%s\",\"matches\":%zu,"
                     "\"applications\":%zu,\"search_seconds\":%.6f,"
                     "\"apply_seconds\":%.6f,\"times_banned\":%d,"
@@ -579,7 +569,7 @@ print_json(const Job& o)
                     json_escape(a.error).c_str());
     }
     std::printf("],\"rule_stats\":");
-    const RuleTotals totals = print_rule_stats(r.rule_stats);
+    const RuleStats totals = print_rule_stats(r.rule_stats);
     std::printf(",\"ematch_matches\":%zu,\"ematch_search_seconds\":%.6f,"
                 "\"ematch_apply_seconds\":%.6f",
                 totals.matches, totals.search_seconds, totals.apply_seconds);
@@ -600,7 +590,7 @@ print_json(const Job& o)
             p.runner.iterations.size(), p.runner.final_nodes,
             p.runner.final_classes, p.sketch_checked ? "true" : "false",
             p.sketch_satisfied ? "true" : "false", p.seconds);
-        const RuleTotals phase = print_rule_stats(p.runner.rule_stats);
+        const RuleStats phase = print_rule_stats(p.runner.rule_stats);
         std::printf(",\"matches\":%zu,\"applications\":%zu}", phase.matches,
                     phase.applications);
     }
