@@ -52,9 +52,9 @@ class DiagEngine;
 namespace diospyros::strategy {
 
 /**
- * Per-phase tightenings of the base RunnerLimits. Engaged size and time
- * fields are clamped to the base (a phase can only shrink the budget it
- * inherits).
+ * Per-phase tightenings of the base RunnerLimits. Engaged budget fields
+ * (nodes, iterations, time, memory) are clamped to the base: a phase
+ * can only shrink the budget it inherits.
  */
 struct PhaseLimits {
     std::optional<std::size_t> node_limit;
