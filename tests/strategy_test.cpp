@@ -1,7 +1,8 @@
-// Tests for the saturation strategy subsystem (src/strategy/):
-// the runner's rule backoff, the sketch goal language, the phase engine, the DSL
-// round-trip, and the pinned guarantee that the built-in "default"
-// strategy reproduces the legacy monolithic Runner::run byte for byte.
+// Tests for the saturation strategy subsystem (src/strategy/): the
+// runner's rule backoff, the sketch goal language, the phase engine, the
+// DSL round-trip and the shipped strategies' golden text, and the pinned
+// guarantee that the built-in "default" strategy reproduces the
+// monolithic Runner::run byte for byte.
 
 #include <gtest/gtest.h>
 
