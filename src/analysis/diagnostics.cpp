@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "support/json.h"
-
 namespace diospyros::analysis {
 
 const char*
@@ -82,24 +80,6 @@ DiagEngine::render_text() const
         }
         os << ": " << d.message << '\n';
     }
-    return os.str();
-}
-
-std::string
-DiagEngine::render_json() const
-{
-    std::ostringstream os;
-    os << '[';
-    for (std::size_t i = 0; i < diags_.size(); ++i) {
-        const Diag& d = diags_[i];
-        os << (i ? "," : "") << "{\"severity\":\""
-           << severity_name(d.severity) << "\",\"pass\":\""
-           << json_escape(d.pass) << "\",\"code\":\"" << json_escape(d.code)
-           << "\",\"instr_index\":" << d.instr_index
-           << ",\"eclass_id\":" << d.eclass_id << ",\"message\":\""
-           << json_escape(d.message) << "\"}";
-    }
-    os << ']';
     return os.str();
 }
 

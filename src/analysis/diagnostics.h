@@ -5,8 +5,8 @@
  * Every analysis (VIR verifier, e-graph auditor, rule linter) reports
  * findings as Diag records carrying a stable machine-readable code, the
  * producing pass, and an optional anchor (instruction index or e-class
- * id). A DiagEngine accumulates them and renders either human-readable
- * text or a JSON array, so the same findings can gate the pipeline
+ * id). A DiagEngine accumulates them and renders them as text, one
+ * line per finding, so the same findings can gate the pipeline
  * (driver/service) and feed tooling (dioscc --lint-rules, tests).
  *
  * Code ranges: V0xx = VIR verifier, E1xx/E2xx = e-graph auditor
@@ -70,9 +70,6 @@ class DiagEngine {
 
     /** One "severity pass [code] anchor: message" line per finding. */
     std::string render_text() const;
-
-    /** JSON array of objects with every Diag field. */
-    std::string render_json() const;
 
   private:
     std::vector<Diag> diags_;

@@ -1,5 +1,6 @@
 #include "egraph/pattern.h"
 
+#include <algorithm>
 #include <array>
 #include <utility>
 
@@ -9,11 +10,12 @@
 namespace diospyros {
 
 PatternRef
-PatternNode::var(Symbol name)
+PatternNode::var(Symbol name, std::size_t slot)
 {
     auto n = std::shared_ptr<PatternNode>(new PatternNode());
     n->kind_ = Kind::kVar;
     n->var_ = name;
+    n->slot_ = slot;
     return n;
 }
 
@@ -63,24 +65,29 @@ is_pattern_var(const std::string& token)
     return token.size() >= 2 && token[0] == '?';
 }
 
+/** `vars` is the slot table; `lhs` is set when parsing a right-hand side. */
 PatternRef
-pattern_from_sexpr(const Sexpr& s, std::vector<Symbol>& vars)
+pattern_from_sexpr(const Sexpr& s, std::vector<Symbol>& vars,
+                   const Pattern* lhs)
 {
-    auto note_var = [&vars](Symbol v) {
-        for (const Symbol existing : vars) {
-            if (existing == v) {
-                return;
-            }
-        }
-        vars.push_back(v);
-    };
-
     if (s.is_atom()) {
         const std::string& tok = s.token();
         if (is_pattern_var(tok)) {
             const Symbol v{tok.substr(1)};
-            note_var(v);
-            return PatternNode::var(v);
+            const auto it = std::find(vars.begin(), vars.end(), v);
+            if (it != vars.end()) {
+                return PatternNode::var(
+                    v, static_cast<std::size_t>(it - vars.begin()));
+            }
+            DIOS_CHECK(lhs == nullptr, "right-hand-side variable " + tok +
+                                           " is not bound by " +
+                                           lhs->to_string());
+            DIOS_CHECK(vars.size() < kMaxPatternVars,
+                       "pattern binds more than " +
+                           std::to_string(kMaxPatternVars) +
+                           " variables: " + tok);
+            vars.push_back(v);
+            return PatternNode::var(v, vars.size() - 1);
         }
         if (s.is_integer()) {
             return PatternNode::op_node(
@@ -110,7 +117,7 @@ pattern_from_sexpr(const Sexpr& s, std::vector<Symbol>& vars)
     }
     std::vector<PatternRef> children;
     for (std::size_t i = first_child; i < s.size(); ++i) {
-        children.push_back(pattern_from_sexpr(s[i], vars));
+        children.push_back(pattern_from_sexpr(s[i], vars, lhs));
     }
     return PatternNode::op_node(std::move(proto), std::move(children));
 }
@@ -138,12 +145,12 @@ prototype_matches(const ENode& proto, const ENodeView& node,
 
 /**
  * Backtracking e-matcher. Goals still to be solved form an intrusive
- * stack-allocated list (`Pending`); a single mutable Subst is threaded
- * through the whole search, bindings undone via truncate() when a branch
- * is exhausted. Each complete match is appended straight to the caller's
- * buffer as a RuleMatch — the Subst is copied exactly once, into it.
- * Enumeration order (depth-first, children left to right, class nodes in
- * storage order) matches the old matcher exactly.
+ * stack-allocated list (`Pending`); one RuleMatch is threaded through the
+ * whole search with a bitmask of its bound slots. A branch binds a slot
+ * only in the mask it passes down, so backtracking needs no undo. Each
+ * complete match is appended straight to the caller's buffer.
+ * Enumeration order: depth-first, children left to right, class nodes in
+ * storage order.
  */
 struct Pending {
     const PatternNode* pattern;
@@ -152,26 +159,24 @@ struct Pending {
 };
 
 void
-solve(const EGraph& graph, const Pending* goals, Subst& subst, ClassId root,
-      std::vector<RuleMatch>& out)
+solve(const EGraph& graph, const Pending* goals, RuleMatch& match,
+      unsigned bound, std::vector<RuleMatch>& out)
 {
     if (goals == nullptr) {
-        out.push_back(RuleMatch{root, subst});
+        out.push_back(match);
         return;
     }
     const PatternNode& pattern = *goals->pattern;
     const ClassId id = graph.find_const(goals->cls);
     if (pattern.kind() == PatternNode::Kind::kVar) {
-        if (auto bound = subst.find(pattern.var_name())) {
-            if (graph.find_const(*bound) == id) {
-                solve(graph, goals->rest, subst, root, out);
-            }
-            return;
+        const std::size_t slot = pattern.slot();
+        const unsigned bit = 1u << slot;
+        if ((bound & bit) == 0) {
+            match.vars[slot] = id;
+            solve(graph, goals->rest, match, bound | bit, out);
+        } else if (graph.find_const(match.vars[slot]) == id) {
+            solve(graph, goals->rest, match, bound, out);
         }
-        const std::size_t mark = subst.size();
-        subst.bind(pattern.var_name(), id);
-        solve(graph, goals->rest, subst, root, out);
-        subst.truncate(mark);
         return;
     }
     const std::size_t arity = pattern.children().size();
@@ -189,7 +194,7 @@ solve(const EGraph& graph, const Pending* goals, Subst& subst, ClassId root,
             continue;
         }
         if (arity == 0) {
-            solve(graph, goals->rest, subst, root, out);
+            solve(graph, goals->rest, match, bound, out);
             continue;
         }
         for (std::size_t i = 0; i < arity; ++i) {
@@ -197,26 +202,22 @@ solve(const EGraph& graph, const Pending* goals, Subst& subst, ClassId root,
             frames[i].cls = node.children[i];
             frames[i].rest = i + 1 < arity ? &frames[i + 1] : goals->rest;
         }
-        solve(graph, frames, subst, root, out);
+        solve(graph, frames, match, bound, out);
     }
 }
 
 ClassId
 instantiate_node(EGraph& graph, const PatternRef& pattern,
-                 const Subst& subst)
+                 const RuleMatch& match)
 {
     if (pattern->kind() == PatternNode::Kind::kVar) {
-        auto bound = subst.find(pattern->var_name());
-        DIOS_ASSERT(bound.has_value(),
-                    "unbound pattern variable during instantiation: " +
-                        pattern->var_name().str());
-        return *bound;
+        return match.vars[pattern->slot()];
     }
     ENode node = pattern->prototype();
     node.children.clear();
     node.children.reserve(pattern->children().size());
     for (const PatternRef& c : pattern->children()) {
-        node.children.push_back(instantiate_node(graph, c, subst));
+        node.children.push_back(instantiate_node(graph, c, match));
     }
     return graph.add(std::move(node));
 }
@@ -224,10 +225,13 @@ instantiate_node(EGraph& graph, const PatternRef& pattern,
 }  // namespace
 
 Pattern
-Pattern::parse(const std::string& text)
+Pattern::parse(const std::string& text, const Pattern* lhs)
 {
     Pattern p;
-    p.root_ = pattern_from_sexpr(parse_sexpr(text), p.vars_);
+    if (lhs != nullptr) {
+        p.vars_ = lhs->vars_;
+    }
+    p.root_ = pattern_from_sexpr(parse_sexpr(text), p.vars_, lhs);
     return p;
 }
 
@@ -235,15 +239,15 @@ void
 Pattern::search(const EGraph& graph, ClassId id,
                 std::vector<RuleMatch>& out) const
 {
-    Subst subst;
+    RuleMatch match{id, {}};
     const Pending root_goal{root_.get(), id, nullptr};
-    solve(graph, &root_goal, subst, id, out);
+    solve(graph, &root_goal, match, 0, out);
 }
 
 ClassId
-Pattern::instantiate(EGraph& graph, const Subst& subst) const
+Pattern::instantiate(EGraph& graph, const RuleMatch& match) const
 {
-    return instantiate_node(graph, root_, subst);
+    return instantiate_node(graph, root_, match);
 }
 
 }  // namespace diospyros

@@ -4,9 +4,10 @@
  *
  * Patterns are written in the same s-expression syntax as terms, with
  * `?x`-style pattern variables, e.g. `(VecAdd ?a (VecMul ?b ?c))`.
- * e-matching enumerates every substitution (pattern variable -> e-class)
- * under which an e-class contains the pattern (paper §3.3; egg's pattern
- * DSL).
+ * Parsing resolves each variable to a slot, so a match is a root class
+ * plus one class id per slot (RuleMatch). e-matching enumerates every
+ * binding of the slots under which an e-class contains the pattern
+ * (paper §3.3; egg's pattern DSL).
  */
 #pragma once
 
@@ -14,8 +15,6 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "egraph/egraph.h"
@@ -23,86 +22,20 @@
 namespace diospyros {
 
 /**
- * A substitution from pattern variables to e-classes.
- *
- * Substitutions are tiny (a handful of variables), so bindings live in a
- * fixed inline array — no heap allocation on the e-matching hot path —
- * with a heap overflow only for pathological patterns. The matcher binds
- * and unbinds in LIFO order (backtracking), so truncate() suffices to
- * undo.
+ * Most distinct variables one pattern may bind. The largest shipped rule
+ * binds 3; parsing a pattern with more is a UserError.
  */
-class Subst {
-  public:
-    using Binding = std::pair<Symbol, ClassId>;
+inline constexpr std::size_t kMaxPatternVars = 4;
 
-    /** Class bound to a variable, or nullopt. */
-    std::optional<ClassId>
-    find(Symbol var) const
-    {
-        for (std::size_t i = 0; i < size_; ++i) {
-            const Binding& b = (*this)[i];
-            if (b.first == var) {
-                return b.second;
-            }
-        }
-        return std::nullopt;
-    }
-
-    void
-    bind(Symbol var, ClassId id)
-    {
-        if (size_ < kInline) {
-            inline_[size_] = Binding{var, id};
-        } else {
-            overflow_.emplace_back(var, id);
-        }
-        ++size_;
-    }
-
-    /** Drops bindings back to a previous size() (backtracking undo). */
-    void
-    truncate(std::size_t n)
-    {
-        if (size_ > kInline) {
-            overflow_.resize(n > kInline ? n - kInline : 0);
-        }
-        size_ = n;
-    }
-
-    std::size_t size() const { return size_; }
-
-    const Binding&
-    operator[](std::size_t i) const
-    {
-        return i < kInline ? inline_[i] : overflow_[i - kInline];
-    }
-
-    /** Materialized copy of all bindings, in binding order. */
-    std::vector<Binding>
-    bindings() const
-    {
-        std::vector<Binding> out;
-        out.reserve(size_);
-        for (std::size_t i = 0; i < size_; ++i) {
-            out.push_back((*this)[i]);
-        }
-        return out;
-    }
-
-  private:
-    /** Covers every shipped pattern (≤3 variables) without spilling. */
-    static constexpr std::size_t kInline = 4;
-
-    std::array<Binding, kInline> inline_{};
-    std::vector<Binding> overflow_;
-    std::size_t size_ = 0;
-};
-
-/** One place a rule fired: the matched class plus variable bindings. */
+/**
+ * One place a rule fired: the matched class, and the class bound to each
+ * pattern variable by slot. Unused slots hold 0.
+ */
 struct RuleMatch {
     ClassId root;
-    Subst subst;
+    std::array<ClassId, kMaxPatternVars> vars;
 };
+static_assert(sizeof(RuleMatch) == 20, "a match is a root plus four ids");
 
 class PatternNode;
 using PatternRef = std::shared_ptr<const PatternNode>;
@@ -115,12 +48,14 @@ class PatternNode {
         kOperator,  ///< operator application with sub-patterns
     };
 
-    static PatternRef var(Symbol name);
+    static PatternRef var(Symbol name, std::size_t slot);
     static PatternRef op_node(ENode prototype,
                               std::vector<PatternRef> children);
 
     Kind kind() const { return kind_; }
     Symbol var_name() const { return var_; }
+    /** For kVar: the variable's slot in RuleMatch::vars. */
+    std::size_t slot() const { return slot_; }
     const ENode& prototype() const { return proto_; }
     const std::vector<PatternRef>& children() const { return children_; }
 
@@ -131,35 +66,42 @@ class PatternNode {
 
     Kind kind_ = Kind::kVar;
     Symbol var_;
+    std::size_t slot_ = 0;
     /** For kOperator: op + payload template (children ignored). */
     ENode proto_;
     std::vector<PatternRef> children_;
 };
 
-/** A complete pattern with its variable list (in first-occurrence order). */
+/** A pattern plus its slot table: variables()[i] binds RuleMatch::vars[i]. */
 class Pattern {
   public:
-    /** Parses pattern text, e.g. "(+ ?a (* ?b ?c))". */
-    static Pattern parse(const std::string& text);
+    /**
+     * Parses pattern text, e.g. "(+ ?a (* ?b ?c))". Variables take slots
+     * in first-occurrence order. A right-hand side is parsed against its
+     * `lhs`: it shares the lhs's slot table, and a variable the lhs does
+     * not bind is a UserError.
+     */
+    static Pattern parse(const std::string& text,
+                         const Pattern* lhs = nullptr);
 
     const PatternRef& root() const { return root_; }
     const std::vector<Symbol>& variables() const { return vars_; }
     std::string to_string() const { return root_->to_string(); }
 
     /**
-     * Appends a RuleMatch rooted at `id` for every substitution under
-     * which `id` contains this pattern, in enumeration order (depth-first,
-     * children left to right, class nodes in storage order). Requires a
-     * clean (rebuilt) e-graph.
+     * Appends a RuleMatch rooted at `id` for every binding of the slots
+     * under which `id` contains this pattern, in enumeration order
+     * (depth-first, children left to right, class nodes in storage
+     * order). Requires a clean (rebuilt) e-graph.
      */
     void search(const EGraph& graph, ClassId id,
                 std::vector<RuleMatch>& out) const;
 
     /**
-     * Instantiates the pattern under a substitution, adding any new nodes,
-     * and returns the resulting class. All pattern variables must be bound.
+     * Instantiates the pattern with each variable read from its slot of
+     * `match`, adding any new nodes, and returns the resulting class.
      */
-    ClassId instantiate(EGraph& graph, const Subst& subst) const;
+    ClassId instantiate(EGraph& graph, const RuleMatch& match) const;
 
   private:
     Pattern() = default;

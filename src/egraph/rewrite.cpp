@@ -1,7 +1,5 @@
 #include "egraph/rewrite.h"
 
-#include "support/error.h"
-
 namespace diospyros {
 
 namespace {
@@ -53,7 +51,7 @@ PatternSearcher::root_op() const
 bool
 PatternApplier::apply(EGraph& graph, const RuleMatch& match) const
 {
-    const ClassId rhs = pattern_.instantiate(graph, match.subst);
+    const ClassId rhs = pattern_.instantiate(graph, match);
     return graph.merge(match.root, rhs);
 }
 
@@ -95,19 +93,7 @@ Rewrite::make(const std::string& name, const std::string& lhs,
               const std::string& rhs)
 {
     Pattern lhs_pat = Pattern::parse(lhs);
-    Pattern rhs_pat = Pattern::parse(rhs);
-    // Every RHS variable must be bound by the LHS.
-    for (const Symbol v : rhs_pat.variables()) {
-        bool found = false;
-        for (const Symbol l : lhs_pat.variables()) {
-            if (l == v) {
-                found = true;
-                break;
-            }
-        }
-        DIOS_CHECK(found, "rule '" + name + "': RHS variable ?" + v.str() +
-                              " is not bound by the LHS");
-    }
+    Pattern rhs_pat = Pattern::parse(rhs, &lhs_pat);
     return Rewrite(name,
                    std::make_shared<PatternSearcher>(std::move(lhs_pat)),
                    std::make_shared<PatternApplier>(std::move(rhs_pat)));

@@ -10,7 +10,6 @@
  */
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>

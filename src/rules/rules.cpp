@@ -44,7 +44,7 @@ class ListChunkSearcher : public Searcher {
     {
         for (const ENodeView n : graph.class_nodes(id)) {
             if (n.op == Op::kList) {
-                out.push_back(RuleMatch{id, Subst{}});
+                out.push_back(RuleMatch{id, {}});
                 return;
             }
         }
@@ -162,7 +162,7 @@ class VecBinaryLiftSearcher : public Searcher {
                 real += m->real_op ? 1 : 0;
             }
             if (all_ok && real >= 1) {
-                out.push_back(RuleMatch{id, Subst{}});
+                out.push_back(RuleMatch{id, {}});
                 return;
             }
         }
@@ -299,7 +299,7 @@ class VecUnaryLiftSearcher : public Searcher {
                 real += lane_real ? 1 : 0;
             }
             if (all_ok && real >= 1) {
-                out.push_back(RuleMatch{id, Subst{}});
+                out.push_back(RuleMatch{id, {}});
                 return;
             }
         }
@@ -450,7 +450,7 @@ class VecMacSearcher : public Searcher {
                 real += match_lane(graph, lane).has_mul ? 1 : 0;
             }
             if (real >= 1) {
-                out.push_back(RuleMatch{id, Subst{}});
+                out.push_back(RuleMatch{id, {}});
                 return;
             }
         }

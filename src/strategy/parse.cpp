@@ -1,5 +1,6 @@
 #include "strategy/parse.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -214,10 +215,12 @@ phase_from_sexpr(const Sexpr& e, analysis::DiagEngine& diags)
             phase.limits.memory_limit_bytes = static_cast<std::size_t>(v);
         } else if (head == "timeout") {
             if (clause.size() != 2 || !clause[1].is_atom() ||
-                !clause[1].is_number() || clause[1].as_number() < 0.0) {
+                !clause[1].is_number() ||
+                !std::isfinite(clause[1].as_number()) ||
+                clause[1].as_number() < 0.0) {
                 diags.error(kPass, "S403",
-                            "(timeout ...) needs one non-negative number, "
-                            "got " +
+                            "(timeout ...) needs one finite non-negative "
+                            "number, got " +
                                 clause.to_string());
                 return std::nullopt;
             }

@@ -1,7 +1,7 @@
 /**
  * @file
- * JSON string escaping, shared by every hand-written JSON writer (the
- * diagnostics renderer, the dioscc report, bench result files).
+ * JSON string escaping, shared by the hand-written JSON writers (the
+ * dioscc report and bench/native_diff's result file).
  */
 #pragma once
 

@@ -46,20 +46,6 @@ TEST(Diagnostics, CountsAndRendersText)
     EXPECT_NE(text.find("eclass 17"), std::string::npos);
 }
 
-TEST(Diagnostics, RendersJsonWithEveryField)
-{
-    DiagEngine diags;
-    diags.error("vir-verify", "V007", "store past \"extent\"", 5);
-    const std::string json = diags.render_json();
-    EXPECT_NE(json.find("\"severity\":\"error\""), std::string::npos);
-    EXPECT_NE(json.find("\"pass\":\"vir-verify\""), std::string::npos);
-    EXPECT_NE(json.find("\"code\":\"V007\""), std::string::npos);
-    EXPECT_NE(json.find("\"instr_index\":5"), std::string::npos);
-    EXPECT_NE(json.find("\"eclass_id\":-1"), std::string::npos);
-    // Quotes in the message must be escaped.
-    EXPECT_NE(json.find("store past \\\"extent\\\""), std::string::npos);
-}
-
 // ---------------------------------------------------------------------
 // VIR verifier: hand-built malformed programs
 

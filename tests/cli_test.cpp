@@ -3,8 +3,8 @@
 // 2 user error), the `--json --emit-c` stdout shape (one JSON object on
 // line 1, the C text after it), byte-identical C across every compile
 // route (local, cold and warm --cache-dir, --remote against a live
-// daemon, --remote falling back locally), the --batch --json array, and
-// diosd's graceful drain on SIGTERM.
+// daemon, --remote falling back locally), the --batch --json array,
+// numeric flag ranges, and diosd's graceful drain on SIGTERM.
 
 #include <gtest/gtest.h>
 
@@ -314,6 +314,19 @@ TEST(Cli, ExitCodes)
     EXPECT_EQ(dioscc(dir, {kVadd, "--bogus"}).code, 2);
     EXPECT_EQ(dioscc(dir, {kVadd, "--width", "abc"}).code, 2);
     EXPECT_EQ(dioscc(dir, {}).code, 2);
+    // A numeric flag is range-checked on every route and never narrowed.
+    for (const std::vector<std::string>& args :
+         std::vector<std::vector<std::string>>{
+             {kVadd, "--iters", "4294967297", "--json"},
+             {kVadd, "--strict", "--width", "4294967300"},
+             {kVadd, "--strict", "--timeout", "inf"},
+             {kVadd, "--strict", "--iters", "2000000000"},
+             {kVadd, "--jobs", "4294967297"},
+         }) {
+        const ToolRun run = dioscc(dir, args);
+        EXPECT_EQ(run.code, 2) << args[1] << " " << args[2] << "\n"
+                               << run.err;
+    }
 
     const std::string bad = dir.file("bad.ksp");
     std::ofstream(bad) << "(kernel broken (param n";
@@ -359,6 +372,20 @@ TEST(Cli, JsonEmitCIsOneObjectThenTheCText)
               std::string::npos)
         << parts.json;
     EXPECT_NE(parts.c.find("// Generated by"), std::string::npos) << parts.c;
+}
+
+TEST(Cli, EmitCStdoutIsTheCAlone)
+{
+    // The '; [miss] ... time=...' commentary goes to stderr, so stdout is
+    // the C text alone and the same bytes on every run.
+    TempDir dir("emit_c");
+    const ToolRun first = dioscc(dir, {kVadd, "--emit-c"});
+    ASSERT_EQ(first.code, 0) << first.err;
+    EXPECT_EQ(first.out.rfind("\n// Generated by", 0), 0u) << first.out;
+    EXPECT_NE(first.err.find("; [miss]"), std::string::npos) << first.err;
+    const ToolRun second = dioscc(dir, {kVadd, "--emit-c"});
+    ASSERT_EQ(second.code, 0) << second.err;
+    EXPECT_EQ(second.out, first.out);
 }
 
 TEST(Cli, EmitCBytesAreIdenticalOnEveryRoute)

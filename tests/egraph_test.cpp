@@ -192,7 +192,20 @@ TEST(Pattern, MatchesSimpleExpression)
     const Pattern p = Pattern::parse("(+ ?x (* ?y ?z))");
     const auto matches = match_class(p, g, id);
     ASSERT_EQ(matches.size(), 1u);
-    EXPECT_EQ(matches[0].subst.bindings().size(), 3u);
+    EXPECT_EQ(matches[0].root, id);
+    // Slots follow first occurrence: ?x, ?y, ?z.
+    const char* const leaves[] = {"(Get a 0)", "(Get b 0)", "(Get c 0)"};
+    for (std::size_t i = 0; i < 3; ++i) {
+        const ClassId leaf = g.add_term(Term::parse(leaves[i]));
+        EXPECT_EQ(matches[0].vars[i], g.find(leaf)) << leaves[i];
+    }
+}
+
+TEST(Pattern, RejectsAFifthVariable)
+{
+    EXPECT_NO_THROW(Pattern::parse("(+ (* ?a ?b) (* ?c ?d))"));
+    EXPECT_THROW(Pattern::parse("(+ (* ?a ?b) (+ ?c (* ?d ?e)))"),
+                 UserError);
 }
 
 TEST(Pattern, NonlinearPatternsRequireConsistency)
@@ -222,6 +235,29 @@ TEST(Pattern, MatchesAcrossEquivalentNodes)
 TEST(Rewrite, RejectsUnboundRhsVariables)
 {
     EXPECT_THROW(Rewrite::make("bad", "(+ ?a ?b)", "(+ ?a ?c)"), UserError);
+}
+
+TEST(Rewrite, RhsReadsTheLhsSlotsInItsOwnOrder)
+{
+    // (- ?a ?b) => (+ (neg ?b) ?a): the rhs meets ?b first but must read
+    // the slot the lhs gave it.
+    EGraph g;
+    const ClassId a = g.add_term(Term::parse("(Get a 0)"));
+    const ClassId b = g.add_term(Term::parse("(Get b 0)"));
+    const ClassId sub = g.add_op(Op::kSub, {a, b});
+    g.rebuild();
+    const Rewrite rule =
+        Rewrite::make("sub-to-add", "(- ?a ?b)", "(+ (neg ?b) ?a)");
+    const std::vector<RuleMatch> matches = rule.searcher().search(g);
+    ASSERT_EQ(matches.size(), 1u);
+    EXPECT_TRUE(rule.applier().apply(g, matches[0]));
+    g.rebuild();
+    const auto neg_b = g.lookup(ENode::make(Op::kNeg, {b}));
+    ASSERT_TRUE(neg_b.has_value());
+    const auto sum = g.lookup(ENode::make(Op::kAdd, {*neg_b, a}));
+    ASSERT_TRUE(sum.has_value());
+    EXPECT_EQ(g.find(*sum), g.find(sub));
+    EXPECT_FALSE(g.lookup(ENode::make(Op::kNeg, {a})).has_value());
 }
 
 TEST(Rewrite, AppliesCommutativity)
@@ -755,8 +791,7 @@ TEST(OpIndex, IndexedSearchEqualsNaiveForEveryRule)
                 EXPECT_EQ(g.find_const(indexed[i].root),
                           g.find_const(naive[i].root))
                     << "rule " << rule.name();
-                EXPECT_TRUE(indexed[i].subst.bindings() ==
-                            naive[i].subst.bindings())
+                EXPECT_EQ(indexed[i].vars, naive[i].vars)
                     << "rule " << rule.name();
             }
         }

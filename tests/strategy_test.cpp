@@ -348,6 +348,8 @@ TEST(StrategyDslTest, MalformedInputsGetStableCodes)
         {"(strategy s (phase p (rules all) (iters -1)))", "S403"},
         {"(strategy s (phase p (rules all) (repeat 0)))", "S403"},
         {"(strategy s (phase p (rules all) (timeout x)))", "S403"},
+        {"(strategy s (phase p (rules all) (timeout nan)))", "S403"},
+        {"(strategy s (phase p (rules all) (timeout inf)))", "S403"},
         {"(strategy s (phase p (rules all) (scheduler wat)))", "S405"},
         {"(strategy s (phase p (rules all) (scheduler match-cap 0)))",
          "S405"},

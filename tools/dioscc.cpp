@@ -39,11 +39,13 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/diagnostics.h"
 #include "analysis/lint_rules.h"
 #include "compiler/driver.h"
+#include "compiler/option_fields.h"
 #include "daemon/client.h"
 #include "egraph/runner.h"
 #include "kernels/kernels.h"
@@ -127,7 +129,26 @@ struct Arg {
     {
         return require_nonnegative_integer(flag, value);
     }
-    double secs() const { return require_positive_number(flag, value); }
+
+    /**
+     * Parses the value (an integer for a kInt field) as the option_fields()
+     * entry `name`, range-checks it there and sets it in `o`.
+     */
+    void
+    set(CompilerOptions& o, std::string_view name) const
+    {
+        const auto fields = option_fields();
+        const OptionField& f = *std::find_if(
+            fields.begin(), fields.end(),
+            [&](const OptionField& x) { return x.name == name; });
+        const bool integer = f.kind == OptionKind::kInt;
+        const std::optional<double> v = parse_number(value);
+        DIOS_CHECK(v && (!integer || parse_integer(value)),
+                   flag + " expects " + (integer ? "an integer" : "a number") +
+                       ", got '" + value + "'");
+        f.check(*v);
+        f.access.set(o, 0, *v);
+    }
 };
 
 struct Flag {
@@ -145,19 +166,21 @@ const Flag kFlags[] = {
          // The whole preset, cost table included: the target the benches
          // measure. --recip may come before or after --width.
          const bool recip = c.compiler.target.has_reciprocal;
-         c.compiler.target = TargetSpec::for_width(a.pos());
+         a.set(c.compiler, "width");
+         c.compiler.target =
+             TargetSpec::for_width(c.compiler.target.vector_width);
          c.compiler.target.has_reciprocal |= recip;
      }},
     {"--iters", "N", kCompile, "saturation iteration budget (default 12)",
-     [](Cli& c, Arg a) { c.compiler.limits.iter_limit = a.pos(); }},
+     [](Cli& c, Arg a) { a.set(c.compiler, "iters"); }},
     {"--nodes", "N", kCompile, "e-graph node limit (default 300000)",
-     [](Cli& c, Arg a) { c.compiler.limits.node_limit = a.pos(); }},
+     [](Cli& c, Arg a) { a.set(c.compiler, "nodes"); }},
     {"--timeout", "S", kCompile, "saturation time budget (default 20 s)",
-     [](Cli& c, Arg a) { c.compiler.limits.time_limit_seconds = a.secs(); }},
+     [](Cli& c, Arg a) { a.set(c.compiler, "timeout"); }},
     {"--deadline", "S", kCompile, "time budget for the whole compile",
-     [](Cli& c, Arg a) { c.compiler.deadline_seconds = a.secs(); }},
+     [](Cli& c, Arg a) { a.set(c.compiler, "deadline"); }},
     {"--memory", "BYTES", kCompile, "e-graph memory ceiling in bytes",
-     [](Cli& c, Arg a) { c.compiler.limits.memory_limit_bytes = a.pos(); }},
+     [](Cli& c, Arg a) { a.set(c.compiler, "memory"); }},
     {"--no-vector", nullptr, kCompile, "disable the vector rewrite rules",
      [](Cli& c, Arg) { c.compiler.rules.enable_vector_rules = false; }},
     {"--ac", nullptr, kCompile, "enable full associativity/commutativity",
@@ -198,14 +221,17 @@ const Flag kFlags[] = {
      [](Cli& c, Arg) { c.json = true; }},
     {"--batch", "MANIFEST", kBatch, "compile each kernel path in MANIFEST",
      [](Cli& c, Arg a) { c.batch_path = a.value; }},
-    {"--jobs", "N", kRemote | kLocal, "compile worker threads (default 1)",
-     [](Cli& c, Arg a) { c.jobs = a.pos(); }},
+    {"--jobs", "N", kRemote | kLocal, "worker threads, 1 to 1024 (default 1)",
+     [](Cli& c, Arg a) {
+         DIOS_CHECK(a.pos() <= 1024, a.flag + " must be at most 1024");
+         c.jobs = static_cast<int>(a.pos());
+     }},
     {"--cache-dir", "D", kRemote | kLocal, "persistent compile cache",
      [](Cli& c, Arg a) { c.cache_dir = a.value; }},
     {"--cache-disk-budget", "BYTES", kRemote | kLocal, "disk cache size cap",
      [](Cli& c, Arg a) { c.cache_disk_budget = a.nonneg(); }},
     {"--io-retries", "N", kRemote | kLocal, "cache-store I/O retries (2)",
-     [](Cli& c, Arg a) { c.compiler.io_retries = a.nonneg(); }},
+     [](Cli& c, Arg a) { a.set(c.compiler, "io-retries"); }},
     {"--remote", "SOCK", kRemote, "compile via the diosd listening at SOCK",
      [](Cli& c, Arg a) { c.remote_socket = a.value; }},
     {"--priority", "P", kRemote, "interactive | batch | background",
@@ -822,9 +848,10 @@ try {
         std::signal(SIGINT, handle_stop_signal);
         std::signal(SIGTERM, handle_stop_signal);
     }
-    // With --json, stdout must stay machine-parseable; with --emit-native
-    // it must stay host-compilable (the ';' commentary is not C).
-    std::FILE* info = (cli.json || cli.emit_native) ? stderr : stdout;
+    // With --json, stdout must stay machine-parseable; with --emit-c or
+    // --emit-native it must stay C (the ';' commentary is not C).
+    std::FILE* info =
+        (cli.json || cli.emit_c || cli.emit_native) ? stderr : stdout;
 
     std::vector<Job> jobs;
     for (const std::string& path :
