@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdio>
 #include <limits>
+#include <string>
 #include <type_traits>
 
 #include "analysis/diagnostics.h"
@@ -92,18 +93,25 @@ constexpr OptionField kFields[] = {
 }  // namespace
 
 void
-OptionField::check(double v) const
+OptionField::check(double v, std::string_view flag,
+                   std::string_view text) const
 {
     if ((range.lo_open ? v > range.lo : v >= range.lo) && v <= range.hi &&
         (!range.pow2 || std::has_single_bit(static_cast<unsigned>(v)))) {
         return;
     }
     char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "option '%s' = %g is out of range %s%c%g, %g]", name, v,
+    std::snprintf(buf, sizeof buf, "is out of range %s%c%g, %g]",
                   range.pow2 ? "a power of two in " : "",
                   range.lo_open ? '(' : '[', range.lo, range.hi);
-    detail::raise_user(buf);
+    if (!flag.empty()) {
+        detail::raise_user(std::string(flag) + " " + std::string(text) +
+                           " " + buf);
+    }
+    char value[32];
+    std::snprintf(value, sizeof value, "%g", v);
+    detail::raise_user("option '" + std::string(name) + "' = " + value +
+                       " " + buf);
 }
 
 Sexpr

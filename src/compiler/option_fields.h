@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string_view>
 
 #include "compiler/driver.h"
 #include "support/hash.h"
@@ -69,8 +70,13 @@ struct OptionField {
     void decode(const Sexpr& field, CompilerOptions& o) const;
     /** Feeds the field's values (a strategy's canonical text) to `h`. */
     void hash(const CompilerOptions& o, StableHasher& h) const;
-    /** Raises UserError naming the field when `v` is out of range. */
-    void check(double v) const;
+    /**
+     * Raises UserError naming the field when `v` is out of range. A value
+     * a user typed passes its `flag` and `text`: the message then names
+     * the flag and quotes the value as written.
+     */
+    void check(double v, std::string_view flag = {},
+               std::string_view text = {}) const;
 };
 
 /** Every CompilerOptions field, in wire order. */

@@ -35,6 +35,8 @@ EGraph::store_node(const ENodeView& node, ClassId cls)
                      node.children.end());
     nodes_.push_back(rec);
     push_tracked(classes_[cls].nodes, id);
+    touched_[cls] = generation_;
+    op_mask_[cls] |= 1u << static_cast<unsigned>(node.op);
     return id;
 }
 
@@ -133,6 +135,8 @@ EGraph::add(ENode node)
     }
     const ClassId id = uf_.make_set();
     classes_.emplace_back();
+    touched_.push_back(generation_);
+    op_mask_.push_back(0);
     if (fold_constants_) {
         classes_[id].constant = fold_node(node);
     }
@@ -225,6 +229,8 @@ EGraph::merge(ClassId a, ClassId b)
     }
     ac.constant.reset();
     splice_tracked(rc.nodes, ac.nodes);
+    touched_[root] = generation_;
+    op_mask_[root] |= op_mask_[absorbed];
     // The absorbed class's parents are the nodes whose children just
     // went non-canonical.
     pending_.insert(pending_.end(), ac.parents_.begin(), ac.parents_.end());
@@ -252,6 +258,7 @@ EGraph::rebuild()
         memo_erase(id, enode_hash(node(id)));
         std::transform(kids, kids + rec.arity, kids,
                        [&](ClassId c) { return uf_.find(c); });
+        touched_[uf_.find(rec.cls)] = generation_;
         const ENodeView now = node(id);
         const std::size_t hash = enode_hash(now);
         if (const NodeId owner = memo_find(now, hash); owner == kNoNode) {
@@ -337,6 +344,36 @@ EGraph::classes_with_op(Op op) const
     return entry;
 }
 
+void
+EGraph::dirty_levels(std::uint32_t since, int depth,
+                     std::vector<std::uint8_t>& level) const
+{
+    DIOS_ASSERT(!dirty_, "dirty_levels() on a dirty e-graph");
+    level.assign(classes_.size(), 0xff);
+    std::vector<ClassId> frontier;
+    for (ClassId id = 0; id < classes_.size(); ++id) {
+        if (touched_[id] >= since && uf_.find_const(id) == id) {
+            level[id] = 0;
+            frontier.push_back(id);
+        }
+    }
+    // Breadth-first up the parent lists, one level per step.
+    std::vector<ClassId> next;
+    for (int d = 1; d < depth && !frontier.empty(); ++d) {
+        next.clear();
+        for (const ClassId id : frontier) {
+            for (const NodeId parent : classes_[id].parents_) {
+                const ClassId pc = uf_.find_const(nodes_[parent].cls);
+                if (level[pc] > d) {
+                    level[pc] = static_cast<std::uint8_t>(d);
+                    next.push_back(pc);
+                }
+            }
+        }
+        frontier.swap(next);
+    }
+}
+
 std::size_t
 EGraph::memory_proxy_bytes() const
 {
@@ -344,6 +381,8 @@ EGraph::memory_proxy_bytes() const
                         children_.capacity() * sizeof(ClassId) +
                         payloads_.capacity() * sizeof(Payload) +
                         classes_.capacity() * sizeof(EClass) + list_bytes_ +
+                        (touched_.capacity() + op_mask_.capacity()) *
+                            sizeof(std::uint32_t) +
                         pending_.capacity() * sizeof(NodeId) +
                         memo_.capacity() * sizeof(Slot) +
                         uf_.memory_bytes() +
@@ -451,7 +490,11 @@ EGraph::check_invariants() const
     }
     for (const ClassId id : ids) {
         DIOS_ASSERT(uf_.find_const(id) == id, "class id is not canonical");
+        DIOS_ASSERT(touched_[id] <= generation_,
+                    "class stamped with a future generation");
+        std::uint32_t mask = 0;
         for (const ENodeView raw : class_nodes(id)) {
+            mask |= 1u << static_cast<unsigned>(raw.op);
             ENode node = raw.to_enode();
             for (ClassId& c : node.children) {
                 c = uf_.find_const(c);
@@ -471,6 +514,8 @@ EGraph::check_invariants() const
             }
             ++total;
         }
+        DIOS_ASSERT(mask == op_mask_[id],
+                    "operator mask disagrees with the class's nodes");
     }
     DIOS_ASSERT(total == num_nodes(), "node counter disagrees with classes");
     DIOS_ASSERT(ids.size() == num_classes(),

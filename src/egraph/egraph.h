@@ -39,6 +39,8 @@ namespace diospyros {
 /** Identifier of a stored e-node (index into the graph's node table). */
 using NodeId = std::uint32_t;
 
+static_assert(kNumOps <= 32, "EGraph::op_mask holds one bit per operator");
+
 /** An equivalence class of e-nodes. */
 class EClass {
   public:
@@ -184,12 +186,62 @@ class EGraph {
     /**
      * Bytes the e-graph's storage holds right now: the capacities of the
      * node table, child pool, payloads, class table, class node and
-     * parent lists, rebuild's pending list, hashcons, union-find and
-     * op-index. Table 1's "Memory" column, `dioscc --json`'s
-     * memory_proxy_bytes and the saturation runner's memory watchdog
+     * parent lists, per-class stamps and operator masks, rebuild's
+     * pending list, hashcons, union-find and op-index. Table 1's
+     * "Memory" column, `dioscc --json`'s memory_proxy_bytes and the
+     * saturation runner's memory watchdog
      * (RunnerLimits::memory_limit_bytes) all read it. O(1).
      */
     std::size_t memory_proxy_bytes() const;
+
+    /**
+     * Starts the next saturation generation and returns it. Runner::run
+     * calls this once per iteration, before its search phase, so a class
+     * touched during that iteration's apply or rebuild carries the
+     * generation its searches ran at.
+     */
+    std::uint32_t next_generation() { return ++generation_; }
+
+    /**
+     * The generation in which class `id` last gained a node: add()
+     * created it or stored a folded Const node in it, merge() made it
+     * the root (it took the absorbed class's nodes and constant), or
+     * rebuild() re-canonicalized one of its nodes. A class's nodes,
+     * their children and its constant change only through these paths,
+     * so a class stamped before generation g reads exactly as it did
+     * when a search at g began.
+     */
+    std::uint32_t
+    touched(ClassId id) const
+    {
+        return touched_[uf_.find_const(id)];
+    }
+
+    /** The operators of a class's nodes: bit i is set for Op i. */
+    std::uint32_t
+    op_mask(ClassId id) const
+    {
+        return op_mask_[uf_.find_const(id)];
+    }
+
+    /** True when class `id` holds a node with operator `op`. O(1). */
+    bool
+    has_op(ClassId id, Op op) const
+    {
+        return (op_mask(id) >> static_cast<unsigned>(op) & 1u) != 0;
+    }
+
+    /**
+     * Semi-naive search's candidate filter. Resizes `level` to
+     * class_id_bound() and sets each canonical class's entry to the
+     * fewest parent steps from it down to a class touched at or after
+     * generation `since`, for distances below `depth`; every other entry
+     * is 0xff. A match of depth d can differ from the one found at
+     * `since` only when its root's level is below d. Requires a clean
+     * graph.
+     */
+    void dirty_levels(std::uint32_t since, int depth,
+                      std::vector<std::uint8_t>& level) const;
 
     /** True when no merge happened since the last rebuild(). */
     bool is_clean() const { return !dirty_; }
@@ -299,6 +351,10 @@ class EGraph {
     std::vector<Payload> payloads_;
     /** Indexed by ClassId; absorbed classes keep an empty slot. */
     std::vector<EClass> classes_;
+    /** Indexed by ClassId: see touched() and op_mask(). */
+    std::vector<std::uint32_t> touched_;
+    std::vector<std::uint32_t> op_mask_;
+    std::uint32_t generation_ = 0;
     /** Open-addressing hashcons (linear probing, power-of-two size). */
     std::vector<Slot> memo_;
     std::size_t memo_size_ = 0;

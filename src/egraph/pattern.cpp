@@ -179,6 +179,9 @@ solve(const EGraph& graph, const Pending* goals, RuleMatch& match,
         }
         return;
     }
+    if (!graph.has_op(id, pattern.prototype().op)) {
+        return;
+    }
     const std::size_t arity = pattern.children().size();
     // Continuation frames for this operator's children; reused across the
     // node loop (each recursive solve() completes before the next node).

@@ -1,18 +1,40 @@
 #include "egraph/rewrite.h"
 
+#include <algorithm>
+
 namespace diospyros {
 
 namespace {
 
+/** Searches the classes of `ids` that `keep` accepts, in order. */
+template <typename Keep>
 std::vector<RuleMatch>
 search_over(const Searcher& searcher, const EGraph& graph,
-            const std::vector<ClassId>& ids)
+            const std::vector<ClassId>& ids, Keep keep)
 {
     std::vector<RuleMatch> out;
     for (const ClassId id : ids) {
-        searcher.search_class(graph, id, out);
+        if (keep(id)) {
+            searcher.search_class(graph, id, out);
+        }
     }
     return out;
+}
+
+constexpr auto kEvery = [](ClassId) { return true; };
+
+/** Longest chain of operator nodes from the root down to a leaf. */
+int
+operator_depth(const PatternNode& node)
+{
+    if (node.kind() == PatternNode::Kind::kVar) {
+        return 0;
+    }
+    int below = 0;
+    for (const PatternRef& child : node.children()) {
+        below = std::max(below, operator_depth(*child));
+    }
+    return below + 1;
 }
 
 }  // namespace
@@ -21,15 +43,35 @@ std::vector<RuleMatch>
 Searcher::search(const EGraph& graph) const
 {
     if (const std::optional<Op> op = root_op()) {
-        return search_over(*this, graph, graph.classes_with_op(*op));
+        return search_over(*this, graph, graph.classes_with_op(*op), kEvery);
     }
-    return search_over(*this, graph, graph.class_ids());
+    return search_over(*this, graph, graph.class_ids(), kEvery);
+}
+
+std::vector<RuleMatch>
+Searcher::search_dirty(const EGraph& graph,
+                       const std::vector<std::uint8_t>& level) const
+{
+    const int d = depth();
+    if (d <= 0) {
+        return search(graph);
+    }
+    auto keep = [&](ClassId id) { return level[id] < d; };
+    if (const std::optional<Op> op = root_op()) {
+        return search_over(*this, graph, graph.classes_with_op(*op), keep);
+    }
+    return search_over(*this, graph, graph.class_ids(), keep);
 }
 
 std::vector<RuleMatch>
 Searcher::search_naive(const EGraph& graph) const
 {
-    return search_over(*this, graph, graph.class_ids());
+    return search_over(*this, graph, graph.class_ids(), kEvery);
+}
+
+PatternSearcher::PatternSearcher(Pattern pattern)
+    : pattern_(std::move(pattern)), depth_(operator_depth(*pattern_.root()))
+{
 }
 
 void

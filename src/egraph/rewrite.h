@@ -10,6 +10,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -43,10 +44,31 @@ class Searcher {
     virtual std::optional<Op> root_op() const { return std::nullopt; }
 
     /**
+     * How many levels of classes a match reads, counting its root as
+     * level 1: a match rooted at R may depend on R's nodes, the nodes of
+     * the classes their children name, and so on down depth() levels,
+     * and on the ids of the classes one level further down. Nothing
+     * deeper, and nothing that is not reached through child lists. The
+     * applier at the same site must read no more. 0 means unknown: the
+     * runner then always searches the whole graph.
+     */
+    virtual int depth() const { return 0; }
+
+    /**
      * Matches across the whole graph: the op-indexed subset when
      * root_op() names one, else every class.
      */
     std::vector<RuleMatch> search(const EGraph& graph) const;
+
+    /**
+     * Semi-naive search: search() restricted to the candidates whose
+     * entry in `level` (EGraph::dirty_levels) is below depth(), in the
+     * same order. Any other candidate reads only classes untouched since
+     * the generation `level` was computed for.
+     */
+    std::vector<RuleMatch>
+    search_dirty(const EGraph& graph,
+                 const std::vector<std::uint8_t>& level) const;
 
     /**
      * Full-scan reference search: every class, ignoring the op-index.
@@ -70,10 +92,7 @@ class Applier {
 /** Searcher driven by a syntactic pattern. */
 class PatternSearcher : public Searcher {
   public:
-    explicit PatternSearcher(Pattern pattern)
-        : pattern_(std::move(pattern))
-    {
-    }
+    explicit PatternSearcher(Pattern pattern);
 
     void search_class(const EGraph& graph, ClassId id,
                       std::vector<RuleMatch>& out) const override;
@@ -81,10 +100,14 @@ class PatternSearcher : public Searcher {
     /** The root prototype's operator, when the root is not a variable. */
     std::optional<Op> root_op() const override;
 
+    /** Operator depth of the pattern: `(+ ?a 0)` is 2, `?a` is 0. */
+    int depth() const override { return depth_; }
+
     const Pattern& pattern() const { return pattern_; }
 
   private:
     Pattern pattern_;
+    int depth_;
 };
 
 /** Applier driven by a syntactic pattern. */
@@ -129,8 +152,10 @@ class Rewrite {
 
     /**
      * A copy of this rule whose searcher ignores the op-index (reports no
-     * root_op(), so search() takes the full-scan path). For differential
-     * tests and the naive-vs-indexed benchmarks; semantics are identical.
+     * root_op(), so search() takes the full-scan path) and reports no
+     * depth(), so the runner never narrows it to changed classes. For
+     * differential tests and the naive-vs-indexed benchmarks; semantics
+     * are identical.
      */
     Rewrite with_naive_search() const;
 

@@ -1,6 +1,7 @@
 #include "egraph/runner.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 
 #include "support/faults.h"
@@ -103,11 +104,45 @@ Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
         report.rule_stats[r].name = rules[r].name();
     }
 
+    // Semi-naive search (DESIGN.md "Semi-naive search"). `since[r]` is
+    // the generation of rule r's last search whose matches were all
+    // applied; 0 means search the whole graph. Backoff and the match cap
+    // drop matches unapplied, and the ban schedule counts them, so
+    // either one keeps every search full.
+    const bool semi_naive =
+        limits_.backoff_threshold == 0 && limits_.match_limit_per_rule == 0;
+    std::vector<std::uint32_t> since(rules.size(), 0);
+    auto narrowable = [](const Rewrite& rule) {
+        const int depth = rule.searcher().depth();
+        return depth > 0 && depth < 0xff;  // levels are bytes
+    };
+    int max_depth = 0;
+    for (const Rewrite& rule : rules) {
+        if (narrowable(rule)) {
+            max_depth = std::max(max_depth, rule.searcher().depth());
+        }
+    }
+    auto incremental = [&](std::size_t r) {
+        return semi_naive && since[r] != 0 && narrowable(rules[r]);
+    };
+
     for (int iter = 0; iter < limits_.iter_limit; ++iter) {
         DIOS_FAULT_POINT("runner.iter");
         IterationStats stats;
         const std::size_t unions_before = graph.union_count();
         const std::size_t nodes_before = graph.num_nodes();
+        const std::uint32_t generation = graph.next_generation();
+        // Dirty levels for the `since` value they were computed at; every
+        // rule shares one `since` unless a cut batch held some back.
+        std::vector<std::uint8_t> level;
+        std::uint32_t level_since = 0;
+        auto levels_for = [&](std::uint32_t from) -> const auto& {
+            if (level_since != from) {
+                graph.dirty_levels(from, max_depth, level);
+                level_since = from;
+            }
+            return level;
+        };
 
         // Phase 1: search every rule against the clean graph, so all rules
         // see the same snapshot (no phase ordering within an iteration).
@@ -115,6 +150,8 @@ Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
         // this phase short — an iteration that then changes nothing must
         // NOT be reported as saturation (unsearched rules may still match).
         bool search_truncated = false;
+        // complete[r]: rule r was searched and kept every match it found.
+        std::vector<char> complete(rules.size(), 0);
         std::vector<std::vector<RuleMatch>> all_matches;
         all_matches.reserve(rules.size());
         for (std::size_t r = 0; r < rules.size(); ++r) {
@@ -125,11 +162,15 @@ Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
                 continue;
             }
             Timer search_timer;
+            const Searcher& searcher = rules[r].searcher();
             std::vector<RuleMatch> matches =
-                rules[r].searcher().search(graph);
+                incremental(r)
+                    ? searcher.search_dirty(graph, levels_for(since[r]))
+                    : searcher.search(graph);
             rule.search_seconds += search_timer.elapsed_seconds();
-            matches.resize(
-                backoff_admit(limits_, rule, iter, matches.size()));
+            const std::size_t found = matches.size();
+            matches.resize(backoff_admit(limits_, rule, iter, found));
+            complete[r] = matches.size() == found;
             stats.matches += matches.size();
             rule.matches += matches.size();
             all_matches.push_back(std::move(matches));
@@ -140,29 +181,69 @@ Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
             }
         }
 
-        // Phase 2: apply everything that was found.
+#ifndef NDEBUG
+        // Debug builds check the semi-naive search against a full one
+        // while the graph is still clean: the incremental matches must be
+        // the full matches at dirty roots, in order, and every match it
+        // skipped must already hold, so applying it changes nothing. (On
+        // the dirty graph of phase 2 a stale hashcons key could make a
+        // repeat add a node.)
+        for (std::size_t r = 0; r < all_matches.size(); ++r) {
+            if (!incremental(r)) {
+                continue;
+            }
+            const int depth = rules[r].searcher().depth();
+            const std::vector<std::uint8_t>& dirty = levels_for(since[r]);
+            std::size_t kept = 0;
+            for (const RuleMatch& match : rules[r].searcher().search(graph)) {
+                if (dirty[match.root] < depth) {
+                    DIOS_ASSERT(kept < all_matches[r].size() &&
+                                    all_matches[r][kept].root == match.root &&
+                                    all_matches[r][kept].vars == match.vars,
+                                "semi-naive search lost a match of " +
+                                    rules[r].name());
+                    ++kept;
+                    continue;
+                }
+                const std::size_t nodes = graph.num_nodes();
+                DIOS_ASSERT(!rules[r].applier().apply(graph, match) &&
+                                graph.num_nodes() == nodes,
+                            "semi-naive search skipped a live match of " +
+                                rules[r].name());
+            }
+            DIOS_ASSERT(kept == all_matches[r].size(),
+                        "semi-naive search invented a match of " +
+                            rules[r].name());
+        }
+#endif
+        std::vector<std::uint8_t>().swap(level);
+
+        // Phase 2: apply everything that was found. A rule whose whole
+        // batch was applied moves its `since` to this generation; a batch
+        // cut by the watchdog keeps it.
         bool tripped = false;
         for (std::size_t r = 0; r < all_matches.size() && !tripped; ++r) {
             Timer apply_timer;
-            std::size_t since_check = 0;
+            std::size_t applied = 0;
             for (const RuleMatch& match : all_matches[r]) {
                 if (rules[r].applier().apply(graph, match)) {
                     ++stats.applications;
                     ++report.rule_stats[r].applications;
                 }
-                if (++since_check >= kWatchdogStride) {
-                    since_check = 0;
-                    if (deadline.expired() ||
-                        (limits_.memory_limit_bytes != 0 &&
-                         graph.memory_proxy_bytes() >
-                             limits_.memory_limit_bytes)) {
-                        tripped = true;
-                        break;
-                    }
+                if (++applied % kWatchdogStride == 0 &&
+                    (deadline.expired() ||
+                     (limits_.memory_limit_bytes != 0 &&
+                      graph.memory_proxy_bytes() >
+                          limits_.memory_limit_bytes))) {
+                    tripped = true;
+                    break;
                 }
             }
             report.rule_stats[r].apply_seconds +=
                 apply_timer.elapsed_seconds();
+            if (complete[r] && applied == all_matches[r].size()) {
+                since[r] = generation;
+            }
             if (over_budget()) {
                 break;
             }

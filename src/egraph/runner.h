@@ -3,7 +3,11 @@
  * The equality-saturation runner (paper §3.3).
  *
  * Each iteration runs in egg's batched style: search all rules on the
- * clean graph, apply every match, then rebuild once. The runner stops at
+ * clean graph, apply every match, then rebuild once. Searches are
+ * semi-naive: after a rule's first search in a run, it visits only the
+ * root classes whose matches can have changed since its last complete
+ * search (EGraph::dirty_levels, Searcher::depth), which skips the
+ * repeats that would apply as no-ops. The runner stops at
  * saturation (an iteration that changes nothing) or at a node / memory /
  * time / iteration limit — the paper's evaluation gives saturation a
  * 3-minute timeout and a 10M-node limit and extracts from the partial
@@ -90,7 +94,10 @@ struct IterationStats {
  */
 struct RuleStats {
     std::string name;
-    /** Matches found (after backoff / match-limit caps). */
+    /**
+     * Matches found (after backoff / match-limit caps). Semi-naive
+     * searches do not count the repeats they skip.
+     */
     std::size_t matches = 0;
     /** Applications that changed the e-graph. */
     std::size_t applications = 0;
@@ -150,7 +157,8 @@ class Runner {
      *
      * Rule admission is egg's backoff (backoff_admit) over the limits'
      * `backoff_threshold` and `match_limit_per_rule`; its final per-rule
-     * ban state is in the report's RuleStats.
+     * ban state is in the report's RuleStats. When either is non-zero
+     * every search covers the whole graph, so bans count every match.
      */
     RunnerReport run(EGraph& graph, const std::vector<Rewrite>& rules,
                      const Deadline& deadline = {}) const;

@@ -14,6 +14,9 @@ class_constant(const EGraph& graph, ClassId id)
     if (cls.constant.has_value()) {
         return cls.constant;
     }
+    if (!graph.has_op(id, Op::kConst)) {
+        return std::nullopt;
+    }
     for (const ENodeView n : graph.class_nodes(id)) {
         if (n.op == Op::kConst) {
             return n.value;
@@ -51,6 +54,9 @@ class ListChunkSearcher : public Searcher {
     }
 
     std::optional<Op> root_op() const override { return Op::kList; }
+
+    /** The List node, and its children's ids for the applier. */
+    int depth() const override { return 1; }
 };
 
 class ListChunkApplier : public Applier {
@@ -125,10 +131,12 @@ class VecBinaryLiftSearcher : public Searcher {
     match_lane(const EGraph& graph, ClassId lane) const
     {
         const ClassId id = graph.find_const(lane);
-        for (const ENodeView n : graph.class_nodes(id)) {
-            if (n.op == scalar_op_ && n.children.size() == 2) {
-                return LaneMatch{graph.find_const(n.children[0]),
-                                 graph.find_const(n.children[1]), true};
+        if (graph.has_op(id, scalar_op_)) {
+            for (const ENodeView n : graph.class_nodes(id)) {
+                if (n.op == scalar_op_ && n.children.size() == 2) {
+                    return LaneMatch{graph.find_const(n.children[0]),
+                                     graph.find_const(n.children[1]), true};
+                }
             }
         }
         if (is_zero_class(graph, id)) {
@@ -169,6 +177,9 @@ class VecBinaryLiftSearcher : public Searcher {
     }
 
     std::optional<Op> root_op() const override { return Op::kVec; }
+
+    /** The Vec node, then each lane's nodes and constant. */
+    int depth() const override { return 2; }
 
     /** Sentinel meaning "materialize the appropriate constant here". */
     static constexpr ClassId kZeroMarker = 0xffffffffu;
@@ -264,10 +275,12 @@ class VecUnaryLiftSearcher : public Searcher {
     match_lane(const EGraph& graph, ClassId lane, bool* real_op) const
     {
         const ClassId id = graph.find_const(lane);
-        for (const ENodeView n : graph.class_nodes(id)) {
-            if (n.op == scalar_op_ && n.children.size() == 1) {
-                *real_op = true;
-                return graph.find_const(n.children[0]);
+        if (graph.has_op(id, scalar_op_)) {
+            for (const ENodeView n : graph.class_nodes(id)) {
+                if (n.op == scalar_op_ && n.children.size() == 1) {
+                    *real_op = true;
+                    return graph.find_const(n.children[0]);
+                }
             }
         }
         if (zero_ok_ && is_zero_class(graph, id)) {
@@ -306,6 +319,9 @@ class VecUnaryLiftSearcher : public Searcher {
     }
 
     std::optional<Op> root_op() const override { return Op::kVec; }
+
+    /** The Vec node, then each lane's nodes and constant. */
+    int depth() const override { return 2; }
 
     Op scalar_op() const { return scalar_op_; }
     int width() const { return width_; }
@@ -397,6 +413,9 @@ class VecMacSearcher : public Searcher {
     static std::optional<std::pair<ClassId, ClassId>>
     find_mul(const EGraph& graph, ClassId id)
     {
+        if (!graph.has_op(id, Op::kMul)) {
+            return std::nullopt;
+        }
         for (const ENodeView n : graph.class_nodes(id)) {
             if (n.op == Op::kMul && n.children.size() == 2) {
                 return std::make_pair(graph.find_const(n.children[0]),
@@ -412,17 +431,19 @@ class VecMacSearcher : public Searcher {
         const ClassId id = graph.find_const(lane);
         // (+ a (* b c)) or (+ (* b c) a): the limited commutativity the
         // paper re-enables inside the custom searcher.
-        for (const ENodeView n : graph.class_nodes(id)) {
-            if (n.op != Op::kAdd || n.children.size() != 2) {
-                continue;
-            }
-            if (auto mul = find_mul(graph, n.children[1])) {
-                return LaneMatch{graph.find_const(n.children[0]),
-                                 mul->first, mul->second, true};
-            }
-            if (auto mul = find_mul(graph, n.children[0])) {
-                return LaneMatch{graph.find_const(n.children[1]),
-                                 mul->first, mul->second, true};
+        if (graph.has_op(id, Op::kAdd)) {
+            for (const ENodeView n : graph.class_nodes(id)) {
+                if (n.op != Op::kAdd || n.children.size() != 2) {
+                    continue;
+                }
+                if (auto mul = find_mul(graph, n.children[1])) {
+                    return LaneMatch{graph.find_const(n.children[0]),
+                                     mul->first, mul->second, true};
+                }
+                if (auto mul = find_mul(graph, n.children[0])) {
+                    return LaneMatch{graph.find_const(n.children[1]),
+                                     mul->first, mul->second, true};
+                }
             }
         }
         // (* b c): acc = 0.
@@ -457,6 +478,9 @@ class VecMacSearcher : public Searcher {
     }
 
     std::optional<Op> root_op() const override { return Op::kVec; }
+
+    /** The Vec node, each lane's nodes, then the `*` under a lane's `+`. */
+    int depth() const override { return 3; }
 
     static constexpr ClassId kZeroMarker = 0xffffffffu;
 

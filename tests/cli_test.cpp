@@ -337,6 +337,48 @@ TEST(Cli, ExitCodes)
     EXPECT_EQ(dioscc(dir, {kVadd, "--fault", "lower.term:1:*"}).code, 1);
 }
 
+TEST(Cli, OutOfRangeFlagNamesTheFlagAndTheValueAsWritten)
+{
+    TempDir dir("range");
+    const ToolRun run = dioscc(dir, {kVadd, "--iters", "4294967297"});
+    EXPECT_EQ(run.code, 2);
+    EXPECT_NE(run.err.find("--iters 4294967297 is out of range"),
+              std::string::npos)
+        << run.err;
+    EXPECT_EQ(run.err.find("e+09 is"), std::string::npos) << run.err;
+}
+
+TEST(Cli, DiosdJobsIsCheckedTo1024)
+{
+    TempDir dir("diosd-jobs");
+    for (const char* jobs : {"4294967297", "1025"}) {
+        // A daemon that accepted the value would serve until killed.
+        const std::string err = dir.file("stderr");
+        const pid_t pid =
+            spawn({DIOSD_PATH, "--socket", dir.file("sock"), "--jobs", jobs},
+                  dir.file("stdout"), err);
+        int status = 0;
+        pid_t done = 0;
+        for (int i = 0; i < 500 && done == 0; ++i) {
+            done = ::waitpid(pid, &status, WNOHANG);
+            if (done == 0) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            }
+        }
+        if (done == 0) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, nullptr, 0);
+            ADD_FAILURE() << "diosd --jobs " << jobs << " started serving";
+            continue;
+        }
+        ASSERT_TRUE(WIFEXITED(status));
+        EXPECT_EQ(WEXITSTATUS(status), 2) << jobs;
+        EXPECT_NE(read_file(err).find("--jobs must be at most 1024"),
+                  std::string::npos)
+            << read_file(err);
+    }
+}
+
 TEST(Cli, HelpPrintsEveryFlagOnStdoutAndExits0)
 {
     TempDir dir("help");

@@ -134,6 +134,103 @@ TEST(EGraph, ConstantFoldingSkipsDivByZero)
     EXPECT_FALSE(g.constant_of(id).has_value());
 }
 
+constexpr std::uint32_t
+bit(Op op)
+{
+    return 1u << static_cast<unsigned>(op);
+}
+
+TEST(EGraph, StampsAndOperatorMasksFollowAddMergeAndRebuild)
+{
+    EGraph g(false);
+    const std::uint32_t g1 = g.next_generation();
+    const ClassId a = g.add_get(Symbol("a"), 0);
+    const ClassId b = g.add_get(Symbol("b"), 0);
+    const ClassId sum = g.add_op(Op::kAdd, {a, b});
+    const ClassId neg = g.add_op(Op::kNeg, {b});
+    EXPECT_EQ(g.touched(a), g1);
+    EXPECT_EQ(g.touched(sum), g1);
+    EXPECT_EQ(g.op_mask(sum), bit(Op::kAdd));
+    EXPECT_TRUE(g.has_op(neg, Op::kNeg));
+    EXPECT_FALSE(g.has_op(neg, Op::kAdd));
+
+    // add: a hashcons hit stamps nothing; a new node stamps its class.
+    const std::uint32_t g2 = g.next_generation();
+    EXPECT_EQ(g.add_op(Op::kAdd, {a, b}), sum);
+    EXPECT_EQ(g.touched(sum), g1);
+    const ClassId c = g.add_get(Symbol("c"), 0);
+    const ClassId prod = g.add_op(Op::kMul, {a, c});
+    EXPECT_EQ(g.touched(prod), g2);
+
+    // merge: the surviving class is stamped and takes both masks; the
+    // classes of untouched parents keep their stamps until rebuild.
+    const std::uint32_t g3 = g.next_generation();
+    EXPECT_TRUE(g.merge(sum, prod));
+    EXPECT_EQ(g.touched(sum), g3);
+    EXPECT_EQ(g.op_mask(prod), bit(Op::kAdd) | bit(Op::kMul));
+    EXPECT_EQ(g.touched(a), g1);
+    g.rebuild();
+
+    // rebuild: a node whose child was absorbed is re-canonicalized, which
+    // stamps its class; the other parent's class keeps its stamp.
+    const std::uint32_t g4 = g.next_generation();
+    EXPECT_TRUE(g.merge(b, c));
+    EXPECT_EQ(g.touched(b), g4);
+    EXPECT_EQ(g.op_mask(c), bit(Op::kGet));
+    EXPECT_EQ(g.touched(neg), g1);
+    const bool b_absorbed = g.find(b) == c;
+    g.rebuild();
+    EXPECT_EQ(g.touched(neg), b_absorbed ? g4 : g1);
+    EXPECT_EQ(g.touched(sum), g4);  // (+ a b) or (* a c) was rewritten
+    g.check_invariants();
+
+    // A folded constant lands in the class as a Const node.
+    EGraph f(true);
+    f.next_generation();
+    const ClassId three =
+        f.add_op(Op::kAdd, {f.add_const(Rational(1)), f.add_const(Rational(2))});
+    EXPECT_EQ(f.op_mask(three), bit(Op::kAdd) | bit(Op::kConst));
+    f.check_invariants();
+}
+
+TEST(EGraph, DirtyLevelsClimbParentListsUpToTheDepth)
+{
+    EGraph g(false);
+    const ClassId x = g.add_get(Symbol("x"), 0);
+    const ClassId n1 = g.add_op(Op::kNeg, {x});
+    const ClassId n2 = g.add_op(Op::kNeg, {n1});
+    const ClassId n3 = g.add_op(Op::kNeg, {n2});
+    const ClassId other = g.add_get(Symbol("y"), 0);
+    g.rebuild();
+    const std::uint32_t gen = g.next_generation();
+    std::vector<std::uint8_t> level;
+    g.dirty_levels(gen, 3, level);
+    ASSERT_EQ(level.size(), g.class_id_bound());
+    EXPECT_EQ(std::count(level.begin(), level.end(), 0xff),
+              static_cast<std::ptrdiff_t>(level.size()));
+
+    g.add_op(Op::kSqrt, {x});  // touches only the new class
+    g.rebuild();
+    g.dirty_levels(gen, 3, level);
+    EXPECT_EQ(level[g.find(x)], 0xff);
+
+    // Merging x with a fresh leaf stamps x's class; if x is the absorbed
+    // side, rebuild re-canonicalizes (neg x) and stamps n1 as well.
+    g.next_generation();
+    g.merge(x, g.add_get(Symbol("z"), 0));
+    const int n1_level = g.find(x) == x ? 1 : 0;
+    g.rebuild();
+    g.dirty_levels(gen, 3, level);
+    EXPECT_EQ(level[g.find(x)], 0);
+    EXPECT_EQ(level[g.find(n1)], n1_level);
+    EXPECT_EQ(level[g.find(n2)], n1_level + 1);
+    EXPECT_EQ(level[g.find(n3)], n1_level == 0 ? 2 : 0xff);
+    EXPECT_EQ(level[g.find(other)], 0xff);
+    g.dirty_levels(gen, 1, level);
+    EXPECT_EQ(level[g.find(x)], 0);
+    EXPECT_EQ(level[g.find(n2)], 0xff);
+}
+
 TEST(EGraph, RandomizedInvariantsUnderMergesAndAdds)
 {
     // Property: after arbitrary interleavings of adds and merges plus a
@@ -825,20 +922,67 @@ TEST(OpIndex, SaturationWithIndexMatchesNaiveByteForByte)
         EXPECT_EQ(ra.stop_reason, rb.stop_reason);
         EXPECT_EQ(ga.num_nodes(), gb.num_nodes());
         EXPECT_EQ(ga.num_classes(), gb.num_classes());
-        std::size_t matches_a = 0, matches_b = 0;
+        // Applications, not matches: the indexed rules search only
+        // classes that changed, the naive ones search everything.
+        std::size_t applied_a = 0, applied_b = 0;
         for (const RuleStats& s : ra.rule_stats) {
-            matches_a += s.matches;
+            applied_a += s.applications;
         }
         for (const RuleStats& s : rb.rule_stats) {
-            matches_b += s.matches;
+            applied_b += s.applications;
         }
-        EXPECT_EQ(matches_a, matches_b);
+        EXPECT_EQ(applied_a, applied_b);
         const TreeSizeCost cost;
         const Extractor ea(ga, cost), eb(gb, cost);
         const Extraction besta = ea.extract(ga.find(roota));
         const Extraction bestb = eb.extract(gb.find(rootb));
         EXPECT_EQ(Term::to_string(besta.term), Term::to_string(bestb.term));
         EXPECT_DOUBLE_EQ(besta.cost, bestb.cost);
+    }
+}
+
+TEST(SemiNaive, ChangesThatOnlyTheStampsSeeReSearchTheRoot)
+{
+    const std::vector<Rewrite> all = build_rules(RuleConfig(4));
+    auto rule = [&](const std::string& name) {
+        return *std::find_if(all.begin(), all.end(), [&](const Rewrite& r) {
+            return r.name() == name;
+        });
+    };
+    struct Case {
+        const char* spec;
+        std::vector<Rewrite> rules;  // the last one must fire once
+    };
+    const std::vector<Case> cases = {
+        // vec-mac reads three levels: the Vec, a lane's +, and the * in
+        // the +'s child. The * appears in iteration 1, three levels below
+        // the Vec, so only a search that honours vec-mac's depth finds
+        // the MAC in iteration 2.
+        {"(Vec (+ (Get a 0) (Get t 0)) (Get a 1) (Get a 2) (Get a 3))",
+         {Rewrite::make("t-as-mul", "(Get t 0)", "(* (Get p 0) (Get q 0))"),
+          rule("vec-mac")}},
+        // sub-self compares its two children's ids. Merging them changes
+        // no node of the root's class, only the ids rebuild rewrites.
+        {"(- (Get x 0) (Get y 0))",
+         {Rewrite::make("y-is-x", "(Get y 0)", "(Get x 0)"),
+          rule("sub-self")}},
+    };
+    const RunnerLimits limits{.iter_limit = 4};
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.spec);
+        std::vector<Rewrite> naive;
+        for (const Rewrite& r : c.rules) {
+            naive.push_back(r.with_naive_search());
+        }
+        EGraph semi(false), full(false);
+        semi.add_term(Term::parse(c.spec));
+        full.add_term(Term::parse(c.spec));
+        const RunnerReport rs = Runner(limits).run(semi, c.rules);
+        const RunnerReport rf = Runner(limits).run(full, naive);
+        EXPECT_EQ(rf.rule_stats.back().applications, 1u);
+        EXPECT_EQ(rs.rule_stats.back().applications, 1u);
+        EXPECT_EQ(semi.num_nodes(), full.num_nodes());
+        EXPECT_EQ(semi.num_classes(), full.num_classes());
     }
 }
 

@@ -20,6 +20,10 @@
 //   (v) the e-graph invariants hold after every iteration of real-rule
 //       saturation on a few Table-1 kernels, in any build type (the
 //       Runner checks them itself only when NDEBUG is off).
+//  (vi) semi-naive search (the Runner searching only classes that
+//       changed) saturates every Table-1 kernel, the full-AC phased
+//       strategy, a node-limit cut and a backoff run exactly as the
+//       full-scan reference rules do.
 
 #include <gtest/gtest.h>
 
@@ -31,15 +35,19 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "compiler/driver.h"
+#include "egraph/extract.h"
 #include "egraph/runner.h"
 #include "kernels/kernels.h"
+#include "rules/cost.h"
 #include "machine/program.h"
 #include "rules/rules.h"
 #include "scalar/interp.h"
 #include "scalar/symbolic.h"
 #include "service/cache_key.h"
+#include "strategy/strategy.h"
 #include "support/hash.h"
 
 namespace diospyros {
@@ -229,6 +237,137 @@ TEST(WidthSweepExtra, InvariantsHoldAfterEveryRealRuleIteration)
         EXPECT_EQ(stepped.num_nodes(), whole.num_nodes());
         EXPECT_EQ(stepped.num_classes(), whole.num_classes());
     }
+}
+
+/** What one saturation decided, for the semi-naive comparisons. */
+struct Outcome {
+    StopReason stop = StopReason::kSaturated;
+    std::size_t nodes = 0;
+    std::size_t classes = 0;
+    std::size_t applications = 0;
+    std::size_t matches = 0;
+    std::string term;
+};
+
+/**
+ * Saturates a width-4 spec under `rules`, through `strategy` when given
+ * and one Runner::run otherwise, and extracts the result.
+ */
+Outcome
+saturate_spec(const TermRef& spec, const std::vector<Rewrite>& rules,
+              const RunnerLimits& limits,
+              const strategy::Strategy* strategy = nullptr)
+{
+    EGraph graph;
+    const ClassId root = graph.add_term(spec);
+    graph.rebuild();
+    Outcome out;
+    std::vector<RuleStats> stats;
+    if (strategy != nullptr) {
+        strategy::StrategyRunOptions options;
+        options.base = limits;
+        const strategy::StrategyReport report =
+            strategy::run_strategy(graph, root, rules, *strategy, options);
+        out.stop = report.stop_reason;
+        stats = report.rule_stats;
+    } else {
+        const RunnerReport report = Runner(limits).run(graph, rules);
+        out.stop = report.stop_reason;
+        stats = report.rule_stats;
+    }
+    out.nodes = graph.num_nodes();
+    out.classes = graph.num_classes();
+    for (const RuleStats& s : stats) {
+        out.applications += s.applications;
+        out.matches += s.matches;
+    }
+    const DiosCostModel cost(CostParams{}, 4);
+    const Extractor extractor(graph, cost);
+    out.term = Term::to_string(extractor.extract(graph.find(root)).term);
+    return out;
+}
+
+std::vector<Rewrite>
+naive(const std::vector<Rewrite>& rules)
+{
+    std::vector<Rewrite> out;
+    for (const Rewrite& rule : rules) {
+        out.push_back(rule.with_naive_search());
+    }
+    return out;
+}
+
+/**
+ * Semi-naive and full-scan saturation must agree on everything but the
+ * match count. Returns both outcomes, semi-naive first.
+ */
+std::pair<Outcome, Outcome>
+expect_same_as_naive(const TermRef& spec, const std::vector<Rewrite>& rules,
+                     const RunnerLimits& limits,
+                     const strategy::Strategy* strategy = nullptr)
+{
+    const Outcome semi = saturate_spec(spec, rules, limits, strategy);
+    const Outcome full = saturate_spec(spec, naive(rules), limits, strategy);
+    EXPECT_EQ(std::string(stop_reason_name(semi.stop)),
+              stop_reason_name(full.stop));
+    EXPECT_EQ(semi.nodes, full.nodes);
+    EXPECT_EQ(semi.classes, full.classes);
+    EXPECT_EQ(semi.applications, full.applications);
+    EXPECT_EQ(semi.term, full.term);
+    EXPECT_LE(semi.matches, full.matches);
+    return {semi, full};
+}
+
+TEST(SemiNaive, EveryTable1KernelAtWidth4MatchesFullSearch)
+{
+    const std::vector<Rewrite> rules = build_rules(RuleConfig(4));
+    const RunnerLimits limits = sweep_options(4).limits;
+    std::size_t fewer = 0;
+    for (const kernels::BenchmarkInstance& inst :
+         kernels::table1_instances()) {
+        SCOPED_TRACE(inst.label());
+        const TermRef spec =
+            pad_lifted_spec(scalar::lift(inst.kernel), 4).first;
+        const auto [semi, full] = expect_same_as_naive(spec, rules, limits);
+        fewer += semi.matches < full.matches ? 1 : 0;
+    }
+    // The point of the exercise: most cases search less.
+    EXPECT_GT(fewer, kernels::table1_instances().size() / 2);
+}
+
+TEST(SemiNaive, FullAcPhasedStrategyMatchesFullSearch)
+{
+    RuleConfig config(4);
+    config.full_ac = true;
+    const strategy::Strategy phased = strategy::builtin_phased();
+    expect_same_as_naive(
+        pad_lifted_spec(scalar::lift(kernels::make_conv2d(3, 5, 3, 3)), 4)
+            .first,
+        build_rules(config), sweep_options(4).limits, &phased);
+}
+
+TEST(SemiNaive, NodeLimitCutAndBackoffRunsMatchFullSearch)
+{
+    RuleConfig config(4);
+    config.full_ac = true;
+    const std::vector<Rewrite> rules = build_rules(config);
+    const TermRef spec =
+        pad_lifted_spec(scalar::lift(kernels::make_conv2d(3, 5, 3, 3)), 4)
+            .first;
+    const auto cut = expect_same_as_naive(
+        spec, rules,
+        RunnerLimits{.node_limit = 3'000,
+                     .iter_limit = 30,
+                     .time_limit_seconds = 30.0});
+    EXPECT_EQ(std::string(stop_reason_name(cut.first.stop)),
+              stop_reason_name(StopReason::kNodeLimit));
+    // Backoff keeps every search full, so the match counts agree too.
+    const RunnerLimits backoff{.node_limit = 20'000,
+                               .iter_limit = 12,
+                               .time_limit_seconds = 30.0,
+                               .backoff_threshold = 64};
+    const auto [semi, full] = expect_same_as_naive(spec, rules, backoff);
+    EXPECT_EQ(semi.matches, full.matches);
 }
 
 TEST(WidthSweepExtra, WidthsGetDistinctCacheKeys)

@@ -146,7 +146,7 @@ struct Arg {
         DIOS_CHECK(v && (!integer || parse_integer(value)),
                    flag + " expects " + (integer ? "an integer" : "a number") +
                        ", got '" + value + "'");
-        f.check(*v);
+        f.check(*v, flag, value);
         f.access.set(o, 0, *v);
     }
 };

@@ -85,8 +85,9 @@ try {
         if (arg == "--socket") {
             opts.socket_path = next_arg(i);
         } else if (arg == "--jobs") {
-            opts.service.jobs = static_cast<int>(
-                require_positive_integer(arg, next_arg(i)));
+            const long long jobs = require_positive_integer(arg, next_arg(i));
+            DIOS_CHECK(jobs <= 1024, arg + " must be at most 1024");
+            opts.service.jobs = static_cast<int>(jobs);
         } else if (arg == "--cache-dir") {
             opts.service.cache_dir = next_arg(i);
         } else if (arg == "--cache-disk-budget") {
