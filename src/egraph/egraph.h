@@ -44,6 +44,23 @@ static_assert(kNumOps <= 32, "EGraph::op_mask holds one bit per operator");
 /** An equivalence class of e-nodes. */
 class EClass {
   public:
+    EClass() = default;
+    /**
+     * A copy keeps each list's capacity: the graph sums those capacities
+     * in one running total (memory_proxy_bytes), which a copied graph
+     * inherits and check_invariants() recounts.
+     */
+    EClass(const EClass& other) : constant(other.constant)
+    {
+        nodes.reserve(other.nodes.capacity());
+        nodes = other.nodes;
+        parents_.reserve(other.parents_.capacity());
+        parents_ = other.parents_;
+    }
+    EClass& operator=(const EClass& other) { return *this = EClass(other); }
+    EClass(EClass&&) = default;
+    EClass& operator=(EClass&&) = default;
+
     /** Nodes of this class, in the order they joined it. */
     std::vector<NodeId> nodes;
     /** Constant-folding analysis: value if the class is a known constant. */
@@ -64,6 +81,21 @@ class EGraph {
         : fold_constants_(enable_constant_folding)
     {
     }
+
+    /**
+     * An independent copy: every table, stamp, mask and op-index list,
+     * so the copy searches exactly as the original did when copied, and
+     * later changes to either leave the other alone. Its tables are sized
+     * to their contents (each class list keeps its capacity), so its
+     * memory_proxy_bytes() can read less than the original's.
+     * Runner::run takes one, at most once per iteration, as the snapshot
+     * its remaining searches read once it applies batches early
+     * (DESIGN.md §5f).
+     */
+    EGraph(const EGraph&) = default;
+    EGraph(EGraph&&) = default;
+    EGraph& operator=(const EGraph&) = default;
+    EGraph& operator=(EGraph&&) = default;
 
     /** Adds an e-node (children need not be canonical); returns its class. */
     ClassId add(ENode node);

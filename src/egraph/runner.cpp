@@ -9,6 +9,46 @@
 
 namespace diospyros {
 
+namespace {
+
+#ifndef NDEBUG
+/**
+ * Debug builds check each semi-naive search against a full one on the
+ * graph it read, before any batch is applied to that graph: the
+ * incremental matches `found` must be the full matches at dirty roots,
+ * in order, and every match it skipped must already hold, so applying it
+ * changes nothing. (On a graph with batches applied a stale hashcons key
+ * could make a repeat add a node.)
+ */
+void
+check_semi_naive(EGraph& graph, const Rewrite& rule,
+                 const std::vector<std::uint8_t>& dirty,
+                 const std::vector<RuleMatch>& found)
+{
+    const int depth = rule.searcher().depth();
+    std::size_t kept = 0;
+    for (const RuleMatch& match : rule.searcher().search(graph)) {
+        if (dirty[match.root] < depth) {
+            DIOS_ASSERT(kept < found.size() &&
+                            found[kept].root == match.root &&
+                            found[kept].vars == match.vars,
+                        "semi-naive search lost a match of " + rule.name());
+            ++kept;
+            continue;
+        }
+        const std::size_t nodes = graph.num_nodes();
+        DIOS_ASSERT(!rule.applier().apply(graph, match) &&
+                        graph.num_nodes() == nodes,
+                    "semi-naive search skipped a live match of " +
+                        rule.name());
+    }
+    DIOS_ASSERT(kept == found.size(),
+                "semi-naive search invented a match of " + rule.name());
+}
+#endif
+
+}  // namespace
+
 const char*
 stop_reason_name(StopReason r)
 {
@@ -132,130 +172,165 @@ Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
         const std::size_t unions_before = graph.union_count();
         const std::size_t nodes_before = graph.num_nodes();
         const std::uint32_t generation = graph.next_generation();
+        // Nodes the graph may still gain before the node limit trips.
+        const std::size_t headroom =
+            limits_.node_limit - std::min(limits_.node_limit, nodes_before);
+
+        // Every rule searches the graph as it was when the iteration
+        // began (no phase ordering within an iteration): `clean` is the
+        // graph itself until a batch is applied early, and from then on a
+        // snapshot taken just before (see take_snapshot).
+        std::optional<EGraph> snapshot;
+        EGraph* clean = &graph;
         // Dirty levels for the `since` value they were computed at; every
         // rule shares one `since` unless a cut batch held some back.
         std::vector<std::uint8_t> level;
         std::uint32_t level_since = 0;
         auto levels_for = [&](std::uint32_t from) -> const auto& {
             if (level_since != from) {
-                graph.dirty_levels(from, max_depth, level);
+                clean->dirty_levels(from, max_depth, level);
                 level_since = from;
             }
             return level;
         };
 
-        // Phase 1: search every rule against the clean graph, so all rules
-        // see the same snapshot (no phase ordering within an iteration).
-        // `search_truncated` records that the time budget or deadline cut
-        // this phase short — an iteration that then changes nothing must
-        // NOT be reported as saturation (unsearched rules may still match).
-        bool search_truncated = false;
+        // batches[r]: the matches rule r keeps, until they are applied.
         // complete[r]: rule r was searched and kept every match it found.
+        std::vector<std::vector<RuleMatch>> batches(rules.size());
         std::vector<char> complete(rules.size(), 0);
-        std::vector<std::vector<RuleMatch>> all_matches;
-        all_matches.reserve(rules.size());
-        for (std::size_t r = 0; r < rules.size(); ++r) {
+        // Matches kept this iteration so far.
+        std::size_t found_so_far = 0;
+
+        // Searches rule r on `clean` into batches[r]. Returns false when
+        // the time budget or the deadline has run out.
+        auto search = [&](std::size_t r) {
             RuleStats& rule = report.rule_stats[r];
             if (iter < rule.banned_until) {
                 ++stats.banned_rules;
-                all_matches.emplace_back();
-                continue;
+                return true;
             }
             Timer search_timer;
             const Searcher& searcher = rules[r].searcher();
-            std::vector<RuleMatch> matches =
+            std::vector<RuleMatch>& matches = batches[r];
+            matches =
                 incremental(r)
-                    ? searcher.search_dirty(graph, levels_for(since[r]))
-                    : searcher.search(graph);
+                    ? searcher.search_dirty(*clean, levels_for(since[r]))
+                    : searcher.search(*clean);
             rule.search_seconds += search_timer.elapsed_seconds();
+#ifndef NDEBUG
+            if (incremental(r)) {
+                check_semi_naive(*clean, rules[r], levels_for(since[r]),
+                                 matches);
+            }
+#endif
             const std::size_t found = matches.size();
             matches.resize(backoff_admit(limits_, rule, iter, found));
             complete[r] = matches.size() == found;
             stats.matches += matches.size();
             rule.matches += matches.size();
-            all_matches.push_back(std::move(matches));
-            if (total.elapsed_seconds() > limits_.time_limit_seconds ||
-                deadline.expired()) {
-                search_truncated = r + 1 < rules.size();
-                break;
-            }
-        }
+            found_so_far += matches.size();
+            return total.elapsed_seconds() <= limits_.time_limit_seconds &&
+                   !deadline.expired();
+        };
 
-#ifndef NDEBUG
-        // Debug builds check the semi-naive search against a full one
-        // while the graph is still clean: the incremental matches must be
-        // the full matches at dirty roots, in order, and every match it
-        // skipped must already hold, so applying it changes nothing. (On
-        // the dirty graph of phase 2 a stale hashcons key could make a
-        // repeat add a node.)
-        for (std::size_t r = 0; r < all_matches.size(); ++r) {
-            if (!incremental(r)) {
-                continue;
-            }
-            const int depth = rules[r].searcher().depth();
-            const std::vector<std::uint8_t>& dirty = levels_for(since[r]);
-            std::size_t kept = 0;
-            for (const RuleMatch& match : rules[r].searcher().search(graph)) {
-                if (dirty[match.root] < depth) {
-                    DIOS_ASSERT(kept < all_matches[r].size() &&
-                                    all_matches[r][kept].root == match.root &&
-                                    all_matches[r][kept].vars == match.vars,
-                                "semi-naive search lost a match of " +
-                                    rules[r].name());
-                    ++kept;
-                    continue;
-                }
-                const std::size_t nodes = graph.num_nodes();
-                DIOS_ASSERT(!rules[r].applier().apply(graph, match) &&
-                                graph.num_nodes() == nodes,
-                            "semi-naive search skipped a live match of " +
-                                rules[r].name());
-            }
-            DIOS_ASSERT(kept == all_matches[r].size(),
-                        "semi-naive search invented a match of " +
-                            rules[r].name());
-        }
-#endif
-        std::vector<std::uint8_t>().swap(level);
-
-        // Phase 2: apply everything that was found. A rule whose whole
-        // batch was applied moves its `since` to this generation; a batch
-        // cut by the watchdog keeps it.
+        // Applies batches [applied, end) in rule order, each followed by
+        // the budget check, and frees each one. A rule whose whole batch
+        // was applied moves its `since` to this generation; a batch cut by
+        // the watchdog keeps it. `tripped`: a budget ran out, and nothing
+        // more is applied this iteration.
+        std::size_t applied = 0;
         bool tripped = false;
-        for (std::size_t r = 0; r < all_matches.size() && !tripped; ++r) {
-            Timer apply_timer;
-            std::size_t applied = 0;
-            for (const RuleMatch& match : all_matches[r]) {
-                if (rules[r].applier().apply(graph, match)) {
-                    ++stats.applications;
-                    ++report.rule_stats[r].applications;
+        auto apply_through = [&](std::size_t end) {
+            for (; applied < end && !tripped; ++applied) {
+                const std::size_t r = applied;
+                Timer apply_timer;
+                std::size_t done = 0;
+                for (const RuleMatch& match : batches[r]) {
+                    if (rules[r].applier().apply(graph, match)) {
+                        ++stats.applications;
+                        ++report.rule_stats[r].applications;
+                    }
+                    if (++done % kWatchdogStride == 0 &&
+                        (deadline.expired() ||
+                         (limits_.memory_limit_bytes != 0 &&
+                          graph.memory_proxy_bytes() >
+                              limits_.memory_limit_bytes))) {
+                        tripped = true;
+                        break;
+                    }
                 }
-                if (++applied % kWatchdogStride == 0 &&
-                    (deadline.expired() ||
-                     (limits_.memory_limit_bytes != 0 &&
-                      graph.memory_proxy_bytes() >
-                          limits_.memory_limit_bytes))) {
-                    tripped = true;
+                report.rule_stats[r].apply_seconds +=
+                    apply_timer.elapsed_seconds();
+                if (complete[r] && done == batches[r].size()) {
+                    since[r] = generation;
+                }
+                std::vector<RuleMatch>().swap(batches[r]);
+                tripped = tripped || over_budget().has_value();
+            }
+        };
+
+        // Early apply at the node limit (DESIGN.md §5f). Once the matches
+        // found this iteration outnumber the nodes the limit has room for,
+        // applying them is likely to trip it, and every search after the
+        // tripping batch would be wasted. So the remaining rules search a
+        // copy of the clean graph, and each pending batch is applied to
+        // the graph before the next search starts: a trip then ends the
+        // search phase. The batches, their order and the graph they were
+        // found on are those of a search-everything-first iteration. The
+        // op-index lists the remaining searches read are compacted on the
+        // graph before the copy, as searching the graph would have left it.
+        auto take_snapshot = [&](std::size_t first) {
+            for (std::size_t r = first; r < rules.size(); ++r) {
+                const std::optional<Op> op = rules[r].searcher().root_op();
+                if (op && iter >= report.rule_stats[r].banned_until) {
+                    graph.classes_with_op(*op);
+                }
+            }
+            snapshot.emplace(graph);
+            clean = &*snapshot;
+        };
+
+        // Search every rule, applying early once the snapshot is taken.
+        // `search_truncated` records that the time budget or deadline cut
+        // the search phase short — an iteration that then changes nothing
+        // must NOT be reported as saturation (unsearched rules may still
+        // match).
+        bool search_truncated = false;
+        std::size_t searched = 0;
+        while (searched < rules.size() && !search_truncated) {
+            if (!snapshot && found_so_far > headroom) {
+                take_snapshot(searched);
+            }
+            if (snapshot) {
+                apply_through(searched);
+                if (tripped) {
                     break;
                 }
             }
-            report.rule_stats[r].apply_seconds +=
-                apply_timer.elapsed_seconds();
-            if (complete[r] && applied == all_matches[r].size()) {
-                since[r] = generation;
-            }
-            if (over_budget()) {
-                break;
-            }
+            search_truncated =
+                !search(searched++) && searched < rules.size();
         }
+        apply_through(searched);
 
-        // Phase 3: one batched congruence restoration.
+        // One batched congruence restoration.
         graph.rebuild();
 #ifndef NDEBUG
         // Debug builds re-verify the e-graph invariants after every
         // rebuild (hashcons, congruence, canonical ids).
         graph.check_invariants();
 #endif
+
+        // An early trip left rules unsearched. Of the budgets only the
+        // memory ceiling can clear again in rebuild; when it has, the run
+        // goes on, and those rules are searched on the snapshot for their
+        // backoff and statistics, as they would have been had every rule
+        // been searched before the first batch was applied.
+        if (!over_budget()) {
+            while (searched < rules.size() && !search_truncated) {
+                search_truncated =
+                    !search(searched++) && searched < rules.size();
+            }
+        }
 
         stats.nodes_after = graph.num_nodes();
         stats.classes_after = graph.num_classes();
@@ -264,11 +339,11 @@ Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
         const bool changed = graph.union_count() != unions_before ||
                              graph.num_nodes() != nodes_before;
         // A budget trip outranks saturation: when the time limit or the
-        // deadline cut phase 1 short, "nothing changed" only means the
-        // *searched* prefix of the rule set found nothing — unsearched
-        // rules may still match, so reporting kSaturated here would be a
-        // lie the caller acts on (it skips degradation for "complete"
-        // runs). Check the budget first.
+        // deadline cut the search phase short, "nothing changed" only
+        // means the *searched* prefix of the rule set found nothing —
+        // unsearched rules may still match, so reporting kSaturated here
+        // would be a lie the caller acts on (it skips degradation for
+        // "complete" runs). Check the budget first.
         if (const auto reason = over_budget()) {
             report.stop_reason = *reason;
             break;
@@ -278,9 +353,10 @@ Runner::run(EGraph& graph, const std::vector<Rewrite>& rules,
             break;
         }
         if (search_truncated) {
-            // Defensive backstop: phase 1 tripped on time/deadline, yet
-            // over_budget() no longer agrees (unreachable while both
-            // signals stay monotone). Still not saturation.
+            // Defensive backstop: the search phase tripped on time or
+            // the deadline, yet over_budget() no longer agrees
+            // (unreachable while both signals stay monotone). Still not
+            // saturation.
             report.stop_reason = StopReason::kTimeLimit;
             break;
         }

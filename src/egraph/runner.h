@@ -2,12 +2,18 @@
  * @file
  * The equality-saturation runner (paper §3.3).
  *
- * Each iteration runs in egg's batched style: search all rules on the
- * clean graph, apply every match, then rebuild once. Searches are
- * semi-naive: after a rule's first search in a run, it visits only the
- * root classes whose matches can have changed since its last complete
- * search (EGraph::dirty_levels, Searcher::depth), which skips the
- * repeats that would apply as no-ops. The runner stops at
+ * Each iteration runs in egg's batched style: every rule searches the
+ * graph as it was when the iteration began, the batches are applied in
+ * rule order, then one rebuild restores congruence. The batches wait
+ * until every rule has searched, unless the matches found so far
+ * outnumber the nodes the node limit has room for: then the remaining
+ * rules search a snapshot (an EGraph copy) and each batch is applied as
+ * soon as the next search starts, so a batch that trips the limit ends
+ * the search phase (early apply; the outcome is the same either way).
+ * Searches are semi-naive: after a rule's first search in a run, it
+ * visits only the root classes whose matches can have changed since its
+ * last complete search (EGraph::dirty_levels, Searcher::depth), which
+ * skips the repeats that would apply as no-ops. The runner stops at
  * saturation (an iteration that changes nothing) or at a node / memory /
  * time / iteration limit — the paper's evaluation gives saturation a
  * 3-minute timeout and a 10M-node limit and extracts from the partial
@@ -56,6 +62,8 @@ struct RunnerLimits {
     /**
      * Stop when the bytes the e-graph holds
      * (EGraph::memory_proxy_bytes()) pass this ceiling (0 = unlimited).
+     * The early-apply snapshot is not counted: it is transient, freed
+     * with its iteration, and at most one graph copy per iteration.
      */
     std::size_t memory_limit_bytes = 0;
 };
@@ -96,7 +104,9 @@ struct RuleStats {
     std::string name;
     /**
      * Matches found (after backoff / match-limit caps). Semi-naive
-     * searches do not count the repeats they skip.
+     * searches do not count the repeats they skip, and a rule left
+     * unsearched in the iteration a batch tripped a budget counts
+     * nothing for it.
      */
     std::size_t matches = 0;
     /** Applications that changed the e-graph. */

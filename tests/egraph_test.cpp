@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
+#include <memory>
 #include <set>
+#include <utility>
 
 #include "egraph/egraph.h"
 #include "egraph/extract.h"
@@ -472,6 +476,130 @@ TEST(Runner, MemoryLimitStopsSaturation)
     EXPECT_LT(report.iterations.size(), 1000u);
 }
 
+/** Matches class `at` only. */
+class OneClassSearcher : public Searcher {
+  public:
+    explicit OneClassSearcher(ClassId at) : at_(at) {}
+    void
+    search_class(const EGraph& graph, ClassId id,
+                 std::vector<RuleMatch>& out) const override
+    {
+        if (graph.find_const(id) == graph.find_const(at_)) {
+            out.push_back(RuleMatch{id, {}});
+        }
+    }
+
+  private:
+    ClassId at_;
+};
+
+/** Adds `term` and merges it with the matched class. */
+class AddTermApplier : public Applier {
+  public:
+    explicit AddTermApplier(const std::string& term)
+        : term_(Term::parse(term))
+    {
+    }
+    bool
+    apply(EGraph& graph, const RuleMatch& match) const override
+    {
+        return graph.merge(match.root, graph.add_term(term_));
+    }
+
+  private:
+    TermRef term_;
+};
+
+TEST(Runner, EarlyApplyLeavesTheBytesOfTheSearchEverythingFirstLoop)
+{
+    // (neg x) and (neg y) merged: the neg op-index list keeps a stale
+    // entry until a search compacts it. Rule 0 (no root operator) adds a
+    // neg node; rule 1's root operator is neg. With no node headroom
+    // rule 0's match is applied early and trips the limit, so rule 1 is
+    // never searched; the graph must still hold the bytes it holds when
+    // rule 1 searched (and compacted the list) before rule 0 applied.
+    auto fill = [](EGraph& g) {
+        const ClassId x = g.add_get(Symbol("x"), 0);
+        g.merge(g.add_op(Op::kNeg, {x}),
+                g.add_op(Op::kNeg, {g.add_get(Symbol("y"), 0)}));
+        g.rebuild();
+        return x;
+    };
+    EGraph want(false);
+    const ClassId x = fill(want);
+    const std::vector<Rewrite> rules{
+        Rewrite("add-neg", std::make_shared<OneClassSearcher>(x),
+                std::make_shared<AddTermApplier>("(neg (Get w 0))")),
+        Rewrite::make("neg-self", "(neg ?a)", "(neg ?a)")};
+    const std::size_t limit = want.num_nodes();
+    const std::vector<RuleMatch> batch = rules[0].searcher().search(want);
+    ASSERT_EQ(batch.size(), 1u);
+    ASSERT_EQ(rules[1].searcher().search(want).size(), 2u);
+    EXPECT_TRUE(rules[0].applier().apply(want, batch[0]));
+    want.rebuild();
+
+    EGraph got(false);
+    fill(got);
+    const RunnerReport report =
+        Runner(RunnerLimits{.node_limit = limit}).run(got, rules);
+    EXPECT_EQ(report.stop_reason, StopReason::kNodeLimit);
+    EXPECT_EQ(report.rule_stats[1].matches, 0u);
+    EXPECT_EQ(got.num_nodes(), want.num_nodes());
+    EXPECT_EQ(got.num_classes(), want.num_classes());
+    EXPECT_EQ(got.memory_proxy_bytes(), want.memory_proxy_bytes());
+}
+
+TEST(Runner, EarlyMemoryTripThatRebuildClearsStillSearchesEveryRule)
+{
+    // x and y each under a neg and a sqrt of it; (neg x) has three parent
+    // entries, so its parent list has room for one more. Rule 0 merges x
+    // and y; rule 1 rewrites (neg ?a) to itself. The node limit leaves no
+    // headroom, so rule 0's one match makes the runner apply it early and
+    // search rule 1 on a snapshot. The merge grows the pending list past
+    // the memory ceiling; rebuild's congruent merge of the two negs
+    // splices into spare capacity and brings the bytes back under it.
+    // The run goes on, so rule 1 must still be searched and banned, as
+    // when every rule searched before anything was applied.
+    auto fill = [](EGraph& g) {
+        const ClassId x = g.add_get(Symbol("x"), 0);
+        const ClassId y = g.add_get(Symbol("y"), 0);
+        const ClassId nx = g.add_op(Op::kNeg, {x});
+        const ClassId ny = g.add_op(Op::kNeg, {y});
+        g.add_op(Op::kSqrt, {nx});
+        g.add_op(Op::kAdd, {nx, nx});
+        g.add_op(Op::kSqrt, {ny});
+        g.rebuild();
+        return std::pair{x, y};
+    };
+    EGraph probe(false);
+    const auto [x, y] = fill(probe);
+    probe.classes_with_op(Op::kNeg);  // what searching rule 1 compacts
+    probe.merge(x, y);
+    const std::size_t applied = probe.memory_proxy_bytes();
+    probe.rebuild();
+    const std::size_t rebuilt = probe.memory_proxy_bytes();
+    ASSERT_LT(rebuilt, applied);
+
+    EGraph g(false);
+    fill(g);
+    const std::vector<Rewrite> rules{
+        Rewrite("merge-x-y", std::make_shared<OneClassSearcher>(x),
+                std::make_shared<AddTermApplier>("(Get y 0)")),
+        Rewrite::make("neg-self", "(neg ?a)", "(neg ?a)")};
+    const RunnerReport report =
+        Runner(RunnerLimits{.node_limit = g.num_nodes(),
+                            .iter_limit = 1,
+                            .backoff_threshold = 1,
+                            .memory_limit_bytes = rebuilt})
+            .run(g, rules);
+    EXPECT_EQ(report.stop_reason, StopReason::kIterLimit);
+    EXPECT_EQ(g.find(x), g.find(y));
+    EXPECT_EQ(report.rule_stats[0].applications, 1u);
+    EXPECT_EQ(report.rule_stats[1].times_banned, 1);
+    EXPECT_EQ(report.rule_stats[1].matches, 1u);
+    EXPECT_EQ(report.rule_stats[1].applications, 0u);
+}
+
 TEST(Runner, ExpiredDeadlineStopsGracefully)
 {
     // An already-expired compile-wide deadline: the runner must stop with
@@ -893,6 +1021,87 @@ TEST(OpIndex, IndexedSearchEqualsNaiveForEveryRule)
             }
         }
     }
+}
+
+void
+expect_same_matches(const std::vector<RuleMatch>& got,
+                    const std::vector<RuleMatch>& want,
+                    const std::string& rule)
+{
+    ASSERT_EQ(got.size(), want.size()) << rule;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].root, want[i].root) << rule;
+        EXPECT_EQ(got[i].vars, want[i].vars) << rule;
+    }
+}
+
+/** A class's nodes, operator mask and stamp. */
+struct ClassState {
+    std::vector<NodeId> nodes;
+    std::uint32_t mask;
+    std::uint32_t touched;
+    bool operator==(const ClassState&) const = default;
+};
+
+std::map<ClassId, ClassState>
+class_states(const EGraph& g)
+{
+    std::map<ClassId, ClassState> out;
+    for (const ClassId id : g.class_ids()) {
+        out[id] = {g.eclass(id).nodes, g.op_mask(id), g.touched(id)};
+    }
+    return out;
+}
+
+TEST(EGraph, CopySearchesLikeTheOriginal)
+{
+    // The runner's snapshot: a copy of a graph some saturation has
+    // stamped must search exactly like the original, in full and
+    // semi-naively, and must not see what is done to the original later.
+    const std::vector<Rewrite> rules = build_rules(RuleConfig(4));
+    Rng rng(11);
+    EGraph original = random_vec_graph(rng);
+    const std::uint32_t since = original.next_generation();
+    Runner(RunnerLimits{.iter_limit = 2}).run(original, rules);
+    original.next_generation();
+    const EGraph copy(original);
+
+    std::vector<std::uint8_t> want_level, got_level;
+    original.dirty_levels(since, 3, want_level);
+    copy.dirty_levels(since, 3, got_level);
+    EXPECT_EQ(got_level, want_level);
+    std::size_t matches = 0;
+    for (const Rewrite& rule : rules) {
+        const std::vector<RuleMatch> full = rule.searcher().search(original);
+        expect_same_matches(rule.searcher().search(copy), full, rule.name());
+        expect_same_matches(rule.searcher().search_dirty(copy, got_level),
+                            rule.searcher().search_dirty(original, want_level),
+                            rule.name());
+        matches += full.size();
+    }
+    EXPECT_GT(matches, 0u);
+
+    const std::map<ClassId, ClassState> before = class_states(copy);
+    std::array<std::vector<ClassId>, kNumOps> indexed;
+    for (int op = 0; op < kNumOps; ++op) {
+        indexed[op] = copy.classes_with_op(static_cast<Op>(op));
+    }
+    const std::size_t nodes = copy.num_nodes();
+    const std::size_t bytes = copy.memory_proxy_bytes();
+    const std::vector<ClassId> ids = original.class_ids();
+    original.next_generation();
+    original.merge(ids[0], ids[ids.size() / 2]);
+    original.merge(ids[1], original.add_op(Op::kNeg, {ids[2]}));
+    original.add_op(Op::kSqrt, {ids.back()});
+    original.rebuild();
+    ASSERT_NE(class_states(original), before);
+    EXPECT_EQ(class_states(copy), before);
+    for (int op = 0; op < kNumOps; ++op) {
+        EXPECT_EQ(copy.classes_with_op(static_cast<Op>(op)), indexed[op]);
+    }
+    EXPECT_EQ(copy.num_nodes(), nodes);
+    EXPECT_EQ(copy.memory_proxy_bytes(), bytes);
+    copy.check_invariants();
 }
 
 TEST(OpIndex, SaturationWithIndexMatchesNaiveByteForByte)

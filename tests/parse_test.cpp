@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "compiler/driver.h"
 #include "kernels/kernels.h"
 #include "scalar/parse.h"
@@ -76,14 +79,19 @@ TEST(ParseKernel, IfAndIfElse)
 
 TEST(ParseKernel, TextualConvMatchesBuilderConv)
 {
-    // The shipped conv2d_3x5_3x3.ksp source must lift to exactly the same
-    // specification as the C++ builder version.
-    const Kernel text = parse_kernel_file(
-        std::string(DIOS_SOURCE_DIR) + "/tools/kernels/conv2d_3x5_3x3.ksp");
-    const Kernel built = kernels::make_conv2d(3, 5, 3, 3);
-    const LiftedSpec a = lift(text);
-    const LiftedSpec b = lift(built);
-    EXPECT_TRUE(Term::equal(a.spec, b.spec));
+    // The shipped conv2d .ksp sources must lift to exactly the same
+    // specification as the C++ builder versions.
+    for (const auto& [file, rows, cols] :
+         {std::tuple{"conv2d_3x5_3x3.ksp", 3, 5},
+          std::tuple{"conv2d_8x8_3x3.ksp", 8, 8}}) {
+        SCOPED_TRACE(file);
+        const Kernel text = parse_kernel_file(
+            std::string(DIOS_SOURCE_DIR) + "/tools/kernels/" + file);
+        const Kernel built = kernels::make_conv2d(rows, cols, 3, 3);
+        const LiftedSpec a = lift(text);
+        const LiftedSpec b = lift(built);
+        EXPECT_TRUE(Term::equal(a.spec, b.spec));
+    }
 }
 
 TEST(ParseKernel, ParsedKernelsCompile)

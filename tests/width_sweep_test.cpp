@@ -24,6 +24,11 @@
 //       changed) saturates every Table-1 kernel, the full-AC phased
 //       strategy, a node-limit cut and a backoff run exactly as the
 //       full-scan reference rules do.
+// (vii) applying batches early at the node limit (the Runner searching
+//       the rest of an iteration on a snapshot) saturates full-AC
+//       Table-1 kernels exactly as a loop that searches every rule
+//       before applying any, whether the trigger stays quiet, fires
+//       before a trip, or fires without one.
 
 #include <gtest/gtest.h>
 
@@ -249,6 +254,16 @@ struct Outcome {
     std::string term;
 };
 
+/** The extracted term of `root`, printed. */
+std::string
+extract_term(const EGraph& graph, ClassId root)
+{
+    const DiosCostModel cost(CostParams{}, 4);
+    const Extractor extractor(graph, cost);
+    return Term::to_string(
+        extractor.extract(graph.find_const(root)).term);
+}
+
 /**
  * Saturates a width-4 spec under `rules`, through `strategy` when given
  * and one Runner::run otherwise, and extracts the result.
@@ -281,9 +296,7 @@ saturate_spec(const TermRef& spec, const std::vector<Rewrite>& rules,
         out.applications += s.applications;
         out.matches += s.matches;
     }
-    const DiosCostModel cost(CostParams{}, 4);
-    const Extractor extractor(graph, cost);
-    out.term = Term::to_string(extractor.extract(graph.find(root)).term);
+    out.term = extract_term(graph, root);
     return out;
 }
 
@@ -368,6 +381,170 @@ TEST(SemiNaive, NodeLimitCutAndBackoffRunsMatchFullSearch)
                                .backoff_threshold = 64};
     const auto [semi, full] = expect_same_as_naive(spec, rules, backoff);
     EXPECT_EQ(semi.matches, full.matches);
+}
+
+/**
+ * What the reference loop decided, and where the runner's early-apply
+ * trigger fires in it.
+ */
+struct Reference {
+    StopReason stop = StopReason::kIterLimit;
+    std::vector<std::size_t> applications;
+    /** Iterations whose found matches outgrew the headroom before the
+     * last rule was searched, split by whether a batch then tripped. */
+    int fired_then_tripped = 0;
+    int fired_no_trip = 0;
+    /** The iteration and the rule whose batch tripped the node limit. */
+    int trip_iter = -1;
+    std::size_t trip_rule = 0;
+};
+
+/**
+ * The batched loop Runner::run must reproduce exactly: each iteration
+ * searches every rule on the clean graph (semi-naive, as the runner
+ * does), then applies the batches in rule order and checks the node
+ * limit after each one.
+ */
+Reference
+reference_run(EGraph& graph, const std::vector<Rewrite>& rules,
+              std::size_t node_limit, int iter_limit)
+{
+    Reference out;
+    out.applications.assign(rules.size(), 0);
+    std::vector<std::uint32_t> since(rules.size(), 0);
+    int max_depth = 0;
+    for (const Rewrite& rule : rules) {
+        max_depth = std::max(max_depth, rule.searcher().depth());
+    }
+    for (int iter = 0; iter < iter_limit; ++iter) {
+        const std::size_t unions = graph.union_count();
+        const std::size_t nodes = graph.num_nodes();
+        const std::uint32_t generation = graph.next_generation();
+        std::vector<std::vector<RuleMatch>> batches;
+        std::vector<std::uint8_t> level;
+        std::size_t found = 0;
+        bool fired = false;
+        for (std::size_t r = 0; r < rules.size(); ++r) {
+            fired = fired || found > node_limit - std::min(node_limit, nodes);
+            const Searcher& searcher = rules[r].searcher();
+            if (since[r] != 0 && searcher.depth() > 0) {
+                graph.dirty_levels(since[r], max_depth, level);
+                batches.push_back(searcher.search_dirty(graph, level));
+            } else {
+                batches.push_back(searcher.search(graph));
+            }
+            found += batches.back().size();
+        }
+        for (std::size_t r = 0; r < rules.size() && out.trip_iter < 0; ++r) {
+            for (const RuleMatch& match : batches[r]) {
+                out.applications[r] += rules[r].applier().apply(graph, match);
+            }
+            since[r] = generation;
+            if (graph.num_nodes() > node_limit) {
+                out.trip_iter = iter;
+                out.trip_rule = r;
+            }
+        }
+        graph.rebuild();
+        if (fired) {
+            ++(out.trip_iter == iter ? out.fired_then_tripped
+                                     : out.fired_no_trip);
+        }
+        if (out.trip_iter == iter) {
+            out.stop = StopReason::kNodeLimit;
+            break;
+        }
+        if (graph.union_count() == unions && graph.num_nodes() == nodes) {
+            out.stop = StopReason::kSaturated;
+            break;
+        }
+    }
+    return out;
+}
+
+/**
+ * Saturates a width-4 spec with Runner::run and with reference_run under
+ * the same node and iteration limits; they must agree on the stop reason,
+ * nodes, classes, graph bytes, per-rule applications and extracted term.
+ * When a batch trips the node limit, no rule after it may have searched
+ * in that iteration. Returns the reference's record.
+ */
+Reference
+expect_same_as_reference(const TermRef& spec,
+                         const std::vector<Rewrite>& rules,
+                         std::size_t node_limit, int iter_limit)
+{
+    const auto fresh = [&](ClassId& root) {
+        EGraph graph;
+        root = graph.add_term(spec);
+        graph.rebuild();
+        return graph;
+    };
+    ClassId root = 0;
+    EGraph want = fresh(root);
+    const Reference ref = reference_run(want, rules, node_limit, iter_limit);
+    EGraph got = fresh(root);
+    const auto limits = [&](int iters) {
+        return RunnerLimits{.node_limit = node_limit,
+                            .iter_limit = iters,
+                            .time_limit_seconds = 120.0};
+    };
+    const RunnerReport report = Runner(limits(iter_limit)).run(got, rules);
+    EXPECT_EQ(std::string(stop_reason_name(report.stop_reason)),
+              stop_reason_name(ref.stop));
+    EXPECT_EQ(got.num_nodes(), want.num_nodes());
+    EXPECT_EQ(got.num_classes(), want.num_classes());
+    EXPECT_EQ(got.memory_proxy_bytes(), want.memory_proxy_bytes());
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+        EXPECT_EQ(report.rule_stats[r].applications, ref.applications[r])
+            << rules[r].name();
+    }
+    EXPECT_EQ(extract_term(got, root), extract_term(want, root));
+    if (ref.trip_iter >= 0) {
+        // The run cut before the tripping iteration has the same totals
+        // for every rule after the tripping batch.
+        EGraph cut = fresh(root);
+        const RunnerReport before =
+            Runner(limits(ref.trip_iter)).run(cut, rules);
+        for (std::size_t r = ref.trip_rule + 1; r < rules.size(); ++r) {
+            EXPECT_EQ(report.rule_stats[r].matches,
+                      before.rule_stats[r].matches)
+                << rules[r].name() << " searched after the trip";
+        }
+    }
+    return ref;
+}
+
+TEST(EarlyApply, FullAcRunsMatchTheSearchEverythingFirstLoop)
+{
+    RuleConfig config(4);
+    config.full_ac = true;
+    const std::vector<Rewrite> rules = build_rules(config);
+    const auto spec = [](const scalar::Kernel& kernel) {
+        return pad_lifted_spec(scalar::lift(kernel), 4).first;
+    };
+    {
+        SCOPED_TRACE("the trigger never fires");
+        const Reference ref = expect_same_as_reference(
+            spec(kernels::make_conv2d(3, 3, 2, 2)), rules, 10'000, 12);
+        EXPECT_EQ(ref.stop, StopReason::kSaturated);
+        EXPECT_EQ(ref.fired_then_tripped + ref.fired_no_trip, 0);
+    }
+    {
+        SCOPED_TRACE("it fires and a batch trips the node limit");
+        const Reference ref = expect_same_as_reference(
+            spec(kernels::make_conv2d(3, 5, 3, 3)), rules, 3'000, 12);
+        EXPECT_EQ(ref.stop, StopReason::kNodeLimit);
+        EXPECT_EQ(ref.fired_then_tripped, 1);
+        EXPECT_LT(ref.trip_rule + 1, rules.size());
+    }
+    {
+        SCOPED_TRACE("it fires, nothing trips, the search goes on");
+        const Reference ref = expect_same_as_reference(
+            spec(kernels::make_qprod()), rules, 10'000, 12);
+        EXPECT_EQ(ref.stop, StopReason::kSaturated);
+        EXPECT_GT(ref.fired_no_trip, 0);
+    }
 }
 
 TEST(WidthSweepExtra, WidthsGetDistinctCacheKeys)

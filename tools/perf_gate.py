@@ -5,7 +5,8 @@
   tools/perf_gate.py capture [--table T] [--build DIR]
 
 Builds each gate's target, runs its command `runs` times as separate
-processes ({build}, {out}: build directory, results file) and reads each
+processes ({build}, {out}, {repo}: build directory, results file,
+repository root) and reads each
 metric from every run: real_time of each repetition of the google-benchmark
 entry of that name (in the metric's unit), or a dotted key of a JSON object.
 A metric's value is its best: the minimum if `better` is `lower`, the
@@ -55,7 +56,7 @@ def run_gate(gate, build):
         out = os.path.join(build, "perf_gate", f"{gate['name']}.{i}.json")
         if os.path.exists(out):
             os.remove(out)
-        cmd = [arg.format(build=build, out=out) for arg in gate["command"]]
+        cmd = [arg.format(build=build, out=out, repo=REPO) for arg in gate["command"]]
         try:
             status = subprocess.run(cmd, stdout=subprocess.DEVNULL,
                                     env=dict(os.environ, **gate.get("env", {}))).returncode
