@@ -29,6 +29,7 @@
 
 #include "bench_common.h"
 #include "strategy/strategy.h"
+#include "support/json.h"
 
 using namespace diospyros;
 
@@ -74,13 +75,12 @@ run_mode(const scalar::Kernel& kernel, bool full_ac, bool phased)
 }
 
 void
-json_mode(std::ofstream& os, const char* name, const ModeResult& m)
+json_mode(JsonWriter& w, const char* name, const ModeResult& m)
 {
-    os << "\"" << name << "\":{\"stop\":\"" << m.stop
-       << "\",\"complete\":" << (m.complete ? "true" : "false")
-       << ",\"nodes\":" << m.nodes << ",\"seconds\":" << m.seconds
-       << ",\"cost\":" << m.cost << ",\"cycles\":" << m.cycles
-       << ",\"fallback\":" << m.fallback << "}";
+    w.key(name).open('{').field("stop", m.stop).field("complete", m.complete);
+    w.field("nodes", m.nodes).field("seconds", m.seconds);
+    w.field("cost", m.cost).field("cycles", m.cycles);
+    w.field("fallback", m.fallback).close('}');
 }
 
 }  // namespace
@@ -120,8 +120,8 @@ main(int argc, char** argv)
                 "cycles", "strat-stop", "strat-cost", "nodes", "sec",
                 "cycles");
 
-    std::ofstream json(out_path);
-    json << "[";
+    JsonWriter json;
+    json.open('[');
 
     bool gate_ok = true;
     std::vector<std::string> gate_failures;
@@ -141,12 +141,10 @@ main(int argc, char** argv)
                     strat.seconds,
                     static_cast<unsigned long long>(strat.cycles));
 
-        json << (i == 0 ? "" : ",") << "{\"kernel\":\"" << c.name
-             << "\",\"full_ac\":" << (c.full_ac ? "true" : "false") << ",";
+        json.open('{').field("kernel", c.name).field("full_ac", c.full_ac);
         json_mode(json, "monolithic", mono);
-        json << ",";
         json_mode(json, "strategy", strat);
-        json << "}";
+        json.close('}');
 
         // The gate. Regressing extracted cost is always a failure; where
         // the monolithic run was truncated by its budget, the strategy
@@ -167,8 +165,7 @@ main(int argc, char** argv)
                 ") nor beat its cost");
         }
     }
-    json << "]\n";
-    json.close();
+    std::ofstream(out_path) << json.close(']').str() << "\n";
     std::printf("\nwrote %s\n", out_path.c_str());
 
     if (!gate_ok) {

@@ -483,38 +483,40 @@ run(int argc, char** argv)
                        static_cast<double>(speedup_cases))
             : 0.0;
 
-    std::FILE* out = std::fopen(cli.out.c_str(), "w");
-    if (out == nullptr) {
+    JsonWriter w;
+    w.open('{').key("cases").open('[');
+    for (const CaseResult& cr : results) {
+        w.open('{')
+            .field("kernel", cr.kernel)
+            .field("width", cr.width)
+            .field("status", cr.status)
+            .field("isa", cr.isa)
+            .field("host_simd_width", cr.host_simd_width)
+            .field("ulp_vs_sim", cr.ulp_vs_sim)
+            .key("rel_err_vs_ref")
+            .value(cr.rel_err_vs_ref, "%.3g")
+            .field("native_ns", cr.native_ns)
+            .field("native_scalar_ns", cr.native_scalar_ns)
+            .field("speedup", cr.speedup)
+            .field("sim_cycles", cr.sim_cycles)
+            .field("detail", cr.detail)
+            .close('}');
+    }
+    w.close(']')
+        .key("summary")
+        .open('{')
+        .field("cases", results.size())
+        .field("hard_failures", hard_failures)
+        .field("vectorize_errors", vectorize_errors)
+        .field("timed_cases", speedup_cases)
+        .field("geomean_speedup", geomean)
+        .close('}')
+        .close('}');
+    if (!(std::ofstream(cli.out) << w.str() << "\n")) {
         std::fprintf(stderr, "native_diff: cannot write %s\n",
                      cli.out.c_str());
         return 1;
     }
-    std::fprintf(out, "{\n  \"cases\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const CaseResult& cr = results[i];
-        std::fprintf(
-            out,
-            "    {\"kernel\": \"%s\", \"width\": %d, \"status\": "
-            "\"%s\", \"isa\": \"%s\", \"host_simd_width\": %d, "
-            "\"ulp_vs_sim\": %u, \"rel_err_vs_ref\": %.3g, "
-            "\"native_ns\": %.1f, \"native_scalar_ns\": %.1f, "
-            "\"speedup\": %.3f, \"sim_cycles\": %llu, \"detail\": "
-            "\"%s\"}%s\n",
-            json_escape(cr.kernel).c_str(), cr.width, cr.status.c_str(),
-            cr.isa.c_str(), cr.host_simd_width, cr.ulp_vs_sim,
-            static_cast<double>(cr.rel_err_vs_ref), cr.native_ns,
-            cr.native_scalar_ns, cr.speedup,
-            static_cast<unsigned long long>(cr.sim_cycles),
-            json_escape(cr.detail).c_str(),
-            i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(out,
-                 "  ],\n  \"summary\": {\"cases\": %zu, "
-                 "\"hard_failures\": %d, \"vectorize_errors\": %d, "
-                 "\"timed_cases\": %d, \"geomean_speedup\": %.4f}\n}\n",
-                 results.size(), hard_failures, vectorize_errors,
-                 speedup_cases, geomean);
-    std::fclose(out);
 
     if (!cli.keep_temp) {
         const std::string rm = "rm -rf " + dir;

@@ -56,6 +56,7 @@
 #include "service/compile_service.h"
 #include "service/serialize.h"
 #include "support/hash.h"
+#include "support/json.h"
 #include "support/numeric.h"
 #include "support/rng.h"
 
@@ -328,26 +329,6 @@ text_hash(const std::string& text)
 // Report and books
 // ---------------------------------------------------------------------------
 
-/** One JSON object, one `"name": value` field per line. */
-struct JsonReport {
-    std::vector<std::string> fields;
-
-    void
-    count(const char* name, std::uint64_t v)
-    {
-        fields.push_back(std::string("\"") + name + "\": " +
-                         std::to_string(v));
-    }
-
-    void
-    real(const char* name, double v)
-    {
-        char buf[160];
-        std::snprintf(buf, sizeof buf, "\"%s\": %.6f", name, v);
-        fields.emplace_back(buf);
-    }
-};
-
 /**
  * Every request index of every stream (a daemon client process, or the
  * service transport's one shared request counter) must resolve exactly
@@ -390,7 +371,7 @@ class Books {
      * whether the shared invariants hold.
      */
     bool
-    report(const Profile& p, JsonReport& out)
+    report(const Profile& p, JsonWriter& out)
     {
         std::uint64_t cold_mismatches = 0;
         for (const auto* set : {&p.hot, &p.cold}) {
@@ -424,14 +405,14 @@ class Books {
                 static_cast<std::size_t>(
                     q * static_cast<double>(latencies_ms_.size())))];
         };
-        out.count("responses", latencies_ms_.size());
-        out.count("lost", lost);
-        out.count("duplicated", duplicated);
-        out.count("byte_mismatches", byte_mismatches_);
-        out.count("error_mismatches", error_mismatches_);
-        out.count("cold_mismatches", cold_mismatches);
-        out.real("p50_ms", percentile(0.50));
-        out.real("p99_ms", percentile(0.99));
+        out.field("responses", latencies_ms_.size());
+        out.field("lost", lost);
+        out.field("duplicated", duplicated);
+        out.field("byte_mismatches", byte_mismatches_);
+        out.field("error_mismatches", error_mismatches_);
+        out.field("cold_mismatches", cold_mismatches);
+        out.field("p50_ms", percentile(0.50));
+        out.field("p99_ms", percentile(0.99));
         return lost == 0 && duplicated == 0 && byte_mismatches_ == 0 &&
                error_mismatches_ == 0 && cold_mismatches == 0;
     }
@@ -453,7 +434,7 @@ class Books {
 /** Runs the soak; adds its fields to `out` and returns its invariant. */
 bool
 run_service(const SoakConfig& cfg, const Profile& profile, Books& books,
-            JsonReport& out)
+            JsonWriter& out)
 {
     std::vector<std::string> faults;
     const char* env = std::getenv("DIOS_FAULT");
@@ -551,21 +532,21 @@ run_service(const SoakConfig& cfg, const Profile& profile, Books& books,
         return outcomes[static_cast<std::size_t>(o)].load();
     };
     const service::ServiceMetrics m = svc.metrics();
-    out.count("ok", ok.load());
-    out.count("shed", n(CacheOutcome::kShed));
-    out.count("breaker_open", n(CacheOutcome::kBreakerOpen));
-    out.count("negative_hits", n(CacheOutcome::kNegativeHit));
-    out.count("expired", n(CacheOutcome::kExpired));
-    out.count("failed", failed.load());
-    out.count("fault_armed", fault_armed.load());
-    out.count("shed_missing_retry", missing_retry.load());
-    out.count("memory_hits", m.memory_hits);
-    out.count("misses", m.misses);
-    out.count("coalesced", m.coalesced);
-    out.count("shed_overload", m.shed_overload);
-    out.count("shed_timeout", m.shed_timeout);
-    out.count("expired_in_queue", m.expired_in_queue);
-    out.real("shed_rate", static_cast<double>(n(CacheOutcome::kShed) +
+    out.field("ok", ok.load());
+    out.field("shed", n(CacheOutcome::kShed));
+    out.field("breaker_open", n(CacheOutcome::kBreakerOpen));
+    out.field("negative_hits", n(CacheOutcome::kNegativeHit));
+    out.field("expired", n(CacheOutcome::kExpired));
+    out.field("failed", failed.load());
+    out.field("fault_armed", fault_armed.load());
+    out.field("shed_missing_retry", missing_retry.load());
+    out.field("memory_hits", m.memory_hits);
+    out.field("misses", m.misses);
+    out.field("coalesced", m.coalesced);
+    out.field("shed_overload", m.shed_overload);
+    out.field("shed_timeout", m.shed_timeout);
+    out.field("expired_in_queue", m.expired_in_queue);
+    out.field("shed_rate", static_cast<double>(n(CacheOutcome::kShed) +
                                               n(CacheOutcome::kBreakerOpen)) /
                               static_cast<double>(cfg.requests));
     return missing_retry.load() == 0;
@@ -762,7 +743,7 @@ any_alive(const std::vector<pid_t>& pids, std::vector<int>& status,
 /** Runs the soak; adds its fields to `out` and returns its invariant. */
 bool
 run_daemon(const SoakConfig& cfg, const Profile& profile, Books& books,
-           JsonReport& out)
+           JsonWriter& out)
 {
     const fs::path root =
         cfg.dir.empty() ? fs::temp_directory_path() /
@@ -866,17 +847,17 @@ run_daemon(const SoakConfig& cfg, const Profile& profile, Books& books,
         fs::remove_all(root, ec);
     }
 
-    out.count("clients", static_cast<std::uint64_t>(cfg.clients));
-    out.count("kills", static_cast<std::uint64_t>(kills_done));
-    out.count("ok", ok);
-    out.count("failed", failed);
-    out.count("fallback_ok", sums[4]);
-    out.count("fallback_failed", sums[5]);
-    out.count("remote_requests", sums[0]);
-    out.count("remote_retries", sums[1]);
-    out.count("shed", sums[2]);
-    out.count("fallback_local", sums[3]);
-    out.count("client_errors", client_errors);
+    out.field("clients", static_cast<std::uint64_t>(cfg.clients));
+    out.field("kills", static_cast<std::uint64_t>(kills_done));
+    out.field("ok", ok);
+    out.field("failed", failed);
+    out.field("fallback_ok", sums[4]);
+    out.field("fallback_failed", sums[5]);
+    out.field("remote_requests", sums[0]);
+    out.field("remote_retries", sums[1]);
+    out.field("shed", sums[2]);
+    out.field("fallback_local", sums[3]);
+    out.field("client_errors", client_errors);
     return client_errors == 0 && sums[3] != 0;
 }
 
@@ -893,8 +874,8 @@ try {
     Books books(streams, cfg.requests);
     const std::uint64_t requests = streams * cfg.requests;
 
-    JsonReport report;
-    report.count("requests", requests);
+    JsonWriter report;
+    report.open('{').field("requests", requests);
     const Clock::time_point soak_start = Clock::now();
     const bool transport_ok =
         daemon ? run_daemon(cfg, profile, books, report)
@@ -902,16 +883,11 @@ try {
     const double soak_seconds =
         std::chrono::duration<double>(Clock::now() - soak_start).count();
     const bool books_ok = books.report(profile, report);
-    report.real("soak_seconds", soak_seconds);
-    report.real("throughput_rps",
+    report.field("soak_seconds", soak_seconds);
+    report.field("throughput_rps",
                 static_cast<double>(requests) / soak_seconds);
 
-    std::string json = "{\n";
-    for (std::size_t i = 0; i < report.fields.size(); ++i) {
-        json += report.fields[i] +
-                (i + 1 < report.fields.size() ? ",\n" : "\n");
-    }
-    json += "}\n";
+    const std::string json = report.close('}').str() + "\n";
     std::fputs(json.c_str(), stdout);
     if (!cfg.out_path.empty()) {
         std::ofstream(cfg.out_path) << json;

@@ -134,30 +134,10 @@ print_table1()
     for (const auto& inst : kernels::table1_instances()) {
         // Resilient compile: a kernel that blows up degrades down the
         // ladder and is *reported* instead of aborting the whole table.
-        const CompileResult result =
-            compile_kernel_resilient(inst.kernel, bench::bench_options());
-        if (!result.ok) {
-            ++failed;
-            std::printf("%-24s FAILED: %s\n", inst.label().c_str(),
-                        result.error.c_str());
-            continue;
-        }
-        const CompileReport& r = result.report();
-        total_seconds += r.total_seconds;
-        const bool budget_hit = r.stop_reason != StopReason::kSaturated;
-        std::printf("%-24s %9.2fs %9.1f MB %10zu %10zu %12zu %s%s",
-                    inst.label().c_str(), r.total_seconds,
-                    static_cast<double>(r.memory_proxy_bytes) /
-                        (1024.0 * 1024.0),
-                    r.egraph_nodes, r.egraph_classes, r.spec_elements,
-                    stop_reason_name(r.stop_reason),
-                    budget_hit ? " †" : "");
-        if (r.fallback_level > 0) {
-            ++degraded;
-            std::printf(" [fallback: %s]",
-                        fallback_level_name(r.fallback_level));
-        }
-        std::printf("\n");
+        print_row(inst.label(),
+                  compile_kernel_resilient(inst.kernel,
+                                           bench::bench_options()),
+                  &total_seconds, &degraded, &failed);
     }
     std::printf("\nTotal compile time: %.2fs across 21 kernels\n",
                 total_seconds);

@@ -243,6 +243,8 @@ compile_with_deadline(const scalar::Kernel& kernel, CompilerOptions options,
     // optimized term is pointer-identical to the spec, so both checks
     // hold trivially — record them without re-deriving (the report's
     // random_check_passed already defaults to true).
+    out.report.validated = options.validate;
+    out.report.random_checked = options.random_check;
     if (direct) {
         if (options.validate) {
             out.report.validation = Verdict::kEquivalent;

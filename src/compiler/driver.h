@@ -181,7 +181,10 @@ struct AttemptDiagnostic {
 /** Human-readable rung name ("full", "reduced", ...). */
 const char* fallback_level_name(int level);
 
-/** Everything Table 1 reports, per kernel. */
+/**
+ * Everything Table 1 reports, per kernel. compiler/report_fields.h lists
+ * every field once: its JSON and wire name, and where it travels.
+ */
 struct CompileReport {
     double lift_seconds = 0.0;
     double saturation_seconds = 0.0;
@@ -216,8 +219,14 @@ struct CompileReport {
      * Table 1's "Memory" column.
      */
     std::size_t memory_proxy_bytes = 0;
+    /** Translation validation's verdict; meaningful when `validated`. */
     Verdict validation = Verdict::kUnknown;
+    /** Whether translation validation ran on this compile. */
+    bool validated = false;
+    /** The random differential check; meaningful when `random_checked`. */
     bool random_check_passed = true;
+    /** Whether the random differential check ran on this compile. */
+    bool random_checked = false;
     /**
      * Symbolic machine-level translation validation of the final
      * scheduled machine code against the padded spec (M009). kUnknown

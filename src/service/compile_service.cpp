@@ -1,7 +1,6 @@
 #include "service/compile_service.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
@@ -11,6 +10,7 @@
 #include "service/serialize.h"
 #include "support/error.h"
 #include "support/faults.h"
+#include "support/json.h"
 #include "support/sexpr.h"
 
 namespace diospyros::service {
@@ -64,32 +64,6 @@ disk_entry_servable(const CachedEntry& entry, const CompilerOptions& req)
            effective_budget(entry.time_limit_seconds);
 }
 
-void
-json_count(std::string& out, const char* name, std::uint64_t v, bool last)
-{
-    out += '"';
-    out += name;
-    out += "\":";
-    out += std::to_string(v);
-    if (!last) {
-        out += ',';
-    }
-}
-
-void
-json_seconds(std::string& out, const char* name, double v, bool last)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6f", v);
-    out += '"';
-    out += name;
-    out += "\":";
-    out += buf;
-    if (!last) {
-        out += ',';
-    }
-}
-
 /** Whole wall-clock spent by an executed compile, success or not. */
 double
 compile_seconds(const CompileResult& result)
@@ -128,32 +102,6 @@ parse_priority(const std::string& text)
 }
 
 const char*
-cache_outcome_name(CacheOutcome outcome)
-{
-    switch (outcome) {
-      case CacheOutcome::kMiss:
-        return "miss";
-      case CacheOutcome::kMemoryHit:
-        return "memory-hit";
-      case CacheOutcome::kDiskHit:
-        return "disk-hit";
-      case CacheOutcome::kCoalesced:
-        return "coalesced";
-      case CacheOutcome::kBypass:
-        return "bypass";
-      case CacheOutcome::kNegativeHit:
-        return "negative-hit";
-      case CacheOutcome::kBreakerOpen:
-        return "breaker-open";
-      case CacheOutcome::kShed:
-        return "shed";
-      case CacheOutcome::kExpired:
-        return "expired";
-    }
-    return "unknown";
-}
-
-const char*
 cache_outcome_json_name(CacheOutcome outcome)
 {
     switch (outcome) {
@@ -180,63 +128,62 @@ cache_outcome_json_name(CacheOutcome outcome)
 std::string
 ServiceMetrics::to_json() const
 {
-    std::string out = "{";
-    json_count(out, "submitted", submitted, false);
-    json_count(out, "completed", completed, false);
-    json_count(out, "memory_hits", memory_hits, false);
-    json_count(out, "disk_hits", disk_hits, false);
-    json_count(out, "misses", misses, false);
-    json_count(out, "coalesced", coalesced, false);
-    json_count(out, "bypasses", bypasses, false);
-    json_count(out, "evictions", evictions, false);
-    json_count(out, "disk_writes", disk_writes, false);
-    json_count(out, "failures", failures, false);
-    json_count(out, "user_errors", user_errors, false);
-    json_count(out, "verifier_rejects", verifier_rejects, false);
-    json_count(out, "machine_verifier_rejects", machine_verifier_rejects,
-               false);
-    json_count(out, "validation_unknown", validation_unknown, false);
-    json_count(out, "quarantined", quarantined, false);
-    json_count(out, "recovered_tmp", recovered_tmp, false);
-    json_count(out, "checksum_failures", checksum_failures, false);
-    json_count(out, "disk_evicted", disk_evicted, false);
-    json_count(out, "io_retries", io_retries, false);
-    json_count(out, "store_failures", store_failures, false);
-    json_count(out, "load_errors", load_errors, false);
-    json_count(out, "shed_overload", shed_overload, false);
-    json_count(out, "shed_timeout", shed_timeout, false);
-    json_count(out, "shed_draining", shed_draining, false);
-    json_count(out, "expired_in_queue", expired_in_queue, false);
-    json_count(out, "negative_hits", negative_hits, false);
-    json_count(out, "negative_insertions", negative_insertions, false);
-    json_count(out, "negative_evictions", negative_evictions, false);
-    json_count(out, "negative_invalidated", negative_invalidated, false);
-    json_count(out, "breaker_trips", breaker_trips, false);
-    json_count(out, "breaker_open_rejects", breaker_open_rejects, false);
-    json_count(out, "breaker_probes", breaker_probes, false);
-    json_count(out, "breaker_closes", breaker_closes, false);
-    json_count(out, "drain_finished", drain_finished, false);
-    json_count(out, "drain_shed", drain_shed, false);
-    json_count(out, "queue_depth", queue_depth, false);
-    json_count(out, "peak_queue_depth", peak_queue_depth, false);
-    json_seconds(out, "queue_wait_seconds", queue_wait_seconds, false);
-    json_count(out, "ematch_matches", ematch_matches, false);
-    json_count(out, "ematch_applications", ematch_applications, false);
-    json_seconds(out, "ematch_search_seconds", ematch_search_seconds, false);
-    json_seconds(out, "ematch_apply_seconds", ematch_apply_seconds, false);
-    json_count(out, "remote_requests", remote_requests, false);
-    json_count(out, "remote_retries", remote_retries, false);
-    json_count(out, "remote_fallback_local", remote_fallback_local, false);
-    json_count(out, "frames_rejected", frames_rejected, false);
-    json_count(out, "dedup_hits", dedup_hits, false);
-    json_seconds(out, "uptime_seconds", uptime_seconds, false);
-    json_seconds(out, "lift_seconds", lift_seconds, false);
-    json_seconds(out, "saturation_seconds", saturation_seconds, false);
-    json_seconds(out, "extract_seconds", extract_seconds, false);
-    json_seconds(out, "backend_seconds", backend_seconds, false);
-    json_seconds(out, "total_seconds", total_seconds, true);
-    out += "}";
-    return out;
+    JsonWriter w;
+    w.open('{')
+        .field("submitted", submitted)
+        .field("completed", completed)
+        .field("memory_hits", memory_hits)
+        .field("disk_hits", disk_hits)
+        .field("misses", misses)
+        .field("coalesced", coalesced)
+        .field("bypasses", bypasses)
+        .field("evictions", evictions)
+        .field("disk_writes", disk_writes)
+        .field("failures", failures)
+        .field("user_errors", user_errors)
+        .field("verifier_rejects", verifier_rejects)
+        .field("machine_verifier_rejects", machine_verifier_rejects)
+        .field("validation_unknown", validation_unknown)
+        .field("quarantined", quarantined)
+        .field("recovered_tmp", recovered_tmp)
+        .field("checksum_failures", checksum_failures)
+        .field("disk_evicted", disk_evicted)
+        .field("io_retries", io_retries)
+        .field("store_failures", store_failures)
+        .field("load_errors", load_errors)
+        .field("shed_overload", shed_overload)
+        .field("shed_timeout", shed_timeout)
+        .field("shed_draining", shed_draining)
+        .field("expired_in_queue", expired_in_queue)
+        .field("negative_hits", negative_hits)
+        .field("negative_insertions", negative_insertions)
+        .field("negative_evictions", negative_evictions)
+        .field("negative_invalidated", negative_invalidated)
+        .field("breaker_trips", breaker_trips)
+        .field("breaker_open_rejects", breaker_open_rejects)
+        .field("breaker_probes", breaker_probes)
+        .field("breaker_closes", breaker_closes)
+        .field("drain_finished", drain_finished)
+        .field("drain_shed", drain_shed)
+        .field("queue_depth", queue_depth)
+        .field("peak_queue_depth", peak_queue_depth)
+        .field("queue_wait_seconds", queue_wait_seconds)
+        .field("ematch_matches", ematch_matches)
+        .field("ematch_applications", ematch_applications)
+        .field("ematch_search_seconds", ematch_search_seconds)
+        .field("ematch_apply_seconds", ematch_apply_seconds)
+        .field("remote_requests", remote_requests)
+        .field("remote_retries", remote_retries)
+        .field("remote_fallback_local", remote_fallback_local)
+        .field("frames_rejected", frames_rejected)
+        .field("dedup_hits", dedup_hits)
+        .field("uptime_seconds", uptime_seconds)
+        .field("lift_seconds", lift_seconds)
+        .field("saturation_seconds", saturation_seconds)
+        .field("extract_seconds", extract_seconds)
+        .field("backend_seconds", backend_seconds)
+        .field("total_seconds", total_seconds);
+    return w.close('}').str();
 }
 
 CompileService::CompileService(Options options)
@@ -929,8 +876,7 @@ CompileService::finish(const std::shared_ptr<Job>& job, ResultPtr result,
                 0.8 * ewma_compile_seconds_ + 0.2 * spent;
             if (result->ok) {
                 const CompileReport& r = result->report();
-                if ((job->options.validate &&
-                     r.validation == Verdict::kUnknown) ||
+                if ((r.validated && r.validation == Verdict::kUnknown) ||
                     (r.machine_validated &&
                      r.machine_validation == Verdict::kUnknown)) {
                     ++metrics_.validation_unknown;

@@ -124,9 +124,6 @@ enum class CacheOutcome {
     kExpired,      ///< request deadline passed before a worker ran it
 };
 
-/** Debug spelling ("miss", "memory-hit", ...). */
-const char* cache_outcome_name(CacheOutcome outcome);
-
 /** Report spelling per the CLI contract: both hit kinds map to "hit". */
 const char* cache_outcome_json_name(CacheOutcome outcome);
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "compiler/report_fields.h"
 #include "machine/target.h"
 #include "scalar/symbolic.h"
 #include "support/error.h"
@@ -15,14 +16,6 @@ namespace {
 // ---------------------------------------------------------------------------
 
 constexpr const char* kWhere = "cache entry";
-
-Verdict
-verdict_from_name(const std::string& name)
-{
-    return enum_from_name(name, static_cast<int>(Verdict::kUnknown) + 1,
-                          verdict_name,
-                          "cache entry: unknown validation verdict");
-}
 
 Sexpr
 hex_atom(std::uint64_t v)
@@ -44,110 +37,31 @@ as_hex(const Sexpr& s)
 Sexpr
 report_to_sexpr(const CompileReport& r)
 {
-    std::vector<Sexpr> attempts;
-    attempts.push_back(Sexpr::atom("attempts"));
-    for (const AttemptDiagnostic& a : r.attempts) {
-        attempts.push_back(Sexpr::list({i64_atom(a.level),
-                                        f64_atom(a.seconds),
-                                        Sexpr::string_atom(a.error)}));
+    std::vector<Sexpr> rows = {Sexpr::atom("report")};
+    for (const ReportField& f : report_fields()) {
+        if (f.persisted()) {
+            rows.push_back(f.encode(r));
+        }
     }
-
-    return field(
-        "report",
-        {field("phases",
-               {f64_atom(r.lift_seconds), f64_atom(r.saturation_seconds),
-                f64_atom(r.extract_seconds), f64_atom(r.backend_seconds),
-                f64_atom(r.total_seconds)}),
-         field("spec", {i64_atom(r.spec_elements),
-                        i64_atom(r.spec_dag_nodes)}),
-         field("egraph",
-               {i64_atom(r.egraph_nodes), i64_atom(r.egraph_classes),
-                i64_atom(r.memory_proxy_bytes),
-                i64_atom(r.runner_iterations)}),
-         field("stop", {Sexpr::atom(stop_reason_name(r.stop_reason))}),
-         field("cost", {f64_atom(r.extracted_cost)}),
-         field("lvn",
-               {i64_atom(r.lvn.input_instrs), i64_atom(r.lvn.value_numbered),
-                i64_atom(r.lvn.dead_removed),
-                i64_atom(r.lvn.output_instrs)}),
-         field("validation", {Sexpr::atom(verdict_name(r.validation)),
-                              i64_atom(r.random_check_passed ? 1 : 0)}),
-         field("machine-validation",
-               {Sexpr::atom(verdict_name(r.machine_validation)),
-                i64_atom(r.machine_validated ? 1 : 0),
-                Sexpr::string_atom(r.machine_witness)}),
-         field("fallback", {i64_atom(r.fallback_level),
-                            Sexpr::string_atom(r.error)}),
-         // Only the strategy's *name* is persisted (like rule_stats,
-         // per-phase telemetry is live-run-only; cache hits come back
-         // with empty `strategy_phases`).
-         field("strategy",
-               {Sexpr::string_atom(r.strategy_name),
-                i64_atom(r.strategy_goal_satisfied ? 1 : 0)}),
-         Sexpr::list(std::move(attempts))});
+    return Sexpr::list(std::move(rows));
 }
 
 CompileReport
 report_from_sexpr(const Sexpr& s)
 {
     DIOS_CHECK(is_field(s, "report"), "cache entry: missing report");
+    // Unknown rows are skipped. The writer keeps the table's order, so
+    // each search starts at the row after the last match.
+    const std::span<const ReportField> fields = report_fields();
     CompileReport r;
+    std::size_t next = 0;
     for (std::size_t i = 1; i < s.size(); ++i) {
-        const Sexpr& f = s[i];
-        if (is_field(f, "phases") && f.size() == 6) {
-            r.lift_seconds = as_f64(f[1], kWhere);
-            r.saturation_seconds = as_f64(f[2], kWhere);
-            r.extract_seconds = as_f64(f[3], kWhere);
-            r.backend_seconds = as_f64(f[4], kWhere);
-            r.total_seconds = as_f64(f[5], kWhere);
-        } else if (is_field(f, "spec") && f.size() == 3) {
-            r.spec_elements = static_cast<std::size_t>(as_i64(f[1], kWhere));
-            r.spec_dag_nodes = static_cast<std::size_t>(as_i64(f[2], kWhere));
-        } else if (is_field(f, "egraph") && f.size() == 5) {
-            r.egraph_nodes = static_cast<std::size_t>(as_i64(f[1], kWhere));
-            r.egraph_classes = static_cast<std::size_t>(as_i64(f[2], kWhere));
-            r.memory_proxy_bytes =
-                static_cast<std::size_t>(as_i64(f[3], kWhere));
-            r.runner_iterations =
-                static_cast<std::size_t>(as_i64(f[4], kWhere));
-        } else if (is_field(f, "stop") && f.size() == 2) {
-            r.stop_reason =
-                enum_from_name(f[1].token(), kNumStopReasons, stop_reason_name,
-                               "cache entry: unknown stop reason");
-        } else if (is_field(f, "cost") && f.size() == 2) {
-            r.extracted_cost = as_f64(f[1], kWhere);
-        } else if (is_field(f, "lvn") && f.size() == 5) {
-            r.lvn.input_instrs =
-                static_cast<std::size_t>(as_i64(f[1], kWhere));
-            r.lvn.value_numbered =
-                static_cast<std::size_t>(as_i64(f[2], kWhere));
-            r.lvn.dead_removed =
-                static_cast<std::size_t>(as_i64(f[3], kWhere));
-            r.lvn.output_instrs =
-                static_cast<std::size_t>(as_i64(f[4], kWhere));
-        } else if (is_field(f, "validation") && f.size() == 3) {
-            r.validation = verdict_from_name(f[1].token());
-            r.random_check_passed = as_i64(f[2], kWhere) != 0;
-        } else if (is_field(f, "machine-validation") && f.size() == 4) {
-            r.machine_validation = verdict_from_name(f[1].token());
-            r.machine_validated = as_i64(f[2], kWhere) != 0;
-            r.machine_witness = f[3].token();
-        } else if (is_field(f, "fallback") && f.size() == 3) {
-            r.fallback_level = static_cast<int>(as_i64(f[1], kWhere));
-            r.error = f[2].token();
-        } else if (is_field(f, "strategy") && f.size() == 3) {
-            r.strategy_name = f[1].token();
-            r.strategy_goal_satisfied = as_i64(f[2], kWhere) != 0;
-        } else if (is_field(f, "attempts")) {
-            for (std::size_t j = 1; j < f.size(); ++j) {
-                const Sexpr& a = f[j];
-                DIOS_CHECK(a.is_list() && a.size() == 3,
-                           "cache entry: malformed attempt record");
-                AttemptDiagnostic diag;
-                diag.level = static_cast<int>(as_i64(a[0], kWhere));
-                diag.seconds = as_f64(a[1], kWhere);
-                diag.error = a[2].token();
-                r.attempts.push_back(std::move(diag));
+        for (std::size_t k = next; k < next + fields.size(); ++k) {
+            const ReportField& f = fields[k % fields.size()];
+            if (f.persisted() && is_field(s[i], f.name)) {
+                f.decode(s[i], r);
+                next = k + 1;
+                break;
             }
         }
     }

@@ -8,7 +8,8 @@
  * kernel without re-running saturation: the emitted machine program
  * (instruction by instruction, floats as exact hexfloat atoms), the
  * constant pool, the generated C source (quoted-string atom), and the
- * original CompileReport. The optimized DSL term is deliberately NOT
+ * persisted rows of the original CompileReport (compiler/report_fields.h;
+ * per-run telemetry such as rule_stats stays behind). The optimized DSL term is deliberately NOT
  * persisted: printed as a tree it can be exponentially larger than its
  * DAG, and nothing downstream of emission needs it. When a kernel is
  * reconstructed from disk, its `extracted` field aliases the (re-lifted)
@@ -65,15 +66,17 @@ CachedEntry entry_from_sexpr(const Sexpr& sexpr);
  *
  * History: 1–2 fixed-width lane tables (6 + kMaxVectorWidth slots per
  * instruction); 3 explicit per-instruction lane counts, so the format
- * survives kMaxVectorWidth changes.
+ * survives kMaxVectorWidth changes; 4 the report as one `(name value...)`
+ * list per persisted compiler/report_fields.h row, with the validation
+ * and random-check gates' ran flags.
  */
-constexpr std::uint64_t kCacheFormatVersion = 3;
+constexpr std::uint64_t kCacheFormatVersion = 4;
 
 /**
  * Wraps an entry in the durable on-disk envelope:
  *
  *   (dios-cache-envelope
- *     (format-version 2)
+ *     (format-version 4)
  *     (rule-set-version N)
  *     (checksum <16-hex StableHasher digest of the payload's canonical
  *                to_string() rendering>)

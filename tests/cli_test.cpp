@@ -4,7 +4,9 @@
 // line 1, the C text after it), byte-identical C across every compile
 // route (local, cold and warm --cache-dir, --remote against a live
 // daemon, --remote falling back locally), the --batch --json array,
-// numeric flag ranges, and diosd's graceful drain on SIGTERM.
+// numeric flag ranges, diosd's graceful drain on SIGTERM, and the JSON
+// contracts: the ordered --json keys, the daemon status spelling, and
+// every compiler/report_fields.h row in --json and on the wire.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <filesystem>
@@ -23,9 +26,13 @@
 #include <vector>
 
 #include "compiler/driver.h"
+#include "compiler/report_fields.h"
 #include "kernels/kernels.h"
 #include "machine/program.h"
 #include "scalar/parse.h"
+#include "service/compile_service.h"
+#include "service/serialize.h"
+#include "support/json.h"
 
 namespace {
 
@@ -225,6 +232,46 @@ is_one_json_value(const std::string& text, std::size_t* elements = nullptr)
         ++pos;
     }
     return pos == text.size();
+}
+
+/**
+ * The keys of the JSON object that opens at `text[pos]`, in order, nested
+ * values skipped. Expects valid JSON (check with is_one_json_value).
+ */
+std::vector<std::string>
+object_keys(const std::string& text, std::size_t pos)
+{
+    std::vector<std::string> keys;
+    int depth = 0;
+    for (; pos < text.size(); ++pos) {
+        const char c = text[pos];
+        if (c == '{' || c == '[') {
+            ++depth;
+        } else if (c == '}' || c == ']') {
+            if (--depth == 0) {
+                break;
+            }
+        } else if (c == '"') {
+            const std::size_t start = ++pos;
+            for (; text[pos] != '"'; ++pos) {
+                pos += text[pos] == '\\';
+            }
+            if (depth == 1 && text[pos + 1] == ':') {
+                keys.push_back(text.substr(start, pos - start));
+            }
+        }
+    }
+    return keys;
+}
+
+/** The keys of the object that follows `"name":[` in `text`, if any. */
+std::vector<std::string>
+element_keys(const std::string& text, const std::string& name)
+{
+    const std::size_t at = text.find("\"" + name + "\":[{");
+    return at == std::string::npos
+               ? std::vector<std::string>{}
+               : object_keys(text, at + name.size() + 4);
 }
 
 /** Splits `--json --emit-c` stdout into its JSON line and the C after it. */
@@ -635,6 +682,242 @@ TEST(Cli, DiosdDrainsOnSigtermAndPrintsFinalMetrics)
     const std::string err = daemon.stderr_text();
     EXPECT_NE(err.find("draining"), std::string::npos) << err;
     EXPECT_NE(err.find("final metrics: {"), std::string::npos) << err;
+}
+
+// ---------------------------------------------------------------------------
+// JSON contracts
+// ---------------------------------------------------------------------------
+
+using Keys = std::vector<std::string>;
+
+TEST(Cli, JsonKeysKeepTheirOrder)
+{
+    TempDir dir("keys");
+    const Keys header = {"kernel", "ok", "cache", "queue_wait_ms"};
+    Keys ok = header;
+    for (const char* k :
+         {"total_seconds", "saturation_seconds", "egraph_nodes",
+          "egraph_classes", "iterations", "stop", "extracted_cost",
+          "spec_elements", "memory_proxy_bytes", "lvn_removed",
+          "fallback_level", "fallback", "error", "validation",
+          "random_check_passed", "machine_validation", "machine_validated",
+          "machine_witness", "attempts", "rule_stats", "ematch_matches",
+          "ematch_search_seconds", "ematch_apply_seconds", "strategy",
+          "goal_satisfied", "phases"}) {
+        ok.push_back(k);
+    }
+    const ToolRun run = dioscc(dir, {kVadd, "--json"});
+    ASSERT_EQ(run.code, 0) << run.err;
+    ASSERT_TRUE(is_one_json_value(run.out)) << run.out;
+    EXPECT_EQ(object_keys(run.out, 0), ok);
+    EXPECT_EQ(element_keys(run.out, "attempts"),
+              (Keys{"level", "rung", "seconds", "error"}));
+    const Keys rule = {"rule",          "matches",      "applications",
+                       "search_seconds", "apply_seconds", "times_banned",
+                       "banned_until"};
+    EXPECT_EQ(element_keys(run.out, "rule_stats"), rule);
+    const Keys phase = {"phase",          "runs",           "skipped",
+                        "stop",           "iterations",     "nodes",
+                        "classes",        "sketch_checked", "sketch_satisfied",
+                        "seconds",        "rule_stats",     "matches",
+                        "applications"};
+    EXPECT_EQ(element_keys(run.out, "phases"), phase);
+
+    const ToolRun failed =
+        dioscc(dir, {kVadd, "--json", "--fault", "lower.term:1:*"});
+    ASSERT_EQ(failed.code, 1) << failed.err;
+    ASSERT_TRUE(is_one_json_value(failed.out)) << failed.out;
+    Keys fail = header;
+    for (const char* k :
+         {"retry_after_ms", "user_error", "fallback_level", "error"}) {
+        fail.push_back(k);
+    }
+    EXPECT_EQ(object_keys(failed.out, 0), fail);
+
+    const std::string manifest = dir.file("manifest");
+    std::ofstream(manifest) << kVadd << "\n";
+    const ToolRun batch = dioscc(dir, {"--batch", manifest, "--json"});
+    ASSERT_EQ(batch.code, 0) << batch.err;
+    ASSERT_TRUE(is_one_json_value(batch.out)) << batch.out;
+    ASSERT_EQ(batch.out.rfind("[{", 0), 0u) << batch.out;
+    EXPECT_EQ(object_keys(batch.out, 1), ok);
+}
+
+TEST(Cli, JsonSaysSkippedForAGateThatDidNotRun)
+{
+    TempDir dir("skipped");
+    struct Case {
+        std::vector<std::string> flags;
+        std::vector<std::string> want;
+    };
+    const std::vector<Case> cases = {
+        {{},
+         {"\"validation\":\"skipped\"", "\"random_check_passed\":null",
+          "\"machine_validation\":\"skipped\"",
+          "\"machine_validated\":false"}},
+        {{"--validate"},
+         {"\"validation\":\"equivalent\"", "\"random_check_passed\":true",
+          "\"machine_validation\":\"equivalent\"",
+          "\"machine_validated\":true"}},
+        {{"--verify-machine"},
+         {"\"validation\":\"skipped\"", "\"random_check_passed\":null",
+          "\"machine_validation\":\"equivalent\"",
+          "\"machine_validated\":true"}},
+    };
+    for (const Case& c : cases) {
+        std::vector<std::string> args = {kVadd, "--json"};
+        args.insert(args.end(), c.flags.begin(), c.flags.end());
+        const ToolRun run = dioscc(dir, args);
+        ASSERT_EQ(run.code, 0) << run.err;
+        EXPECT_TRUE(is_one_json_value(run.out)) << run.out;
+        for (const std::string& want : c.want) {
+            EXPECT_NE(run.out.find(want), std::string::npos)
+                << (c.flags.empty() ? "no flag" : c.flags[0]) << ": "
+                << want << "\n"
+                << run.out;
+        }
+    }
+}
+
+TEST(Cli, ServiceMetricsJsonKeepsTheDaemonStatusSpelling)
+{
+    // benchmark/daemon_workload.cpp reads diosd's status frame by
+    // searching for these exact `"name":` spellings.
+    service::ServiceMetrics m;
+    m.frames_rejected = 3;
+    m.queue_wait_seconds = 0.25;
+    const std::string json = m.to_json();
+    EXPECT_TRUE(is_one_json_value(json)) << json;
+    for (const char* needle :
+         {"\"frames_rejected\":3", "\"memory_hits\":", "\"disk_hits\":",
+          "\"misses\":", "\"evictions\":",
+          "\"queue_wait_seconds\":0.25"}) {
+        EXPECT_NE(json.find(needle), std::string::npos) << needle;
+    }
+}
+
+/** A report in which every field holds a non-default value. */
+CompileReport
+distinct_report()
+{
+    CompileReport r;
+    r.lift_seconds = 0.5;
+    r.saturation_seconds = 1.5;
+    r.extract_seconds = 2.5;
+    r.backend_seconds = 3.5;
+    r.total_seconds = 4.5;
+    r.spec_elements = 11;
+    r.spec_dag_nodes = 12;
+    r.egraph_nodes = 13;
+    r.egraph_classes = 14;
+    r.stop_reason = StopReason::kNodeLimit;
+    r.runner_iterations = 15;
+    r.rule_stats = {{"rule-a", 16, 17, 0.25, 0.125, 1, 2}};
+    r.strategy_name = "phased";
+    strategy::PhaseReport phase;
+    phase.name = "grow";
+    phase.runs = 2;
+    phase.runner.rule_stats = r.rule_stats;
+    r.strategy_phases = {phase};
+    r.strategy_goal_satisfied = true;
+    r.extracted_cost = 18.75;
+    r.lvn = {19, 20, 21, 22};
+    r.memory_proxy_bytes = 23;
+    r.validation = Verdict::kNotEquivalent;
+    r.validated = true;
+    r.random_check_passed = false;
+    r.random_checked = true;
+    r.machine_validation = Verdict::kEquivalent;
+    r.machine_validated = true;
+    r.machine_witness = "a = \"1\"";
+    r.fallback_level = 2;
+    r.attempts = {{0, "first\nline", FailureClass::kInternal, 0.75},
+                  {2, "", FailureClass::kNone, 0.375}};
+    r.error = "first\nline";
+    return r;
+}
+
+TEST(ReportFields, EveryRowTravelsAndPrintsOnce)
+{
+    const CompileReport r = distinct_report();
+    const CompileReport none;
+    service::CachedEntry entry;
+    entry.report = r;
+    const service::CachedEntry back = service::entry_from_sexpr(
+        parse_sexpr(service::entry_to_sexpr(entry).to_string()));
+
+    JsonWriter w;
+    w.open('{');
+    write_report_json(w, r);
+    const std::string json = w.close('}').str();
+    ASSERT_TRUE(is_one_json_value(json)) << json;
+    const Keys keys = object_keys(json, 0);
+
+    std::size_t json_rows = 0;
+    for (const ReportField& f : report_fields()) {
+        SCOPED_TRACE(f.name);
+        // Every row is set: it reads differently from a default report.
+        JsonWriter set, unset;
+        f.json(set.open('{'), r);
+        f.json(unset.open('{'), none);
+        EXPECT_NE(set.str(), unset.str());
+        if (f.persisted()) {
+            EXPECT_EQ(f.encode(back.report).to_string(),
+                      f.encode(r).to_string());
+        }
+        const bool in_json = (f.where & kJson) != 0;
+        json_rows += in_json;
+        EXPECT_EQ(std::count(keys.begin(), keys.end(), f.name),
+                  in_json ? 1 : 0);
+    }
+    EXPECT_EQ(keys.size(), json_rows);
+
+    // Member by member, so two rows that swapped members fail too.
+    const CompileReport& b = back.report;
+    EXPECT_EQ(b.lift_seconds, r.lift_seconds);
+    EXPECT_EQ(b.saturation_seconds, r.saturation_seconds);
+    EXPECT_EQ(b.extract_seconds, r.extract_seconds);
+    EXPECT_EQ(b.backend_seconds, r.backend_seconds);
+    EXPECT_EQ(b.total_seconds, r.total_seconds);
+    EXPECT_EQ(b.spec_elements, r.spec_elements);
+    EXPECT_EQ(b.spec_dag_nodes, r.spec_dag_nodes);
+    EXPECT_EQ(b.egraph_nodes, r.egraph_nodes);
+    EXPECT_EQ(b.egraph_classes, r.egraph_classes);
+    EXPECT_EQ(b.stop_reason, r.stop_reason);
+    EXPECT_EQ(b.runner_iterations, r.runner_iterations);
+    EXPECT_EQ(b.strategy_name, r.strategy_name);
+    EXPECT_EQ(b.strategy_goal_satisfied, r.strategy_goal_satisfied);
+    EXPECT_EQ(b.extracted_cost, r.extracted_cost);
+    EXPECT_EQ(b.lvn.input_instrs, r.lvn.input_instrs);
+    EXPECT_EQ(b.lvn.value_numbered, r.lvn.value_numbered);
+    EXPECT_EQ(b.lvn.dead_removed, r.lvn.dead_removed);
+    EXPECT_EQ(b.lvn.output_instrs, r.lvn.output_instrs);
+    EXPECT_EQ(b.memory_proxy_bytes, r.memory_proxy_bytes);
+    EXPECT_EQ(b.validation, r.validation);
+    EXPECT_EQ(b.validated, r.validated);
+    EXPECT_EQ(b.random_check_passed, r.random_check_passed);
+    EXPECT_EQ(b.random_checked, r.random_checked);
+    EXPECT_EQ(b.machine_validation, r.machine_validation);
+    EXPECT_EQ(b.machine_validated, r.machine_validated);
+    EXPECT_EQ(b.machine_witness, r.machine_witness);
+    EXPECT_EQ(b.fallback_level, r.fallback_level);
+    EXPECT_EQ(b.error, r.error);
+    ASSERT_EQ(b.attempts.size(), r.attempts.size());
+    for (std::size_t i = 0; i < r.attempts.size(); ++i) {
+        EXPECT_EQ(b.attempts[i].level, r.attempts[i].level);
+        EXPECT_EQ(b.attempts[i].seconds, r.attempts[i].seconds);
+        EXPECT_EQ(b.attempts[i].error, r.attempts[i].error);
+    }
+    // The run's telemetry stays local.
+    EXPECT_TRUE(b.rule_stats.empty());
+    EXPECT_TRUE(b.strategy_phases.empty());
+
+    // A failed compile prints only its rows.
+    JsonWriter failed;
+    failed.open('{');
+    write_report_json(failed, r, kFailedJson);
+    EXPECT_EQ(object_keys(failed.close('}').str(), 0),
+              (Keys{"fallback_level", "error"}));
 }
 
 }  // namespace

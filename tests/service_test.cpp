@@ -326,6 +326,42 @@ TEST(Serialization, EntryRoundTripsByteForByte)
     EXPECT_LE(cmp.max_abs_error, 1e-4f);
 }
 
+TEST(Serialization, MalformedReportFieldIsRejectedByName)
+{
+    const Kernel kernel = vector_add_kernel(8);
+    const CompilerOptions options = test_options();
+    const CompileResult result = compile_kernel_resilient(kernel, options);
+    ASSERT_TRUE(result.ok);
+    const std::string text =
+        service::entry_to_sexpr(
+            service::make_entry(service::compute_cache_key(kernel, options),
+                                options, *result.compiled))
+            .to_string();
+    const std::string row = "(egraph_nodes ";
+    const std::size_t at = text.find(row);
+    ASSERT_NE(at, std::string::npos) << text;
+    const std::size_t end = text.find(')', at);
+    const std::string value =
+        text.substr(at + row.size(), end - at - row.size());
+    // One value short, one too many, and not a count: each names the row
+    // instead of decoding to a report with zero e-graph nodes.
+    for (const std::string& bad :
+         {std::string("(egraph_nodes"), "(egraph_nodes " + value + " 7",
+          std::string("(egraph_nodes x")}) {
+        std::string broken = text;
+        broken.replace(at, end - at, bad);
+        try {
+            service::entry_from_sexpr(parse_sexpr(broken));
+            ADD_FAILURE() << bad << ") decoded";
+        } catch (const UserError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "report field 'egraph_nodes'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Serialization, VersionMismatchRejected)
 {
     const Kernel kernel = vector_add_kernel(8);

@@ -46,6 +46,7 @@
 #include "analysis/lint_rules.h"
 #include "compiler/driver.h"
 #include "compiler/option_fields.h"
+#include "compiler/report_fields.h"
 #include "daemon/client.h"
 #include "egraph/runner.h"
 #include "kernels/kernels.h"
@@ -528,99 +529,31 @@ class Router {
     bool drained_ = false;
 };
 
-/** Prints a per-rule e-matching profile array and returns its sum. */
-RuleStats
-print_rule_stats(const std::vector<RuleStats>& stats)
-{
-    RuleStats t;
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-        const RuleStats& s = stats[i];
-        t += s;
-        std::printf("%s{\"rule\":\"%s\",\"matches\":%zu,"
-                    "\"applications\":%zu,\"search_seconds\":%.6f,"
-                    "\"apply_seconds\":%.6f,\"times_banned\":%d,"
-                    "\"banned_until\":%d}",
-                    i == 0 ? "[" : ",", json_escape(s.name).c_str(),
-                    s.matches, s.applications, s.search_seconds,
-                    s.apply_seconds, s.times_banned, s.banned_until);
-    }
-    std::printf(stats.empty() ? "[]" : "]");
-    return t;
-}
-
-/** One --json report object (no trailing newline). */
+/**
+ * One --json report object (no trailing newline): the job header, then
+ * the report rows of compiler/report_fields.h.
+ */
 void
 print_json(const Job& o)
 {
-    std::printf("{\"kernel\":\"%s\",\"ok\":%s,\"cache\":\"%s\","
-                "\"queue_wait_ms\":%.3f,",
-                json_escape(o.name).c_str(), o.result.ok ? "true" : "false",
-                o.cache.c_str(), o.queue_wait_ms);
-    if (!o.result.ok) {
-        std::printf("\"retry_after_ms\":%llu,\"user_error\":%s,"
-                    "\"fallback_level\":-1,\"error\":\"%s\"}",
-                    static_cast<unsigned long long>(o.retry_after_ms),
-                    o.result.user_error ? "true" : "false",
-                    json_escape(o.result.error).c_str());
-        return;
+    JsonWriter w;
+    w.open('{')
+        .field("kernel", o.name)
+        .field("ok", o.result.ok)
+        .field("cache", o.cache)
+        .key("queue_wait_ms")
+        .value(o.queue_wait_ms, "%.3f");
+    if (o.result.ok) {
+        write_report_json(w, o.result.report());
+    } else {
+        w.field("retry_after_ms", o.retry_after_ms)
+            .field("user_error", o.result.user_error);
+        CompileReport failed;
+        failed.fallback_level = -1;
+        failed.error = o.result.error;
+        write_report_json(w, failed, kFailedJson);
     }
-    const CompileReport& r = o.result.report();
-    std::printf(
-        "\"total_seconds\":%.6f,"
-        "\"saturation_seconds\":%.6f,\"egraph_nodes\":%zu,"
-        "\"egraph_classes\":%zu,\"iterations\":%zu,"
-        "\"stop\":\"%s\",\"extracted_cost\":%.2f,"
-        "\"spec_elements\":%zu,\"memory_proxy_bytes\":%zu,"
-        "\"lvn_removed\":%zu,\"fallback_level\":%d,"
-        "\"fallback\":\"%s\",\"error\":\"%s\","
-        "\"validation\":\"%s\",\"random_check_passed\":%s,"
-        "\"machine_validation\":\"%s\",\"machine_validated\":%s,"
-        "\"machine_witness\":\"%s\",\"attempts\":[",
-        r.total_seconds, r.saturation_seconds, r.egraph_nodes,
-        r.egraph_classes, r.runner_iterations,
-        stop_reason_name(r.stop_reason), r.extracted_cost, r.spec_elements,
-        r.memory_proxy_bytes, r.lvn.value_numbered + r.lvn.dead_removed,
-        r.fallback_level, fallback_level_name(r.fallback_level),
-        json_escape(r.error).c_str(), verdict_name(r.validation),
-        r.random_check_passed ? "true" : "false",
-        verdict_name(r.machine_validation),
-        r.machine_validated ? "true" : "false",
-        json_escape(r.machine_witness).c_str());
-    for (std::size_t i = 0; i < r.attempts.size(); ++i) {
-        const AttemptDiagnostic& a = r.attempts[i];
-        std::printf("%s{\"level\":%d,\"rung\":\"%s\",\"seconds\":%.6f,"
-                    "\"error\":\"%s\"}",
-                    i == 0 ? "" : ",", a.level,
-                    fallback_level_name(a.level), a.seconds,
-                    json_escape(a.error).c_str());
-    }
-    std::printf("],\"rule_stats\":");
-    const RuleStats totals = print_rule_stats(r.rule_stats);
-    std::printf(",\"ematch_matches\":%zu,\"ematch_search_seconds\":%.6f,"
-                "\"ematch_apply_seconds\":%.6f",
-                totals.matches, totals.search_seconds, totals.apply_seconds);
-    // Strategy runs: the schedule's identity and per-phase telemetry.
-    std::printf(",\"strategy\":\"%s\",\"goal_satisfied\":%s,\"phases\":[",
-                json_escape(r.strategy_name).c_str(),
-                r.strategy_goal_satisfied ? "true" : "false");
-    for (std::size_t i = 0; i < r.strategy_phases.size(); ++i) {
-        const strategy::PhaseReport& p = r.strategy_phases[i];
-        std::printf(
-            "%s{\"phase\":\"%s\",\"runs\":%d,\"skipped\":%s,"
-            "\"stop\":\"%s\",\"iterations\":%zu,\"nodes\":%zu,"
-            "\"classes\":%zu,\"sketch_checked\":%s,\"sketch_satisfied\":%s,"
-            "\"seconds\":%.6f,\"rule_stats\":",
-            i == 0 ? "" : ",", json_escape(p.name).c_str(), p.runs,
-            p.skipped ? "true" : "false",
-            p.skipped ? "skipped" : stop_reason_name(p.runner.stop_reason),
-            p.runner.iterations.size(), p.runner.final_nodes,
-            p.runner.final_classes, p.sketch_checked ? "true" : "false",
-            p.sketch_satisfied ? "true" : "false", p.seconds);
-        const RuleStats phase = print_rule_stats(p.runner.rule_stats);
-        std::printf(",\"matches\":%zu,\"applications\":%zu}", phase.matches,
-                    phase.applications);
-    }
-    std::printf("]}");
+    std::fputs(w.close('}').str().c_str(), stdout);
 }
 
 /** Reports one job: commentary on `info`, failures on stderr. */
@@ -640,7 +573,7 @@ print_outcome(const Job& job, std::FILE* info)
                      r.fallback_level, fallback_level_name(r.fallback_level),
                      r.error.c_str());
     }
-    if (r.validation != Verdict::kUnknown) {
+    if (r.validated) {
         std::fprintf(info,
                      "; translation validation: %s; random check: %s\n",
                      verdict_name(r.validation),
