@@ -16,110 +16,6 @@ namespace {
 
 constexpr const char* kPass = "machine-verify";
 
-bool
-is_memory_read(Opcode op)
-{
-    return op == Opcode::kFLoad || op == Opcode::kVLoad;
-}
-
-bool
-is_memory_write(Opcode op)
-{
-    return op == Opcode::kFStore || op == Opcode::kVStore;
-}
-
-bool
-is_memory_op(Opcode op)
-{
-    return is_memory_read(op) || is_memory_write(op);
-}
-
-bool
-is_control(Opcode op)
-{
-    return op == Opcode::kJump || op == Opcode::kBranchLt ||
-           op == Opcode::kBranchGe;
-}
-
-int
-access_width(Opcode op, int vector_width)
-{
-    return (op == Opcode::kVLoad || op == Opcode::kVStore) ? vector_width
-                                                           : 1;
-}
-
-/**
- * Which Instr fields an opcode consumes, discovered by probing
- * instr_ports with sentinel register values — so this verifier can
- * never drift out of sync with the table the simulator and scheduler
- * actually use. file: 0 = unused, 1 = int, 2 = float, 3 = vector.
- */
-struct FieldUsage {
-    int a_file = 0;
-    int b_file = 0;
-    int dst_file = 0;
-    bool dst_is_acc = false;
-};
-
-FieldUsage
-field_usage(Opcode op)
-{
-    Instr probe;
-    probe.op = op;
-    probe.dst = -4;
-    probe.a = -2;
-    probe.b = -3;
-    const InstrPorts q = instr_ports(probe);
-    FieldUsage u;
-    auto scan = [&](const int (&slots)[2], int file) {
-        for (const int s : slots) {
-            if (s == -2) {
-                u.a_file = file;
-            } else if (s == -3) {
-                u.b_file = file;
-            }
-        }
-    };
-    scan(q.i_src, 1);
-    scan(q.f_src, 2);
-    scan(q.v_src, 3);
-    if (q.dst == -4) {
-        u.dst_file = q.dst_file;
-        u.dst_is_acc = q.dst_is_acc;
-    }
-    return u;
-}
-
-const char*
-file_name(int file)
-{
-    switch (file) {
-      case 1:
-        return "int";
-      case 2:
-        return "float";
-      case 3:
-        return "vector";
-      default:
-        return "?";
-    }
-}
-
-int
-file_size(const Program& p, int file)
-{
-    switch (file) {
-      case 1:
-        return p.num_int_regs;
-      case 2:
-        return p.num_float_regs;
-      case 3:
-        return p.num_vec_regs;
-      default:
-        return 0;
-    }
-}
-
 std::string
 at(const Instr& i, int index, int width)
 {
@@ -133,26 +29,12 @@ successors(const Program& p, std::size_t pc, std::vector<std::size_t>* out)
 {
     out->clear();
     const Instr& i = p.code[pc];
-    const auto n = p.code.size();
-    auto add_target = [&] {
-        if (i.imm >= 0 && static_cast<std::size_t>(i.imm) < n) {
-            out->push_back(static_cast<std::size_t>(i.imm));
-        }
-    };
-    switch (i.op) {
-      case Opcode::kHalt:
-        return;
-      case Opcode::kJump:
-        add_target();
-        return;
-      case Opcode::kBranchLt:
-      case Opcode::kBranchGe:
-        add_target();
+    if (is_control(i.op) && i.imm >= 0 &&
+        static_cast<std::size_t>(i.imm) < p.code.size()) {
+        out->push_back(static_cast<std::size_t>(i.imm));
+    }
+    if (i.op != Opcode::kHalt && i.op != Opcode::kJump) {
         out->push_back(pc + 1);  // fall-through (may be == n: fall-off)
-        return;
-      default:
-        out->push_back(pc + 1);
-        return;
     }
 }
 
@@ -187,28 +69,13 @@ dependence_edges(const Program& p, int body, int vector_width)
         const Instr& instr = p.code[static_cast<std::size_t>(i)];
         const InstrPorts ports = instr_ports(instr);
 
-        auto read = [&](int file, int idx) {
-            if (idx < 0) {
-                return;
-            }
-            Loc& loc = regs[reg_key(file, idx)];
+        for_each_read(ports, [&](RegFile file, int idx) {
+            Loc& loc = regs[reg_key(static_cast<int>(file), idx)];
             if (loc.last_writer >= 0) {
                 edges.emplace_back(loc.last_writer, i);  // RAW
             }
             loc.readers.push_back(i);
-        };
-        for (const int r : ports.i_src) {
-            read(1, r);
-        }
-        for (const int r : ports.f_src) {
-            read(2, r);
-        }
-        for (const int r : ports.v_src) {
-            read(3, r);
-        }
-        if (ports.dst_is_acc && ports.dst >= 0) {
-            read(ports.dst_file, ports.dst);
-        }
+        });
         if (ports.dst >= 0 && ports.dst_file != 0) {
             Loc& loc = regs[reg_key(ports.dst_file, ports.dst)];
             if (loc.last_writer >= 0 && loc.last_writer != i) {
@@ -224,7 +91,7 @@ dependence_edges(const Program& p, int body, int vector_width)
         }
 
         if (is_memory_read(instr.op)) {
-            for (int w = 0; w < access_width(instr.op, vector_width); ++w) {
+            for (int w = 0; w < access_words(instr.op, vector_width); ++w) {
                 Loc& loc = mem[instr.imm + w];
                 if (loc.last_writer >= 0) {
                     edges.emplace_back(loc.last_writer, i);  // mem RAW
@@ -232,7 +99,7 @@ dependence_edges(const Program& p, int body, int vector_width)
                 loc.readers.push_back(i);
             }
         } else if (is_memory_write(instr.op)) {
-            for (int w = 0; w < access_width(instr.op, vector_width); ++w) {
+            for (int w = 0; w < access_words(instr.op, vector_width); ++w) {
                 Loc& loc = mem[instr.imm + w];
                 if (loc.last_writer >= 0) {
                     edges.emplace_back(loc.last_writer, i);  // mem WAW
@@ -289,11 +156,11 @@ verify_machine_program(const Program& program, const TargetSpec& target,
     for (std::size_t pc = 0; pc < n; ++pc) {
         const Instr& i = program.code[pc];
         const int index = static_cast<int>(pc);
-        const FieldUsage u = field_usage(i.op);
+        const OpcodeInfo& o = opcode_info(i.op);
 
-        auto check_src = [&](const char* field, int value, int file,
+        auto check_src = [&](const char* field, int value, RegFile file,
                              bool optional) {
-            if (file == 0) {
+            if (file == RegFile::kNone) {
                 if (value != -1) {
                     diags.error(kPass, "M003",
                                 at(i, index, width) + ": operand `" +
@@ -309,42 +176,42 @@ verify_machine_program(const Program& program, const TargetSpec& target,
                     diags.error(kPass, "M003",
                                 at(i, index, width) + ": " +
                                     opcode_name(i.op) + " requires a " +
-                                    file_name(file) + " register in `" +
+                                    reg_file_name(file) + " register in `" +
                                     field + "`",
                                 index);
                 }
                 return;
             }
-            if (value >= file_size(program, file)) {
+            if (value >= register_file_size(program, file)) {
                 diags.error(
                     kPass, "M002",
-                    at(i, index, width) + ": " + file_name(file) +
+                    at(i, index, width) + ": " + reg_file_name(file) +
                         " register " + std::to_string(value) +
                         " is outside the declared file of " +
-                        std::to_string(file_size(program, file)),
+                        std::to_string(register_file_size(program, file)),
                     index);
             }
         };
         // Memory ops may use absolute addressing: `a` (the base) is the
         // one legitimately-optional register operand in the ISA.
-        check_src("a", i.a, u.a_file, is_memory_op(i.op));
-        check_src("b", i.b, u.b_file, false);
+        check_src("a", i.a, o.a, is_memory_op(i.op));
+        check_src("b", i.b, o.b, false);
 
-        if (u.dst_file != 0) {
+        if (o.dst != RegFile::kNone) {
             if (i.dst < 0) {
                 diags.error(kPass, "M003",
                             at(i, index, width) + ": " + opcode_name(i.op) +
-                                " requires a " + file_name(u.dst_file) +
+                                " requires a " + reg_file_name(o.dst) +
                                 " destination register",
                             index);
-            } else if (i.dst >= file_size(program, u.dst_file)) {
+            } else if (i.dst >= register_file_size(program, o.dst)) {
                 diags.error(
                     kPass, "M002",
                     at(i, index, width) + ": destination " +
-                        file_name(u.dst_file) + " register " +
+                        reg_file_name(o.dst) + " register " +
                         std::to_string(i.dst) +
                         " is outside the declared file of " +
-                        std::to_string(file_size(program, u.dst_file)),
+                        std::to_string(register_file_size(program, o.dst)),
                     index);
             }
         } else if (i.dst != -1) {
@@ -356,8 +223,8 @@ verify_machine_program(const Program& program, const TargetSpec& target,
         }
 
         // M004: lane bounds.
-        if (i.op == Opcode::kShuf || i.op == Opcode::kSel) {
-            const int limit = i.op == Opcode::kSel ? 2 * width : width;
+        if (o.imm == Imm::kLanes) {
+            const int limit = o.b == RegFile::kVector ? 2 * width : width;
             for (int l = 0; l < width; ++l) {
                 const int lane = i.lanes[static_cast<std::size_t>(l)];
                 if (lane < 0 || lane >= limit) {
@@ -371,7 +238,7 @@ verify_machine_program(const Program& program, const TargetSpec& target,
                 }
             }
         }
-        if (i.op == Opcode::kVInsert || i.op == Opcode::kVExtract) {
+        if (o.imm == Imm::kLane) {
             if (i.imm < 0 || i.imm >= width) {
                 diags.error(kPass, "M004",
                             at(i, index, width) + ": lane immediate " +
@@ -396,7 +263,7 @@ verify_machine_program(const Program& program, const TargetSpec& target,
         // M007: absolute memory accesses vs the declared layout.
         if (layout != nullptr && is_memory_op(i.op) && i.a < 0) {
             const std::int64_t addr = i.imm;
-            const std::int64_t words = access_width(i.op, width);
+            const std::int64_t words = access_words(i.op, width);
             const Segment* hit = nullptr;
             for (const Segment& s : segments) {
                 if (addr >= s.base && addr + words <= s.base + s.len) {
@@ -505,16 +372,8 @@ verify_machine_program(const Program& program, const TargetSpec& target,
         const int ni = program.num_int_regs;
         const int nf = program.num_float_regs;
         const int words = (total_regs + 63) / 64;
-        auto bit_of = [&](int file, int idx) {
-            switch (file) {
-              case 1:
-                return idx;
-              case 2:
-                return ni + idx;
-              default:
-                return ni + nf + idx;
-            }
-        };
+        const int file_base[4] = {0, 0, ni, ni + nf};  // by RegFile
+        auto bit_of = [&](int file, int idx) { return file_base[file] + idx; };
         // in-sets start at "top" (all defined); entry starts empty.
         std::vector<std::uint64_t> in(
             n * static_cast<std::size_t>(words), ~std::uint64_t{0});
@@ -537,7 +396,8 @@ verify_machine_program(const Program& program, const TargetSpec& target,
             std::copy(cur, cur + words, out.begin());
             const InstrPorts p = instr_ports(program.code[pc]);
             if (p.dst >= 0 && p.dst_file != 0 &&
-                p.dst < file_size(program, p.dst_file)) {
+                p.dst < register_file_size(
+                            program, static_cast<RegFile>(p.dst_file))) {
                 const int b = bit_of(p.dst_file, p.dst);
                 out[static_cast<std::size_t>(b / 64)] |=
                     std::uint64_t{1} << (b % 64);
@@ -568,33 +428,22 @@ verify_machine_program(const Program& program, const TargetSpec& target,
             }
             const std::uint64_t* cur = &in[pc * words];
             const InstrPorts p = instr_ports(program.code[pc]);
-            auto check_read = [&](int file, int idx) {
-                if (idx < 0 || idx >= file_size(program, file)) {
+            auto check_read = [&](RegFile file, int idx) {
+                if (idx >= register_file_size(program, file)) {
                     return;  // M002/M003 already cover malformed regs
                 }
-                const int b = bit_of(file, idx);
+                const int b = bit_of(static_cast<int>(file), idx);
                 if ((cur[b / 64] >> (b % 64) & 1) == 0) {
                     diags.error(
                         kPass, "M001",
                         at(program.code[pc], static_cast<int>(pc), width) +
-                            ": reads " + file_name(file) + " register " +
+                            ": reads " + reg_file_name(file) + " register " +
                             std::to_string(idx) +
                             " before any guaranteed definition",
                         static_cast<int>(pc));
                 }
             };
-            for (const int r : p.i_src) {
-                check_read(1, r);
-            }
-            for (const int r : p.f_src) {
-                check_read(2, r);
-            }
-            for (const int r : p.v_src) {
-                check_read(3, r);
-            }
-            if (p.dst_is_acc && p.dst >= 0) {
-                check_read(p.dst_file, p.dst);
-            }
+            for_each_read(p, check_read);
         }
     }
 
@@ -776,6 +625,35 @@ rational_from_float(float f)
     return Rational(mant, std::int64_t{1} << -exp);
 }
 
+/** One lane of `op` as a term; `d` is the destination's old value. */
+TermRef
+lane_term(LaneOp op, const TermRef& d, const TermRef& a, const TermRef& b)
+{
+    switch (op) {
+      case LaneOp::kAdd:
+        return t_add(a, b);
+      case LaneOp::kSub:
+        return t_sub(a, b);
+      case LaneOp::kMul:
+        return t_mul(a, b);
+      case LaneOp::kDiv:
+        return t_div(a, b);
+      case LaneOp::kNeg:
+        return t_neg(a);
+      case LaneOp::kSqrt:
+        return t_sqrt(a);
+      case LaneOp::kSgn:
+        return t_sgn(a);
+      case LaneOp::kRecip:
+        return Term::make(Op::kRecip, {a});
+      case LaneOp::kMac:
+        return t_add(d, t_mul(a, b));
+      case LaneOp::kNone:
+        break;
+    }
+    throw InternalError("machine-verify: not a lane operation");
+}
+
 /** Symbolic machine state: every register and memory word is a term. */
 struct SymbolicMachine {
     std::vector<TermRef> fregs;
@@ -825,6 +703,19 @@ struct SymbolicMachine {
             return bad("register-relative addressing is not symbolically "
                        "executable");
         }
+        const OpcodeInfo& o = opcode_info(i.op);
+        if (o.lane != LaneOp::kNone) {
+            const bool vec = o.dst == RegFile::kVector;
+            TermRef* d = vec ? v(i.dst).data() : &f(i.dst);
+            const TermRef* a = vec ? v(i.a).data() : &f(i.a);
+            const TermRef* b = o.b == RegFile::kNone ? a
+                               : vec                 ? v(i.b).data()
+                                                     : &f(i.b);
+            for (int l = 0; l < (vec ? width : 1); ++l) {
+                d[l] = lane_term(o.lane, d[l], a[l], b[l]);
+            }
+            return "";
+        }
         switch (i.op) {
           case Opcode::kFLoad: {
             const TermRef t = load(i.imm);
@@ -850,33 +741,6 @@ struct SymbolicMachine {
           }
           case Opcode::kFMov:
             f(i.dst) = f(i.a);
-            return "";
-          case Opcode::kFAdd:
-            f(i.dst) = t_add(f(i.a), f(i.b));
-            return "";
-          case Opcode::kFSub:
-            f(i.dst) = t_sub(f(i.a), f(i.b));
-            return "";
-          case Opcode::kFMul:
-            f(i.dst) = t_mul(f(i.a), f(i.b));
-            return "";
-          case Opcode::kFDiv:
-            f(i.dst) = t_div(f(i.a), f(i.b));
-            return "";
-          case Opcode::kFNeg:
-            f(i.dst) = t_neg(f(i.a));
-            return "";
-          case Opcode::kFSqrt:
-            f(i.dst) = t_sqrt(f(i.a));
-            return "";
-          case Opcode::kFSgn:
-            f(i.dst) = t_sgn(f(i.a));
-            return "";
-          case Opcode::kFRecip:
-            f(i.dst) = Term::make(Op::kRecip, {f(i.a)});
-            return "";
-          case Opcode::kFMac:
-            f(i.dst) = t_add(f(i.dst), t_mul(f(i.a), f(i.b)));
             return "";
           case Opcode::kVLoad: {
             for (int l = 0; l < width; ++l) {
@@ -913,64 +777,6 @@ struct SymbolicMachine {
                 v(i.dst)[static_cast<std::size_t>(l)] = f(i.a);
             }
             return "";
-          case Opcode::kVAdd:
-          case Opcode::kVSub:
-          case Opcode::kVMul:
-          case Opcode::kVDiv: {
-            const auto a = v(i.a);
-            const auto b = v(i.b);
-            for (int l = 0; l < width; ++l) {
-                const auto li = static_cast<std::size_t>(l);
-                switch (i.op) {
-                  case Opcode::kVAdd:
-                    v(i.dst)[li] = t_add(a[li], b[li]);
-                    break;
-                  case Opcode::kVSub:
-                    v(i.dst)[li] = t_sub(a[li], b[li]);
-                    break;
-                  case Opcode::kVMul:
-                    v(i.dst)[li] = t_mul(a[li], b[li]);
-                    break;
-                  default:
-                    v(i.dst)[li] = t_div(a[li], b[li]);
-                    break;
-                }
-            }
-            return "";
-          }
-          case Opcode::kVNeg:
-          case Opcode::kVSqrt:
-          case Opcode::kVSgn:
-          case Opcode::kVRecip: {
-            const auto a = v(i.a);
-            for (int l = 0; l < width; ++l) {
-                const auto li = static_cast<std::size_t>(l);
-                switch (i.op) {
-                  case Opcode::kVNeg:
-                    v(i.dst)[li] = t_neg(a[li]);
-                    break;
-                  case Opcode::kVSqrt:
-                    v(i.dst)[li] = t_sqrt(a[li]);
-                    break;
-                  case Opcode::kVSgn:
-                    v(i.dst)[li] = t_sgn(a[li]);
-                    break;
-                  default:
-                    v(i.dst)[li] = Term::make(Op::kRecip, {a[li]});
-                    break;
-                }
-            }
-            return "";
-          }
-          case Opcode::kVMac: {
-            const auto a = v(i.a);
-            const auto b = v(i.b);
-            for (int l = 0; l < width; ++l) {
-                const auto li = static_cast<std::size_t>(l);
-                v(i.dst)[li] = t_add(v(i.dst)[li], t_mul(a[li], b[li]));
-            }
-            return "";
-          }
           case Opcode::kShuf: {
             const auto a = v(i.a);
             for (int l = 0; l < width; ++l) {

@@ -17,8 +17,9 @@
  *         definite-assignment dataflow; meet over all paths for
  *         branching code)
  *   M002  register index outside the program's declared file size
- *   M003  opcode/operand disagreement against instr_ports (required
- *         operand missing, or a stray operand the opcode never reads)
+ *   M003  opcode/operand disagreement against the opcode's row in the
+ *         opcode table (machine/opcodes.h): a required operand missing,
+ *         or a stray operand the opcode never reads
  *   M004  shuffle/select/insert/extract lane out of bounds for the
  *         target's vector width (select indexes the 2x-width concat)
  *   M005  branch or jump target outside [0, code size)
@@ -30,7 +31,9 @@
  *   M008  scheduler preservation failure: the scheduled program is not
  *         a dependence-preserving permutation of the unscheduled one
  *         (the RAW/WAR/WAW + per-word memory dependence graph is
- *         recomputed here, independently of machine/schedule.cpp)
+ *         recomputed here, independently of machine/schedule.cpp; only
+ *         the ISA facts, the opcode table's ports and memory words, are
+ *         shared)
  *   M009  symbolic machine-level validation: a memory location provably
  *         differs from the spec
  *   M010  (note) concrete counterexample witness for an M009

@@ -53,40 +53,6 @@ f32_literal(float v)
     return buf;
 }
 
-struct RegCounts {
-    int i = 0;
-    int f = 0;
-    int v = 0;
-};
-
-RegCounts
-count_regs(const Program& p)
-{
-    RegCounts c{p.num_int_regs, p.num_float_regs, p.num_vec_regs};
-    for (const Instr& instr : p.code) {
-        const InstrPorts ports = instr_ports(instr);
-        for (const int r : ports.i_src) {
-            c.i = std::max(c.i, r + 1);
-        }
-        for (const int r : ports.f_src) {
-            c.f = std::max(c.f, r + 1);
-        }
-        for (const int r : ports.v_src) {
-            c.v = std::max(c.v, r + 1);
-        }
-        if (ports.dst >= 0) {
-            if (ports.dst_file == 1) {
-                c.i = std::max(c.i, ports.dst + 1);
-            } else if (ports.dst_file == 2) {
-                c.f = std::max(c.f, ports.dst + 1);
-            } else if (ports.dst_file == 3) {
-                c.v = std::max(c.v, ports.dst + 1);
-            }
-        }
-    }
-    return c;
-}
-
 std::string
 rn(int i)
 {
@@ -136,12 +102,6 @@ struct PoolFold {
     }
 };
 
-int
-access_words(const Instr& i, int width)
-{
-    return i.op == Opcode::kVLoad || i.op == Opcode::kVStore ? width : 1;
-}
-
 PoolFold
 pool_fold(const Program& program, const EmitCOptions& options)
 {
@@ -149,8 +109,8 @@ pool_fold(const Program& program, const EmitCOptions& options)
                   static_cast<long long>(options.pool_base +
                                          options.pool.size())};
     for (const Instr& i : program.code) {
-        if ((i.op == Opcode::kFStore || i.op == Opcode::kVStore) &&
-            fold.touches(i, access_words(i, options.vector_width))) {
+        if (is_memory_write(i.op) &&
+            fold.touches(i, access_words(i.op, options.vector_width))) {
             return fold;
         }
     }
@@ -158,6 +118,45 @@ pool_fold(const Program& program, const EmitCOptions& options)
         fold.pool = &options.pool;
     }
     return fold;
+}
+
+/**
+ * One lane of a lane operation in C: the scalar statement (`lane` "",
+ * e.g. `f0 += f1 * f2`) or the lane-loop body of the vector form
+ * (`lane` "[l]", e.g. `v0[l] = v0[l] + (v1[l] * v2[l])`). Unary
+ * operations ignore `b`.
+ */
+std::string
+lane_c(LaneOp op, std::string d, std::string a, std::string b,
+       const std::string& lane)
+{
+    d += lane;
+    a += lane;
+    b += lane;
+    switch (op) {
+      case LaneOp::kAdd:
+        return d + " = " + a + " + " + b;
+      case LaneOp::kSub:
+        return d + " = " + a + " - " + b;
+      case LaneOp::kMul:
+        return d + " = " + a + " * " + b;
+      case LaneOp::kDiv:
+        return d + " = " + a + " / " + b;
+      case LaneOp::kNeg:
+        return d + " = -" + a;
+      case LaneOp::kSqrt:
+        return d + " = sqrtf(" + a + ")";
+      case LaneOp::kSgn:
+        return d + " = dios_sgnf(" + a + ")";
+      case LaneOp::kRecip:
+        return d + " = 1.0f / " + a;
+      case LaneOp::kMac:
+        return lane.empty() ? d + " += " + a + " * " + b
+                            : d + " = " + d + " + (" + a + " * " + b + ")";
+      case LaneOp::kNone:
+        break;
+    }
+    throw InternalError("emit_c_kernel: not a lane operation");
 }
 
 /** Emits one leaf body. `leaf` is null for the portable scalar core,
@@ -183,14 +182,14 @@ emit_leaf_body(std::ostringstream& out, const Program& program, int width,
         << "static void\n" << name << "(float* restrict mem)\n{\n";
     out << i1 << "(void)mem;\n";
 
-    const RegCounts regs = count_regs(program);
-    for (int k = 0; k < regs.i; ++k) {
+    const std::array<int, 4> regs = register_counts(program);
+    for (int k = 0; k < regs[static_cast<int>(RegFile::kInt)]; ++k) {
         out << i1 << "int64_t " << rn(k) << " = 0;\n";
     }
-    for (int k = 0; k < regs.f; ++k) {
+    for (int k = 0; k < regs[static_cast<int>(RegFile::kFloat)]; ++k) {
         out << i1 << "float " << fn(k) << " = 0.0f;\n";
     }
-    for (int k = 0; k < regs.v; ++k) {
+    for (int k = 0; k < regs[static_cast<int>(RegFile::kVector)]; ++k) {
         if (vec) {
             out << i1 << vtype << " " << vn(k) << " = {0};\n";
         } else {
@@ -238,6 +237,49 @@ emit_leaf_body(std::ostringstream& out, const Program& program, int width,
         const std::string d = vn(i.dst), a = vn(i.a), b = vn(i.b);
         out << i1 << "/* " << idx << ": " << disassemble(i, width)
             << " */\n";
+        const OpcodeInfo& o = opcode_info(i.op);
+        if (o.lane != LaneOp::kNone && o.dst == RegFile::kFloat) {
+            out << i1 << lane_c(o.lane, fn(i.dst), fn(i.a), fn(i.b), "")
+                << ";\n";
+            continue;
+        }
+        if (o.lane != LaneOp::kNone) {
+            const std::string lane_stmt = lane_c(o.lane, d, a, b, "[l]");
+            switch (o.lane) {
+              case LaneOp::kSqrt: {
+                // The leaf's exact sqrt intrinsic, on a cast, when the
+                // width is one of its register widths; otherwise lane by
+                // lane.
+                const std::string bits = std::to_string(32 * width);
+                const std::string call =
+                    leaf != nullptr && leaf->neon
+                        ? "vsqrtq_f32((float32x4_t)"
+                        : "_mm" + (width == 4 ? "" : bits) +
+                              "_sqrt_ps((__m" + bits + ")";
+                lanewise(vec && width <= leaf->widest
+                             ? d + " = (" + vtype + ")" + call + a + ")"
+                             : "",
+                         lane_stmt);
+                break;
+              }
+              case LaneOp::kSgn:
+                // Rare op: scalar lanes on every leaf.
+                out << i1 << lane_loop(lane_stmt);
+                break;
+              case LaneOp::kMac:
+                // Deliberately non-fused (add of a separate multiply,
+                // with contraction off) to match the simulator bit for
+                // bit.
+                lanewise(d + " = " + d + " + " + a + " * " + b, lane_stmt);
+                break;
+              default:
+                // One vector expression. Reciprocal stays the exact
+                // 1.0f / x of the simulator: no rcpps-style approximation.
+                lanewise(lane_c(o.lane, d, a, b, ""), lane_stmt);
+                break;
+            }
+            continue;
+        }
         switch (i.op) {
           case Opcode::kMovI:
             out << i1 << rn(i.dst) << " = " << i.imm << ";\n";
@@ -280,38 +322,6 @@ emit_leaf_body(std::ostringstream& out, const Program& program, int width,
           case Opcode::kFMov:
             out << i1 << fn(i.dst) << " = " << fn(i.a) << ";\n";
             break;
-          case Opcode::kFAdd:
-            out << i1 << fn(i.dst) << " = " << fn(i.a) << " + " << fn(i.b)
-                << ";\n";
-            break;
-          case Opcode::kFSub:
-            out << i1 << fn(i.dst) << " = " << fn(i.a) << " - " << fn(i.b)
-                << ";\n";
-            break;
-          case Opcode::kFMul:
-            out << i1 << fn(i.dst) << " = " << fn(i.a) << " * " << fn(i.b)
-                << ";\n";
-            break;
-          case Opcode::kFDiv:
-            out << i1 << fn(i.dst) << " = " << fn(i.a) << " / " << fn(i.b)
-                << ";\n";
-            break;
-          case Opcode::kFNeg:
-            out << i1 << fn(i.dst) << " = -" << fn(i.a) << ";\n";
-            break;
-          case Opcode::kFSqrt:
-            out << i1 << fn(i.dst) << " = sqrtf(" << fn(i.a) << ");\n";
-            break;
-          case Opcode::kFSgn:
-            out << i1 << fn(i.dst) << " = dios_sgnf(" << fn(i.a) << ");\n";
-            break;
-          case Opcode::kFRecip:
-            out << i1 << fn(i.dst) << " = 1.0f / " << fn(i.a) << ";\n";
-            break;
-          case Opcode::kFMac:
-            out << i1 << fn(i.dst) << " += " << fn(i.a) << " * " << fn(i.b)
-                << ";\n";
-            break;
           case Opcode::kVLoad:
             if (!vec) {
                 out << i1 << "{\n" << ea_decl(i) << i2
@@ -350,52 +360,6 @@ emit_leaf_body(std::ostringstream& out, const Program& program, int width,
                 << i2 << fill << i1 << "}\n";
             break;
           }
-          case Opcode::kVAdd:
-          case Opcode::kVSub:
-          case Opcode::kVMul:
-          case Opcode::kVDiv: {
-            const std::string op = i.op == Opcode::kVAdd   ? " + "
-                                   : i.op == Opcode::kVSub ? " - "
-                                   : i.op == Opcode::kVMul ? " * "
-                                                           : " / ";
-            lanewise(d + " = " + a + op + b,
-                     d + "[l] = " + a + "[l]" + op + b + "[l]");
-            break;
-          }
-          case Opcode::kVNeg:
-            lanewise(d + " = -" + a, d + "[l] = -" + a + "[l]");
-            break;
-          case Opcode::kVSqrt: {
-            // The leaf's exact sqrt intrinsic, on a cast, when the width
-            // is one of its register widths; otherwise lane by lane.
-            const std::string bits = std::to_string(32 * width);
-            const std::string call =
-                leaf != nullptr && leaf->neon
-                    ? "vsqrtq_f32((float32x4_t)"
-                    : "_mm" + (width == 4 ? "" : bits) + "_sqrt_ps((__m" +
-                          bits + ")";
-            lanewise(vec && width <= leaf->widest
-                         ? d + " = (" + vtype + ")" + call + a + ")"
-                         : "",
-                     d + "[l] = sqrtf(" + a + "[l])");
-            break;
-          }
-          case Opcode::kVSgn:
-            // Rare op: scalar lanes on every leaf.
-            out << i1 << lane_loop(d + "[l] = dios_sgnf(" + a + "[l])");
-            break;
-          case Opcode::kVRecip:
-            // Exact: the simulator computes 1.0f / x, so no rcpps-style
-            // approximation is allowed here.
-            lanewise(d + " = 1.0f / " + a, d + "[l] = 1.0f / " + a + "[l]");
-            break;
-          case Opcode::kVMac:
-            // Deliberately non-fused (add of a separate multiply, with
-            // contraction off) to match the simulator bit for bit.
-            lanewise(d + " = " + d + " + " + a + " * " + b,
-                     d + "[l] = " + d + "[l] + (" + a + "[l] * " + b +
-                         "[l])");
-            break;
           case Opcode::kShuf:
           case Opcode::kSel: {
             // Lane tables are emit-time constants. A vector value gets one
@@ -441,11 +405,9 @@ emit_leaf_body(std::ostringstream& out, const Program& program, int width,
           case Opcode::kHalt:
             out << i1 << "return;\n";
             break;
-          case Opcode::kJump:
-          case Opcode::kBranchLt:
-          case Opcode::kBranchGe:
-            DIOS_ASSERT(false,
-                        "emit_c_kernel: control flow is not supported");
+          default:
+            DIOS_ASSERT(false, std::string("emit_c_kernel: ") +
+                                   opcode_name(i.op) + " is not supported");
         }
     }
     out << "}\n\n";
@@ -480,8 +442,7 @@ emit_c_kernel(const Program& program, const EmitCOptions& options)
                                }),
                "emit-native symbol must be a C identifier: " + sym);
     for (const Instr& i : program.code) {
-        DIOS_ASSERT(i.op != Opcode::kJump && i.op != Opcode::kBranchLt &&
-                        i.op != Opcode::kBranchGe,
+        DIOS_ASSERT(!is_control(i.op),
                     "emit_c_kernel: control flow is not supported");
     }
 
@@ -600,10 +561,8 @@ emit_c_kernel(const Program& program, const EmitCOptions& options)
     // every pool word a leaf reads was folded into a literal.
     bool leaves_read_pool = false;
     for (const Instr& i : program.code) {
-        const int n = access_words(i, width);
-        leaves_read_pool |= has_pool &&
-                            (i.op == Opcode::kFLoad ||
-                             i.op == Opcode::kVLoad) &&
+        const int n = access_words(i.op, width);
+        leaves_read_pool |= has_pool && is_memory_read(i.op) &&
                             fold.touches(i, n) && !fold.covers(i, n);
     }
     out << "#if defined(DIOS_NATIVE_X86)\n\n";

@@ -9,60 +9,14 @@ namespace diospyros {
 
 namespace {
 
+/** Whether `op` computes a lane operation on `file` from one source
+ *  (`binary` false) or two, without reading its destination. */
 bool
-is_fbinop(Opcode op)
+is_lane_op(Opcode op, RegFile file, bool binary)
 {
-    switch (op) {
-      case Opcode::kFAdd:
-      case Opcode::kFSub:
-      case Opcode::kFMul:
-      case Opcode::kFDiv:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-is_funop(Opcode op)
-{
-    switch (op) {
-      case Opcode::kFNeg:
-      case Opcode::kFSqrt:
-      case Opcode::kFSgn:
-      case Opcode::kFRecip:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-is_vbinop(Opcode op)
-{
-    switch (op) {
-      case Opcode::kVAdd:
-      case Opcode::kVSub:
-      case Opcode::kVMul:
-      case Opcode::kVDiv:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-is_vunop(Opcode op)
-{
-    switch (op) {
-      case Opcode::kVNeg:
-      case Opcode::kVSqrt:
-      case Opcode::kVSgn:
-      case Opcode::kVRecip:
-        return true;
-      default:
-        return false;
-    }
+    const OpcodeInfo& o = opcode_info(op);
+    return o.lane != LaneOp::kNone && !o.dst_read && o.dst == file &&
+           (o.b != RegFile::kNone) == binary;
 }
 
 }  // namespace
@@ -70,130 +24,64 @@ is_vunop(Opcode op)
 InstrPorts
 instr_ports(const Instr& i)
 {
+    const OpcodeInfo& o = opcode_info(i.op);
     InstrPorts p;
-    switch (i.op) {
-      case Opcode::kMovI:
-        p.dst_file = 1;
+    int used[4] = {};
+    auto read = [&](RegFile file, int reg) {
+        int* slots = file == RegFile::kInt     ? p.i_src
+                     : file == RegFile::kFloat ? p.f_src
+                                               : p.v_src;
+        slots[used[static_cast<int>(file)]++] = reg;
+    };
+    if (o.a != RegFile::kNone) {
+        read(o.a, i.a);
+    }
+    if (o.b != RegFile::kNone) {
+        read(o.b, i.b);
+    }
+    if (o.dst != RegFile::kNone) {
+        p.dst_file = static_cast<int>(o.dst);
         p.dst = i.dst;
-        break;
-      case Opcode::kAddI:
-      case Opcode::kIMulI:
-        p.i_src[0] = i.a;
-        p.dst_file = 1;
-        p.dst = i.dst;
-        break;
-      case Opcode::kIAdd:
-      case Opcode::kIMul:
-        p.i_src[0] = i.a;
-        p.i_src[1] = i.b;
-        p.dst_file = 1;
-        p.dst = i.dst;
-        break;
-      case Opcode::kFLoad:
-        p.i_src[0] = i.a;
-        p.dst_file = 2;
-        p.dst = i.dst;
-        break;
-      case Opcode::kFStore:
-        p.i_src[0] = i.a;
-        p.f_src[0] = i.b;
-        break;
-      case Opcode::kFMovI:
-        p.dst_file = 2;
-        p.dst = i.dst;
-        break;
-      case Opcode::kFMov:
-      case Opcode::kFNeg:
-      case Opcode::kFSqrt:
-      case Opcode::kFSgn:
-      case Opcode::kFRecip:
-        p.f_src[0] = i.a;
-        p.dst_file = 2;
-        p.dst = i.dst;
-        break;
-      case Opcode::kFAdd:
-      case Opcode::kFSub:
-      case Opcode::kFMul:
-      case Opcode::kFDiv:
-        p.f_src[0] = i.a;
-        p.f_src[1] = i.b;
-        p.dst_file = 2;
-        p.dst = i.dst;
-        break;
-      case Opcode::kFMac:
-        p.f_src[0] = i.a;
-        p.f_src[1] = i.b;
-        p.dst_file = 2;
-        p.dst = i.dst;
-        p.dst_is_acc = true;
-        break;
-      case Opcode::kVLoad:
-        p.i_src[0] = i.a;
-        p.dst_file = 3;
-        p.dst = i.dst;
-        break;
-      case Opcode::kVStore:
-        p.i_src[0] = i.a;
-        p.v_src[0] = i.b;
-        break;
-      case Opcode::kVSplat:
-        p.dst_file = 3;
-        p.dst = i.dst;
-        break;
-      case Opcode::kVSplatR:
-        p.f_src[0] = i.a;
-        p.dst_file = 3;
-        p.dst = i.dst;
-        break;
-      case Opcode::kVAdd:
-      case Opcode::kVSub:
-      case Opcode::kVMul:
-      case Opcode::kVDiv:
-      case Opcode::kSel:
-        p.v_src[0] = i.a;
-        p.v_src[1] = i.b;
-        p.dst_file = 3;
-        p.dst = i.dst;
-        break;
-      case Opcode::kVMac:
-        p.v_src[0] = i.a;
-        p.v_src[1] = i.b;
-        p.dst_file = 3;
-        p.dst = i.dst;
-        p.dst_is_acc = true;
-        break;
-      case Opcode::kVNeg:
-      case Opcode::kVSqrt:
-      case Opcode::kVSgn:
-      case Opcode::kVRecip:
-      case Opcode::kShuf:
-        p.v_src[0] = i.a;
-        p.dst_file = 3;
-        p.dst = i.dst;
-        break;
-      case Opcode::kVInsert:
-        p.f_src[0] = i.a;
-        p.dst_file = 3;
-        p.dst = i.dst;
-        p.dst_is_acc = true;
-        break;
-      case Opcode::kVExtract:
-        p.v_src[0] = i.a;
-        p.dst_file = 2;
-        p.dst = i.dst;
-        break;
-      case Opcode::kBranchLt:
-      case Opcode::kBranchGe:
-        p.i_src[0] = i.a;
-        p.i_src[1] = i.b;
-        break;
-      case Opcode::kJump:
-      case Opcode::kHalt:
-        break;
+        p.dst_is_acc = o.dst_read;
     }
     return p;
 }
 
+int
+register_file_size(const Program& program, RegFile file)
+{
+    switch (file) {
+      case RegFile::kInt:
+        return program.num_int_regs;
+      case RegFile::kFloat:
+        return program.num_float_regs;
+      case RegFile::kVector:
+        return program.num_vec_regs;
+      case RegFile::kNone:
+        break;
+    }
+    return 0;
+}
+
+std::array<int, 4>
+register_counts(const Program& program)
+{
+    std::array<int, 4> n = {0, program.num_int_regs, program.num_float_regs,
+                            program.num_vec_regs};
+    auto use = [&n](RegFile file, int reg) {
+        if (file != RegFile::kNone) {
+            int& c = n[static_cast<std::size_t>(file)];
+            c = std::max(c, reg + 1);
+        }
+    };
+    for (const Instr& i : program.code) {
+        const OpcodeInfo& o = opcode_info(i.op);
+        use(o.dst, i.dst);
+        use(o.a, i.a);
+        use(o.b, i.b);
+    }
+    return n;
+}
 
 ProgramBuilder::Label
 ProgramBuilder::new_label()
@@ -297,14 +185,16 @@ ProgramBuilder::fmov(int dst, int src)
 void
 ProgramBuilder::fbinop(Opcode op, int dst, int a, int b)
 {
-    DIOS_ASSERT(is_fbinop(op), "fbinop() with non-binary float opcode");
+    DIOS_ASSERT(is_lane_op(op, RegFile::kFloat, true),
+                "fbinop() with non-binary float opcode");
     emit(Instr{.op = op, .dst = dst, .a = a, .b = b});
 }
 
 void
 ProgramBuilder::funop(Opcode op, int dst, int a)
 {
-    DIOS_ASSERT(is_funop(op), "funop() with non-unary float opcode");
+    DIOS_ASSERT(is_lane_op(op, RegFile::kFloat, false),
+                "funop() with non-unary float opcode");
     emit(Instr{.op = op, .dst = dst, .a = a});
 }
 
@@ -341,14 +231,16 @@ ProgramBuilder::vsplat_r(int dst, int src)
 void
 ProgramBuilder::vbinop(Opcode op, int dst, int a, int b)
 {
-    DIOS_ASSERT(is_vbinop(op), "vbinop() with non-binary vector opcode");
+    DIOS_ASSERT(is_lane_op(op, RegFile::kVector, true),
+                "vbinop() with non-binary vector opcode");
     emit(Instr{.op = op, .dst = dst, .a = a, .b = b});
 }
 
 void
 ProgramBuilder::vunop(Opcode op, int dst, int a)
 {
-    DIOS_ASSERT(is_vunop(op), "vunop() with non-unary vector opcode");
+    DIOS_ASSERT(is_lane_op(op, RegFile::kVector, false),
+                "vunop() with non-unary vector opcode");
     emit(Instr{.op = op, .dst = dst, .a = a});
 }
 
@@ -430,171 +322,66 @@ ProgramBuilder::finish()
     p.num_int_regs = next_int_;
     p.num_float_regs = next_float_;
     p.num_vec_regs = next_vec_;
-    // Track register indices used directly (callers may use fixed regs).
-    for (const Instr& i : p.code) {
-        switch (i.op) {
-          case Opcode::kMovI:
-          case Opcode::kAddI:
-          case Opcode::kIAdd:
-          case Opcode::kIMul:
-          case Opcode::kIMulI:
-            p.num_int_regs = std::max(p.num_int_regs, i.dst + 1);
-            break;
-          case Opcode::kFLoad:
-          case Opcode::kFMovI:
-          case Opcode::kFMov:
-          case Opcode::kFAdd:
-          case Opcode::kFSub:
-          case Opcode::kFMul:
-          case Opcode::kFDiv:
-          case Opcode::kFNeg:
-          case Opcode::kFSqrt:
-          case Opcode::kFSgn:
-          case Opcode::kFRecip:
-          case Opcode::kFMac:
-          case Opcode::kVExtract:
-            p.num_float_regs = std::max(p.num_float_regs, i.dst + 1);
-            break;
-          case Opcode::kVLoad:
-          case Opcode::kVSplat:
-          case Opcode::kVSplatR:
-          case Opcode::kVAdd:
-          case Opcode::kVSub:
-          case Opcode::kVMul:
-          case Opcode::kVDiv:
-          case Opcode::kVNeg:
-          case Opcode::kVSqrt:
-          case Opcode::kVSgn:
-          case Opcode::kVRecip:
-          case Opcode::kVMac:
-          case Opcode::kShuf:
-          case Opcode::kSel:
-          case Opcode::kVInsert:
-            p.num_vec_regs = std::max(p.num_vec_regs, i.dst + 1);
-            break;
-          default:
-            break;
-        }
-        p.num_int_regs = std::max(
-            {p.num_int_regs,
-             (i.op == Opcode::kBranchLt || i.op == Opcode::kBranchGe)
-                 ? std::max(i.a, i.b) + 1
-                 : 0,
-             (i.op == Opcode::kFLoad || i.op == Opcode::kFStore ||
-              i.op == Opcode::kVLoad || i.op == Opcode::kVStore)
-                 ? i.a + 1
-                 : 0});
-    }
+    // Callers may also name fixed registers directly.
+    const std::array<int, 4> n = register_counts(p);
+    p.num_int_regs = n[static_cast<int>(RegFile::kInt)];
+    p.num_float_regs = n[static_cast<int>(RegFile::kFloat)];
+    p.num_vec_regs = n[static_cast<int>(RegFile::kVector)];
     return p;
 }
 
 std::string
 disassemble(const Instr& i, int vector_width)
 {
+    const OpcodeInfo& o = opcode_info(i.op);
     std::ostringstream os;
-    os << opcode_name(i.op);
-    auto lanes = [&] {
-        os << " [";
+    os << o.mnemonic;
+    const char* sep = " ";
+    // A lane immediate indexes the vector operand: `v3[2]`.
+    auto reg = [&](RegFile file, int r) {
+        os << sep << " rfv"[static_cast<int>(file)] << r;
+        if (o.imm == Imm::kLane && file == RegFile::kVector) {
+            os << '[' << i.imm << ']';
+        }
+        sep = ", ";
+    };
+    if (o.dst != RegFile::kNone) {
+        reg(o.dst, i.dst);
+    }
+    // A memory op's `a` is its base register, printed in the address.
+    if (o.a != RegFile::kNone && o.imm != Imm::kAddress) {
+        reg(o.a, i.a);
+    }
+    if (o.b != RegFile::kNone) {
+        reg(o.b, i.b);
+    }
+    switch (o.imm) {
+      case Imm::kInt:
+        os << sep << i.imm;
+        break;
+      case Imm::kFloat:
+        os << sep << i.fimm;
+        break;
+      case Imm::kLanes:
+        os << sep << '[';
         for (int l = 0; l < vector_width; ++l) {
             os << (l ? " " : "") << i.lanes[static_cast<std::size_t>(l)];
         }
         os << ']';
-    };
-    auto addr = [&] {
+        break;
+      case Imm::kAddress:
+        os << (is_memory_write(i.op) ? " -> " : sep);
         if (i.a >= 0) {
-            os << " (r" << i.a << "+" << i.imm << ")";
+            os << "(r" << i.a << "+" << i.imm << ")";
         } else {
-            os << " [" << i.imm << "]";
+            os << "[" << i.imm << "]";
         }
-    };
-    switch (i.op) {
-      case Opcode::kMovI:
-        os << " r" << i.dst << ", " << i.imm;
         break;
-      case Opcode::kAddI:
-      case Opcode::kIMulI:
-        os << " r" << i.dst << ", r" << i.a << ", " << i.imm;
-        break;
-      case Opcode::kIAdd:
-      case Opcode::kIMul:
-        os << " r" << i.dst << ", r" << i.a << ", r" << i.b;
-        break;
-      case Opcode::kFLoad:
-        os << " f" << i.dst << ",";
-        addr();
-        break;
-      case Opcode::kFStore:
-        os << " f" << i.b << " ->";
-        addr();
-        break;
-      case Opcode::kFMovI:
-        os << " f" << i.dst << ", " << i.fimm;
-        break;
-      case Opcode::kFMov:
-        os << " f" << i.dst << ", f" << i.a;
-        break;
-      case Opcode::kFAdd:
-      case Opcode::kFSub:
-      case Opcode::kFMul:
-      case Opcode::kFDiv:
-      case Opcode::kFMac:
-        os << " f" << i.dst << ", f" << i.a << ", f" << i.b;
-        break;
-      case Opcode::kFNeg:
-      case Opcode::kFSqrt:
-      case Opcode::kFSgn:
-      case Opcode::kFRecip:
-        os << " f" << i.dst << ", f" << i.a;
-        break;
-      case Opcode::kVLoad:
-        os << " v" << i.dst << ",";
-        addr();
-        break;
-      case Opcode::kVStore:
-        os << " v" << i.b << " ->";
-        addr();
-        break;
-      case Opcode::kVSplat:
-        os << " v" << i.dst << ", " << i.fimm;
-        break;
-      case Opcode::kVSplatR:
-        os << " v" << i.dst << ", f" << i.a;
-        break;
-      case Opcode::kVAdd:
-      case Opcode::kVSub:
-      case Opcode::kVMul:
-      case Opcode::kVDiv:
-      case Opcode::kVMac:
-        os << " v" << i.dst << ", v" << i.a << ", v" << i.b;
-        break;
-      case Opcode::kVNeg:
-      case Opcode::kVSqrt:
-      case Opcode::kVSgn:
-      case Opcode::kVRecip:
-        os << " v" << i.dst << ", v" << i.a;
-        break;
-      case Opcode::kShuf:
-        os << " v" << i.dst << ", v" << i.a << ",";
-        lanes();
-        break;
-      case Opcode::kSel:
-        os << " v" << i.dst << ", v" << i.a << ", v" << i.b << ",";
-        lanes();
-        break;
-      case Opcode::kVInsert:
-        os << " v" << i.dst << "[" << i.imm << "], f" << i.a;
-        break;
-      case Opcode::kVExtract:
-        os << " f" << i.dst << ", v" << i.a << "[" << i.imm << "]";
-        break;
-      case Opcode::kJump:
+      case Imm::kTarget:
         os << " -> " << i.imm;
         break;
-      case Opcode::kBranchLt:
-      case Opcode::kBranchGe:
-        os << " r" << i.a << ", r" << i.b << " -> " << i.imm;
-        break;
-      case Opcode::kHalt:
+      case Imm::kNone:
+      case Imm::kLane:
         break;
     }
     return os.str();

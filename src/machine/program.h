@@ -60,8 +60,39 @@ struct InstrPorts {
     bool dst_is_acc = false;
 };
 
-/** Computes the ports of an instruction. */
+/** Computes the ports of an instruction from its opcode's row. */
 InstrPorts instr_ports(const Instr& instr);
+
+/** Calls `read(file, reg)` for each register `ports` reads: the int,
+ *  float and vector sources, then an accumulating destination. */
+template <class Read>
+void
+for_each_read(const InstrPorts& ports, Read&& read)
+{
+    auto sources = [&](const int (&regs)[2], RegFile file) {
+        for (const int r : regs) {
+            if (r >= 0) {
+                read(file, r);
+            }
+        }
+    };
+    sources(ports.i_src, RegFile::kInt);
+    sources(ports.f_src, RegFile::kFloat);
+    sources(ports.v_src, RegFile::kVector);
+    if (ports.dst_is_acc && ports.dst >= 0) {
+        read(static_cast<RegFile>(ports.dst_file), ports.dst);
+    }
+}
+
+/** Declared size of register file `file` in `program` (0 for kNone). */
+int register_file_size(const Program& program, RegFile file);
+
+/**
+ * Per file, indexed by RegFile: one past the highest register that an
+ * instruction of `program` reads or writes, and at least the declared
+ * count. The kNone entry is 0.
+ */
+std::array<int, 4> register_counts(const Program& program);
 
 /** Renders one instruction as assembly text. */
 std::string disassemble(const Instr& instr, int vector_width);

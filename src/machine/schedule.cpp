@@ -11,33 +11,6 @@ namespace diospyros {
 
 namespace {
 
-bool
-is_memory_read(Opcode op)
-{
-    return op == Opcode::kFLoad || op == Opcode::kVLoad;
-}
-
-bool
-is_memory_write(Opcode op)
-{
-    return op == Opcode::kFStore || op == Opcode::kVStore;
-}
-
-bool
-is_control(Opcode op)
-{
-    return op == Opcode::kJump || op == Opcode::kBranchLt ||
-           op == Opcode::kBranchGe;
-}
-
-/** Words a memory op touches. */
-int
-access_width(Opcode op, int vector_width)
-{
-    return (op == Opcode::kVLoad || op == Opcode::kVStore) ? vector_width
-                                                           : 1;
-}
-
 struct Dag {
     /** (successor, min issue distance) edges. */
     std::vector<std::vector<std::pair<int, int>>> succs;
@@ -65,8 +38,7 @@ schedule_program(const Program& program, const TargetSpec& spec,
         if (is_control(instr.op) || instr.op == Opcode::kHalt) {
             return program;
         }
-        if ((is_memory_read(instr.op) || is_memory_write(instr.op)) &&
-            instr.a >= 0) {
+        if (is_memory_op(instr.op) && instr.a >= 0) {
             return program;
         }
     }
@@ -102,13 +74,9 @@ schedule_program(const Program& program, const TargetSpec& spec,
     for (int i = 0; i < n; ++i) {
         const Instr& instr = program.code[static_cast<std::size_t>(i)];
         const InstrPorts p = instr_ports(instr);
-        const int latency = spec.cost(instr.op);
 
-        auto read_reg = [&](int file, int idx) {
-            if (idx < 0) {
-                return;
-            }
-            RegState& st = regs[reg_key(file, idx)];
+        for_each_read(p, [&](RegFile file, int idx) {
+            RegState& st = regs[reg_key(static_cast<int>(file), idx)];
             if (st.last_writer >= 0) {
                 add_edge(st.last_writer, i,
                          spec.cost(program
@@ -117,19 +85,7 @@ schedule_program(const Program& program, const TargetSpec& spec,
                                        .op));
             }
             st.readers.push_back(i);
-        };
-        for (const int r : p.i_src) {
-            read_reg(1, r);
-        }
-        for (const int r : p.f_src) {
-            read_reg(2, r);
-        }
-        for (const int r : p.v_src) {
-            read_reg(3, r);
-        }
-        if (p.dst_is_acc && p.dst >= 0) {
-            read_reg(p.dst_file, p.dst);
-        }
+        });
 
         if (p.dst >= 0) {
             RegState& st = regs[reg_key(p.dst_file, p.dst)];
@@ -146,7 +102,7 @@ schedule_program(const Program& program, const TargetSpec& spec,
         }
 
         if (is_memory_read(instr.op)) {
-            for (int w = 0; w < access_width(instr.op, spec.vector_width);
+            for (int w = 0; w < access_words(instr.op, spec.vector_width);
                  ++w) {
                 MemState& st = mem[instr.imm + w];
                 if (st.last_writer >= 0) {
@@ -155,7 +111,7 @@ schedule_program(const Program& program, const TargetSpec& spec,
                 st.readers.push_back(i);
             }
         } else if (is_memory_write(instr.op)) {
-            for (int w = 0; w < access_width(instr.op, spec.vector_width);
+            for (int w = 0; w < access_words(instr.op, spec.vector_width);
                  ++w) {
                 MemState& st = mem[instr.imm + w];
                 if (st.last_writer >= 0) {
@@ -168,7 +124,6 @@ schedule_program(const Program& program, const TargetSpec& spec,
                 st.last_writer = i;
             }
         }
-        (void)latency;
     }
 
     // --- Critical-path priorities (longest weighted path to a sink). ----

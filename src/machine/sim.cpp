@@ -74,10 +74,33 @@ Memory::at(std::size_t addr) const
 
 namespace {
 
+/** One lane of `op`; `d` is the destination's old value. */
 float
-sign_of(float x)
+lane_value(LaneOp op, float d, float a, float b)
 {
-    return static_cast<float>((x > 0.0f) - (x < 0.0f));
+    switch (op) {
+      case LaneOp::kAdd:
+        return a + b;
+      case LaneOp::kSub:
+        return a - b;
+      case LaneOp::kMul:
+        return a * b;
+      case LaneOp::kDiv:
+        return a / b;
+      case LaneOp::kNeg:
+        return -a;
+      case LaneOp::kSqrt:
+        return std::sqrt(a);
+      case LaneOp::kSgn:
+        return static_cast<float>((a > 0.0f) - (a < 0.0f));
+      case LaneOp::kRecip:
+        return 1.0f / a;
+      case LaneOp::kMac:
+        return d + a * b;
+      case LaneOp::kNone:
+        break;
+    }
+    throw InternalError("simulator: not a lane operation");
 }
 
 }  // namespace
@@ -99,10 +122,12 @@ Simulator::run(const Program& program, Memory& memory,
         v.fill(0.0f);
     }
 
-    // Scoreboard: cycle at which each register's value becomes usable.
-    std::vector<std::uint64_t> ready_i(iregs.size(), 0);
-    std::vector<std::uint64_t> ready_f(fregs.size(), 0);
-    std::vector<std::uint64_t> ready_v(vregs.size(), 0);
+    // Scoreboard: cycle at which each register's value becomes usable,
+    // per file (indexed by RegFile).
+    std::vector<std::uint64_t> ready[4] = {
+        {}, std::vector<std::uint64_t>(iregs.size(), 0),
+        std::vector<std::uint64_t>(fregs.size(), 0),
+        std::vector<std::uint64_t>(vregs.size(), 0)};
     // Issue state: current bundle cycle, slots consumed in it, and which
     // functional units it already occupies (one instruction per unit).
     const int issue_width = std::max(1, spec_.issue_width);
@@ -146,25 +171,10 @@ Simulator::run(const Program& program, Memory& memory,
         // --- Timing: in-order (multi-)issue with operand stalls. -------
         const InstrPorts p = instr_ports(i);
         std::uint64_t t = cur_cycle;
-        for (const int r : p.i_src) {
-            if (r >= 0) {
-                t = std::max(t, ready_i[static_cast<std::size_t>(r)]);
-            }
-        }
-        for (const int r : p.f_src) {
-            if (r >= 0) {
-                t = std::max(t, ready_f[static_cast<std::size_t>(r)]);
-            }
-        }
-        for (const int r : p.v_src) {
-            if (r >= 0) {
-                t = std::max(t, ready_v[static_cast<std::size_t>(r)]);
-            }
-        }
-        if (p.dst_is_acc && p.dst >= 0) {
-            const auto d = static_cast<std::size_t>(p.dst);
-            t = std::max(t, p.dst_file == 2 ? ready_f[d] : ready_v[d]);
-        }
+        for_each_read(p, [&](RegFile file, int r) {
+            t = std::max(t, ready[static_cast<int>(file)]
+                                 [static_cast<std::size_t>(r)]);
+        });
         // Operand-wait stalls are measured against the first cycle a
         // slot could have been free, so bundle turnover is not counted.
         const int unit = static_cast<int>(functional_unit(i.op));
@@ -188,14 +198,7 @@ Simulator::run(const Program& program, Memory& memory,
         const auto latency = static_cast<std::uint64_t>(spec_.cost(i.op));
         const std::uint64_t completion = t + latency;
         if (p.dst >= 0) {
-            const auto d = static_cast<std::size_t>(p.dst);
-            if (p.dst_file == 1) {
-                ready_i[d] = completion;
-            } else if (p.dst_file == 2) {
-                ready_f[d] = completion;
-            } else if (p.dst_file == 3) {
-                ready_v[d] = completion;
-            }
+            ready[p.dst_file][static_cast<std::size_t>(p.dst)] = completion;
         }
         if (i.op != Opcode::kHalt) {
             last_completion = std::max(last_completion, completion);
@@ -220,6 +223,22 @@ Simulator::run(const Program& program, Memory& memory,
                             spec_.taken_branch_penalty));
         };
 
+        const OpcodeInfo& o = opcode_info(i.op);
+        if (o.lane != LaneOp::kNone) {
+            // One register, or every lane; lane l reads only lane l, so
+            // a destination may alias a source.
+            const bool vec = o.dst == RegFile::kVector;
+            float* d = vec ? vr(i.dst).data() : &fr(i.dst);
+            const float* a = vec ? vr(i.a).data() : &fr(i.a);
+            const float* b = o.b == RegFile::kNone ? a
+                             : vec                 ? vr(i.b).data()
+                                                   : &fr(i.b);
+            for (int l = 0; l < (vec ? width : 1); ++l) {
+                d[l] = lane_value(o.lane, d[l], a[l], b[l]);
+            }
+            pc = next_pc;
+            continue;
+        }
         switch (i.op) {
           case Opcode::kMovI:
             ir(i.dst) = i.imm;
@@ -247,33 +266,6 @@ Simulator::run(const Program& program, Memory& memory,
             break;
           case Opcode::kFMov:
             fr(i.dst) = fr(i.a);
-            break;
-          case Opcode::kFAdd:
-            fr(i.dst) = fr(i.a) + fr(i.b);
-            break;
-          case Opcode::kFSub:
-            fr(i.dst) = fr(i.a) - fr(i.b);
-            break;
-          case Opcode::kFMul:
-            fr(i.dst) = fr(i.a) * fr(i.b);
-            break;
-          case Opcode::kFDiv:
-            fr(i.dst) = fr(i.a) / fr(i.b);
-            break;
-          case Opcode::kFNeg:
-            fr(i.dst) = -fr(i.a);
-            break;
-          case Opcode::kFSqrt:
-            fr(i.dst) = std::sqrt(fr(i.a));
-            break;
-          case Opcode::kFSgn:
-            fr(i.dst) = sign_of(fr(i.a));
-            break;
-          case Opcode::kFRecip:
-            fr(i.dst) = 1.0f / fr(i.a);
-            break;
-          case Opcode::kFMac:
-            fr(i.dst) += fr(i.a) * fr(i.b);
             break;
           case Opcode::kVLoad: {
             const std::size_t addr = effective_addr(i);
@@ -304,67 +296,6 @@ Simulator::run(const Program& program, Memory& memory,
             auto& d = vr(i.dst);
             for (int l = 0; l < width; ++l) {
                 d[static_cast<std::size_t>(l)] = fr(i.a);
-            }
-            break;
-          }
-          case Opcode::kVAdd:
-          case Opcode::kVSub:
-          case Opcode::kVMul:
-          case Opcode::kVDiv: {
-            const auto a = vr(i.a);
-            const auto b = vr(i.b);
-            auto& d = vr(i.dst);
-            for (int l = 0; l < width; ++l) {
-                const auto li = static_cast<std::size_t>(l);
-                switch (i.op) {
-                  case Opcode::kVAdd:
-                    d[li] = a[li] + b[li];
-                    break;
-                  case Opcode::kVSub:
-                    d[li] = a[li] - b[li];
-                    break;
-                  case Opcode::kVMul:
-                    d[li] = a[li] * b[li];
-                    break;
-                  default:
-                    d[li] = a[li] / b[li];
-                    break;
-                }
-            }
-            break;
-          }
-          case Opcode::kVNeg:
-          case Opcode::kVSqrt:
-          case Opcode::kVSgn:
-          case Opcode::kVRecip: {
-            const auto a = vr(i.a);
-            auto& d = vr(i.dst);
-            for (int l = 0; l < width; ++l) {
-                const auto li = static_cast<std::size_t>(l);
-                switch (i.op) {
-                  case Opcode::kVNeg:
-                    d[li] = -a[li];
-                    break;
-                  case Opcode::kVSqrt:
-                    d[li] = std::sqrt(a[li]);
-                    break;
-                  case Opcode::kVSgn:
-                    d[li] = sign_of(a[li]);
-                    break;
-                  default:
-                    d[li] = 1.0f / a[li];
-                    break;
-                }
-            }
-            break;
-          }
-          case Opcode::kVMac: {
-            const auto a = vr(i.a);
-            const auto b = vr(i.b);
-            auto& d = vr(i.dst);
-            for (int l = 0; l < width; ++l) {
-                const auto li = static_cast<std::size_t>(l);
-                d[li] += a[li] * b[li];
             }
             break;
           }
@@ -420,6 +351,9 @@ Simulator::run(const Program& program, Memory& memory,
             break;
           case Opcode::kHalt:
             return finish();
+          default:
+            throw InternalError(std::string("simulator: no semantics for ") +
+                                opcode_name(i.op));
         }
         pc = next_pc;
     }

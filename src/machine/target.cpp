@@ -20,216 +20,32 @@ check_vector_width(int width)
                    std::to_string(kMaxVectorWidth) + "]");
 }
 
-const char*
-opcode_name(Opcode op)
-{
-    switch (op) {
-      case Opcode::kMovI:
-        return "movi";
-      case Opcode::kAddI:
-        return "addi";
-      case Opcode::kIAdd:
-        return "iadd";
-      case Opcode::kIMul:
-        return "imul";
-      case Opcode::kIMulI:
-        return "imuli";
-      case Opcode::kFLoad:
-        return "fload";
-      case Opcode::kFStore:
-        return "fstore";
-      case Opcode::kFMovI:
-        return "fmovi";
-      case Opcode::kFMov:
-        return "fmov";
-      case Opcode::kFAdd:
-        return "fadd";
-      case Opcode::kFSub:
-        return "fsub";
-      case Opcode::kFMul:
-        return "fmul";
-      case Opcode::kFDiv:
-        return "fdiv";
-      case Opcode::kFNeg:
-        return "fneg";
-      case Opcode::kFSqrt:
-        return "fsqrt";
-      case Opcode::kFSgn:
-        return "fsgn";
-      case Opcode::kFRecip:
-        return "frecip";
-      case Opcode::kFMac:
-        return "fmac";
-      case Opcode::kVLoad:
-        return "vload";
-      case Opcode::kVStore:
-        return "vstore";
-      case Opcode::kVSplat:
-        return "vsplat";
-      case Opcode::kVSplatR:
-        return "vsplatr";
-      case Opcode::kVAdd:
-        return "vadd";
-      case Opcode::kVSub:
-        return "vsub";
-      case Opcode::kVMul:
-        return "vmul";
-      case Opcode::kVDiv:
-        return "vdiv";
-      case Opcode::kVNeg:
-        return "vneg";
-      case Opcode::kVSqrt:
-        return "vsqrt";
-      case Opcode::kVSgn:
-        return "vsgn";
-      case Opcode::kVRecip:
-        return "vrecip";
-      case Opcode::kVMac:
-        return "vmac";
-      case Opcode::kShuf:
-        return "shuf";
-      case Opcode::kSel:
-        return "sel";
-      case Opcode::kVInsert:
-        return "vinsert";
-      case Opcode::kVExtract:
-        return "vextract";
-      case Opcode::kJump:
-        return "jump";
-      case Opcode::kBranchLt:
-        return "blt";
-      case Opcode::kBranchGe:
-        return "bge";
-      case Opcode::kHalt:
-        return "halt";
-    }
-    return "???";
-}
-
-FunctionalUnit
-functional_unit(Opcode op)
-{
-    switch (op) {
-      case Opcode::kMovI:
-      case Opcode::kAddI:
-      case Opcode::kIAdd:
-      case Opcode::kIMul:
-      case Opcode::kIMulI:
-        return FunctionalUnit::kInt;
-      case Opcode::kFLoad:
-      case Opcode::kFStore:
-      case Opcode::kVLoad:
-      case Opcode::kVStore:
-        return FunctionalUnit::kMemory;
-      case Opcode::kFMovI:
-      case Opcode::kFMov:
-      case Opcode::kFAdd:
-      case Opcode::kFSub:
-      case Opcode::kFMul:
-      case Opcode::kFDiv:
-      case Opcode::kFNeg:
-      case Opcode::kFSqrt:
-      case Opcode::kFSgn:
-      case Opcode::kFRecip:
-      case Opcode::kFMac:
-        return FunctionalUnit::kScalarFp;
-      case Opcode::kJump:
-      case Opcode::kBranchLt:
-      case Opcode::kBranchGe:
-      case Opcode::kHalt:
-        return FunctionalUnit::kControl;
-      default:
-        return FunctionalUnit::kVector;
-    }
-}
-
 namespace {
 
-/**
- * Extra result latency of the iterative vector units (divide, sqrt,
- * reciprocal) at `width` lanes: doubling the lanes past the 4-wide
- * baseline costs one more refinement step per doubling. Widths <= 4
- * pay nothing, keeping the legacy presets byte-identical.
- */
-int
-iterative_widening_penalty(int width)
+/** A `width`-lane preset with its costs from the opcode table; only the
+ *  2-wide one has the scalar MAC and the fast reciprocal. */
+TargetSpec
+preset(const char* name, int width)
 {
+    TargetSpec spec;
+    spec.name = name;
+    spec.vector_width = width;
+    spec.has_reciprocal = width == 2;
+    spec.has_scalar_mac = width == 2;
+    spec.taken_branch_penalty = 1;
+    // Result latencies of the opcode table. The iterative vector units
+    // (divide, sqrt, reciprocal) take one more refinement step per lane
+    // doubling past the 4-wide baseline; widths <= 4 pay nothing.
     int extra = 0;
     for (int w = 8; w <= width; w *= 2) {
         ++extra;
     }
-    return extra;
-}
-
-/** Fills a result-latency table with the shared baseline values. */
-std::array<int, kNumOpcodes>
-baseline_costs()
-{
-    std::array<int, kNumOpcodes> t{};
-    auto set = [&t](Opcode op, int c) { t[static_cast<int>(op)] = c; };
-    // Integer/address unit: results forward in the same cycle.
-    set(Opcode::kMovI, 1);
-    set(Opcode::kAddI, 1);
-    set(Opcode::kIAdd, 1);
-    set(Opcode::kIMul, 1);
-    set(Opcode::kIMulI, 1);
-    // Ideal unit-delay memory (paper §5.2): one cycle to use the value.
-    set(Opcode::kFLoad, 1);
-    set(Opcode::kFStore, 1);
-    set(Opcode::kVLoad, 1);
-    set(Opcode::kVStore, 1);
-    // Float pipelines: 2-cycle result latency for pipelined ops (an
-    // immediately dependent consumer stalls one cycle), longer for the
-    // iterative divide/sqrt units. Scalar and vector units match — the
-    // vector win comes from lane amortization, not a faster pipe.
-    set(Opcode::kFMovI, 1);
-    set(Opcode::kFMov, 1);
-    set(Opcode::kFAdd, 2);
-    set(Opcode::kFSub, 2);
-    set(Opcode::kFMul, 2);
-    set(Opcode::kFDiv, 8);
-    set(Opcode::kFNeg, 1);
-    set(Opcode::kFSqrt, 10);
-    set(Opcode::kFSgn, 1);
-    set(Opcode::kFRecip, 3);
-    set(Opcode::kFMac, 2);
-    set(Opcode::kVSplat, 1);
-    set(Opcode::kVSplatR, 1);
-    set(Opcode::kVAdd, 2);
-    set(Opcode::kVSub, 2);
-    set(Opcode::kVMul, 2);
-    set(Opcode::kVDiv, 8);
-    set(Opcode::kVNeg, 1);
-    set(Opcode::kVSqrt, 10);
-    set(Opcode::kVSgn, 1);
-    set(Opcode::kVRecip, 3);
-    set(Opcode::kVMac, 2);
-    // Fast, unrestricted in-register data movement (paper §3.4: the
-    // Fusion G3's flexible shuffle makes the abstract cost model a good
-    // proxy).
-    set(Opcode::kShuf, 1);
-    set(Opcode::kSel, 1);
-    set(Opcode::kVInsert, 1);
-    set(Opcode::kVExtract, 1);
-    // Control.
-    set(Opcode::kJump, 1);
-    set(Opcode::kBranchLt, 1);
-    set(Opcode::kBranchGe, 1);
-    set(Opcode::kHalt, 1);
-    return t;
-}
-
-/** Baseline table with the width-scaled iterative vector unit costs. */
-std::array<int, kNumOpcodes>
-baseline_costs_for_width(int width)
-{
-    std::array<int, kNumOpcodes> t = baseline_costs();
-    const int extra = iterative_widening_penalty(width);
-    for (const Opcode op :
-         {Opcode::kVDiv, Opcode::kVSqrt, Opcode::kVRecip}) {
-        t[static_cast<int>(op)] += extra;
+    for (int k = 0; k < kNumOpcodes; ++k) {
+        const OpcodeInfo& row = opcode_info(static_cast<Opcode>(k));
+        spec.cost_table[static_cast<std::size_t>(k)] =
+            row.latency + (row.iterative ? extra : 0);
     }
-    return t;
+    return spec;
 }
 
 }  // namespace
@@ -237,53 +53,26 @@ baseline_costs_for_width(int width)
 TargetSpec
 TargetSpec::fusion_g3_like()
 {
-    TargetSpec spec;
-    spec.name = "fusion-g3-like";
-    spec.vector_width = 4;
-    spec.has_reciprocal = false;
-    spec.has_scalar_mac = false;  // MAC lives in the vector unit only
-    spec.cost_table = baseline_costs();
-    spec.taken_branch_penalty = 1;
-    return spec;
+    // MAC lives in the vector unit only.
+    return preset("fusion-g3-like", 4);
 }
 
 TargetSpec
 TargetSpec::narrow_2wide()
 {
-    TargetSpec spec;
-    spec.name = "narrow-2wide";
-    spec.vector_width = 2;
-    spec.has_reciprocal = true;
-    spec.has_scalar_mac = true;
-    spec.cost_table = baseline_costs();
-    spec.taken_branch_penalty = 1;
-    return spec;
+    return preset("narrow-2wide", 2);
 }
 
 TargetSpec
 TargetSpec::wide_8()
 {
-    TargetSpec spec;
-    spec.name = "wide-8";
-    spec.vector_width = 8;
-    spec.has_reciprocal = false;
-    spec.has_scalar_mac = false;
-    spec.cost_table = baseline_costs_for_width(8);
-    spec.taken_branch_penalty = 1;
-    return spec;
+    return preset("wide-8", 8);
 }
 
 TargetSpec
 TargetSpec::wide_16()
 {
-    TargetSpec spec;
-    spec.name = "wide-16";
-    spec.vector_width = 16;
-    spec.has_reciprocal = false;
-    spec.has_scalar_mac = false;
-    spec.cost_table = baseline_costs_for_width(16);
-    spec.taken_branch_penalty = 1;
-    return spec;
+    return preset("wide-16", 16);
 }
 
 TargetSpec

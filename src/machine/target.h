@@ -9,13 +9,17 @@
  * configuration (§5.2) — an ideal unit-delay memory.
  *
  * The TargetSpec is deliberately parametric (vector width, op costs, which
- * extension ops exist) to mirror the paper's portability story (§6).
+ * extension ops exist) to mirror the paper's portability story (§6). The
+ * instruction set itself, with each opcode's baseline latency, is the
+ * opcode table of machine/opcodes.h; the presets here derive their cost
+ * tables from it.
  */
 #pragma once
 
 #include <array>
-#include <cstdint>
 #include <string>
+
+#include "machine/opcodes.h"
 
 namespace diospyros {
 
@@ -31,76 +35,6 @@ bool is_supported_vector_width(int width);
  *  Shared by the compiler driver, the rule builder, and the daemon's
  *  protocol boundary so every entry point rejects the same set. */
 void check_vector_width(int width);
-
-/** Opcodes of the simulated DSP ISA. */
-enum class Opcode : std::uint8_t {
-    // Integer (address/loop) unit.
-    kMovI,   ///< r[d] = imm
-    kAddI,   ///< r[d] = r[a] + imm
-    kIAdd,   ///< r[d] = r[a] + r[b]
-    kIMul,   ///< r[d] = r[a] * r[b]
-    kIMulI,  ///< r[d] = r[a] * imm
-
-    // Scalar float unit.
-    kFLoad,   ///< f[d] = mem[ea(a, imm)]
-    kFStore,  ///< mem[ea(a, imm)] = f[b]
-    kFMovI,   ///< f[d] = fimm
-    kFMov,    ///< f[d] = f[a]
-    kFAdd,    ///< f[d] = f[a] + f[b]
-    kFSub,
-    kFMul,
-    kFDiv,
-    kFNeg,
-    kFSqrt,
-    kFSgn,
-    kFRecip,  ///< target-extension example (paper §6)
-    kFMac,    ///< f[d] += f[a] * f[b]  (accumulates into dst)
-
-    // Vector unit (lane-wise over vector_width lanes).
-    kVLoad,   ///< v[d] = mem[ea .. ea+W)
-    kVStore,  ///< mem[ea .. ea+W) = v[b]
-    kVSplat,  ///< v[d][i] = fimm
-    kVSplatR, ///< v[d][i] = f[a]  (lane replicate, PDX_REP)
-    kVAdd,
-    kVSub,
-    kVMul,
-    kVDiv,
-    kVNeg,
-    kVSqrt,
-    kVSgn,
-    kVRecip,
-    kVMac,      ///< v[d] += v[a] * v[b]  (accumulates into dst, PDX_MAC)
-    kShuf,      ///< v[d][i] = v[a][lanes[i]]            (PDX_SHFL)
-    kSel,       ///< v[d][i] = concat(v[a], v[b])[lanes[i]] (PDX_SEL)
-    kVInsert,   ///< v[d][imm] = f[a]
-    kVExtract,  ///< f[d] = v[a][imm]
-
-    // Control.
-    kJump,      ///< pc = imm
-    kBranchLt,  ///< if r[a] < r[b]: pc = imm
-    kBranchGe,  ///< if r[a] >= r[b]: pc = imm
-    kHalt,
-};
-
-/** Number of opcodes (for cost tables). */
-constexpr int kNumOpcodes = static_cast<int>(Opcode::kHalt) + 1;
-
-/** Mnemonic for disassembly. */
-const char* opcode_name(Opcode op);
-
-/** Functional unit an opcode occupies (for VLIW slot modelling). */
-enum class FunctionalUnit : std::uint8_t {
-    kInt,       ///< address/loop arithmetic
-    kScalarFp,  ///< scalar float pipe
-    kVector,    ///< SIMD pipe (arithmetic + lane movement)
-    kMemory,    ///< load/store port
-    kControl,   ///< branches
-};
-
-constexpr int kNumFunctionalUnits = 5;
-
-/** Unit an opcode issues to. */
-FunctionalUnit functional_unit(Opcode op);
 
 /** Machine parameters and the cycle cost model. */
 struct TargetSpec {
@@ -120,7 +54,7 @@ struct TargetSpec {
      * Result latency per opcode: an in-order consumer stalls until the
      * producer's result is ready (simple scoreboard, no forwarding
      * shortcut beyond the latency itself). Issue rate is one instruction
-     * per cycle.
+     * per cycle. The presets fill it from the opcode table's latencies.
      */
     std::array<int, kNumOpcodes> cost_table{};
     /** Extra cycles when a branch is taken (pipeline refill). */

@@ -69,6 +69,30 @@ KernelLayout::read_outputs(const Memory& memory) const
 
 namespace {
 
+/** The machine lane operation of an arithmetic FloatExpr. */
+LaneOp
+lane_of(FloatExpr::Kind kind)
+{
+    switch (kind) {
+      case FloatExpr::Kind::kAdd:
+        return LaneOp::kAdd;
+      case FloatExpr::Kind::kSub:
+        return LaneOp::kSub;
+      case FloatExpr::Kind::kMul:
+        return LaneOp::kMul;
+      case FloatExpr::Kind::kDiv:
+        return LaneOp::kDiv;
+      case FloatExpr::Kind::kNeg:
+        return LaneOp::kNeg;
+      case FloatExpr::Kind::kSqrt:
+        return LaneOp::kSqrt;
+      case FloatExpr::Kind::kSgn:
+        return LaneOp::kSgn;
+      default:
+        throw InternalError("not an arithmetic float expression");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Naive parametric lowering: loops, branches, runtime index arithmetic.
 // ---------------------------------------------------------------------------
@@ -403,13 +427,7 @@ class NaiveLowering {
             const int ra = eval_float_expr(*e.args[0]);
             const int rb = eval_float_expr(*e.args[1]);
             const int dst = pb_.fresh_float();
-            const Opcode op = e.kind == FloatExpr::Kind::kAdd ? Opcode::kFAdd
-                              : e.kind == FloatExpr::Kind::kSub
-                                  ? Opcode::kFSub
-                              : e.kind == FloatExpr::Kind::kMul
-                                  ? Opcode::kFMul
-                                  : Opcode::kFDiv;
-            pb_.fbinop(op, dst, ra, rb);
+            pb_.fbinop(lane_opcode(lane_of(e.kind), false), dst, ra, rb);
             return dst;
           }
           case FloatExpr::Kind::kNeg:
@@ -417,12 +435,7 @@ class NaiveLowering {
           case FloatExpr::Kind::kSgn: {
             const int ra = eval_float_expr(*e.args[0]);
             const int dst = pb_.fresh_float();
-            const Opcode op = e.kind == FloatExpr::Kind::kNeg
-                                  ? Opcode::kFNeg
-                              : e.kind == FloatExpr::Kind::kSqrt
-                                  ? Opcode::kFSqrt
-                                  : Opcode::kFSgn;
-            pb_.funop(op, dst, ra);
+            pb_.funop(lane_opcode(lane_of(e.kind), false), dst, ra);
             return dst;
           }
           case FloatExpr::Kind::kCall:
@@ -709,13 +722,7 @@ class FixedLowering {
                 return hit->reg;
             }
             const int dst = pb_.fresh_float();
-            const Opcode op = e.kind == FloatExpr::Kind::kAdd ? Opcode::kFAdd
-                              : e.kind == FloatExpr::Kind::kSub
-                                  ? Opcode::kFSub
-                              : e.kind == FloatExpr::Kind::kMul
-                                  ? Opcode::kFMul
-                                  : Opcode::kFDiv;
-            pb_.fbinop(op, dst, ra, rb);
+            pb_.fbinop(lane_opcode(lane_of(e.kind), false), dst, ra, rb);
             std::unordered_set<int> all = la;
             all.insert(lb.begin(), lb.end());
             cse_insert(CseEntry{key, dst, std::move(all)});
@@ -736,12 +743,7 @@ class FixedLowering {
                 return hit->reg;
             }
             const int dst = pb_.fresh_float();
-            const Opcode op = e.kind == FloatExpr::Kind::kNeg
-                                  ? Opcode::kFNeg
-                              : e.kind == FloatExpr::Kind::kSqrt
-                                  ? Opcode::kFSqrt
-                                  : Opcode::kFSgn;
-            pb_.funop(op, dst, ra);
+            pb_.funop(lane_opcode(lane_of(e.kind), false), dst, ra);
             cse_insert(CseEntry{key, dst, std::move(la)});
             return dst;
           }

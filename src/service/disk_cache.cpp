@@ -493,12 +493,10 @@ DiskCache::scan_and_recover(const IoPolicy& policy) const
     const fs::path shard_root = dir_ / "shard";
     fs::create_directories(shard_root, ec);
 
-    // Scans one regular file. `owner` is the directory whose quarantine/
-    // subdir a corrupt entry moves to; legacy flat-layout entries pass
-    // `migrate` and healthy ones are renamed into their shard so every
-    // later load() finds them at the sharded path.
+    // Scans one regular file of shard directory `owner`, whose
+    // quarantine/ subdir a corrupt entry moves to.
     const auto scan_file = [&](const fs::directory_entry& de,
-                               const fs::path& owner, bool migrate) {
+                               const fs::path& owner) {
         const std::string name = de.path().filename().string();
         try {
             stats.io_retries += static_cast<std::uint64_t>(
@@ -541,25 +539,11 @@ DiskCache::scan_and_recover(const IoPolicy& policy) const
                         }
                         return;
                     }
-                    fs::path home = de.path();
-                    if (migrate && name.size() >= 2) {
-                        const fs::path shard_dir =
-                            shard_root / name.substr(0, 2);
-                        std::error_code rec;
-                        fs::create_directories(shard_dir, rec);
-                        if (!rec) {
-                            fs::rename(de.path(), shard_dir / name, rec);
-                        }
-                        if (!rec) {
-                            home = shard_dir / name;
-                            ++stats.migrated;
-                        }
-                    }
                     Survivor s;
-                    s.path = home;
+                    s.path = de.path();
                     std::error_code sec;
-                    s.size = fs::file_size(home, sec);
-                    s.mtime = fs::last_write_time(home, sec);
+                    s.size = fs::file_size(s.path, sec);
+                    s.mtime = fs::last_write_time(s.path, sec);
                     survivors.push_back(std::move(s));
                 }));
         } catch (const std::exception&) {
@@ -568,16 +552,6 @@ DiskCache::scan_and_recover(const IoPolicy& policy) const
             // truly rotten, the serve-time path quarantines it.
         }
     };
-
-    // Legacy flat layout at the root: pre-shard entries are verified and
-    // migrated into their shard; pre-shard torn .tmp files are reclaimed
-    // under the same dead-pid / grace rules as sharded ones.
-    for (const fs::directory_entry& de : fs::directory_iterator(dir_, ec)) {
-        if (!de.is_regular_file(ec)) {
-            continue;
-        }
-        scan_file(de, dir_, /*migrate=*/true);
-    }
 
     // Every shard, under its own lock (scan holds root + one shard at a
     // time; quarantine takes only the shard — same order, no deadlock).
@@ -594,7 +568,7 @@ DiskCache::scan_and_recover(const IoPolicy& policy) const
                 if (!de.is_regular_file(sec)) {
                     continue;
                 }
-                scan_file(de, sd.path(), /*migrate=*/false);
+                scan_file(de, sd.path());
             }
         } catch (const std::exception&) {
             // An unlockable shard is skipped, never fatal; the next scan
@@ -637,9 +611,7 @@ DiskCache::scan_and_recover(const IoPolicy& policy) const
             }
         }
     }
-    if (stats.recovered_tmp + stats.quarantined + stats.disk_evicted +
-            stats.migrated >
-        0) {
+    if (stats.recovered_tmp + stats.quarantined + stats.disk_evicted > 0) {
         try {
             fsync_dir(dir_);
             fsync_dir(shard_root);

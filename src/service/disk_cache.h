@@ -11,9 +11,10 @@
  * `lock` file, so maintenance on one shard (quarantine, recovery)
  * never serializes against the other 255 — the property a standing
  * daemon needs when many worker threads publish concurrently. The
- * recovery scan walks every shard (and the legacy flat layout, whose
- * entries it migrates into their shard) and accounts the disk budget
- * across all shards together.
+ * recovery scan walks every shard and accounts the disk budget across
+ * all shards together. Files in the root directory itself are not
+ * entries: the flat layout that predates the shards has a cache format
+ * older than every current reader accepts.
  *
  * Durability model (DESIGN.md §5e):
  *  - store() is atomic AND durable: write to a temp file in the same
@@ -111,8 +112,6 @@ struct RecoveryStats {
     std::uint64_t checksum_failures = 0;  ///< quarantines due to checksums
     std::uint64_t disk_evicted = 0;       ///< entries evicted for the budget
     std::uint64_t io_retries = 0;         ///< transient errors retried
-    /** Legacy flat-layout entries moved into their shard directory. */
-    std::uint64_t migrated = 0;
     /** Shard directories that held at least one entry after the scan. */
     std::uint64_t shards_scanned = 0;
 };

@@ -1,9 +1,10 @@
 #include "service/serialize.h"
 
 #include <cstdlib>
+#include <limits>
 
 #include "compiler/report_fields.h"
-#include "machine/target.h"
+#include "machine/program.h"
 #include "scalar/symbolic.h"
 #include "support/error.h"
 
@@ -28,6 +29,16 @@ as_hex(const Sexpr& s)
 {
     DIOS_CHECK(s.is_atom(), "cache entry: expected a hex atom");
     return std::strtoull(s.token().c_str(), nullptr, 16);
+}
+
+int
+as_int(const Sexpr& s)
+{
+    const std::int64_t v = as_i64(s, kWhere);
+    DIOS_CHECK(v >= std::numeric_limits<int>::min() &&
+                   v <= std::numeric_limits<int>::max(),
+               "cache entry: " + s.token() + " is outside int range");
+    return static_cast<int>(v);
 }
 
 // ---------------------------------------------------------------------------
@@ -109,10 +120,14 @@ program_from_sexpr(const Sexpr& s)
     Program p;
     for (std::size_t i = 1; i < s.size(); ++i) {
         const Sexpr& f = s[i];
-        if (is_field(f, "regs") && f.size() == 4) {
-            p.num_int_regs = static_cast<int>(as_i64(f[1], kWhere));
-            p.num_float_regs = static_cast<int>(as_i64(f[2], kWhere));
-            p.num_vec_regs = static_cast<int>(as_i64(f[3], kWhere));
+        if (is_field(f, "regs")) {
+            DIOS_CHECK(f.size() == 4, "cache entry: malformed regs field");
+            p.num_int_regs = as_int(f[1]);
+            p.num_float_regs = as_int(f[2]);
+            p.num_vec_regs = as_int(f[3]);
+            DIOS_CHECK(p.num_int_regs >= 0 && p.num_float_regs >= 0 &&
+                           p.num_vec_regs >= 0,
+                       "cache entry: negative register count");
         } else if (is_field(f, "code")) {
             for (std::size_t j = 1; j < f.size(); ++j) {
                 const Sexpr& node = f[j];
@@ -122,10 +137,10 @@ program_from_sexpr(const Sexpr& s)
                 instr.op = enum_from_name(node[0].token(), kNumOpcodes,
                                           opcode_name,
                                           "cache entry: unknown opcode");
-                instr.dst = static_cast<int>(as_i64(node[1], kWhere));
-                instr.a = static_cast<int>(as_i64(node[2], kWhere));
-                instr.b = static_cast<int>(as_i64(node[3], kWhere));
-                instr.imm = static_cast<int>(as_i64(node[4], kWhere));
+                instr.dst = as_int(node[1]);
+                instr.a = as_int(node[2]);
+                instr.b = as_int(node[3]);
+                instr.imm = as_int(node[4]);
                 instr.fimm = static_cast<float>(as_f64(node[5], kWhere));
                 const std::int64_t nlanes = as_i64(node[6], kWhere);
                 DIOS_CHECK(nlanes >= 0 && nlanes <= kMaxVectorWidth &&
@@ -141,6 +156,26 @@ program_from_sexpr(const Sexpr& s)
                 p.code.push_back(instr);
             }
         }
+    }
+    // The simulator indexes its register files by these fields unchecked.
+    for (std::size_t k = 0; k < p.code.size(); ++k) {
+        const Instr& instr = p.code[k];
+        const OpcodeInfo& o = opcode_info(instr.op);
+        auto check = [&](RegFile file, int reg, bool may_be_absent) {
+            const int n = register_file_size(p, file);
+            DIOS_CHECK(file == RegFile::kNone ||
+                           (may_be_absent && reg == -1) ||
+                           (reg >= 0 && reg < n),
+                       "cache entry: instruction " + std::to_string(k) +
+                           " (" + o.mnemonic + ") names " +
+                           reg_file_name(file) + " register " +
+                           std::to_string(reg) + " outside its file of " +
+                           std::to_string(n));
+        };
+        check(o.dst, instr.dst, false);
+        // -1 as a memory op's base register means absolute addressing.
+        check(o.a, instr.a, is_memory_op(instr.op));
+        check(o.b, instr.b, false);
     }
     return p;
 }
@@ -179,24 +214,37 @@ entry_from_sexpr(const Sexpr& sexpr)
     bool saw_version = false;
     for (std::size_t i = 1; i < sexpr.size(); ++i) {
         const Sexpr& f = sexpr[i];
-        if (is_field(f, "version") && f.size() == 2) {
+        // A known field of the wrong arity is malformed; unknown names
+        // are skipped.
+        auto is = [&f](const char* name, std::size_t values) {
+            if (!is_field(f, name)) {
+                return false;
+            }
+            DIOS_CHECK(f.size() == values + 1,
+                       std::string("cache entry field '") + name +
+                           "' expects " + std::to_string(values) +
+                           (values == 1 ? " value" : " values") + ", got " +
+                           std::to_string(f.size() - 1));
+            return true;
+        };
+        if (is("version", 1)) {
             entry.rule_set_version =
                 static_cast<std::uint64_t>(as_i64(f[1], kWhere));
             saw_version = true;
-        } else if (is_field(f, "key") && f.size() == 3) {
+        } else if (is("key", 2)) {
             entry.key.spec_hash = as_hex(f[1]);
             entry.key.options_hash = as_hex(f[2]);
-        } else if (is_field(f, "kernel") && f.size() == 2) {
+        } else if (is("kernel", 1)) {
             entry.kernel_name = f[1].token();
-        } else if (is_field(f, "width") && f.size() == 2) {
-            entry.vector_width = static_cast<int>(as_i64(f[1], kWhere));
-        } else if (is_field(f, "time-limit") && f.size() == 2) {
+        } else if (is("width", 1)) {
+            entry.vector_width = as_int(f[1]);
+        } else if (is("time-limit", 1)) {
             entry.time_limit_seconds = as_f64(f[1], kWhere);
-        } else if (is_field(f, "fallback-level") && f.size() == 2) {
-            entry.fallback_level = static_cast<int>(as_i64(f[1], kWhere));
+        } else if (is("fallback-level", 1)) {
+            entry.fallback_level = as_int(f[1]);
         } else if (is_field(f, "report")) {
             entry.report = report_from_sexpr(f);
-        } else if (is_field(f, "c-source") && f.size() == 2) {
+        } else if (is("c-source", 1)) {
             entry.c_source = f[1].token();
         } else if (is_field(f, "pool")) {
             for (std::size_t j = 1; j < f.size(); ++j) {

@@ -85,71 +85,30 @@ CompiledLayout::read_outputs(const Memory& memory) const
 
 namespace {
 
-Opcode
-scalar_binop(Op op)
+/** The machine lane operation of a VIR ALU operator. */
+LaneOp
+lane_of(Op op)
 {
     switch (op) {
       case Op::kAdd:
-        return Opcode::kFAdd;
+        return LaneOp::kAdd;
       case Op::kSub:
-        return Opcode::kFSub;
+        return LaneOp::kSub;
       case Op::kMul:
-        return Opcode::kFMul;
+        return LaneOp::kMul;
       case Op::kDiv:
-        return Opcode::kFDiv;
-      default:
-        throw InternalError("bad scalar binop");
-    }
-}
-
-Opcode
-scalar_unop(Op op)
-{
-    switch (op) {
+        return LaneOp::kDiv;
       case Op::kNeg:
-        return Opcode::kFNeg;
+        return LaneOp::kNeg;
       case Op::kSqrt:
-        return Opcode::kFSqrt;
+        return LaneOp::kSqrt;
       case Op::kSgn:
-        return Opcode::kFSgn;
+        return LaneOp::kSgn;
       case Op::kRecip:
-        return Opcode::kFRecip;
+        return LaneOp::kRecip;
       default:
-        throw InternalError("bad scalar unop");
-    }
-}
-
-Opcode
-vector_binop(Op op)
-{
-    switch (op) {
-      case Op::kAdd:
-        return Opcode::kVAdd;
-      case Op::kSub:
-        return Opcode::kVSub;
-      case Op::kMul:
-        return Opcode::kVMul;
-      case Op::kDiv:
-        return Opcode::kVDiv;
-      default:
-        throw InternalError("bad vector binop");
-    }
-}
-
-Opcode
-vector_unop(Op op)
-{
-    switch (op) {
-      case Op::kNeg:
-        return Opcode::kVNeg;
-      case Op::kSqrt:
-        return Opcode::kVSqrt;
-      case Op::kSgn:
-        return Opcode::kVSgn;
-      case Op::kRecip:
-        return Opcode::kVRecip;
-      default:
-        throw InternalError("bad vector unop");
+        throw InternalError(std::string("no machine lane operation for ") +
+                            op_name(op));
     }
 }
 
@@ -312,11 +271,12 @@ class Emitter {
             pb_.fload(sreg(i.dst), -1, addr(i.array, i.offset));
             return;
           case VOp::kSBinary:
-            pb_.fbinop(scalar_binop(i.alu), sreg(i.dst), sreg(i.a),
-                       sreg(i.b));
+            pb_.fbinop(lane_opcode(lane_of(i.alu), false), sreg(i.dst),
+                       sreg(i.a), sreg(i.b));
             return;
           case VOp::kSUnary:
-            pb_.funop(scalar_unop(i.alu), sreg(i.dst), sreg(i.a));
+            pb_.funop(lane_opcode(lane_of(i.alu), false), sreg(i.dst),
+                      sreg(i.a));
             return;
           case VOp::kSMac: {
             if (target_.has_scalar_mac) {
@@ -369,11 +329,12 @@ class Emitter {
             return;
           }
           case VOp::kVBinary:
-            pb_.vbinop(vector_binop(i.alu), vreg(i.dst), vreg(i.a),
-                       vreg(i.b));
+            pb_.vbinop(lane_opcode(lane_of(i.alu), true), vreg(i.dst),
+                       vreg(i.a), vreg(i.b));
             return;
           case VOp::kVUnary:
-            pb_.vunop(vector_unop(i.alu), vreg(i.dst), vreg(i.a));
+            pb_.vunop(lane_opcode(lane_of(i.alu), true), vreg(i.dst),
+                      vreg(i.a));
             return;
           case VOp::kVMac: {
             const int dst = acc_vreg(i.a, idx, i.dst);

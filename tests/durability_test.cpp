@@ -511,18 +511,20 @@ TEST(FaultMatrix, RenameOntoDirectoryIsInternalError)
 TEST(RecoveryScan, ReclaimsOrphanedTmpFromDeadWriter)
 {
     TempDir dir("orphans");
-    fs::create_directories(dir.path);
+    // Writers leave their temp files in the entry's shard.
+    const fs::path shard = dir.path / "shard" / "de";
+    fs::create_directories(shard);
     // An orphan from a provably dead writer (pids are well below 10^9).
-    spit(dir.path / "deadbeef.tmp.999999999.0", "torn half-write");
+    spit(shard / "deadbeef.tmp.999999999.0", "torn half-write");
     // A fresh tmp from *this* (live) process must be left alone: its
     // rename may still be in flight.
-    const fs::path live = dir.path /
-        ("cafe.tmp." + std::to_string(::getpid()) + ".0");
+    const fs::path live =
+        shard / ("deca.tmp." + std::to_string(::getpid()) + ".0");
     spit(live, "in-flight write");
 
     DiskCache disk(dir.str());
     EXPECT_EQ(disk.startup_stats().recovered_tmp, 1u);
-    EXPECT_FALSE(fs::exists(dir.path / "deadbeef.tmp.999999999.0"));
+    EXPECT_FALSE(fs::exists(shard / "deadbeef.tmp.999999999.0"));
     EXPECT_TRUE(fs::exists(live));
 }
 
@@ -559,31 +561,6 @@ TEST(RecoveryScan, EvictsOldestPastDiskBudget)
 
     // Eviction is deletion, not quarantine: evicted entries were valid.
     EXPECT_FALSE(fs::exists(disk.quarantine_path_for(keys[0])));
-}
-
-TEST(RecoveryScan, MigratesLegacyFlatEntriesIntoShards)
-{
-    TempDir dir("migrate");
-    const CompilerOptions options = test_options();
-    CacheKey key;
-    {
-        DiskCache disk(dir.str());
-        const CachedEntry entry =
-            compiled_entry(vector_add_kernel(4), options);
-        disk.store(entry);
-        key = entry.key;
-        // Demote the entry to the pre-shard flat layout.
-        fs::rename(disk.path_for(key), dir.path / (key.hex() + ".sexpr"));
-    }
-
-    DiskCache disk(dir.str());
-    EXPECT_EQ(disk.startup_stats().migrated, 1u);
-    EXPECT_EQ(disk.startup_stats().shards_scanned, 1u);
-    EXPECT_FALSE(fs::exists(dir.path / (key.hex() + ".sexpr")));
-    EXPECT_TRUE(fs::exists(disk.path_for(key)));
-    EXPECT_EQ(disk.path_for(key).parent_path().filename().string(),
-              service::shard_name_for(key));
-    EXPECT_EQ(disk.load(key).status, LoadStatus::kHit);
 }
 
 TEST(RecoveryScan, UnlimitedBudgetEvictsNothing)

@@ -333,6 +333,7 @@ TEST_F(MachineTest, VliwRespectsDependences)
 
 TEST_F(MachineTest, DisassemblerCoversAllOpcodes)
 {
+    // Every opcode once, in enum order, with both addressing forms.
     ProgramBuilder pb;
     pb.mov_i(0, 5);
     pb.add_i(1, 0, 2);
@@ -344,13 +345,26 @@ TEST_F(MachineTest, DisassemblerCoversAllOpcodes)
     pb.fmov_i(1, 2.5f);
     pb.fmov(2, 1);
     pb.fbinop(Opcode::kFAdd, 0, 1, 2);
+    pb.fbinop(Opcode::kFSub, 0, 0, 2);
+    pb.fbinop(Opcode::kFMul, 0, 0, 1);
+    pb.fbinop(Opcode::kFDiv, 0, 0, 1);
+    pb.funop(Opcode::kFNeg, 0, 0);
     pb.funop(Opcode::kFSqrt, 0, 0);
+    pb.funop(Opcode::kFSgn, 2, 0);
+    pb.funop(Opcode::kFRecip, 2, 2);
     pb.fmac(0, 1, 2);
     pb.vload(0, -1, 0);
-    pb.vstore(-1, 0, 0);
-    pb.vsplat(1, 0.0f);
-    pb.vbinop(Opcode::kVMul, 2, 0, 1);
+    pb.vstore(0, 8, 0);
+    pb.vsplat(1, -0.5f);
+    pb.vsplat_r(2, 1);
+    pb.vbinop(Opcode::kVAdd, 2, 0, 1);
+    pb.vbinop(Opcode::kVSub, 2, 2, 1);
+    pb.vbinop(Opcode::kVMul, 2, 2, 0);
+    pb.vbinop(Opcode::kVDiv, 2, 2, 1);
     pb.vunop(Opcode::kVNeg, 2, 2);
+    pb.vunop(Opcode::kVSqrt, 2, 2);
+    pb.vunop(Opcode::kVSgn, 1, 2);
+    pb.vunop(Opcode::kVRecip, 1, 1);
     pb.vmac(2, 0, 1);
     pb.shuf(3, 2, {0, 0, 1, 1});
     pb.sel(3, 2, 1, {0, 4, 1, 5});
@@ -358,19 +372,59 @@ TEST_F(MachineTest, DisassemblerCoversAllOpcodes)
     pb.vextract(3, 3, 1);
     auto l = pb.new_label();
     pb.bind(l);
+    pb.jump(l);
     pb.branch_lt(0, 1, l);
     pb.branch_ge(0, 1, l);
-    pb.jump(l);
     pb.halt();
     const Program p = pb.finish();
-    const std::string text = disassemble(p, 4);
-    // Every line carries a mnemonic; spot-check a few.
-    EXPECT_NE(text.find("movi r0, 5"), std::string::npos);
-    EXPECT_NE(text.find("sel v3, v2, v1, [0 4 1 5]"), std::string::npos);
-    EXPECT_NE(text.find("halt"), std::string::npos);
-    EXPECT_EQ(static_cast<std::size_t>(
-                  std::count(text.begin(), text.end(), '\n')),
-              p.size());
+    ASSERT_EQ(p.size(), static_cast<std::size_t>(kNumOpcodes));
+    for (int k = 0; k < kNumOpcodes; ++k) {
+        EXPECT_EQ(p.code[static_cast<std::size_t>(k)].op,
+                  static_cast<Opcode>(k));
+    }
+    EXPECT_EQ(disassemble(p, 4),
+              "0:\tmovi r0, 5\n"
+              "1:\taddi r1, r0, 2\n"
+              "2:\tiadd r2, r0, r1\n"
+              "3:\timul r2, r2, r0\n"
+              "4:\timuli r2, r2, 7\n"
+              "5:\tfload f0, (r0+4)\n"
+              "6:\tfstore f0 -> [3]\n"
+              "7:\tfmovi f1, 2.5\n"
+              "8:\tfmov f2, f1\n"
+              "9:\tfadd f0, f1, f2\n"
+              "10:\tfsub f0, f0, f2\n"
+              "11:\tfmul f0, f0, f1\n"
+              "12:\tfdiv f0, f0, f1\n"
+              "13:\tfneg f0, f0\n"
+              "14:\tfsqrt f0, f0\n"
+              "15:\tfsgn f2, f0\n"
+              "16:\tfrecip f2, f2\n"
+              "17:\tfmac f0, f1, f2\n"
+              "18:\tvload v0, [0]\n"
+              "19:\tvstore v0 -> (r0+8)\n"
+              "20:\tvsplat v1, -0.5\n"
+              "21:\tvsplatr v2, f1\n"
+              "22:\tvadd v2, v0, v1\n"
+              "23:\tvsub v2, v2, v1\n"
+              "24:\tvmul v2, v2, v0\n"
+              "25:\tvdiv v2, v2, v1\n"
+              "26:\tvneg v2, v2\n"
+              "27:\tvsqrt v2, v2\n"
+              "28:\tvsgn v1, v2\n"
+              "29:\tvrecip v1, v1\n"
+              "30:\tvmac v2, v0, v1\n"
+              "31:\tshuf v3, v2, [0 0 1 1]\n"
+              "32:\tsel v3, v2, v1, [0 4 1 5]\n"
+              "33:\tvinsert v3[2], f0\n"
+              "34:\tvextract f3, v3[1]\n"
+              "35:\tjump -> 35\n"
+              "36:\tblt r0, r1 -> 35\n"
+              "37:\tbge r0, r1 -> 35\n"
+              "38:\thalt\n");
+    EXPECT_EQ(p.num_int_regs, 3);
+    EXPECT_EQ(p.num_float_regs, 4);
+    EXPECT_EQ(p.num_vec_regs, 4);
 }
 
 TEST_F(MachineTest, RandomizedScalarProgramsMatchReference)

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -356,6 +358,180 @@ TEST(Serialization, MalformedReportFieldIsRejectedByName)
         } catch (const UserError& e) {
             EXPECT_NE(std::string(e.what()).find(
                           "report field 'egraph_nodes'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(OpcodeTable, EveryOpcodeKeepsItsPortsUnitCostsAndMnemonic)
+{
+    // The ISA facts, literally: register ports of an instruction naming
+    // dst 3, a 1 and b 2, the functional unit, the result latency of the
+    // 2-, 4-, 8- and 16-lane presets, and the mnemonic, which the cache
+    // entry stores.
+    struct Fact {
+        Opcode op;
+        const char* mnemonic;
+        FunctionalUnit unit;
+        InstrPorts ports;
+        int cost[4];
+    };
+    using O = Opcode;
+    using U = FunctionalUnit;
+    const Fact facts[] = {
+        {O::kMovI, "movi", U::kInt, {{-1, -1}, {-1, -1}, {-1, -1}, 1, 3, false}, {1, 1, 1, 1}},
+        {O::kAddI, "addi", U::kInt, {{1, -1}, {-1, -1}, {-1, -1}, 1, 3, false}, {1, 1, 1, 1}},
+        {O::kIAdd, "iadd", U::kInt, {{1, 2}, {-1, -1}, {-1, -1}, 1, 3, false}, {1, 1, 1, 1}},
+        {O::kIMul, "imul", U::kInt, {{1, 2}, {-1, -1}, {-1, -1}, 1, 3, false}, {1, 1, 1, 1}},
+        {O::kIMulI, "imuli", U::kInt, {{1, -1}, {-1, -1}, {-1, -1}, 1, 3, false}, {1, 1, 1, 1}},
+        {O::kFLoad, "fload", U::kMemory, {{1, -1}, {-1, -1}, {-1, -1}, 2, 3, false}, {1, 1, 1, 1}},
+        {O::kFStore, "fstore", U::kMemory, {{1, -1}, {2, -1}, {-1, -1}, 0, -1, false}, {1, 1, 1, 1}},
+        {O::kFMovI, "fmovi", U::kScalarFp, {{-1, -1}, {-1, -1}, {-1, -1}, 2, 3, false}, {1, 1, 1, 1}},
+        {O::kFMov, "fmov", U::kScalarFp, {{-1, -1}, {1, -1}, {-1, -1}, 2, 3, false}, {1, 1, 1, 1}},
+        {O::kFAdd, "fadd", U::kScalarFp, {{-1, -1}, {1, 2}, {-1, -1}, 2, 3, false}, {2, 2, 2, 2}},
+        {O::kFSub, "fsub", U::kScalarFp, {{-1, -1}, {1, 2}, {-1, -1}, 2, 3, false}, {2, 2, 2, 2}},
+        {O::kFMul, "fmul", U::kScalarFp, {{-1, -1}, {1, 2}, {-1, -1}, 2, 3, false}, {2, 2, 2, 2}},
+        {O::kFDiv, "fdiv", U::kScalarFp, {{-1, -1}, {1, 2}, {-1, -1}, 2, 3, false}, {8, 8, 8, 8}},
+        {O::kFNeg, "fneg", U::kScalarFp, {{-1, -1}, {1, -1}, {-1, -1}, 2, 3, false}, {1, 1, 1, 1}},
+        {O::kFSqrt, "fsqrt", U::kScalarFp, {{-1, -1}, {1, -1}, {-1, -1}, 2, 3, false}, {10, 10, 10, 10}},
+        {O::kFSgn, "fsgn", U::kScalarFp, {{-1, -1}, {1, -1}, {-1, -1}, 2, 3, false}, {1, 1, 1, 1}},
+        {O::kFRecip, "frecip", U::kScalarFp, {{-1, -1}, {1, -1}, {-1, -1}, 2, 3, false}, {3, 3, 3, 3}},
+        {O::kFMac, "fmac", U::kScalarFp, {{-1, -1}, {1, 2}, {-1, -1}, 2, 3, true}, {2, 2, 2, 2}},
+        {O::kVLoad, "vload", U::kMemory, {{1, -1}, {-1, -1}, {-1, -1}, 3, 3, false}, {1, 1, 1, 1}},
+        {O::kVStore, "vstore", U::kMemory, {{1, -1}, {-1, -1}, {2, -1}, 0, -1, false}, {1, 1, 1, 1}},
+        {O::kVSplat, "vsplat", U::kVector, {{-1, -1}, {-1, -1}, {-1, -1}, 3, 3, false}, {1, 1, 1, 1}},
+        {O::kVSplatR, "vsplatr", U::kVector, {{-1, -1}, {1, -1}, {-1, -1}, 3, 3, false}, {1, 1, 1, 1}},
+        {O::kVAdd, "vadd", U::kVector, {{-1, -1}, {-1, -1}, {1, 2}, 3, 3, false}, {2, 2, 2, 2}},
+        {O::kVSub, "vsub", U::kVector, {{-1, -1}, {-1, -1}, {1, 2}, 3, 3, false}, {2, 2, 2, 2}},
+        {O::kVMul, "vmul", U::kVector, {{-1, -1}, {-1, -1}, {1, 2}, 3, 3, false}, {2, 2, 2, 2}},
+        {O::kVDiv, "vdiv", U::kVector, {{-1, -1}, {-1, -1}, {1, 2}, 3, 3, false}, {8, 8, 9, 10}},
+        {O::kVNeg, "vneg", U::kVector, {{-1, -1}, {-1, -1}, {1, -1}, 3, 3, false}, {1, 1, 1, 1}},
+        {O::kVSqrt, "vsqrt", U::kVector, {{-1, -1}, {-1, -1}, {1, -1}, 3, 3, false}, {10, 10, 11, 12}},
+        {O::kVSgn, "vsgn", U::kVector, {{-1, -1}, {-1, -1}, {1, -1}, 3, 3, false}, {1, 1, 1, 1}},
+        {O::kVRecip, "vrecip", U::kVector, {{-1, -1}, {-1, -1}, {1, -1}, 3, 3, false}, {3, 3, 4, 5}},
+        {O::kVMac, "vmac", U::kVector, {{-1, -1}, {-1, -1}, {1, 2}, 3, 3, true}, {2, 2, 2, 2}},
+        {O::kShuf, "shuf", U::kVector, {{-1, -1}, {-1, -1}, {1, -1}, 3, 3, false}, {1, 1, 1, 1}},
+        {O::kSel, "sel", U::kVector, {{-1, -1}, {-1, -1}, {1, 2}, 3, 3, false}, {1, 1, 1, 1}},
+        {O::kVInsert, "vinsert", U::kVector, {{-1, -1}, {1, -1}, {-1, -1}, 3, 3, true}, {1, 1, 1, 1}},
+        {O::kVExtract, "vextract", U::kVector, {{-1, -1}, {-1, -1}, {1, -1}, 2, 3, false}, {1, 1, 1, 1}},
+        {O::kJump, "jump", U::kControl, {{-1, -1}, {-1, -1}, {-1, -1}, 0, -1, false}, {1, 1, 1, 1}},
+        {O::kBranchLt, "blt", U::kControl, {{1, 2}, {-1, -1}, {-1, -1}, 0, -1, false}, {1, 1, 1, 1}},
+        {O::kBranchGe, "bge", U::kControl, {{1, 2}, {-1, -1}, {-1, -1}, 0, -1, false}, {1, 1, 1, 1}},
+        {O::kHalt, "halt", U::kControl, {{-1, -1}, {-1, -1}, {-1, -1}, 0, -1, false}, {1, 1, 1, 1}},
+    };
+    ASSERT_EQ(std::size(facts), static_cast<std::size_t>(kNumOpcodes));
+    service::CachedEntry entry;
+    entry.machine.num_int_regs = 4;
+    entry.machine.num_float_regs = 4;
+    entry.machine.num_vec_regs = 4;
+    for (int k = 0; k < kNumOpcodes; ++k) {
+        const Fact& f = facts[k];
+        ASSERT_EQ(f.op, static_cast<Opcode>(k));
+        SCOPED_TRACE(f.mnemonic);
+        EXPECT_STREQ(opcode_name(f.op), f.mnemonic);
+        EXPECT_EQ(functional_unit(f.op), f.unit);
+        const Instr instr{.op = f.op, .dst = 3, .a = 1, .b = 2};
+        const InstrPorts p = instr_ports(instr);
+        for (int s = 0; s < 2; ++s) {
+            EXPECT_EQ(p.i_src[s], f.ports.i_src[s]);
+            EXPECT_EQ(p.f_src[s], f.ports.f_src[s]);
+            EXPECT_EQ(p.v_src[s], f.ports.v_src[s]);
+        }
+        EXPECT_EQ(p.dst_file, f.ports.dst_file);
+        EXPECT_EQ(p.dst, f.ports.dst);
+        EXPECT_EQ(p.dst_is_acc, f.ports.dst_is_acc);
+        const int widths[] = {2, 4, 8, 16};
+        for (int w = 0; w < 4; ++w) {
+            EXPECT_EQ(TargetSpec::for_width(widths[w]).cost(f.op), f.cost[w])
+                << "width " << widths[w];
+        }
+        entry.machine.code.push_back(instr);
+    }
+    const service::CachedEntry back = service::entry_from_sexpr(
+        parse_sexpr(service::entry_to_sexpr(entry).to_string()));
+    ASSERT_EQ(back.machine.code.size(), entry.machine.code.size());
+    for (int k = 0; k < kNumOpcodes; ++k) {
+        EXPECT_EQ(back.machine.code[static_cast<std::size_t>(k)].op,
+                  facts[k].op)
+            << facts[k].mnemonic;
+    }
+}
+
+TEST(Serialization, RegisterOutsideItsFileIsCorrupt)
+{
+    // A checksum-valid entry whose program names a register past its
+    // declared file would make the simulator write past that file.
+    const Kernel kernel = vector_add_kernel(8);
+    const CompilerOptions options = test_options();
+    const CompileResult result = compile_kernel_resilient(kernel, options);
+    ASSERT_TRUE(result.ok);
+    const CacheKey key = service::compute_cache_key(kernel, options);
+    service::CachedEntry entry =
+        service::make_entry(key, options, *result.compiled);
+    auto& code = entry.machine.code;
+    const auto vec_def =
+        std::find_if(code.begin(), code.end(), [](const Instr& i) {
+            return instr_ports(i).dst_file == 3;
+        });
+    ASSERT_NE(vec_def, code.end());
+    vec_def->dst = entry.machine.num_vec_regs + 1000;
+    TempDir dir("bad-register");
+    service::DiskCache disk(dir.str());
+    disk.store(entry);
+    const service::LoadResult r = disk.load(key);
+    EXPECT_EQ(r.status, service::LoadStatus::kCorrupt);
+    EXPECT_FALSE(r.entry.has_value());
+    EXPECT_NE(r.detail.find("instruction " +
+                            std::to_string(vec_def - code.begin())),
+              std::string::npos)
+        << r.detail;
+
+    // A count outside int range and a negative count are malformed too.
+    const std::string text =
+        service::entry_to_sexpr(
+            service::make_entry(key, options, *result.compiled))
+            .to_string();
+    const std::size_t at = text.find("(regs ");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t end = text.find(')', at);
+    for (const std::string& regs :
+         {std::string("(regs 0 4294967296 4"), std::string("(regs 0 4 -1")}) {
+        std::string broken = text;
+        broken.replace(at, end - at, regs);
+        EXPECT_THROW(service::entry_from_sexpr(parse_sexpr(broken)), UserError)
+            << regs;
+    }
+}
+
+TEST(Serialization, EntryFieldOfTheWrongArityIsRejectedByName)
+{
+    const Kernel kernel = vector_add_kernel(8);
+    const CompilerOptions options = test_options();
+    const CompileResult result = compile_kernel_resilient(kernel, options);
+    ASSERT_TRUE(result.ok);
+    const std::string text =
+        service::entry_to_sexpr(
+            service::make_entry(service::compute_cache_key(kernel, options),
+                                options, *result.compiled))
+            .to_string();
+    // Each would decode at a default value (width 4, a zero key, no time
+    // limit) if the field were skipped.
+    const std::pair<std::string, std::string> cases[] = {
+        {"width", "(width 8 9)"},
+        {"key", "(key x)"},
+        {"time-limit", "(time-limit)"},
+    };
+    for (const auto& [name, bad] : cases) {
+        const std::size_t at = text.find("(" + name + " ");
+        ASSERT_NE(at, std::string::npos) << name;
+        std::string broken = text;
+        broken.replace(at, text.find(')', at) + 1 - at, bad);
+        try {
+            service::entry_from_sexpr(parse_sexpr(broken));
+            ADD_FAILURE() << bad << " decoded";
+        } catch (const UserError& e) {
+            EXPECT_NE(std::string(e.what()).find("field '" + name + "'"),
                       std::string::npos)
                 << e.what();
         }

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <set>
 
 #include "analysis/verify_machine.h"
 #include "analysis/verify_vir.h"
@@ -524,6 +525,35 @@ TEST(VerifyMachine, WrongShuffleLaneYieldsNotEquivalentWithWitness)
     }
     EXPECT_TRUE(caught)
         << "no lane perturbation was provably caught as kNotEquivalent";
+}
+
+TEST(VerifyMachine, LaneOperationsOfQRDecompAreProvedEquivalent)
+{
+    // QRDecomp 3x3 at width 4 runs the scalar and the vector form of
+    // sub, div, sqrt and sgn, besides add, mul, neg and mac: the
+    // symbolic machine must prove every lane operation it executes.
+    CompilerOptions options;
+    options.target = width4();
+    const CompiledKernel compiled =
+        compile_kernel(kernels::make_qrdecomp(3), options);
+    std::set<Opcode> ops;
+    for (const Instr& i : compiled.machine.code) {
+        ops.insert(i.op);
+    }
+    for (const Opcode op :
+         {Opcode::kFSub, Opcode::kVSub, Opcode::kFDiv, Opcode::kVDiv,
+          Opcode::kFSqrt, Opcode::kVSqrt, Opcode::kFSgn, Opcode::kVSgn,
+          Opcode::kFNeg, Opcode::kVNeg, Opcode::kVMac}) {
+        EXPECT_TRUE(ops.count(op)) << opcode_name(op);
+    }
+    const auto [padded_spec, slots] =
+        pad_lifted_spec(compiled.spec, options.target.vector_width);
+    const analysis::MachineValidation v =
+        analysis::validate_machine_translation(padded_spec, slots,
+                                               compiled.machine,
+                                               compiled.layout,
+                                               options.target);
+    EXPECT_EQ(v.verdict, Verdict::kEquivalent) << v.detail;
 }
 
 TEST(VerifyMachine, ControlFlowDegradesToUnknownNotWrong)

@@ -11,7 +11,10 @@
 # build (the only one without NDEBUG) runs the e-graph, strategy and
 # width-sweep tests with the runner's per-rebuild invariant checks on.
 # Last, the perf gates of bench/perf_gates.json run from the default
-# build. Run from anywhere; ~10-15 minutes.
+# build, then the Figure-6 strategy gate and an ASan native differential;
+# these three legs all run even when one fails, and the script then
+# exits non-zero naming each failed leg. Run from anywhere; ~10-15
+# minutes.
 #
 #   tools/check.sh            # ASan+UBSan + TSan gates
 #   tools/check.sh --fast     # reuse existing build dirs without reconfigure
@@ -202,8 +205,14 @@ if [[ "${1:-}" != "--fast" ]] ||
        ! grep -qs -- '-Werror' "$build_bench/CMakeCache.txt"; then
     cmake --preset default -S "$repo" -DCMAKE_CXX_FLAGS=-Werror
 fi
-python3 "$repo/tools/perf_gate.py" check --build "$build_bench"
-echo "check.sh: perf gates passed (bench/perf_gates.json)"
+# The perf leg and the two legs after it each run whatever the others
+# returned; a failure is recorded, named at the end and fails the script.
+failed=()
+if python3 "$repo/tools/perf_gate.py" check --build "$build_bench"; then
+    echo "check.sh: perf gates passed (bench/perf_gates.json)"
+else
+    failed+=("perf gates")
+fi
 
 # Figure-6 strategy gate (DESIGN.md §5h): sweep kernel sizes with and
 # without the explosive full-AC rules, monolithic saturation vs the
@@ -212,16 +221,28 @@ echo "check.sh: perf gates passed (bench/perf_gates.json)"
 # size, or fails to reach a fixed point / goal stop (or a strictly
 # better extraction) on a size where the monolithic run was truncated
 # by its budget — the "break the timeout wall" claim, enforced.
-cmake --build "$build_bench" -j "$jobs" --target fig6_timeout
 fig6_json="$build_bench/BENCH_fig6.json"
-"$build_bench/bench/fig6_timeout" --out "$fig6_json" > /dev/null
-echo "check.sh: fig6 strategy gate passed ($fig6_json)"
+if cmake --build "$build_bench" -j "$jobs" --target fig6_timeout &&
+       "$build_bench/bench/fig6_timeout" --out "$fig6_json" > /dev/null; then
+    echo "check.sh: fig6 strategy gate passed ($fig6_json)"
+else
+    failed+=("fig6 strategy gate")
+fi
 
 # A quick ASan pass of the harness itself (one kernel, all widths,
 # correctness only): the dlopen/dlsym loader, the memory-image
 # round-trip, and the ULP comparator all run instrumented. The emitted
 # kernel .so stays uninstrumented (plain host cc), which ASan tolerates
 # in the dlopen direction.
-"$build/bench/native_diff" --check-only --filter QProd \
-    --out "$build/BENCH_native_asan.json" > /dev/null
-echo "check.sh: native differential passed under ASan (QProd subset)"
+if "$build/bench/native_diff" --check-only --filter QProd \
+       --out "$build/BENCH_native_asan.json" > /dev/null; then
+    echo "check.sh: native differential passed under ASan (QProd subset)"
+else
+    failed+=("native differential under ASan")
+fi
+
+if [[ "${#failed[@]}" -gt 0 ]]; then
+    joined=$(printf '%s; ' "${failed[@]}")
+    echo "check.sh: failed legs: ${joined%; }" >&2
+    exit 1
+fi
