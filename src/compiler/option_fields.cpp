@@ -1,5 +1,6 @@
 #include "compiler/option_fields.h"
 
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <limits>
@@ -114,30 +115,35 @@ OptionField::check(double v, std::string_view flag,
                        " " + buf);
 }
 
-Sexpr
-OptionField::encode(const CompilerOptions& o) const
+void
+OptionField::encode(const CompilerOptions& o, SexprWriter& w) const
 {
-    std::vector<Sexpr> values;
+    w.open(name);
     if (kind == K::kStrategy) {
-        values.push_back(
-            Sexpr::string_atom(o.strategy ? o.strategy->to_string() : ""));
+        w.atom(o.strategy ? o.strategy->to_string() : "");
     }
     for (std::size_t i = 0; i < count; ++i) {
         // An integer too large for int64 goes out as a hexfloat, which
         // the integer reader then rejects.
         const double v = access.get(o, i);
-        values.push_back(kind == K::kInt && v > -9e18 && v < 9e18
-                             ? i64_atom(static_cast<std::int64_t>(v))
-                             : f64_atom(v));
+        if (kind == K::kInt && v > -9e18 && v < 9e18) {
+            w.i64(static_cast<std::int64_t>(v));
+        } else {
+            w.f64(v);
+        }
     }
-    return field(name, std::move(values));
+    w.close();
 }
 
 void
-OptionField::decode(const Sexpr& f, CompilerOptions& o) const
+OptionField::decode(SexprCursor& c, CompilerOptions& o) const
 {
     if (kind == K::kStrategy) {
-        const std::string& text = field_value(f, name).token();
+        std::array<SexprCursor::Item, 1> v;
+        DIOS_CHECK(c.read_rest(v) == 1 && v[0].is_atom(),
+                   std::string(name) + ": field '" + name +
+                       "' expects one atom");
+        const std::string text = v[0].token();
         analysis::DiagEngine diags;
         o.strategy = text.empty() ? std::nullopt
                                   : strategy::parse_strategy(text, diags);
@@ -145,14 +151,16 @@ OptionField::decode(const Sexpr& f, CompilerOptions& o) const
                    "bad strategy text:\n" + diags.render_text());
         return;
     }
-    DIOS_CHECK(f.size() == count + 1, std::string(name) + ": expects " +
-                                          std::to_string(count) + " values");
+    std::vector<SexprCursor::Item> v(count);
+    DIOS_CHECK(c.read_rest(v) == count, std::string(name) + ": expects " +
+                                            std::to_string(count) +
+                                            " values");
     for (std::size_t i = 0; i < count; ++i) {
-        const double v = kind == K::kReal
-                             ? as_f64(f[i + 1], name)
-                             : static_cast<double>(as_i64(f[i + 1], name));
-        check(v);
-        access.set(o, i, v);
+        const double x = kind == K::kReal
+                             ? as_f64(v[i], name)
+                             : static_cast<double>(as_i64(v[i], name));
+        check(x);
+        access.set(o, i, x);
     }
 }
 

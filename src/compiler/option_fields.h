@@ -64,10 +64,13 @@ struct OptionField {
 
     bool identity() const { return not_identity == nullptr; }
 
-    /** `(name values...)` for `o`. */
-    Sexpr encode(const CompilerOptions& o) const;
-    /** Parses, range-checks and sets the field; raises UserError. */
-    void decode(const Sexpr& field, CompilerOptions& o) const;
+    /** Appends `(name values...)` for `o` to `w`. */
+    void encode(const CompilerOptions& o, SexprWriter& w) const;
+    /**
+     * Reads the field's values, whose head `c` has just read, through its
+     * ')'; range-checks and sets them. Raises UserError.
+     */
+    void decode(SexprCursor& c, CompilerOptions& o) const;
     /** Feeds the field's values (a strategy's canonical text) to `h`. */
     void hash(const CompilerOptions& o, StableHasher& h) const;
     /**

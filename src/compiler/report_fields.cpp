@@ -1,5 +1,6 @@
 #include "compiler/report_fields.h"
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -35,19 +36,23 @@ const char* name_of(Verdict v) { return verdict_name(v); }
 constexpr int count_of(StopReason) { return kNumStopReasons; }
 constexpr int count_of(Verdict) { return int(Verdict::kUnknown) + 1; }
 
+using Item = SexprCursor::Item;
+
 std::int64_t
-count(const Sexpr& v)
+count(const Item& v)
 {
-    DIOS_CHECK(v.is_integer() && v.as_integer() >= 0,
-               "expects a non-negative integer, got " + v.to_string());
-    return v.as_integer();
+    std::int64_t n = 0;
+    DIOS_CHECK(v.integer(n) && n >= 0,
+               "expects a non-negative integer, got " + std::string(v.raw));
+    return n;
 }
 
 double
-real(const Sexpr& v)
+real(const Item& v)
 {
-    DIOS_CHECK(v.is_number(), "expects a number, got " + v.to_string());
-    return v.as_number();
+    double x = 0.0;
+    DIOS_CHECK(v.number(x), "expects a number, got " + std::string(v.raw));
+    return x;
 }
 
 void
@@ -188,65 +193,73 @@ ReportField::json(JsonWriter& w, const CompileReport& r) const
         member);
 }
 
-Sexpr
-ReportField::encode(const CompileReport& r) const
+void
+ReportField::encode(const CompileReport& r, SexprWriter& w) const
 {
-    std::vector<Sexpr> values;
+    w.open(name);
     std::visit(
         [&](auto m) {
             if constexpr (!std::is_same_v<decltype(m), Writer>) {
                 const auto& v = at(r, m);
                 using T = std::remove_cvref_t<decltype(v)>;
                 if constexpr (std::is_integral_v<T>) {
-                    values.push_back(i64_atom(std::int64_t(v)));
+                    w.i64(std::int64_t(v));
                 } else if constexpr (std::is_same_v<T, double>) {
-                    values.push_back(f64_atom(v));
+                    w.f64(v);
                 } else if constexpr (std::is_same_v<T, std::string>) {
-                    values.push_back(Sexpr::string_atom(v));
+                    w.atom(v);
                 } else if constexpr (std::is_enum_v<T>) {
-                    values.push_back(Sexpr::atom(name_of(v)));
+                    w.atom(name_of(v));
                 } else {
                     for (const AttemptDiagnostic& a : v) {
-                        values.push_back(Sexpr::list(
-                            {i64_atom(a.level), f64_atom(a.seconds),
-                             Sexpr::string_atom(a.error)}));
+                        w.open().i64(a.level).f64(a.seconds).atom(a.error);
+                        w.close();
                     }
                 }
             }
         },
         member);
-    return field(name, std::move(values));
+    w.close();
 }
 
 void
-ReportField::decode(const Sexpr& f, CompileReport& r) const
+ReportField::decode(SexprCursor& c, CompileReport& r) const
 {
     const auto visit = [&](auto m) {
         if constexpr (!std::is_same_v<decltype(m), Writer>) {
             auto& v = at(r, m);
             using T = std::remove_cvref_t<decltype(v)>;
             if constexpr (std::is_same_v<T, std::vector<AttemptDiagnostic>>) {
-                for (std::size_t i = 1; i < f.size(); ++i) {
-                    const Sexpr& a = f[i];
-                    DIOS_CHECK(a.is_list() && a.size() == 3 && a[2].is_atom(),
-                               "has a malformed attempt " + a.to_string());
-                    v.push_back({.level = int(count(a[0])),
-                                 .error = a[2].token(),
-                                 .seconds = real(a[1])});
+                while (c.more()) {
+                    const Item a = c.next();
+                    std::array<Item, 3> f;
+                    std::size_t n = 0;
+                    if (a.list) {
+                        SexprCursor attempt(a.raw);
+                        attempt.enter();
+                        n = attempt.read_rest(f);
+                    }
+                    DIOS_CHECK(n == 3 && f[2].is_atom(),
+                               "has a malformed attempt " +
+                                   std::string(a.raw));
+                    v.push_back({.level = int(count(f[0])),
+                                 .error = f[2].token(),
+                                 .seconds = real(f[1])});
                 }
                 return;
             }
-            DIOS_CHECK(f.size() == 2 && f[1].is_atom(),
-                       "expects one value, got " +
-                           std::to_string(f.size() - 1));
+            std::array<Item, 1> f;
+            const std::size_t n = c.read_rest(f);
+            DIOS_CHECK(n == 1 && f[0].is_atom(),
+                       "expects one value, got " + std::to_string(n));
             if constexpr (std::is_integral_v<T>) {
-                v = T(count(f[1]));
+                v = T(count(f[0]));
             } else if constexpr (std::is_same_v<T, double>) {
-                v = real(f[1]);
+                v = real(f[0]);
             } else if constexpr (std::is_same_v<T, std::string>) {
-                v = f[1].token();
+                v = f[0].token();
             } else if constexpr (std::is_enum_v<T>) {
-                v = enum_from_name<T>(f[1].token(), count_of(T{}), name_of,
+                v = enum_from_name<T>(f[0].token(), count_of(T{}), name_of,
                                       "has no value");
             }
         }

@@ -63,10 +63,14 @@ struct ReportField {
 
     /** `"name":value` into the open object of `w`. */
     void json(JsonWriter& w, const CompileReport& r) const;
-    /** `(name values...)` of a persisted row. */
-    Sexpr encode(const CompileReport& r) const;
-    /** Parses and sets a persisted row; raises UserError naming the row. */
-    void decode(const Sexpr& field, CompileReport& r) const;
+    /** Appends `(name values...)` of a persisted row to `w`. */
+    void encode(const CompileReport& r, SexprWriter& w) const;
+    /**
+     * Reads the values of a persisted row, whose head `c` has just read,
+     * through the row's ')'; sets the member. Raises UserError naming
+     * the row.
+     */
+    void decode(SexprCursor& c, CompileReport& r) const;
 };
 
 /** Every CompileReport row, in JSON and wire order. */

@@ -1,6 +1,8 @@
 #include "daemon/protocol.h"
 
-#include <vector>
+#include <array>
+#include <optional>
+#include <span>
 
 #include "compiler/option_fields.h"
 #include "support/error.h"
@@ -9,6 +11,8 @@
 namespace diospyros::daemon {
 
 namespace {
+
+using Item = SexprCursor::Item;
 
 constexpr const char* kWhere = "daemon payload";
 
@@ -19,17 +23,24 @@ status_name(ResponseStatus status)
     return kNames[static_cast<int>(status)];
 }
 
-Sexpr
-parse_payload(const std::string& payload, const char* head)
+/** Enters the payload's `(head ...)` list; syntax errors name the payload. */
+void
+enter_payload(SexprCursor& c, const char* head)
 {
-    try {
-        Sexpr root = parse_sexpr(payload);
-        DIOS_CHECK(is_field(root, head),
-                   std::string("expected (") + head + " ...)");
-        return root;
-    } catch (const UserError& e) {
-        detail::raise_user(std::string("daemon payload: ") + e.what());
-    }
+    const std::optional<Item> h = c.field();
+    DIOS_CHECK(h && h->is(head), std::string("daemon payload: expected (") +
+                                     head + " ...)");
+}
+
+/** The single atom of the field whose head `c` has just read. */
+Item
+field_value(SexprCursor& c, const Item& head)
+{
+    std::array<Item, 1> v;
+    DIOS_CHECK(c.read_rest(v) == 1 && v[0].is_atom(),
+               std::string(kWhere) + ": field '" + head.token() +
+                   "' expects one atom");
+    return v[0];
 }
 
 }  // namespace
@@ -41,41 +52,44 @@ parse_payload(const std::string& payload, const char* head)
 std::string
 encode_compile_request(const CompileRequest& req)
 {
-    std::vector<Sexpr> options = {Sexpr::atom("options")};
+    SexprWriter w;
+    w.open("compile-request").field("kernel-name", req.kernel_name);
+    w.field("kernel-text", req.kernel_text);
+    w.field("priority", service::priority_name(req.priority));
+    w.field("submit-timeout", req.submit_timeout_seconds);
+    w.open("options");
     for (const OptionField& f : option_fields()) {
-        options.push_back(f.encode(req.options));
+        f.encode(req.options, w);
     }
-    std::vector<Sexpr> children = {
-        Sexpr::atom("compile-request"),
-        field("kernel-name", {Sexpr::string_atom(req.kernel_name)}),
-        field("kernel-text", {Sexpr::string_atom(req.kernel_text)}),
-        field("priority", {Sexpr::atom(service::priority_name(req.priority))}),
-        field("submit-timeout", {f64_atom(req.submit_timeout_seconds)})};
-    children.push_back(Sexpr::list(std::move(options)));  // moved, not copied
-    return Sexpr::list(std::move(children)).to_string();
+    w.close().close();
+    return w.take();
 }
 
 CompileRequest
 decode_compile_request(const std::string& payload)
 {
-    const Sexpr root = parse_payload(payload, "compile-request");
+    SexprCursor c(payload, "daemon payload: ");
+    enter_payload(c, "compile-request");
     CompileRequest req;
     bool saw_name = false, saw_text = false;
-    for (std::size_t i = 1; i < root.size(); ++i) {
-        const Sexpr& f = root[i];
-        if (is_field(f, "kernel-name")) {
-            req.kernel_name = field_value(f, kWhere).token();
+    while (c.more()) {
+        const std::optional<Item> f = c.field();
+        if (!f) {
+            continue;
+        }
+        if (f->is("kernel-name")) {
+            req.kernel_name = field_value(c, *f).token();
             saw_name = true;
-        } else if (is_field(f, "kernel-text")) {
-            req.kernel_text = field_value(f, kWhere).token();
+        } else if (f->is("kernel-text")) {
+            req.kernel_text = field_value(c, *f).token();
             saw_text = true;
-        } else if (is_field(f, "priority")) {
+        } else if (f->is("priority")) {
             req.priority =
-                service::parse_priority(field_value(f, kWhere).token());
-        } else if (is_field(f, "submit-timeout")) {
+                service::parse_priority(field_value(c, *f).token());
+        } else if (f->is("submit-timeout")) {
             req.submit_timeout_seconds =
-                as_f64(field_value(f, kWhere), kWhere);
-        } else if (is_field(f, "options")) {
+                as_f64(field_value(c, *f), kWhere);
+        } else if (f->is("options")) {
             // Unknown option fields are skipped: a newer client may send
             // fields this server does not know, and the cache key
             // (computed server-side) still reflects what the server will
@@ -83,17 +97,29 @@ decode_compile_request(const std::string& payload)
             // search starts at the entry after the last match.
             const std::span<const OptionField> fields = option_fields();
             std::size_t next = 0;
-            for (std::size_t j = 1; j < f.size(); ++j) {
-                for (std::size_t k = next; k < next + fields.size(); ++k) {
-                    if (is_field(f[j], fields[k % fields.size()].name)) {
-                        fields[k % fields.size()].decode(f[j], req.options);
+            while (c.more()) {
+                const std::optional<Item> name = c.field();
+                if (!name) {
+                    continue;
+                }
+                bool known = false;
+                for (std::size_t k = next; k < next + fields.size() && !known;
+                     ++k) {
+                    if (name->is(fields[k % fields.size()].name)) {
+                        fields[k % fields.size()].decode(c, req.options);
                         next = k + 1;
-                        break;
+                        known = true;
                     }
                 }
+                if (!known) {
+                    c.skip_rest();
+                }
             }
+        } else {
+            c.skip_rest();
         }
     }
+    c.finish();
     DIOS_CHECK(saw_name && saw_text,
                "daemon payload: compile-request missing kernel-name or "
                "kernel-text");
@@ -108,52 +134,59 @@ decode_compile_request(const std::string& payload)
 std::string
 encode_compile_response(const CompileResponse& resp)
 {
-    std::vector<Sexpr> children = {
-        Sexpr::atom("compile-response"),
-        field("status",
-              {Sexpr::atom(status_name(resp.status))}),
-        field("retry-after-ms", {i64_atom(static_cast<std::int64_t>(
-                                    resp.retry_after_ms))}),
-        field("failure-class",
-              {Sexpr::atom(failure_class_name(resp.failure_class))}),
-        field("error", {Sexpr::string_atom(resp.error)})};
+    SexprWriter w;
+    w.open("compile-response").field("status", status_name(resp.status));
+    w.field("retry-after-ms", resp.retry_after_ms);
+    w.field("failure-class", failure_class_name(resp.failure_class));
+    w.field("error", resp.error);
     if (resp.entry) {
-        children.push_back(
-            field("entry", {service::entry_to_sexpr(*resp.entry)}));
+        w.open("entry");
+        service::write_entry(w, *resp.entry);
+        w.close();
     }
-    return Sexpr::list(std::move(children)).to_string();
+    w.close();
+    return w.take();
 }
 
 CompileResponse
 decode_compile_response(const std::string& payload)
 {
-    const Sexpr root = parse_payload(payload, "compile-response");
+    SexprCursor c(payload, "daemon payload: ");
+    enter_payload(c, "compile-response");
     CompileResponse resp;
     bool saw_status = false;
-    for (std::size_t i = 1; i < root.size(); ++i) {
-        const Sexpr& f = root[i];
-        if (is_field(f, "status")) {
+    while (c.more()) {
+        const std::optional<Item> f = c.field();
+        if (!f) {
+            continue;
+        }
+        if (f->is("status")) {
             resp.status = enum_from_name(
-                field_value(f, kWhere).token(),
+                field_value(c, *f).token(),
                 static_cast<int>(ResponseStatus::kFailed) + 1, status_name,
                 "daemon payload: unknown response status");
             saw_status = true;
-        } else if (is_field(f, "retry-after-ms")) {
+        } else if (f->is("retry-after-ms")) {
             resp.retry_after_ms = static_cast<std::uint64_t>(
-                as_i64(field_value(f, kWhere), kWhere));
-        } else if (is_field(f, "failure-class")) {
+                as_i64(field_value(c, *f), kWhere));
+        } else if (f->is("failure-class")) {
             resp.failure_class = enum_from_name(
-                field_value(f, kWhere).token(),
+                field_value(c, *f).token(),
                 static_cast<int>(FailureClass::kExpired) + 1,
                 failure_class_name, "daemon payload: unknown failure class");
-        } else if (is_field(f, "error")) {
-            resp.error = field_value(f, kWhere).token();
-        } else if (is_field(f, "entry")) {
-            DIOS_CHECK(f.size() == 2,
+        } else if (f->is("error")) {
+            resp.error = field_value(c, *f).token();
+        } else if (f->is("entry")) {
+            DIOS_CHECK(c.more(),
                        "daemon payload: entry field expects one value");
-            resp.entry = service::entry_from_sexpr(f[1]);
+            resp.entry = service::read_entry(c);
+            DIOS_CHECK(!c.more(),
+                       "daemon payload: entry field expects one value");
+        } else {
+            c.skip_rest();
         }
     }
+    c.finish();
     DIOS_CHECK(saw_status, "daemon payload: compile-response missing status");
     DIOS_CHECK(resp.status != ResponseStatus::kOk || resp.entry.has_value(),
                "daemon payload: ok response carries no entry");
@@ -163,10 +196,9 @@ decode_compile_response(const std::string& payload)
 std::string
 encode_error_payload(const std::string& kind, const std::string& detail)
 {
-    return Sexpr::list({Sexpr::atom("error"),
-                        field("kind", {Sexpr::string_atom(kind)}),
-                        field("detail", {Sexpr::string_atom(detail)})})
-        .to_string();
+    SexprWriter w;
+    w.open("error").field("kind", kind).field("detail", detail).close();
+    return w.take();
 }
 
 }  // namespace diospyros::daemon

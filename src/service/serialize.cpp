@@ -1,7 +1,10 @@
 #include "service/serialize.h"
 
+#include <array>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "compiler/report_fields.h"
 #include "machine/program.h"
@@ -12,68 +15,110 @@ namespace diospyros::service {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Atom helpers
-// ---------------------------------------------------------------------------
+using Item = SexprCursor::Item;
 
 constexpr const char* kWhere = "cache entry";
 
-Sexpr
-hex_atom(std::uint64_t v)
-{
-    return Sexpr::atom(hash_hex(v));
-}
-
 std::uint64_t
-as_hex(const Sexpr& s)
+as_hex(const Item& v)
 {
-    DIOS_CHECK(s.is_atom(), "cache entry: expected a hex atom");
-    return std::strtoull(s.token().c_str(), nullptr, 16);
+    DIOS_CHECK(v.is_atom(), "cache entry: expected a hex atom");
+    return std::strtoull(v.token().c_str(), nullptr, 16);
 }
 
 int
-as_int(const Sexpr& s)
+as_int(const Item& v)
 {
-    const std::int64_t v = as_i64(s, kWhere);
-    DIOS_CHECK(v >= std::numeric_limits<int>::min() &&
-                   v <= std::numeric_limits<int>::max(),
-               "cache entry: " + s.token() + " is outside int range");
-    return static_cast<int>(v);
+    const std::int64_t n = as_i64(v, kWhere);
+    DIOS_CHECK(n >= std::numeric_limits<int>::min() &&
+                   n <= std::numeric_limits<int>::max(),
+               "cache entry: " + std::string(v.raw) +
+                   " is outside int range");
+    return static_cast<int>(n);
+}
+
+std::string
+as_text(const Item& v)
+{
+    DIOS_CHECK(v.is_atom(), "cache entry: expected an atom, got '" +
+                                std::string(v.raw) + "'");
+    return v.token();
+}
+
+/**
+ * A float stored as a double. Narrowing a finite double outside float
+ * range is undefined, so such a value fails, naming `what` and its
+ * `index`; inf and nan pass.
+ */
+float
+as_float(const Item& v, const char* what, std::size_t index)
+{
+    const double d = as_f64(v, kWhere);
+    DIOS_CHECK(!std::isfinite(d) ||
+                   std::abs(d) <= std::numeric_limits<float>::max(),
+               std::string("cache entry: ") + what + " " +
+                   std::to_string(index) + " value " + std::string(v.raw) +
+                   " is outside float range");
+    return static_cast<float>(d);
+}
+
+/**
+ * The values of field `name`, whose head the cursor has read: raises
+ * UserError unless the field holds exactly N of them.
+ */
+template <std::size_t N>
+std::array<Item, N>
+values(SexprCursor& c, const char* name)
+{
+    std::array<Item, N> v;
+    const std::size_t got = c.read_rest(v);
+    DIOS_CHECK(got == N, std::string("cache entry field '") + name +
+                             "' expects " + std::to_string(N) +
+                             (N == 1 ? " value" : " values") + ", got " +
+                             std::to_string(got));
+    return v;
 }
 
 // ---------------------------------------------------------------------------
 // Report
 // ---------------------------------------------------------------------------
 
-Sexpr
-report_to_sexpr(const CompileReport& r)
+void
+write_report(SexprWriter& w, const CompileReport& r)
 {
-    std::vector<Sexpr> rows = {Sexpr::atom("report")};
+    w.open("report");
     for (const ReportField& f : report_fields()) {
         if (f.persisted()) {
-            rows.push_back(f.encode(r));
+            f.encode(r, w);
         }
     }
-    return Sexpr::list(std::move(rows));
+    w.close();
 }
 
 CompileReport
-report_from_sexpr(const Sexpr& s)
+read_report(SexprCursor& c)
 {
-    DIOS_CHECK(is_field(s, "report"), "cache entry: missing report");
     // Unknown rows are skipped. The writer keeps the table's order, so
     // each search starts at the row after the last match.
     const std::span<const ReportField> fields = report_fields();
     CompileReport r;
     std::size_t next = 0;
-    for (std::size_t i = 1; i < s.size(); ++i) {
-        for (std::size_t k = next; k < next + fields.size(); ++k) {
+    while (c.more()) {
+        const std::optional<Item> head = c.field();
+        if (!head) {
+            continue;
+        }
+        bool known = false;
+        for (std::size_t k = next; k < next + fields.size() && !known; ++k) {
             const ReportField& f = fields[k % fields.size()];
-            if (f.persisted() && is_field(s[i], f.name)) {
-                f.decode(s[i], r);
+            if (f.persisted() && head->is(f.name)) {
+                f.decode(c, r);
                 next = k + 1;
-                break;
+                known = true;
             }
+        }
+        if (!known) {
+            c.skip_rest();
         }
     }
     return r;
@@ -83,16 +128,16 @@ report_from_sexpr(const Sexpr& s)
 // Machine program
 // ---------------------------------------------------------------------------
 
-Sexpr
-program_to_sexpr(const Program& p)
+void
+write_program(SexprWriter& w, const Program& p)
 {
-    std::vector<Sexpr> code;
-    code.push_back(Sexpr::atom("code"));
+    w.open("machine");
+    w.open("regs").i64(p.num_int_regs).i64(p.num_float_regs);
+    w.i64(p.num_vec_regs).close();
+    w.open("code");
     for (const Instr& instr : p.code) {
-        std::vector<Sexpr> fields = {
-            Sexpr::atom(opcode_name(instr.op)), i64_atom(instr.dst),
-            i64_atom(instr.a),    i64_atom(instr.b),
-            i64_atom(instr.imm),  f64_atom(instr.fimm)};
+        w.open(opcode_name(instr.op)).i64(instr.dst).i64(instr.a);
+        w.i64(instr.b).i64(instr.imm).f64(instr.fimm);
         // Explicit lane count (trailing zeros trimmed) rather than a
         // fixed kMaxVectorWidth slots: entries stay readable across
         // builds whose compile-time maximum width differs.
@@ -100,61 +145,67 @@ program_to_sexpr(const Program& p)
         while (nlanes > 0 && instr.lanes[nlanes - 1] == 0) {
             --nlanes;
         }
-        fields.push_back(i64_atom(static_cast<std::int64_t>(nlanes)));
+        w.i64(static_cast<std::int64_t>(nlanes));
         for (std::size_t k = 0; k < nlanes; ++k) {
-            fields.push_back(i64_atom(instr.lanes[k]));
+            w.i64(instr.lanes[k]);
         }
-        code.push_back(Sexpr::list(std::move(fields)));
+        w.close();
     }
-    return field("machine",
-                 {field("regs", {i64_atom(p.num_int_regs),
-                                 i64_atom(p.num_float_regs),
-                                 i64_atom(p.num_vec_regs)}),
-                  Sexpr::list(std::move(code))});
+    w.close().close();
+}
+
+Instr
+read_instr(SexprCursor& c, std::size_t index)
+{
+    DIOS_CHECK(c.at_list(), "cache entry: malformed instruction");
+    c.enter();
+    std::array<Item, 7 + kMaxVectorWidth> v;
+    const std::size_t n = c.read_rest(v);
+    DIOS_CHECK(n >= 7 && v[0].is_atom(),
+               "cache entry: malformed instruction");
+    Instr instr;
+    instr.op = enum_from_name(v[0].token(), kNumOpcodes, opcode_name,
+                              "cache entry: unknown opcode");
+    instr.dst = as_int(v[1]);
+    instr.a = as_int(v[2]);
+    instr.b = as_int(v[3]);
+    instr.imm = as_int(v[4]);
+    instr.fimm = as_float(v[5], "instruction", index);
+    const std::int64_t nlanes = as_i64(v[6], kWhere);
+    DIOS_CHECK(nlanes >= 0 && nlanes <= kMaxVectorWidth &&
+                   n == 7 + static_cast<std::size_t>(nlanes),
+               "cache entry: malformed lane table");
+    for (std::size_t k = 0; k < static_cast<std::size_t>(nlanes); ++k) {
+        instr.lanes[k] = static_cast<std::int16_t>(as_i64(v[7 + k], kWhere));
+    }
+    return instr;
 }
 
 Program
-program_from_sexpr(const Sexpr& s)
+read_program(SexprCursor& c)
 {
-    DIOS_CHECK(is_field(s, "machine"), "cache entry: missing machine");
     Program p;
-    for (std::size_t i = 1; i < s.size(); ++i) {
-        const Sexpr& f = s[i];
-        if (is_field(f, "regs")) {
-            DIOS_CHECK(f.size() == 4, "cache entry: malformed regs field");
-            p.num_int_regs = as_int(f[1]);
-            p.num_float_regs = as_int(f[2]);
-            p.num_vec_regs = as_int(f[3]);
+    while (c.more()) {
+        const std::optional<Item> head = c.field();
+        if (!head) {
+            continue;
+        }
+        if (head->is("regs")) {
+            std::array<Item, 3> v;
+            DIOS_CHECK(c.read_rest(v) == 3,
+                       "cache entry: malformed regs field");
+            p.num_int_regs = as_int(v[0]);
+            p.num_float_regs = as_int(v[1]);
+            p.num_vec_regs = as_int(v[2]);
             DIOS_CHECK(p.num_int_regs >= 0 && p.num_float_regs >= 0 &&
                            p.num_vec_regs >= 0,
                        "cache entry: negative register count");
-        } else if (is_field(f, "code")) {
-            for (std::size_t j = 1; j < f.size(); ++j) {
-                const Sexpr& node = f[j];
-                DIOS_CHECK(node.is_list() && node.size() >= 7,
-                           "cache entry: malformed instruction");
-                Instr instr;
-                instr.op = enum_from_name(node[0].token(), kNumOpcodes,
-                                          opcode_name,
-                                          "cache entry: unknown opcode");
-                instr.dst = as_int(node[1]);
-                instr.a = as_int(node[2]);
-                instr.b = as_int(node[3]);
-                instr.imm = as_int(node[4]);
-                instr.fimm = static_cast<float>(as_f64(node[5], kWhere));
-                const std::int64_t nlanes = as_i64(node[6], kWhere);
-                DIOS_CHECK(nlanes >= 0 && nlanes <= kMaxVectorWidth &&
-                               node.size() ==
-                                   7 + static_cast<std::size_t>(nlanes),
-                           "cache entry: malformed lane table");
-                for (std::int64_t k = 0; k < nlanes; ++k) {
-                    instr.lanes[static_cast<std::size_t>(k)] =
-                        static_cast<std::int16_t>(
-                            as_i64(node[7 + static_cast<std::size_t>(k)],
-                                   kWhere));
-                }
-                p.code.push_back(instr);
+        } else if (head->is("code")) {
+            while (c.more()) {
+                p.code.push_back(read_instr(c, p.code.size()));
             }
+        } else {
+            c.skip_rest();
         }
     }
     // The simulator indexes its register files by these fields unchecked.
@@ -182,76 +233,72 @@ program_from_sexpr(const Sexpr& s)
 
 }  // namespace
 
-Sexpr
-entry_to_sexpr(const CachedEntry& entry)
+void
+write_entry(SexprWriter& w, const CachedEntry& entry)
 {
-    std::vector<Sexpr> pool;
-    pool.push_back(Sexpr::atom("pool"));
+    w.open("dios-cache-entry").field("version", entry.rule_set_version);
+    w.open("key").atom(hash_hex(entry.key.spec_hash));
+    w.atom(hash_hex(entry.key.options_hash)).close();
+    w.field("kernel", entry.kernel_name);
+    w.field("width", entry.vector_width);
+    w.field("time-limit", entry.time_limit_seconds);
+    w.field("fallback-level", entry.fallback_level);
+    write_report(w, entry.report);
+    w.field("c-source", entry.c_source);
+    w.open("pool");
     for (const float v : entry.pool) {
-        pool.push_back(f64_atom(static_cast<double>(v)));
+        w.f64(static_cast<double>(v));
     }
-
-    return Sexpr::list(
-        {Sexpr::atom("dios-cache-entry"),
-         field("version", {i64_atom(entry.rule_set_version)}),
-         field("key", {hex_atom(entry.key.spec_hash),
-                       hex_atom(entry.key.options_hash)}),
-         field("kernel", {Sexpr::string_atom(entry.kernel_name)}),
-         field("width", {i64_atom(entry.vector_width)}),
-         field("time-limit", {f64_atom(entry.time_limit_seconds)}),
-         field("fallback-level", {i64_atom(entry.fallback_level)}),
-         report_to_sexpr(entry.report),
-         field("c-source", {Sexpr::string_atom(entry.c_source)}),
-         Sexpr::list(std::move(pool)), program_to_sexpr(entry.machine)});
+    w.close();
+    write_program(w, entry.machine);
+    w.close();
 }
 
 CachedEntry
-entry_from_sexpr(const Sexpr& sexpr)
+read_entry(SexprCursor& c)
 {
-    DIOS_CHECK(is_field(sexpr, "dios-cache-entry"),
+    const std::optional<Item> head = c.field();
+    DIOS_CHECK(head && head->is("dios-cache-entry"),
                "not a dios-cache-entry s-expression");
     CachedEntry entry;
     bool saw_version = false;
-    for (std::size_t i = 1; i < sexpr.size(); ++i) {
-        const Sexpr& f = sexpr[i];
-        // A known field of the wrong arity is malformed; unknown names
-        // are skipped.
-        auto is = [&f](const char* name, std::size_t values) {
-            if (!is_field(f, name)) {
-                return false;
-            }
-            DIOS_CHECK(f.size() == values + 1,
-                       std::string("cache entry field '") + name +
-                           "' expects " + std::to_string(values) +
-                           (values == 1 ? " value" : " values") + ", got " +
-                           std::to_string(f.size() - 1));
-            return true;
-        };
-        if (is("version", 1)) {
-            entry.rule_set_version =
-                static_cast<std::uint64_t>(as_i64(f[1], kWhere));
+    // A known field of the wrong arity is malformed; unknown names are
+    // skipped.
+    while (c.more()) {
+        const std::optional<Item> f = c.field();
+        if (!f) {
+            continue;
+        }
+        if (f->is("version")) {
+            entry.rule_set_version = static_cast<std::uint64_t>(
+                as_i64(values<1>(c, "version")[0], kWhere));
             saw_version = true;
-        } else if (is("key", 2)) {
-            entry.key.spec_hash = as_hex(f[1]);
-            entry.key.options_hash = as_hex(f[2]);
-        } else if (is("kernel", 1)) {
-            entry.kernel_name = f[1].token();
-        } else if (is("width", 1)) {
-            entry.vector_width = as_int(f[1]);
-        } else if (is("time-limit", 1)) {
-            entry.time_limit_seconds = as_f64(f[1], kWhere);
-        } else if (is("fallback-level", 1)) {
-            entry.fallback_level = as_int(f[1]);
-        } else if (is_field(f, "report")) {
-            entry.report = report_from_sexpr(f);
-        } else if (is("c-source", 1)) {
-            entry.c_source = f[1].token();
-        } else if (is_field(f, "pool")) {
-            for (std::size_t j = 1; j < f.size(); ++j) {
-                entry.pool.push_back(static_cast<float>(as_f64(f[j], kWhere)));
+        } else if (f->is("key")) {
+            const auto v = values<2>(c, "key");
+            entry.key.spec_hash = as_hex(v[0]);
+            entry.key.options_hash = as_hex(v[1]);
+        } else if (f->is("kernel")) {
+            entry.kernel_name = as_text(values<1>(c, "kernel")[0]);
+        } else if (f->is("width")) {
+            entry.vector_width = as_int(values<1>(c, "width")[0]);
+        } else if (f->is("time-limit")) {
+            entry.time_limit_seconds =
+                as_f64(values<1>(c, "time-limit")[0], kWhere);
+        } else if (f->is("fallback-level")) {
+            entry.fallback_level = as_int(values<1>(c, "fallback-level")[0]);
+        } else if (f->is("report")) {
+            entry.report = read_report(c);
+        } else if (f->is("c-source")) {
+            entry.c_source = as_text(values<1>(c, "c-source")[0]);
+        } else if (f->is("pool")) {
+            while (c.more()) {
+                entry.pool.push_back(
+                    as_float(c.next(), "pool", entry.pool.size()));
             }
-        } else if (is_field(f, "machine")) {
-            entry.machine = program_from_sexpr(f);
+        } else if (f->is("machine")) {
+            entry.machine = read_program(c);
+        } else {
+            c.skip_rest();
         }
     }
     DIOS_CHECK(saw_version, "cache entry: missing version field");
@@ -262,55 +309,86 @@ entry_from_sexpr(const Sexpr& sexpr)
     return entry;
 }
 
-Sexpr
-envelope_to_sexpr(const CachedEntry& entry)
+std::string
+encode_entry(const CachedEntry& entry)
 {
-    Sexpr payload = entry_to_sexpr(entry);
-    const std::uint64_t checksum = stable_hash_string(payload.to_string());
-    return Sexpr::list(
-        {Sexpr::atom("dios-cache-envelope"),
-         field("format-version", {i64_atom(kCacheFormatVersion)}),
-         field("rule-set-version", {i64_atom(entry.rule_set_version)}),
-         field("checksum", {hex_atom(checksum)}),
-         field("payload", {std::move(payload)})});
+    SexprWriter w;
+    write_entry(w, entry);
+    return w.take();
+}
+
+CachedEntry
+decode_entry(std::string_view text)
+{
+    SexprCursor c(text);
+    CachedEntry entry = read_entry(c);
+    c.finish();
+    return entry;
+}
+
+std::string
+encode_envelope(const CachedEntry& entry)
+{
+    const std::string payload = encode_entry(entry);
+    SexprWriter w;
+    w.open("dios-cache-envelope");
+    w.field("format-version", kCacheFormatVersion);
+    w.field("rule-set-version", entry.rule_set_version);
+    w.open("checksum").atom(hash_hex(stable_hash_string(payload))).close();
+    w.open("payload").raw(payload).close().close();
+    return pretty_sexpr(w.str()) + "\n";
 }
 
 EnvelopeFields
-envelope_fields(const Sexpr& sexpr)
+read_envelope(std::string_view text)
 {
     EnvelopeFields env;
-    if (!is_field(sexpr, "dios-cache-envelope") || sexpr.size() != 5) {
-        env.error = "not a dios-cache-envelope";
-        return env;
-    }
+    std::string_view payload;
     bool saw_format = false, saw_rules = false, saw_checksum = false;
-    for (std::size_t i = 1; i < sexpr.size(); ++i) {
-        const Sexpr& f = sexpr[i];
-        if (is_field(f, "format-version") && f.size() == 2 &&
-            f[1].is_integer()) {
-            env.format_version =
-                static_cast<std::uint64_t>(as_i64(f[1], kWhere));
-            saw_format = true;
-        } else if (is_field(f, "rule-set-version") && f.size() == 2 &&
-                   f[1].is_integer()) {
-            env.rule_set_version =
-                static_cast<std::uint64_t>(as_i64(f[1], kWhere));
-            saw_rules = true;
-        } else if (is_field(f, "checksum") && f.size() == 2 &&
-                   f[1].is_atom()) {
-            env.checksum = as_hex(f[1]);
-            saw_checksum = true;
-        } else if (is_field(f, "payload") && f.size() == 2) {
-            env.payload = &f[1];
+    std::size_t fields = 0;
+    try {
+        SexprCursor c(text);
+        const std::optional<Item> head = c.field();
+        if (!head || !head->is("dios-cache-envelope")) {
+            env.error = "not a dios-cache-envelope";
+            return env;
         }
-    }
-    if (!saw_format || !saw_rules || !saw_checksum ||
-        env.payload == nullptr) {
-        env.error = "missing envelope field";
-        env.payload = nullptr;
+        for (; c.more(); ++fields) {
+            // A known field of the wrong shape is ignored, then reported
+            // missing.
+            std::array<Item, 1> v;
+            const std::optional<Item> f = c.field();
+            if (!f || c.read_rest(v) != 1) {
+                continue;
+            }
+            std::int64_t n = 0;
+            if (f->is("format-version") && v[0].integer(n)) {
+                env.format_version = static_cast<std::uint64_t>(n);
+                saw_format = true;
+            } else if (f->is("rule-set-version") && v[0].integer(n)) {
+                env.rule_set_version = static_cast<std::uint64_t>(n);
+                saw_rules = true;
+            } else if (f->is("checksum") && v[0].is_atom()) {
+                env.checksum = as_hex(v[0]);
+                saw_checksum = true;
+            } else if (f->is("payload")) {
+                payload = v[0].raw;
+            }
+        }
+        c.finish();
+        if (fields != 4) {
+            env.error = "not a dios-cache-envelope";
+            return env;
+        }
+        if (!saw_format || !saw_rules || !saw_checksum || payload.empty()) {
+            env.error = "missing envelope field";
+            return env;
+        }
+        env.payload_text = flat_sexpr(payload);
+    } catch (const UserError& e) {
+        env.error = std::string("unparsable: ") + e.what();
         return env;
     }
-    env.payload_text = env.payload->to_string();
     env.well_formed = true;
     return env;
 }

@@ -1,8 +1,9 @@
 /**
  * @file
- * On-disk representation of a compiled kernel: the compile service's
- * disk cache persists entries as s-expressions (support/sexpr.h), the
- * same machinery the rest of the toolchain uses for specs and rules.
+ * On-disk and on-wire representation of a compiled kernel: the compile
+ * service's disk cache persists entries as s-expression text
+ * (support/sexpr.h), and diosd sends the same entry text in its
+ * compile responses.
  *
  * An entry stores exactly what a warm process needs to *serve* the
  * kernel without re-running saturation: the emitted machine program
@@ -15,14 +16,20 @@
  * reconstructed from disk, its `extracted` field aliases the (re-lifted)
  * padded spec as a placeholder.
  *
- * Round-trip contract: serialize(deserialize(x)) == x byte-for-byte,
- * and a deserialized program disassembles identically to the original —
+ * No Sexpr tree is built on either side: write_entry appends tokens to a
+ * SexprWriter, and read_entry walks a SexprCursor once, checking each
+ * value as it goes (DESIGN.md §5e). tests/golden/format4.golden pins the
+ * bytes of envelopes and payloads.
+ *
+ * Round-trip contract: encode(decode(x)) == x byte-for-byte,
+ * and a decoded program disassembles identically to the original —
  * that is what makes warm-cache outputs byte-identical to cold ones.
  */
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "compiler/driver.h"
@@ -51,11 +58,20 @@ struct CachedEntry {
     Program machine;
 };
 
-/** Serializes an entry to its s-expression form. */
-Sexpr entry_to_sexpr(const CachedEntry& entry);
+/** Appends the entry's `(dios-cache-entry ...)` list to `w`. */
+void write_entry(SexprWriter& w, const CachedEntry& entry);
 
-/** Parses an entry; raises UserError on malformed or mis-versioned input. */
-CachedEntry entry_from_sexpr(const Sexpr& sexpr);
+/**
+ * Reads the `(dios-cache-entry ...)` element at `c`; raises UserError on
+ * malformed input, naming the field, instruction or pool value at fault.
+ */
+CachedEntry read_entry(SexprCursor& c);
+
+/** The entry's canonical text. */
+std::string encode_entry(const CachedEntry& entry);
+
+/** Parses the text of one entry; raises UserError on malformed input. */
+CachedEntry decode_entry(std::string_view text);
 
 /**
  * Version of the on-disk *envelope* format (distinct from
@@ -73,22 +89,23 @@ CachedEntry entry_from_sexpr(const Sexpr& sexpr);
 constexpr std::uint64_t kCacheFormatVersion = 4;
 
 /**
- * Wraps an entry in the durable on-disk envelope:
+ * The durable on-disk envelope of an entry, as DiskCache::store writes
+ * it: the pretty layout (pretty_sexpr) of
  *
  *   (dios-cache-envelope
  *     (format-version 4)
  *     (rule-set-version N)
  *     (checksum <16-hex StableHasher digest of the payload's canonical
- *                to_string() rendering>)
+ *                flat text, encode_entry(entry)>)
  *     (payload (dios-cache-entry ...)))
  *
- * The checksum is computed over the payload's canonical (non-pretty)
- * serialization, so on-disk whitespace differences never matter while
- * any content-bearing bit flip is detected.
+ * and a final newline. The checksum is computed over the payload's
+ * canonical (non-pretty) text, so on-disk whitespace differences never
+ * matter while any content-bearing bit flip is detected.
  */
-Sexpr envelope_to_sexpr(const CachedEntry& entry);
+std::string encode_envelope(const CachedEntry& entry);
 
-/** Parsed envelope header; see envelope_fields(). */
+/** Parsed envelope header; see read_envelope(). */
 struct EnvelopeFields {
     bool well_formed = false;
     /** Why !well_formed ("" otherwise). */
@@ -97,19 +114,20 @@ struct EnvelopeFields {
     std::uint64_t rule_set_version = 0;
     /** Stored payload checksum (compare with stable_hash_string). */
     std::uint64_t checksum = 0;
-    /** Borrowed pointer into the inspected sexpr; null if !well_formed. */
-    const Sexpr* payload = nullptr;
-    /** Canonical rendering of the payload — the checksummed bytes. */
+    /**
+     * The payload's canonical flat text (flat_sexpr): the checksummed
+     * bytes, and what decode_entry reads.
+     */
     std::string payload_text;
 };
 
 /**
- * Dissects an envelope without verifying the checksum or parsing the
- * payload into an entry — DiskCache layers those checks (and their
- * corruption policy) on top. Never throws; malformed input comes back
- * as !well_formed.
+ * Dissects an envelope file's text without verifying the checksum or
+ * decoding the payload into an entry — DiskCache layers those checks
+ * (and their corruption policy) on top. Never throws; unparsable or
+ * malformed input comes back as !well_formed.
  */
-EnvelopeFields envelope_fields(const Sexpr& sexpr);
+EnvelopeFields read_envelope(std::string_view text);
 
 /** Builds the persistable entry for a finished resilient compile. */
 CachedEntry make_entry(const CacheKey& key, const CompilerOptions& options,

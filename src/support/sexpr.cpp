@@ -1,13 +1,635 @@
 #include "support/sexpr.h"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <utility>
 
 #include "support/error.h"
 
 namespace diospyros {
+
+namespace {
+
+/** std::isspace in the C locale. */
+bool
+is_space(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/** Ends a bare atom. */
+bool
+ends_atom(char c)
+{
+    return is_space(c) || c == '(' || c == ')' || c == ';';
+}
+
+/** What a byte asks of a token that holds it; bits of kCharClass. */
+enum : unsigned char {
+    kQuote = 1,   ///< the token must be quoted
+    kEscape = 2,  ///< and the byte escaped
+};
+
+constexpr auto kCharClass = [] {
+    std::array<unsigned char, 256> t{};
+    for (const char c : {' ', '\t', '\n', '\v', '\f', '\r', '(', ')', ';'}) {
+        t[static_cast<unsigned char>(c)] = kQuote;
+    }
+    for (const char c : {'"', '\\', '\n', '\t', '\r'}) {
+        t[static_cast<unsigned char>(c)] = kQuote | kEscape;
+    }
+    return t;
+}();
+
+unsigned char
+char_class(char c)
+{
+    return kCharClass[static_cast<unsigned char>(c)];
+}
+
+/** The escape that stands for `c` (a kEscape byte) inside a quoted atom. */
+const char*
+escape_of(char c)
+{
+    switch (c) {
+      case '"':
+        return "\\\"";
+      case '\\':
+        return "\\\\";
+      case '\n':
+        return "\\n";
+      case '\t':
+        return "\\t";
+      default:
+        return "\\r";
+    }
+}
+
+/** True when a token must be written as a quoted string. */
+bool
+needs_quoting(std::string_view token)
+{
+    if (token.empty()) {
+        return true;
+    }
+    for (const char c : token) {
+        if (char_class(c) != 0) {
+            return true;
+        }
+    }
+    return false;
+}
+
+/**
+ * True when a quoted atom as written (`raw`, quotes included) is exactly
+ * what SexprWriter::atom writes for its token.
+ */
+bool
+is_canonical_quoted(std::string_view raw)
+{
+    const std::string_view body = raw.substr(1, raw.size() - 2);
+    bool quote = body.empty();
+    for (std::size_t i = 0; i < body.size(); ++i) {
+        const unsigned char cls = char_class(body[i]);
+        if (body[i] == '\\') {
+            const char esc = body[++i];
+            if (esc != '"' && esc != '\\' && esc != 'n' && esc != 't' &&
+                esc != 'r') {
+                return false;
+            }
+            quote = true;
+        } else if ((cls & kEscape) != 0) {
+            return false;  // a raw newline, tab or CR: written escaped
+        } else {
+            quote = quote || cls != 0;
+        }
+    }
+    return quote;
+}
+
+/** Sexpr::is_integer() and as_integer() of `token`, in one call. */
+bool
+token_integer(std::string_view token, std::int64_t& v)
+{
+    const std::size_t sign =
+        !token.empty() && (token[0] == '-' || token[0] == '+') ? 1 : 0;
+    if (sign == token.size()) {
+        return false;
+    }
+    for (std::size_t i = sign; i < token.size(); ++i) {
+        if (token[i] < '0' || token[i] > '9') {
+            return false;
+        }
+    }
+    const char* first = token.data() + (token[0] == '+' ? 1 : 0);
+    const auto [end, ec] =
+        std::from_chars(first, token.data() + token.size(), v);
+    (void)end;
+    if (ec == std::errc::result_out_of_range) {
+        // What strtoll gives: the nearest representable value.
+        v = token[0] == '-' ? std::numeric_limits<std::int64_t>::min()
+                            : std::numeric_limits<std::int64_t>::max();
+    }
+    return true;
+}
+
+/** Sexpr::is_number() and as_number() of `token`, in one call. */
+bool
+token_number(std::string_view token, double& v)
+{
+    if (token == "0x0p+0") {
+        v = 0.0;
+        return true;
+    }
+    // strtod needs a terminated copy; it stops at an embedded NUL, which
+    // then reads as the end, as it does for a std::string's c_str().
+    char buf[64];
+    std::string big;
+    const char* s = buf;
+    if (token.size() < sizeof buf) {
+        std::memcpy(buf, token.data(), token.size());
+        buf[token.size()] = '\0';
+    } else {
+        big.assign(token);
+        s = big.c_str();
+    }
+    char* end = nullptr;
+    v = std::strtod(s, &end);
+    return end != s && *end == '\0';
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------------
+
+void
+SexprWriter::separate()
+{
+    if (!first_) {
+        out_ += ' ';
+    }
+    first_ = false;
+}
+
+SexprWriter&
+SexprWriter::open()
+{
+    separate();
+    out_ += '(';
+    first_ = true;
+    return *this;
+}
+
+SexprWriter&
+SexprWriter::open(std::string_view head)
+{
+    return open().atom(head);
+}
+
+SexprWriter&
+SexprWriter::close()
+{
+    out_ += ')';
+    first_ = false;
+    return *this;
+}
+
+SexprWriter&
+SexprWriter::atom(std::string_view token)
+{
+    separate();
+    if (!needs_quoting(token)) {
+        out_ += token;
+        return *this;
+    }
+    out_ += '"';
+    std::size_t start = 0;
+    for (std::size_t i = 0; i < token.size(); ++i) {
+        if ((char_class(token[i]) & kEscape) != 0) {
+            out_.append(token, start, i - start);
+            out_ += escape_of(token[i]);
+            start = i + 1;
+        }
+    }
+    out_.append(token, start);
+    out_ += '"';
+    return *this;
+}
+
+SexprWriter&
+SexprWriter::i64(std::int64_t v)
+{
+    separate();
+    char buf[24];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+    (void)ec;
+    out_.append(buf, end);
+    return *this;
+}
+
+SexprWriter&
+SexprWriter::f64(double v)
+{
+    if (v == 0.0 && !std::signbit(v)) {
+        return raw("0x0p+0");
+    }
+    char buf[48];
+    const int n = std::snprintf(buf, sizeof buf, "%a", v);
+    return raw(std::string_view(buf, static_cast<std::size_t>(n)));
+}
+
+SexprWriter&
+SexprWriter::raw(std::string_view element)
+{
+    separate();
+    out_ += element;
+    return *this;
+}
+
+// ---------------------------------------------------------------------------
+// Cursor
+// ---------------------------------------------------------------------------
+
+std::string
+SexprCursor::Item::token() const
+{
+    DIOS_ASSERT(!list, "token() of a list element");
+    if (!quoted) {
+        return std::string(raw);
+    }
+    const std::string_view body = raw.substr(1, raw.size() - 2);
+    std::string out;
+    out.reserve(body.size());
+    std::size_t start = 0;
+    for (std::size_t k = body.find('\\'); k != std::string_view::npos;
+         k = body.find('\\', start)) {
+        out.append(body, start, k - start);
+        const char esc = body[k + 1];
+        out += esc == 'n' ? '\n' : esc == 't' ? '\t' : esc == 'r' ? '\r' : esc;
+        start = k + 2;
+    }
+    out.append(body, start);
+    return out;
+}
+
+bool
+SexprCursor::Item::is(std::string_view token) const
+{
+    if (list) {
+        return false;
+    }
+    if (!quoted) {
+        return raw == token;
+    }
+    const std::string_view body = raw.substr(1, raw.size() - 2);
+    return body.find('\\') == std::string_view::npos ? body == token
+                                                     : this->token() == token;
+}
+
+bool
+SexprCursor::Item::integer(std::int64_t& v) const
+{
+    return !list && (quoted ? token_integer(token(), v)
+                            : token_integer(raw, v));
+}
+
+bool
+SexprCursor::Item::number(double& v) const
+{
+    return !list && (quoted ? token_number(token(), v)
+                            : token_number(raw, v));
+}
+
+SexprCursor::SexprCursor(std::string_view text, std::string_view where)
+    : text_(text), where_(where)
+{
+}
+
+void
+SexprCursor::fail(const char* what) const
+{
+    detail::raise_user(std::string(where_) + what);
+}
+
+void
+SexprCursor::skip_space_slow()
+{
+    const char* const data = text_.data();
+    const std::size_t n = text_.size();
+    std::size_t i = pos_;
+    while (i < n) {
+        if (is_space(data[i])) {
+            ++i;
+        } else if (data[i] == ';') {
+            // Line comment.
+            const void* eol = std::memchr(data + i, '\n', n - i);
+            i = eol ? static_cast<std::size_t>(
+                          static_cast<const char*>(eol) - data)
+                    : n;
+        } else {
+            break;
+        }
+    }
+    pos_ = i;
+}
+
+void
+SexprCursor::scan_atom()
+{
+    const char* const data = text_.data();
+    const std::size_t n = text_.size();
+    std::size_t i = pos_;
+    if (data[i] != '"') {
+        while (i < n && !ends_atom(data[i])) {
+            ++i;
+        }
+        pos_ = i;
+        return;
+    }
+    // A quote closes the string unless an odd run of backslashes (an
+    // escape) stands right before it.
+    const std::size_t body = i + 1;
+    const auto escapes_before = [&](std::size_t at) {
+        std::size_t run = 0;
+        while (at - run > body && data[at - run - 1] == '\\') {
+            ++run;
+        }
+        return run % 2 == 1;
+    };
+    for (i = body;;) {
+        const void* quote = std::memchr(data + i, '"', n - i);
+        if (quote == nullptr) {
+            pos_ = n;
+            fail(escapes_before(n)
+                     ? "dangling escape at end of s-expression string"
+                     : "unterminated string in s-expression");
+        }
+        const std::size_t at = static_cast<std::size_t>(
+            static_cast<const char*>(quote) - data);
+        i = at + 1;
+        if (!escapes_before(at)) {
+            pos_ = i;
+            return;
+        }
+    }
+}
+
+bool
+SexprCursor::at_list()
+{
+    skip_space();
+    return pos_ < text_.size() && text_[pos_] == '(';
+}
+
+void
+SexprCursor::enter()
+{
+    DIOS_ASSERT(at_list(), "SexprCursor::enter() not at a list");
+    ++pos_;
+    ++depth_;
+}
+
+bool
+SexprCursor::more()
+{
+    skip_space();
+    if (depth_ == 0) {
+        return pos_ < text_.size();
+    }
+    if (pos_ >= text_.size()) {
+        fail("unterminated s-expression list");
+    }
+    if (text_[pos_] != ')') {
+        return true;
+    }
+    ++pos_;
+    --depth_;
+    return false;
+}
+
+SexprCursor::Item
+SexprCursor::next()
+{
+    skip_space();
+    if (pos_ >= text_.size()) {
+        fail("unexpected end of s-expression input");
+    }
+    const std::size_t start = pos_;
+    const char first = text_[pos_];
+    if (first == ')') {
+        fail("unexpected ')' in s-expression");
+    }
+    if (first != '(') {
+        scan_atom();
+        return {text_.substr(start, pos_ - start), false, first == '"'};
+    }
+    for (std::size_t depth = 0;;) {
+        const char c = text_[pos_];
+        if (c == '(') {
+            ++depth;
+            ++pos_;
+        } else if (c == ')') {
+            ++pos_;
+            if (--depth == 0) {
+                return {text_.substr(start, pos_ - start), true, false};
+            }
+        } else {
+            scan_atom();
+        }
+        skip_space();
+        if (pos_ >= text_.size()) {
+            fail("unterminated s-expression list");
+        }
+    }
+}
+
+std::optional<SexprCursor::Item>
+SexprCursor::field()
+{
+    if (!at_list()) {
+        next();
+        return std::nullopt;
+    }
+    enter();
+    if (!more()) {
+        return std::nullopt;
+    }
+    if (at_list()) {
+        skip_rest();
+        return std::nullopt;
+    }
+    return next();
+}
+
+std::size_t
+SexprCursor::read_rest(std::span<Item> out)
+{
+    std::size_t n = 0;
+    for (; more(); ++n) {
+        const Item item = next();
+        if (n < out.size()) {
+            out[n] = item;
+        }
+    }
+    return n;
+}
+
+void
+SexprCursor::skip_rest()
+{
+    read_rest({});
+}
+
+void
+SexprCursor::finish()
+{
+    skip_space();
+    if (pos_ < text_.size()) {
+        fail("trailing characters after s-expression");
+    }
+}
+
+std::int64_t
+as_i64(const SexprCursor::Item& v, std::string_view where)
+{
+    std::int64_t out = 0;
+    DIOS_CHECK(v.integer(out), std::string(where) +
+                                   ": expected an integer, got '" +
+                                   std::string(v.raw) + "'");
+    return out;
+}
+
+double
+as_f64(const SexprCursor::Item& v, std::string_view where)
+{
+    double out = 0.0;
+    DIOS_CHECK(v.number(out), std::string(where) +
+                                  ": expected a number, got '" +
+                                  std::string(v.raw) + "'");
+    return out;
+}
+
+// ---------------------------------------------------------------------------
+// Flat and pretty text
+// ---------------------------------------------------------------------------
+
+std::string
+flat_sexpr(std::string_view text)
+{
+    SexprCursor c(text);
+    SexprWriter w;
+    std::size_t depth = 0;
+    do {
+        if (depth > 0 && !c.more()) {
+            w.close();
+            --depth;
+        } else if (c.at_list()) {
+            c.enter();
+            w.open();
+            ++depth;
+        } else if (const SexprCursor::Item a = c.next();
+                   a.quoted && !is_canonical_quoted(a.raw)) {
+            w.atom(a.token());
+        } else if (a.quoted) {
+            w.raw(a.raw);
+        } else {
+            w.atom(a.raw);
+        }
+    } while (depth > 0);
+    c.finish();
+    return w.take();
+}
+
+namespace {
+
+/** One past the atom at `pos` of canonical flat text. */
+std::size_t
+atom_end(std::string_view flat, std::size_t pos)
+{
+    if (flat[pos] != '"') {
+        while (pos < flat.size() && flat[pos] != ' ' && flat[pos] != ')') {
+            ++pos;
+        }
+        return pos;
+    }
+    for (++pos; flat[pos] != '"'; ++pos) {
+        pos += flat[pos] == '\\' ? 1 : 0;
+    }
+    return pos + 1;
+}
+
+/** One past the list at `pos` if it spans at most `limit` bytes, else npos. */
+std::size_t
+list_end_within(std::string_view flat, std::size_t pos, std::size_t limit)
+{
+    const std::size_t stop = std::min(flat.size(), pos + limit);
+    std::size_t depth = 0;
+    for (std::size_t i = pos; i < stop; ++i) {
+        const char c = flat[i];
+        if (c == '"') {
+            for (++i; i < stop && flat[i] != '"'; ++i) {
+                i += flat[i] == '\\' ? 1 : 0;
+            }
+        } else if (c == '(') {
+            ++depth;
+        } else if (c == ')' && --depth == 0) {
+            return i + 1;
+        }
+    }
+    return std::string_view::npos;
+}
+
+void
+write_pretty(std::string_view flat, std::size_t& pos, int indent,
+             int max_width, std::string& out)
+{
+    std::size_t end = flat[pos] != '(' ? atom_end(flat, pos)
+                      : indent <= max_width
+                          ? list_end_within(
+                                flat, pos,
+                                static_cast<std::size_t>(max_width - indent))
+                          : std::string_view::npos;
+    if (end != std::string_view::npos) {
+        out.append(flat, pos, end - pos);
+        pos = end;
+        return;
+    }
+    out += '(';
+    for (++pos; flat[pos] != ')';) {
+        if (flat[pos] == ' ') {
+            ++pos;
+            out += '\n';
+            out.append(static_cast<std::size_t>(indent) + 2, ' ');
+        }
+        write_pretty(flat, pos, indent + 2, max_width, out);
+    }
+    out += ')';
+    ++pos;
+}
+
+}  // namespace
+
+std::string
+pretty_sexpr(std::string_view flat, int max_width)
+{
+    std::string out;
+    out.reserve(flat.size() + flat.size() / 4);
+    std::size_t pos = 0;
+    write_pretty(flat, pos, 0, max_width, out);
+    return out;
+}
+
+// ---------------------------------------------------------------------------
+// Tree
+// ---------------------------------------------------------------------------
 
 Sexpr
 Sexpr::atom(std::string token)
@@ -68,148 +690,55 @@ Sexpr::operator[](std::size_t i) const
 bool
 Sexpr::is_integer() const
 {
-    if (!is_atom_ || token_.empty()) {
-        return false;
-    }
-    std::size_t i = (token_[0] == '-' || token_[0] == '+') ? 1 : 0;
-    if (i == token_.size()) {
-        return false;
-    }
-    for (; i < token_.size(); ++i) {
-        if (!std::isdigit(static_cast<unsigned char>(token_[i]))) {
-            return false;
-        }
-    }
-    return true;
+    std::int64_t v = 0;
+    return is_atom_ && token_integer(token_, v);
 }
 
 std::int64_t
 Sexpr::as_integer() const
 {
-    DIOS_ASSERT(is_integer(), "as_integer() on non-integer atom");
-    return std::strtoll(token_.c_str(), nullptr, 10);
+    std::int64_t v = 0;
+    DIOS_ASSERT(is_atom_ && token_integer(token_, v),
+                "as_integer() on non-integer atom");
+    return v;
 }
 
 bool
 Sexpr::is_number() const
 {
-    if (!is_atom_ || token_.empty()) {
-        return false;
-    }
-    char* end = nullptr;
-    std::strtod(token_.c_str(), &end);
-    return end != nullptr && *end == '\0' && end != token_.c_str();
+    double v = 0.0;
+    return is_atom_ && token_number(token_, v);
 }
 
 double
 Sexpr::as_number() const
 {
-    DIOS_ASSERT(is_number(), "as_number() on non-numeric atom");
-    return std::strtod(token_.c_str(), nullptr);
+    double v = 0.0;
+    DIOS_ASSERT(is_atom_ && token_number(token_, v),
+                "as_number() on non-numeric atom");
+    return v;
+}
+
+void
+Sexpr::write(SexprWriter& w) const
+{
+    if (is_atom_) {
+        w.atom(token_);
+        return;
+    }
+    w.open();
+    for (const Sexpr& child : children_) {
+        child.write(w);
+    }
+    w.close();
 }
 
 std::string
 Sexpr::to_string() const
 {
-    std::string out;
-    write(out);
-    return out;
-}
-
-namespace {
-
-/** True when a token must be serialized as a quoted string. */
-bool
-needs_quoting(const std::string& token)
-{
-    if (token.empty()) {
-        return true;
-    }
-    for (const char c : token) {
-        if (std::isspace(static_cast<unsigned char>(c)) || c == '(' ||
-            c == ')' || c == ';' || c == '"' || c == '\\') {
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-write_quoted(std::string& out, const std::string& token)
-{
-    out += '"';
-    for (const char c : token) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            out += c;
-        }
-    }
-    out += '"';
-}
-
-}  // namespace
-
-void
-Sexpr::write(std::string& out) const
-{
-    if (is_atom_) {
-        if (needs_quoting(token_)) {
-            write_quoted(out, token_);
-        } else {
-            out += token_;
-        }
-        return;
-    }
-    out += '(';
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-        if (i > 0) {
-            out += ' ';
-        }
-        children_[i].write(out);
-    }
-    out += ')';
-}
-
-std::string
-Sexpr::to_pretty_string(int max_width) const
-{
-    std::string out;
-    write_pretty(out, 0, max_width);
-    return out;
-}
-
-void
-Sexpr::write_pretty(std::string& out, int indent, int max_width) const
-{
-    const std::string flat = to_string();
-    if (is_atom_ || indent + static_cast<int>(flat.size()) <= max_width) {
-        out += flat;
-        return;
-    }
-    out += '(';
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-        if (i > 0) {
-            out += '\n';
-            out.append(static_cast<std::size_t>(indent) + 2, ' ');
-        }
-        children_[i].write_pretty(out, indent + 2, max_width);
-    }
-    out += ')';
+    SexprWriter w;
+    write(w);
+    return w.take();
 }
 
 bool
@@ -226,151 +755,42 @@ Sexpr::operator==(const Sexpr& other) const
 
 namespace {
 
-/** Recursive-descent s-expression parser over a raw character buffer. */
-class Parser {
-  public:
-    explicit Parser(const std::string& text) : text_(text) {}
-
-    Sexpr
-    parse_one()
-    {
-        skip_space();
-        DIOS_CHECK(!at_end(), "unexpected end of s-expression input");
-        if (peek() == '(') {
-            return parse_list();
-        }
-        DIOS_CHECK(peek() != ')', "unexpected ')' in s-expression");
-        if (peek() == '"') {
-            return parse_string();
-        }
-        return parse_atom();
+Sexpr
+parse_one(SexprCursor& c)
+{
+    if (!c.at_list()) {
+        const SexprCursor::Item a = c.next();
+        return a.quoted ? Sexpr::string_atom(a.token())
+                        : Sexpr::atom(a.token());
     }
-
-    void
-    skip_space()
-    {
-        while (!at_end()) {
-            const char c = peek();
-            if (std::isspace(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (c == ';') {
-                // Line comment.
-                while (!at_end() && peek() != '\n') {
-                    ++pos_;
-                }
-            } else {
-                break;
-            }
-        }
+    c.enter();
+    std::vector<Sexpr> children;
+    while (c.more()) {
+        children.push_back(parse_one(c));
     }
-
-    bool at_end() const { return pos_ >= text_.size(); }
-
-  private:
-    char peek() const { return text_[pos_]; }
-
-    Sexpr
-    parse_list()
-    {
-        ++pos_;  // consume '('
-        std::vector<Sexpr> children;
-        while (true) {
-            skip_space();
-            DIOS_CHECK(!at_end(), "unterminated s-expression list");
-            if (peek() == ')') {
-                ++pos_;
-                return Sexpr::list(std::move(children));
-            }
-            children.push_back(parse_one());
-        }
-    }
-
-    Sexpr
-    parse_string()
-    {
-        ++pos_;  // consume opening '"'
-        std::string text;
-        while (true) {
-            DIOS_CHECK(!at_end(), "unterminated string in s-expression");
-            const char c = peek();
-            ++pos_;
-            if (c == '"') {
-                return Sexpr::string_atom(std::move(text));
-            }
-            if (c != '\\') {
-                text += c;
-                continue;
-            }
-            DIOS_CHECK(!at_end(),
-                       "dangling escape at end of s-expression string");
-            const char esc = peek();
-            ++pos_;
-            switch (esc) {
-              case 'n':
-                text += '\n';
-                break;
-              case 't':
-                text += '\t';
-                break;
-              case 'r':
-                text += '\r';
-                break;
-              default:
-                // Covers \" and \\; any other escaped char is literal.
-                text += esc;
-            }
-        }
-    }
-
-    Sexpr
-    parse_atom()
-    {
-        const std::size_t start = pos_;
-        while (!at_end()) {
-            const char c = peek();
-            if (std::isspace(static_cast<unsigned char>(c)) || c == '(' ||
-                c == ')' || c == ';') {
-                break;
-            }
-            ++pos_;
-        }
-        return Sexpr::atom(text_.substr(start, pos_ - start));
-    }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-};
+    return Sexpr::list(std::move(children));
+}
 
 }  // namespace
 
 Sexpr
 parse_sexpr(const std::string& text)
 {
-    Parser p(text);
-    Sexpr result = p.parse_one();
-    p.skip_space();
-    DIOS_CHECK(p.at_end(), "trailing characters after s-expression");
+    SexprCursor c(text);
+    Sexpr result = parse_one(c);
+    c.finish();
     return result;
 }
 
 std::vector<Sexpr>
 parse_sexpr_list(const std::string& text)
 {
-    Parser p(text);
+    SexprCursor c(text);
     std::vector<Sexpr> out;
-    p.skip_space();
-    while (!p.at_end()) {
-        out.push_back(p.parse_one());
-        p.skip_space();
+    while (c.more()) {
+        out.push_back(parse_one(c));
     }
     return out;
-}
-
-Sexpr
-field(const std::string& name, std::vector<Sexpr> values)
-{
-    values.insert(values.begin(), Sexpr::atom(name));
-    return Sexpr::list(std::move(values));
 }
 
 bool
@@ -378,47 +798,6 @@ is_field(const Sexpr& s, std::string_view name)
 {
     return s.is_list() && s.size() >= 1 && s[0].is_atom() &&
            s[0].token() == name;
-}
-
-Sexpr
-f64_atom(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return Sexpr::atom(buf);
-}
-
-Sexpr
-i64_atom(std::int64_t v)
-{
-    return Sexpr::atom(std::to_string(v));
-}
-
-std::int64_t
-as_i64(const Sexpr& s, std::string_view where)
-{
-    DIOS_CHECK(s.is_integer(), std::string(where) +
-                                   ": expected an integer, got '" +
-                                   s.to_string() + "'");
-    return s.as_integer();
-}
-
-double
-as_f64(const Sexpr& s, std::string_view where)
-{
-    DIOS_CHECK(s.is_number(), std::string(where) +
-                                  ": expected a number, got '" +
-                                  s.to_string() + "'");
-    return s.as_number();
-}
-
-const Sexpr&
-field_value(const Sexpr& f, std::string_view where)
-{
-    DIOS_CHECK(f.size() == 2 && f[1].is_atom(),
-               std::string(where) + ": field '" + f[0].token() +
-                   "' expects one atom");
-    return f[1];
 }
 
 }  // namespace diospyros

@@ -1,22 +1,35 @@
 /**
  * @file
- * S-expression reader and writer.
+ * S-expression text: a tree (Sexpr), a streaming writer (SexprWriter)
+ * and a one-pass reader (SexprCursor).
  *
- * The vector DSL (paper Figure 3), rewrite-rule patterns, and test fixtures
- * are all written in s-expression syntax, e.g.
- * `(VecAdd (Vec (Get a 0) (Get a 1)) (Vec (Get b 0) (Get b 1)))`.
+ * The vector DSL (paper Figure 3), rewrite-rule patterns, strategies and
+ * test fixtures are written in s-expression syntax, e.g.
+ * `(VecAdd (Vec (Get a 0) (Get a 1)) (Vec (Get b 0) (Get b 1)))`, and
+ * parsed into Sexpr trees. The cache entry, its disk envelope and the
+ * daemon payloads (service/serialize.h, daemon/protocol.h) are the same
+ * dialect but never become trees: their writers append tokens to one
+ * string and their readers walk the text once, taking atoms as views.
+ * There is one tokenizer (the cursor; parse_sexpr builds its tree from
+ * it) and one set of spacing and quoting rules (the writer;
+ * Sexpr::to_string goes through it).
  */
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "support/error.h"
 
 namespace diospyros {
+
+class SexprWriter;
 
 /** A parsed s-expression: either an atom (token) or a list of children. */
 class Sexpr {
@@ -28,8 +41,7 @@ class Sexpr {
      * Makes an atom holding arbitrary text (may be empty or contain
      * whitespace, parens, quotes...). Serialized as a double-quoted
      * string with escapes; parses back to an atom with identical
-     * token(). Used by the on-disk compile cache to embed generated C
-     * source and error messages.
+     * token().
      */
     static Sexpr string_atom(std::string text);
 
@@ -66,19 +78,12 @@ class Sexpr {
     /** Serializes back to textual s-expression form. */
     std::string to_string() const;
 
-    /**
-     * Serializes with line wrapping at roughly the given column, indenting
-     * nested lists — used when emitting large specs to disk.
-     */
-    std::string to_pretty_string(int max_width = 79) const;
-
     bool operator==(const Sexpr& other) const;
 
   private:
     Sexpr() = default;
 
-    void write(std::string& out) const;
-    void write_pretty(std::string& out, int indent, int max_width) const;
+    void write(SexprWriter& w) const;
 
     bool is_atom_ = false;
     std::string token_;
@@ -94,29 +99,166 @@ Sexpr parse_sexpr(const std::string& text);
 /** Parses a sequence of s-expressions (e.g. a rule file). */
 std::vector<Sexpr> parse_sexpr_list(const std::string& text);
 
-// Field helpers for `(name value...)` records (the daemon wire format, the
-// cache envelope). Readers raise UserError prefixed with `where`.
-
-/** A `(name values...)` field node. */
-Sexpr field(const std::string& name, std::vector<Sexpr> values);
-
 /** True when `s` is a list whose head atom equals `name`. */
 bool is_field(const Sexpr& s, std::string_view name);
 
-/** Exact round trip for doubles: a hexfloat atom ("0x1.8p+1"). */
-Sexpr f64_atom(double v);
+/**
+ * Appends s-expression text to one string, token by token, with exactly
+ * the spacing and quoting of Sexpr::to_string(): one space between the
+ * elements of a list and none inside its parentheses; an atom is quoted
+ * (with \" \\ \n \t \r escapes) when it is empty or holds whitespace,
+ * parentheses, ';', '"' or '\'.
+ */
+class SexprWriter {
+  public:
+    /** Opens a list. */
+    SexprWriter& open();
+    /** Opens a list and writes its head atom. */
+    SexprWriter& open(std::string_view head);
+    SexprWriter& close();
 
-/** A decimal integer atom. */
-Sexpr i64_atom(std::int64_t v);
+    /** An atom whose token() reads back as `token`. */
+    SexprWriter& atom(std::string_view token);
+    /** A decimal integer atom. */
+    SexprWriter& i64(std::int64_t v);
+    /** Exact round trip for doubles: a hexfloat atom ("0x1.8p+1"). */
+    SexprWriter& f64(double v);
+    /** An element already written in this form, copied as it is. */
+    SexprWriter& raw(std::string_view element);
 
-/** `s` as an integer atom. */
-std::int64_t as_i64(const Sexpr& s, std::string_view where);
+    /** `(name value)`: an integer, a double or an atom's text. */
+    template <class T>
+    SexprWriter&
+    field(std::string_view name, const T& value)
+    {
+        open(name);
+        if constexpr (std::is_integral_v<T>) {
+            i64(static_cast<std::int64_t>(value));
+        } else if constexpr (std::is_floating_point_v<T>) {
+            f64(value);
+        } else {
+            atom(value);
+        }
+        return close();
+    }
 
-/** `s` as a number atom (integer, decimal or hexfloat). */
-double as_f64(const Sexpr& s, std::string_view where);
+    const std::string& str() const { return out_; }
+    std::string take() { return std::move(out_); }
 
-/** The single value of field `f`, which must be an atom: `(name atom)`. */
-const Sexpr& field_value(const Sexpr& f, std::string_view where);
+  private:
+    /** The space before an element that is not first in its list. */
+    void separate();
+
+    std::string out_;
+    bool first_ = true;
+};
+
+/**
+ * Walks the text of s-expressions once, without building a tree. Atoms
+ * come back as views of the text; a list is either entered (its elements
+ * are then read one by one) or taken whole as one element, unread.
+ * Syntax errors raise UserError with parse_sexpr's messages, prefixed
+ * with the `where` given at construction; they surface when the cursor
+ * reaches them, not up front.
+ */
+class SexprCursor {
+  public:
+    /** One element: an atom, or a whole list taken unread. */
+    struct Item {
+        /** Its text as written: quotes and escapes included. */
+        std::string_view raw;
+        bool list = false;
+        bool quoted = false;
+
+        bool is_atom() const { return !list; }
+        /** The atom's text, unescaped; requires is_atom(). */
+        std::string token() const;
+        /** True for an atom whose token() equals `token`. */
+        bool is(std::string_view token) const;
+        /**
+         * True for an atom spelling a signed decimal integer; sets `v`
+         * (saturated, as strtoll does).
+         */
+        bool integer(std::int64_t& v) const;
+        /**
+         * True for an atom strtod reads whole (decimal, hexfloat, inf,
+         * nan); sets `v`.
+         */
+        bool number(double& v) const;
+    };
+
+    explicit SexprCursor(std::string_view text, std::string_view where = {});
+
+    /** True when the next element is a list. */
+    bool at_list();
+    /** Enters the list that is next; requires at_list(). */
+    void enter();
+    /**
+     * True when the current list (or, outside every list, the text) has
+     * another element; at the end of a list, consumes its ')'.
+     */
+    bool more();
+    /** Consumes the next element. */
+    Item next();
+    /**
+     * When the next element is a list headed by an atom, enters it and
+     * returns the head (the rest of the list is the caller's to read);
+     * otherwise consumes the element and returns nothing.
+     */
+    std::optional<Item> field();
+    /**
+     * Consumes the rest of the current list, its ')' included, storing its
+     * first out.size() elements in `out`; returns how many it held.
+     */
+    std::size_t read_rest(std::span<Item> out);
+    /** Consumes the rest of the current list, its ')' included. */
+    void skip_rest();
+    /** Raises UserError unless only whitespace and comments remain. */
+    void finish();
+
+  private:
+    [[noreturn]] void fail(const char* what) const;
+    /**
+     * Skips whitespace and comments; inline for the common cases, no gap
+     * or the one space between elements.
+     */
+    void
+    skip_space()
+    {
+        if (pos_ < text_.size() && text_[pos_] == ' ') {
+            ++pos_;
+        }
+        if (pos_ >= text_.size() ||
+            (text_[pos_] > ' ' && text_[pos_] != ';')) {
+            return;
+        }
+        skip_space_slow();
+    }
+    void skip_space_slow();
+    /** Consumes a quoted string or a bare atom starting at pos_. */
+    void scan_atom();
+
+    std::string_view text_;
+    std::string_view where_;
+    std::size_t pos_ = 0;
+    std::size_t depth_ = 0;
+};
+
+/** The canonical (Sexpr::to_string) text of the one element in `text`. */
+std::string flat_sexpr(std::string_view text);
+
+/**
+ * The pretty layout of canonical flat text, in one pass: a list that
+ * fits in `max_width` columns at its indent stays on one line, a longer
+ * one puts each element after its head on a new line indented two more.
+ */
+std::string pretty_sexpr(std::string_view flat, int max_width = 79);
+
+/** `v` as an integer atom; raises UserError "<where>: expected ...". */
+std::int64_t as_i64(const SexprCursor::Item& v, std::string_view where);
+
+/** `v` as a number atom (integer, decimal or hexfloat). */
+double as_f64(const SexprCursor::Item& v, std::string_view where);
 
 /**
  * The reverse of a name function: the enumerator among the first `count`
@@ -129,7 +271,15 @@ enum_from_name(std::string_view name, int count, const char* (*name_of)(Enum),
                std::string_view what)
 {
     for (int i = 0; i < count; ++i) {
-        if (name == name_of(static_cast<Enum>(i))) {
+        // Compared byte by byte: most names differ early, so none is
+        // measured first.
+        const char* candidate = name_of(static_cast<Enum>(i));
+        std::size_t k = 0;
+        while (k < name.size() && candidate[k] != '\0' &&
+               candidate[k] == name[k]) {
+            ++k;
+        }
+        if (k == name.size() && candidate[k] == '\0') {
             return static_cast<Enum>(i);
         }
     }

@@ -843,8 +843,8 @@ TEST(ReportFields, EveryRowTravelsAndPrintsOnce)
     const CompileReport none;
     service::CachedEntry entry;
     entry.report = r;
-    const service::CachedEntry back = service::entry_from_sexpr(
-        parse_sexpr(service::entry_to_sexpr(entry).to_string()));
+    const service::CachedEntry back =
+        service::decode_entry(service::encode_entry(entry));
 
     JsonWriter w;
     w.open('{');
@@ -862,8 +862,10 @@ TEST(ReportFields, EveryRowTravelsAndPrintsOnce)
         f.json(unset.open('{'), none);
         EXPECT_NE(set.str(), unset.str());
         if (f.persisted()) {
-            EXPECT_EQ(f.encode(back.report).to_string(),
-                      f.encode(r).to_string());
+            SexprWriter want, got;
+            f.encode(r, want);
+            f.encode(back.report, got);
+            EXPECT_EQ(got.str(), want.str());
         }
         const bool in_json = (f.where & kJson) != 0;
         json_rows += in_json;

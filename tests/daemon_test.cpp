@@ -445,6 +445,42 @@ TEST(Protocol, MalformedPayloadsRaiseUserErrorNeverCrash)
     }
 }
 
+TEST(Protocol, ResponseEntryWithAFloatOutsideFloatRangeIsRejected)
+{
+    // Narrowing a finite double outside float range is undefined: an
+    // instruction's immediate or a pool value of 1e300 fails the decode,
+    // naming the instruction or pool index, while inf and nan decode.
+    CompileResponse ok;
+    ok.status = ResponseStatus::kOk;
+    ok.entry.emplace();
+    ok.entry->machine.code = {Instr{.op = Opcode::kHalt},
+                              Instr{.op = Opcode::kHalt, .fimm = 4321.25f}};
+    ok.entry->pool = {1.0f, 1234.5f};
+    const std::string wire = daemon::encode_compile_response(ok);
+    for (const auto& [value, names] :
+         std::vector<std::pair<double, std::string>>{
+             {4321.25, "instruction 1"}, {1234.5, "pool 1"}}) {
+        SexprWriter w;
+        const std::string token = w.f64(value).str();
+        const std::size_t at = wire.find(" " + token);
+        ASSERT_NE(at, std::string::npos) << token;
+        std::string bad = wire;
+        bad.replace(at + 1, token.size(), "1e300");
+        try {
+            daemon::decode_compile_response(bad);
+            ADD_FAILURE() << names << " = 1e300 decoded";
+        } catch (const UserError& e) {
+            EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+                << e.what();
+        }
+        for (const char* good : {"inf", "nan"}) {
+            std::string fine = wire;
+            fine.replace(at + 1, token.size(), good);
+            EXPECT_NO_THROW(daemon::decode_compile_response(fine)) << good;
+        }
+    }
+}
+
 TEST(Protocol, ResponseEntryWithABadWidthIsRejected)
 {
     // The reader pads the spec to the entry's width, so a zero width
@@ -540,7 +576,7 @@ TEST(Protocol, EveryOptionFieldRoundTripsAndKeysByIdentity)
         if (is_field(part, "options")) {
             std::vector<Sexpr> opts = part.children();
             std::reverse(opts.begin() + 1, opts.end());
-            opts.push_back(field("from-a-newer-client", {i64_atom(1)}));
+            opts.push_back(parse_sexpr("(from-a-newer-client 1)"));
             part = Sexpr::list(std::move(opts));
         }
     }

@@ -137,18 +137,19 @@ TEST(Envelope, ChecksumCoversCanonicalPayload)
     const CompilerOptions options = test_options();
     const CachedEntry entry = compiled_entry(kernel, options);
 
-    const Sexpr env = service::envelope_to_sexpr(entry);
-    const service::EnvelopeFields fields = service::envelope_fields(env);
+    const std::string file = service::encode_envelope(entry);
+    const service::EnvelopeFields fields = service::read_envelope(file);
     ASSERT_TRUE(fields.well_formed) << fields.error;
     EXPECT_EQ(fields.format_version, service::kCacheFormatVersion);
     EXPECT_EQ(fields.rule_set_version, service::kRuleSetVersion);
     EXPECT_EQ(fields.checksum, stable_hash_string(fields.payload_text));
+    EXPECT_EQ(fields.payload_text, service::encode_entry(entry));
 
     // Pretty-printing (what store() writes) only changes whitespace, so
     // the canonical payload text — and with it the checksum — survives a
-    // parse round trip of the pretty form.
-    const Sexpr reparsed = parse_sexpr(env.to_pretty_string());
-    const service::EnvelopeFields again = service::envelope_fields(reparsed);
+    // flat rendering of the whole envelope.
+    const service::EnvelopeFields again =
+        service::read_envelope(parse_sexpr(file).to_string());
     ASSERT_TRUE(again.well_formed) << again.error;
     EXPECT_EQ(again.payload_text, fields.payload_text);
     EXPECT_EQ(again.checksum, fields.checksum);
@@ -156,13 +157,12 @@ TEST(Envelope, ChecksumCoversCanonicalPayload)
 
 TEST(Envelope, MalformedEnvelopesAreReported)
 {
-    const service::EnvelopeFields atom =
-        service::envelope_fields(Sexpr::atom("x"));
+    const service::EnvelopeFields atom = service::read_envelope("x");
     EXPECT_FALSE(atom.well_formed);
     EXPECT_FALSE(atom.error.empty());
 
-    const service::EnvelopeFields wrong_head = service::envelope_fields(
-        parse_sexpr("(not-an-envelope (format-version 2))"));
+    const service::EnvelopeFields wrong_head =
+        service::read_envelope("(not-an-envelope (format-version 2))");
     EXPECT_FALSE(wrong_head.well_formed);
 }
 

@@ -304,10 +304,9 @@ TEST(Serialization, EntryRoundTripsByteForByte)
     const service::CachedEntry entry =
         service::make_entry(key, options, *result.compiled);
 
-    const std::string text = service::entry_to_sexpr(entry).to_string();
-    const service::CachedEntry back =
-        service::entry_from_sexpr(parse_sexpr(text));
-    EXPECT_EQ(service::entry_to_sexpr(back).to_string(), text);
+    const std::string text = service::encode_entry(entry);
+    const service::CachedEntry back = service::decode_entry(text);
+    EXPECT_EQ(service::encode_entry(back), text);
 
     // The reconstructed kernel serves byte-identical artifacts...
     const CompiledKernel served =
@@ -335,10 +334,9 @@ TEST(Serialization, MalformedReportFieldIsRejectedByName)
     const CompileResult result = compile_kernel_resilient(kernel, options);
     ASSERT_TRUE(result.ok);
     const std::string text =
-        service::entry_to_sexpr(
+        service::encode_entry(
             service::make_entry(service::compute_cache_key(kernel, options),
-                                options, *result.compiled))
-            .to_string();
+                                options, *result.compiled));
     const std::string row = "(egraph_nodes ";
     const std::size_t at = text.find(row);
     ASSERT_NE(at, std::string::npos) << text;
@@ -353,7 +351,7 @@ TEST(Serialization, MalformedReportFieldIsRejectedByName)
         std::string broken = text;
         broken.replace(at, end - at, bad);
         try {
-            service::entry_from_sexpr(parse_sexpr(broken));
+            service::decode_entry(broken);
             ADD_FAILURE() << bad << ") decoded";
         } catch (const UserError& e) {
             EXPECT_NE(std::string(e.what()).find(
@@ -448,8 +446,8 @@ TEST(OpcodeTable, EveryOpcodeKeepsItsPortsUnitCostsAndMnemonic)
         }
         entry.machine.code.push_back(instr);
     }
-    const service::CachedEntry back = service::entry_from_sexpr(
-        parse_sexpr(service::entry_to_sexpr(entry).to_string()));
+    const service::CachedEntry back =
+        service::decode_entry(service::encode_entry(entry));
     ASSERT_EQ(back.machine.code.size(), entry.machine.code.size());
     for (int k = 0; k < kNumOpcodes; ++k) {
         EXPECT_EQ(back.machine.code[static_cast<std::size_t>(k)].op,
@@ -489,9 +487,8 @@ TEST(Serialization, RegisterOutsideItsFileIsCorrupt)
 
     // A count outside int range and a negative count are malformed too.
     const std::string text =
-        service::entry_to_sexpr(
-            service::make_entry(key, options, *result.compiled))
-            .to_string();
+        service::encode_entry(
+            service::make_entry(key, options, *result.compiled));
     const std::size_t at = text.find("(regs ");
     ASSERT_NE(at, std::string::npos);
     const std::size_t end = text.find(')', at);
@@ -499,8 +496,67 @@ TEST(Serialization, RegisterOutsideItsFileIsCorrupt)
          {std::string("(regs 0 4294967296 4"), std::string("(regs 0 4 -1")}) {
         std::string broken = text;
         broken.replace(at, end - at, regs);
-        EXPECT_THROW(service::entry_from_sexpr(parse_sexpr(broken)), UserError)
+        EXPECT_THROW(service::decode_entry(broken), UserError)
             << regs;
+    }
+}
+
+/** Writes `payload` as `key`'s envelope file, under a matching checksum. */
+void
+write_envelope(const service::DiskCache& disk, const CacheKey& key,
+               const std::string& payload)
+{
+    std::filesystem::create_directories(disk.shard_dir_for(key));
+    std::ofstream(disk.path_for(key), std::ios::binary)
+        << "(dios-cache-envelope (format-version "
+        << service::kCacheFormatVersion << ") (rule-set-version "
+        << service::kRuleSetVersion << ") (checksum "
+        << hash_hex(stable_hash_string(payload)) << ") (payload " << payload
+        << "))\n";
+}
+
+TEST(Serialization, FloatOutsideFloatRangeIsCorrupt)
+{
+    // A finite double outside float range cannot narrow to a float (that
+    // is undefined behaviour), so a checksum-valid entry carrying one as
+    // an instruction's immediate or as a pool value is corrupt, and the
+    // detail names which one. inf and nan are floats and still load.
+    const Kernel kernel = vector_add_kernel(8);
+    const CompilerOptions options = test_options();
+    const CompileResult result = compile_kernel_resilient(kernel, options);
+    ASSERT_TRUE(result.ok);
+    const CacheKey key = service::compute_cache_key(kernel, options);
+    service::CachedEntry entry =
+        service::make_entry(key, options, *result.compiled);
+    ASSERT_GE(entry.machine.code.size(), 3u);
+    entry.machine.code[2].fimm = 4321.25f;
+    entry.pool = {1.0f, 1234.5f};
+    const std::string text = service::encode_entry(entry);
+    TempDir dir("float-range");
+    service::DiskCache disk(dir.str());
+    for (const auto& [value, names] :
+         std::vector<std::pair<float, std::string>>{{4321.25f, "instruction 2"},
+                                                    {1234.5f, "pool 1"}}) {
+        SexprWriter w;
+        const std::string token = w.f64(value).str();
+        const std::size_t at = text.find(" " + token);
+        ASSERT_NE(at, std::string::npos) << token;
+        ASSERT_EQ(text.find(" " + token, at + 1), std::string::npos);
+        for (const char* bad : {"1e300", "-0x1p+1000"}) {
+            std::string broken = text;
+            broken.replace(at + 1, token.size(), bad);
+            write_envelope(disk, key, broken);
+            const service::LoadResult r = disk.load(key);
+            EXPECT_EQ(r.status, service::LoadStatus::kCorrupt) << bad;
+            EXPECT_NE(r.detail.find(names), std::string::npos) << r.detail;
+        }
+        for (const char* good : {"inf", "nan", "0x1.fffffep+127"}) {
+            std::string fine = text;
+            fine.replace(at + 1, token.size(), good);
+            write_envelope(disk, key, fine);
+            EXPECT_EQ(disk.load(key).status, service::LoadStatus::kHit)
+                << good;
+        }
     }
 }
 
@@ -511,10 +567,9 @@ TEST(Serialization, EntryFieldOfTheWrongArityIsRejectedByName)
     const CompileResult result = compile_kernel_resilient(kernel, options);
     ASSERT_TRUE(result.ok);
     const std::string text =
-        service::entry_to_sexpr(
+        service::encode_entry(
             service::make_entry(service::compute_cache_key(kernel, options),
-                                options, *result.compiled))
-            .to_string();
+                                options, *result.compiled));
     // Each would decode at a default value (width 4, a zero key, no time
     // limit) if the field were skipped.
     const std::pair<std::string, std::string> cases[] = {
@@ -528,7 +583,7 @@ TEST(Serialization, EntryFieldOfTheWrongArityIsRejectedByName)
         std::string broken = text;
         broken.replace(at, text.find(')', at) + 1 - at, bad);
         try {
-            service::entry_from_sexpr(parse_sexpr(broken));
+            service::decode_entry(broken);
             ADD_FAILURE() << bad << " decoded";
         } catch (const UserError& e) {
             EXPECT_NE(std::string(e.what()).find("field '" + name + "'"),

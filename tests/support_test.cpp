@@ -80,7 +80,7 @@ TEST(Sexpr, PrettyPrintWrapsLongForms)
                                    std::to_string(i) + ")"));
     }
     const Sexpr s = Sexpr::list(kids);
-    const std::string pretty = s.to_pretty_string(40);
+    const std::string pretty = pretty_sexpr(s.to_string(), 40);
     EXPECT_NE(pretty.find('\n'), std::string::npos);
     EXPECT_EQ(parse_sexpr(pretty), s);
 }
