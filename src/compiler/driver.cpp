@@ -551,14 +551,17 @@ compare_outputs(const scalar::BufferMap& got, const scalar::BufferMap& want)
 }
 
 std::string
-report_row(const std::string& name, const CompileReport& r)
+report_row(const std::string& name, const CompileReport& r, bool cached)
 {
     std::ostringstream os;
     os.setf(std::ios::fixed);
     os.precision(2);
-    os << name << "  time=" << r.total_seconds << "s"
-       << " (sat=" << r.saturation_seconds << "s)"
-       << " nodes=" << r.egraph_nodes << " classes=" << r.egraph_classes
+    os << name;
+    if (!cached) {
+        os << "  time=" << r.total_seconds << "s"
+           << " (sat=" << r.saturation_seconds << "s)";
+    }
+    os << " nodes=" << r.egraph_nodes << " classes=" << r.egraph_classes
        << " stop=" << stop_reason_name(r.stop_reason)
        << " mem~" << (r.memory_proxy_bytes / (1024.0 * 1024.0)) << "MB"
        << " cost=" << r.extracted_cost;

@@ -341,8 +341,9 @@ struct OutputComparison {
 OutputComparison compare_outputs(const scalar::BufferMap& got,
                                  const scalar::BufferMap& want);
 
-/** One-line Table 1-style row for a report. */
-std::string report_row(const std::string& name, const CompileReport& r);
+/** One-line Table 1-style row; without times when `cached` (kClock). */
+std::string report_row(const std::string& name, const CompileReport& r,
+                       bool cached = false);
 
 /**
  * Equality saturation exactly as the compiler runs it, over `graph`

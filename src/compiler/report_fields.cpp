@@ -56,13 +56,15 @@ real(const Item& v)
 }
 
 void
-attempts(JsonWriter& w, const std::vector<AttemptDiagnostic>& attempts)
+attempts(JsonWriter& w, const std::vector<AttemptDiagnostic>& attempts,
+         bool cached)
 {
     w.open('[');
     for (const AttemptDiagnostic& a : attempts) {
         w.open('{').field("level", a.level);
-        w.field("rung", fallback_level_name(a.level));
-        w.field("seconds", a.seconds).field("error", a.error).close('}');
+        w.field("rung", fallback_level_name(a.level)).key("seconds");
+        cached ? w.null() : w.value(a.seconds);
+        w.field("error", a.error).close('}');
     }
     w.close(']');
 }
@@ -115,11 +117,8 @@ phases(JsonWriter& w, const R& r)
 }
 
 constexpr ReportField kFields[] = {
-    {"total_seconds", kJP, &R::total_seconds},
-    {"lift_seconds", kPersisted, &R::lift_seconds},
-    {"saturation_seconds", kJP, &R::saturation_seconds},
-    {"extract_seconds", kPersisted, &R::extract_seconds},
-    {"backend_seconds", kPersisted, &R::backend_seconds},
+    {"total_seconds", kJson | kClock, &R::total_seconds},
+    {"saturation_seconds", kJson | kClock, &R::saturation_seconds},
     {"egraph_nodes", kJP, &R::egraph_nodes},
     {"egraph_classes", kJP, &R::egraph_classes},
     {"iterations", kJP, &R::runner_iterations},
@@ -147,7 +146,7 @@ constexpr ReportField kFields[] = {
     {"machine_validation", kJP, &R::machine_validation, &R::machine_validated},
     {"machine_validated", kJP, &R::machine_validated},
     {"machine_witness", kJP, &R::machine_witness},
-    {"attempts", kJP, &R::attempts},
+    {"attempts", kJP | kClock, &R::attempts},
     {"rule_stats", kJson,
      +[](JsonWriter& w, const R& r) { rule_stats(w, r.rule_stats); }},
     {"ematch_matches", kJson, +[](JsonWriter& w, const R& r) {
@@ -167,8 +166,9 @@ constexpr ReportField kFields[] = {
 }  // namespace
 
 void
-ReportField::json(JsonWriter& w, const CompileReport& r) const
+ReportField::json(JsonWriter& w, const CompileReport& r, bool cached) const
 {
+    const bool unclocked = cached && (where & kClock) != 0;
     w.key(name);
     std::visit(
         [&](auto m) {
@@ -180,13 +180,13 @@ ReportField::json(JsonWriter& w, const CompileReport& r) const
                 if (ran != nullptr && !(r.*ran)) {
                     std::is_same_v<T, bool> ? w.null() : w.value("skipped");
                 } else if constexpr (std::is_same_v<T, double>) {
-                    w.value(v, format);
+                    unclocked ? w.null() : w.value(v, format);
                 } else if constexpr (std::is_enum_v<T>) {
                     w.value(name_of(v));
                 } else if constexpr (requires { w.value(v); }) {
                     w.value(v);
                 } else {
-                    attempts(w, v);
+                    attempts(w, v, unclocked);
                 }
             }
         },
@@ -212,8 +212,7 @@ ReportField::encode(const CompileReport& r, SexprWriter& w) const
                     w.atom(name_of(v));
                 } else {
                     for (const AttemptDiagnostic& a : v) {
-                        w.open().i64(a.level).f64(a.seconds).atom(a.error);
-                        w.close();
+                        w.open().i64(a.level).atom(a.error).close();
                     }
                 }
             }
@@ -232,19 +231,18 @@ ReportField::decode(SexprCursor& c, CompileReport& r) const
             if constexpr (std::is_same_v<T, std::vector<AttemptDiagnostic>>) {
                 while (c.more()) {
                     const Item a = c.next();
-                    std::array<Item, 3> f;
+                    std::array<Item, 2> f;
                     std::size_t n = 0;
                     if (a.list) {
                         SexprCursor attempt(a.raw);
                         attempt.enter();
                         n = attempt.read_rest(f);
                     }
-                    DIOS_CHECK(n == 3 && f[2].is_atom(),
+                    DIOS_CHECK(n == 2 && f[1].is_atom(),
                                "has a malformed attempt " +
                                    std::string(a.raw));
                     v.push_back({.level = int(count(f[0])),
-                                 .error = f[2].token(),
-                                 .seconds = real(f[1])});
+                                 .error = f[1].token()});
                 }
                 return;
             }
@@ -279,11 +277,12 @@ report_fields()
 }
 
 void
-write_report_json(JsonWriter& w, const CompileReport& r, unsigned where)
+write_report_json(JsonWriter& w, const CompileReport& r, unsigned where,
+                  bool cached)
 {
     for (const ReportField& f : kFields) {
         if ((f.where & where) != 0) {
-            f.json(w, r);
+            f.json(w, r, cached);
         }
     }
 }

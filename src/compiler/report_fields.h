@@ -16,7 +16,9 @@
  *    carry the persisted rows in the disk envelope and on the daemon
  *    wire, one `(name value...)` list per row.
  * `rule_stats` and `phases` describe the run that compiled, so a cache
- * hit comes back without them.
+ * hit comes back without them. Wall-clock rows are never persisted: an
+ * entry is a function of the kernel and its budgets alone, and the
+ * `--json` of a report served from a cache reads null for them.
  */
 #pragma once
 
@@ -30,11 +32,12 @@
 
 namespace diospyros {
 
-/** Where a row appears; bits of ReportField::where. */
+/** Where a row appears, and whether it reads a clock; bits of `where`. */
 enum ReportWhere : unsigned {
     kJson = 1u << 0,        ///< `--json` of a successful compile
     kFailedJson = 1u << 1,  ///< `--json` of a failed compile
     kPersisted = 1u << 2,   ///< the cache envelope and the daemon wire
+    kClock = 1u << 3,       ///< seconds: null in `--json` of a cache hit
 };
 
 /** What a row reads and writes (see file header). */
@@ -61,8 +64,9 @@ struct ReportField {
 
     bool persisted() const { return (where & kPersisted) != 0; }
 
-    /** `"name":value` into the open object of `w`. */
-    void json(JsonWriter& w, const CompileReport& r) const;
+    /** `"name":value` into `w`; `cached`: served from a cache (kClock). */
+    void json(JsonWriter& w, const CompileReport& r,
+              bool cached = false) const;
     /** Appends `(name values...)` of a persisted row to `w`. */
     void encode(const CompileReport& r, SexprWriter& w) const;
     /**
@@ -78,6 +82,6 @@ std::span<const ReportField> report_fields();
 
 /** Writes every row marked `where` into the open object of `w`. */
 void write_report_json(JsonWriter& w, const CompileReport& r,
-                       unsigned where = kJson);
+                       unsigned where = kJson, bool cached = false);
 
 }  // namespace diospyros

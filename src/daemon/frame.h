@@ -39,8 +39,8 @@
 
 namespace diospyros::daemon {
 
-/** Protocol version this build speaks. */
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/** Protocol version this build speaks; 2 carries format-5 entries. */
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /** Hard cap on payload size; larger declared lengths are hostile. */
 inline constexpr std::uint32_t kMaxPayloadLen = 16u << 20;  // 16 MiB

@@ -1,6 +1,9 @@
 #include "scalar/parse.h"
 
+#include <algorithm>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "support/error.h"
@@ -225,6 +228,29 @@ parse_stmt(const Sexpr& s)
     fail("unknown statement '" + op + "'", s);
 }
 
+/**
+ * Array extent `e` under the kernel's parameters, in checked arithmetic
+ * (one that overflowed would wrap to a small array): nullopt past int64.
+ */
+std::optional<std::int64_t>
+extent(const IntExpr& e, const Kernel& kernel)
+{
+    if (e.kind == IntExpr::Kind::kConst || e.kind == IntExpr::Kind::kVar) {
+        return e.kind == IntExpr::Kind::kConst ? e.value
+                                               : kernel.param(e.var.str());
+    }
+    const std::optional<std::int64_t> a = extent(*e.a, kernel);
+    const std::optional<std::int64_t> b = extent(*e.b, kernel);
+    std::int64_t v = 0;
+    if (!a || !b ||
+        (e.kind == IntExpr::Kind::kAdd   ? __builtin_add_overflow(*a, *b, &v)
+         : e.kind == IntExpr::Kind::kSub ? __builtin_sub_overflow(*a, *b, &v)
+                                         : __builtin_mul_overflow(*a, *b, &v))) {
+        return std::nullopt;
+    }
+    return v;
+}
+
 void
 check_arrays_stmt(const Stmt& stmt,
                   const std::vector<ArrayDecl>& arrays);
@@ -313,6 +339,18 @@ parse_kernel(const std::string& text)
     Kernel kernel = kb.build();
     for (const StmtRef& stmt : kernel.body) {
         check_arrays_stmt(*stmt, kernel.arrays);
+    }
+    // The machine lays the arrays out one after another and addresses
+    // them in int words.
+    std::int64_t end = 0;
+    for (const ArrayDecl& d : kernel.arrays) {
+        const std::optional<std::int64_t> n = extent(*d.size, kernel);
+        if (!n || *n > std::numeric_limits<int>::max() - end) {
+            throw UserError("kernel parse error: array '" + d.name.str() +
+                            "' lies beyond the machine's int word "
+                            "addresses");
+        }
+        end += std::max<std::int64_t>(*n, 0);
     }
     return kernel;
 }

@@ -242,7 +242,6 @@ write_entry(SexprWriter& w, const CachedEntry& entry)
     w.field("kernel", entry.kernel_name);
     w.field("width", entry.vector_width);
     w.field("time-limit", entry.time_limit_seconds);
-    w.field("fallback-level", entry.fallback_level);
     write_report(w, entry.report);
     w.field("c-source", entry.c_source);
     w.open("pool");
@@ -284,8 +283,6 @@ read_entry(SexprCursor& c)
         } else if (f->is("time-limit")) {
             entry.time_limit_seconds =
                 as_f64(values<1>(c, "time-limit")[0], kWhere);
-        } else if (f->is("fallback-level")) {
-            entry.fallback_level = as_int(values<1>(c, "fallback-level")[0]);
         } else if (f->is("report")) {
             entry.report = read_report(c);
         } else if (f->is("c-source")) {
@@ -302,6 +299,7 @@ read_entry(SexprCursor& c)
         }
     }
     DIOS_CHECK(saw_version, "cache entry: missing version field");
+    entry.fallback_level = entry.report.fallback_level;
     // A bad lane count would crash the reader (pad_lifted_spec divides
     // by it): fail here, so a disk entry is quarantined and a daemon
     // response is retried.
@@ -336,7 +334,7 @@ encode_envelope(const CachedEntry& entry)
     w.field("rule-set-version", entry.rule_set_version);
     w.open("checksum").atom(hash_hex(stable_hash_string(payload))).close();
     w.open("payload").raw(payload).close().close();
-    return pretty_sexpr(w.str()) + "\n";
+    return w.take() + '\n';
 }
 
 EnvelopeFields
@@ -384,7 +382,7 @@ read_envelope(std::string_view text)
             env.error = "missing envelope field";
             return env;
         }
-        env.payload_text = flat_sexpr(payload);
+        env.payload_text = payload;
     } catch (const UserError& e) {
         env.error = std::string("unparsable: ") + e.what();
         return env;

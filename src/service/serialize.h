@@ -10,7 +10,9 @@
  * (instruction by instruction, floats as exact hexfloat atoms), the
  * constant pool, the generated C source (quoted-string atom), and the
  * persisted rows of the original CompileReport (compiler/report_fields.h;
- * per-run telemetry such as rule_stats stays behind). The optimized DSL term is deliberately NOT
+ * per-run telemetry such as rule_stats and every wall-clock time stays
+ * behind, so the text depends on the kernel and its options alone, on
+ * disk and on the wire alike). The optimized DSL term is deliberately NOT
  * persisted: printed as a tree it can be exponentially larger than its
  * DAG, and nothing downstream of emission needs it. When a kernel is
  * reconstructed from disk, its `extracted` field aliases the (re-lifted)
@@ -18,7 +20,7 @@
  *
  * No Sexpr tree is built on either side: write_entry appends tokens to a
  * SexprWriter, and read_entry walks a SexprCursor once, checking each
- * value as it goes (DESIGN.md §5e). tests/golden/format4.golden pins the
+ * value as it goes (DESIGN.md §5e). tests/golden/format.golden pins the
  * bytes of envelopes and payloads.
  *
  * Round-trip contract: encode(decode(x)) == x byte-for-byte,
@@ -51,6 +53,7 @@ struct CachedEntry {
      * time-bound entry may serve a request with a larger budget.
      */
     double time_limit_seconds = 0.0;
+    /** report.fallback_level; the entry text holds it once, in the report. */
     int fallback_level = 0;
     CompileReport report;
     std::string c_source;
@@ -84,24 +87,22 @@ CachedEntry decode_entry(std::string_view text);
  * instruction); 3 explicit per-instruction lane counts, so the format
  * survives kMaxVectorWidth changes; 4 the report as one `(name value...)`
  * list per persisted compiler/report_fields.h row, with the validation
- * and random-check gates' ran flags.
+ * and random-check gates' ran flags; 5 no clock rows, `(level error)`
+ * attempts, no entry-level `fallback-level`, a flat envelope.
  */
-constexpr std::uint64_t kCacheFormatVersion = 4;
+constexpr std::uint64_t kCacheFormatVersion = 5;
 
 /**
  * The durable on-disk envelope of an entry, as DiskCache::store writes
- * it: the pretty layout (pretty_sexpr) of
+ * it: one line,
  *
- *   (dios-cache-envelope
- *     (format-version 4)
- *     (rule-set-version N)
- *     (checksum <16-hex StableHasher digest of the payload's canonical
- *                flat text, encode_entry(entry)>)
- *     (payload (dios-cache-entry ...)))
+ *   (dios-cache-envelope (format-version 5) (rule-set-version N)
+ *    (checksum <16-hex StableHasher digest of the payload>)
+ *    (payload (dios-cache-entry ...)))
  *
- * and a final newline. The checksum is computed over the payload's
- * canonical (non-pretty) text, so on-disk whitespace differences never
- * matter while any content-bearing bit flip is detected.
+ * (shown wrapped here) and a newline. The payload is encode_entry(entry)
+ * spliced in unchanged, and the checksum covers exactly those bytes, so
+ * any change inside the payload, a space included, is a mismatch.
  */
 std::string encode_envelope(const CachedEntry& entry);
 
@@ -115,8 +116,8 @@ struct EnvelopeFields {
     /** Stored payload checksum (compare with stable_hash_string). */
     std::uint64_t checksum = 0;
     /**
-     * The payload's canonical flat text (flat_sexpr): the checksummed
-     * bytes, and what decode_entry reads.
+     * The payload element's bytes as stored: what the checksum covers
+     * and what decode_entry reads.
      */
     std::string payload_text;
 };

@@ -1,13 +1,11 @@
 #include "support/sexpr.h"
 
-#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #include "support/error.h"
@@ -87,35 +85,11 @@ needs_quoting(std::string_view token)
 }
 
 /**
- * True when a quoted atom as written (`raw`, quotes included) is exactly
- * what SexprWriter::atom writes for its token.
+ * Whether `token` spells a signed decimal integer; if so, `in_range` says
+ * whether it lies in int64, and then `v` holds it.
  */
 bool
-is_canonical_quoted(std::string_view raw)
-{
-    const std::string_view body = raw.substr(1, raw.size() - 2);
-    bool quote = body.empty();
-    for (std::size_t i = 0; i < body.size(); ++i) {
-        const unsigned char cls = char_class(body[i]);
-        if (body[i] == '\\') {
-            const char esc = body[++i];
-            if (esc != '"' && esc != '\\' && esc != 'n' && esc != 't' &&
-                esc != 'r') {
-                return false;
-            }
-            quote = true;
-        } else if ((cls & kEscape) != 0) {
-            return false;  // a raw newline, tab or CR: written escaped
-        } else {
-            quote = quote || cls != 0;
-        }
-    }
-    return quote;
-}
-
-/** Sexpr::is_integer() and as_integer() of `token`, in one call. */
-bool
-token_integer(std::string_view token, std::int64_t& v)
+token_integer(std::string_view token, std::int64_t& v, bool& in_range)
 {
     const std::size_t sign =
         !token.empty() && (token[0] == '-' || token[0] == '+') ? 1 : 0;
@@ -128,14 +102,8 @@ token_integer(std::string_view token, std::int64_t& v)
         }
     }
     const char* first = token.data() + (token[0] == '+' ? 1 : 0);
-    const auto [end, ec] =
-        std::from_chars(first, token.data() + token.size(), v);
-    (void)end;
-    if (ec == std::errc::result_out_of_range) {
-        // What strtoll gives: the nearest representable value.
-        v = token[0] == '-' ? std::numeric_limits<std::int64_t>::min()
-                            : std::numeric_limits<std::int64_t>::max();
-    }
+    in_range = std::from_chars(first, token.data() + token.size(), v).ec ==
+               std::errc{};
     return true;
 }
 
@@ -297,8 +265,11 @@ SexprCursor::Item::is(std::string_view token) const
 bool
 SexprCursor::Item::integer(std::int64_t& v) const
 {
-    return !list && (quoted ? token_integer(token(), v)
-                            : token_integer(raw, v));
+    bool in_range = false;
+    return !list &&
+           (quoted ? token_integer(token(), v, in_range)
+                   : token_integer(raw, v, in_range)) &&
+           in_range;
 }
 
 bool
@@ -518,116 +489,6 @@ as_f64(const SexprCursor::Item& v, std::string_view where)
 }
 
 // ---------------------------------------------------------------------------
-// Flat and pretty text
-// ---------------------------------------------------------------------------
-
-std::string
-flat_sexpr(std::string_view text)
-{
-    SexprCursor c(text);
-    SexprWriter w;
-    std::size_t depth = 0;
-    do {
-        if (depth > 0 && !c.more()) {
-            w.close();
-            --depth;
-        } else if (c.at_list()) {
-            c.enter();
-            w.open();
-            ++depth;
-        } else if (const SexprCursor::Item a = c.next();
-                   a.quoted && !is_canonical_quoted(a.raw)) {
-            w.atom(a.token());
-        } else if (a.quoted) {
-            w.raw(a.raw);
-        } else {
-            w.atom(a.raw);
-        }
-    } while (depth > 0);
-    c.finish();
-    return w.take();
-}
-
-namespace {
-
-/** One past the atom at `pos` of canonical flat text. */
-std::size_t
-atom_end(std::string_view flat, std::size_t pos)
-{
-    if (flat[pos] != '"') {
-        while (pos < flat.size() && flat[pos] != ' ' && flat[pos] != ')') {
-            ++pos;
-        }
-        return pos;
-    }
-    for (++pos; flat[pos] != '"'; ++pos) {
-        pos += flat[pos] == '\\' ? 1 : 0;
-    }
-    return pos + 1;
-}
-
-/** One past the list at `pos` if it spans at most `limit` bytes, else npos. */
-std::size_t
-list_end_within(std::string_view flat, std::size_t pos, std::size_t limit)
-{
-    const std::size_t stop = std::min(flat.size(), pos + limit);
-    std::size_t depth = 0;
-    for (std::size_t i = pos; i < stop; ++i) {
-        const char c = flat[i];
-        if (c == '"') {
-            for (++i; i < stop && flat[i] != '"'; ++i) {
-                i += flat[i] == '\\' ? 1 : 0;
-            }
-        } else if (c == '(') {
-            ++depth;
-        } else if (c == ')' && --depth == 0) {
-            return i + 1;
-        }
-    }
-    return std::string_view::npos;
-}
-
-void
-write_pretty(std::string_view flat, std::size_t& pos, int indent,
-             int max_width, std::string& out)
-{
-    std::size_t end = flat[pos] != '(' ? atom_end(flat, pos)
-                      : indent <= max_width
-                          ? list_end_within(
-                                flat, pos,
-                                static_cast<std::size_t>(max_width - indent))
-                          : std::string_view::npos;
-    if (end != std::string_view::npos) {
-        out.append(flat, pos, end - pos);
-        pos = end;
-        return;
-    }
-    out += '(';
-    for (++pos; flat[pos] != ')';) {
-        if (flat[pos] == ' ') {
-            ++pos;
-            out += '\n';
-            out.append(static_cast<std::size_t>(indent) + 2, ' ');
-        }
-        write_pretty(flat, pos, indent + 2, max_width, out);
-    }
-    out += ')';
-    ++pos;
-}
-
-}  // namespace
-
-std::string
-pretty_sexpr(std::string_view flat, int max_width)
-{
-    std::string out;
-    out.reserve(flat.size() + flat.size() / 4);
-    std::size_t pos = 0;
-    write_pretty(flat, pos, 0, max_width, out);
-    return out;
-}
-
-// ---------------------------------------------------------------------------
 // Tree
 // ---------------------------------------------------------------------------
 
@@ -691,15 +552,19 @@ bool
 Sexpr::is_integer() const
 {
     std::int64_t v = 0;
-    return is_atom_ && token_integer(token_, v);
+    bool in_range = false;
+    return is_atom_ && token_integer(token_, v, in_range);
 }
 
 std::int64_t
 Sexpr::as_integer() const
 {
     std::int64_t v = 0;
-    DIOS_ASSERT(is_atom_ && token_integer(token_, v),
+    bool in_range = false;
+    DIOS_ASSERT(is_atom_ && token_integer(token_, v, in_range),
                 "as_integer() on non-integer atom");
+    DIOS_CHECK(in_range, "integer literal " + token_ +
+                             " is outside the signed 64-bit range");
     return v;
 }
 

@@ -63,10 +63,13 @@ class Sexpr {
     /** i-th child; requires is_list() and i < size(). */
     const Sexpr& operator[](std::size_t i) const;
 
-    /** True if this atom parses as a signed integer. */
+    /** True if this atom spells a signed decimal integer. */
     bool is_integer() const;
 
-    /** Parses this atom as an integer; requires is_integer(). */
+    /**
+     * Parses this atom as an integer; requires is_integer(). Raises
+     * UserError, naming the literal, when it lies outside int64.
+     */
     std::int64_t as_integer() const;
 
     /** True if this atom parses as a (possibly non-integer) number. */
@@ -175,10 +178,7 @@ class SexprCursor {
         std::string token() const;
         /** True for an atom whose token() equals `token`. */
         bool is(std::string_view token) const;
-        /**
-         * True for an atom spelling a signed decimal integer; sets `v`
-         * (saturated, as strtoll does).
-         */
+        /** True for an atom spelling a signed int64; sets `v`. */
         bool integer(std::int64_t& v) const;
         /**
          * True for an atom strtod reads whole (decimal, hexfloat, inf,
@@ -243,16 +243,6 @@ class SexprCursor {
     std::size_t pos_ = 0;
     std::size_t depth_ = 0;
 };
-
-/** The canonical (Sexpr::to_string) text of the one element in `text`. */
-std::string flat_sexpr(std::string_view text);
-
-/**
- * The pretty layout of canonical flat text, in one pass: a list that
- * fits in `max_width` columns at its indent stays on one line, a longer
- * one puts each element after its head on a new line indented two more.
- */
-std::string pretty_sexpr(std::string_view flat, int max_width = 79);
 
 /** `v` as an integer atom; raises UserError "<where>: expected ...". */
 std::int64_t as_i64(const SexprCursor::Item& v, std::string_view where);

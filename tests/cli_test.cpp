@@ -290,21 +290,23 @@ split_json_line(const std::string& out)
     return {out.substr(0, nl), out.substr(nl + 1)};
 }
 
-std::size_t
-count_cache_entries(const std::string& dir)
+/** The live entry files of the cache at `dir`, sorted. */
+std::vector<std::string>
+cache_entries(const std::string& dir)
 {
-    std::size_t n = 0;
+    std::vector<std::string> out;
     if (!fs::exists(dir)) {
-        return 0;
+        return out;
     }
     for (const auto& e : fs::recursive_directory_iterator(dir)) {
         const std::string p = e.path().string();
         if (e.path().extension() == ".sexpr" &&
             p.find("quarantine") == std::string::npos) {
-            ++n;
+            out.push_back(p);
         }
     }
-    return n;
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
 /** A diosd child on a socket in `dir`; SIGKILLed if still up at scope exit. */
@@ -500,7 +502,7 @@ TEST(Cli, EmitCBytesAreIdenticalOnEveryRoute)
     const std::string local = emit_c({}, "");
     ASSERT_FALSE(local.empty());
     EXPECT_EQ(emit_c({"--cache-dir", cache}, "miss"), local);
-    EXPECT_EQ(count_cache_entries(cache), 1u);
+    EXPECT_EQ(cache_entries(cache).size(), 1u);
     EXPECT_EQ(emit_c({"--cache-dir", cache}, "hit"), local);
 
     Diosd daemon(dir);
@@ -508,6 +510,24 @@ TEST(Cli, EmitCBytesAreIdenticalOnEveryRoute)
     EXPECT_EQ(emit_c({"--remote", daemon.socket()}, "remote"), local);
     EXPECT_EQ(emit_c({"--remote", dir.file("dead.sock")}, "local-fallback"),
               local);
+}
+
+TEST(Cli, TwoColdProcessesStoreIdenticalEnvelopes)
+{
+    // An entry holds nothing that reads a clock, so two processes that
+    // compile the same kernel cold into two caches store the same bytes.
+    TempDir dir("two_cold");
+    std::vector<std::string> texts;
+    for (const char* name : {"a", "b"}) {
+        const std::string cache = dir.file(name);
+        const ToolRun run = dioscc(dir, {kDot4, "--cache-dir", cache});
+        ASSERT_EQ(run.code, 0) << run.err;
+        const std::vector<std::string> entries = cache_entries(cache);
+        ASSERT_EQ(entries.size(), 1u);
+        texts.push_back(read_file(entries[0]));
+    }
+    EXPECT_FALSE(texts[0].empty());
+    EXPECT_EQ(texts[0], texts[1]);
 }
 
 TEST(Cli, WidthSelectsTheWidthPresetOnEveryRoute)
@@ -590,7 +610,7 @@ TEST(Cli, StrictRejectsCacheDirInsteadOfIgnoringIt)
     const ToolRun run = dioscc(dir, {kVadd, "--strict", "--cache-dir", cache});
     EXPECT_EQ(run.code, 2) << run.err;
     EXPECT_NE(run.err.find("--cache-dir"), std::string::npos) << run.err;
-    EXPECT_EQ(count_cache_entries(cache), 0u);
+    EXPECT_EQ(cache_entries(cache).size(), 0u);
     // --strict still honours the flags it can.
     EXPECT_EQ(dioscc(dir, {kVadd, "--strict", "--verify-machine"}).code, 0);
 }
@@ -606,7 +626,7 @@ TEST(Cli, RemoteFallbackHonoursTheCacheDir)
     EXPECT_NE(run.out.find("\"cache\":\"local-fallback\""),
               std::string::npos)
         << run.out;
-    EXPECT_EQ(count_cache_entries(cache), 1u);
+    EXPECT_EQ(cache_entries(cache).size(), 1u);
     // The fallback's store serves the next plain local run.
     const ToolRun warm = dioscc(dir, {kVadd, "--json", "--cache-dir", cache});
     EXPECT_NE(warm.out.find("\"cache\":\"hit\""), std::string::npos)
@@ -764,17 +784,39 @@ TEST(Cli, JsonSaysSkippedForAGateThatDidNotRun)
           "\"machine_validation\":\"equivalent\"",
           "\"machine_validated\":true"}},
     };
+    const std::vector<std::string> clock = {"\"total_seconds\":",
+                                            "\"saturation_seconds\":",
+                                            "\"seconds\":"};
     for (const Case& c : cases) {
-        std::vector<std::string> args = {kVadd, "--json"};
+        // The second run hits the first's entry: its gates read as the
+        // miss's did, and the times, which are the miss's and not its
+        // own, read null.
+        std::vector<std::string> args = {kVadd, "--json", "--cache-dir",
+                                         dir.file("cache")};
         args.insert(args.end(), c.flags.begin(), c.flags.end());
-        const ToolRun run = dioscc(dir, args);
-        ASSERT_EQ(run.code, 0) << run.err;
-        EXPECT_TRUE(is_one_json_value(run.out)) << run.out;
-        for (const std::string& want : c.want) {
-            EXPECT_NE(run.out.find(want), std::string::npos)
-                << (c.flags.empty() ? "no flag" : c.flags[0]) << ": "
-                << want << "\n"
+        for (const char* cache : {"miss", "hit"}) {
+            const ToolRun run = dioscc(dir, args);
+            SCOPED_TRACE((c.flags.empty() ? "no flag" : c.flags[0]) +
+                         std::string(", ") + cache);
+            ASSERT_EQ(run.code, 0) << run.err;
+            EXPECT_TRUE(is_one_json_value(run.out)) << run.out;
+            EXPECT_NE(run.out.find("\"cache\":\"" + std::string(cache)),
+                      std::string::npos)
                 << run.out;
+            for (const std::string& want : c.want) {
+                EXPECT_NE(run.out.find(want), std::string::npos)
+                    << want << "\n"
+                    << run.out;
+            }
+            const bool hit = std::string(cache) == "hit";
+            for (const std::string& key : clock) {
+                EXPECT_EQ(run.out.find(key + "null") != std::string::npos,
+                          hit)
+                    << key << "\n"
+                    << run.out;
+            }
+            EXPECT_EQ(run.err.find("time=") == std::string::npos, hit)
+                << run.err;
         }
     }
 }
@@ -867,6 +909,12 @@ TEST(ReportFields, EveryRowTravelsAndPrintsOnce)
             f.encode(back.report, got);
             EXPECT_EQ(got.str(), want.str());
         }
+        // A report served from a cache prints its clock rows null.
+        JsonWriter cached;
+        f.json(cached.open('{'), r, true);
+        EXPECT_EQ(cached.str().find("null") != std::string::npos,
+                  (f.where & kClock) != 0)
+            << cached.str();
         const bool in_json = (f.where & kJson) != 0;
         json_rows += in_json;
         EXPECT_EQ(std::count(keys.begin(), keys.end(), f.name),
@@ -875,12 +923,14 @@ TEST(ReportFields, EveryRowTravelsAndPrintsOnce)
     EXPECT_EQ(keys.size(), json_rows);
 
     // Member by member, so two rows that swapped members fail too.
+    // Wall-clock time does not travel: an entry is a function of the
+    // kernel and its budgets.
     const CompileReport& b = back.report;
-    EXPECT_EQ(b.lift_seconds, r.lift_seconds);
-    EXPECT_EQ(b.saturation_seconds, r.saturation_seconds);
-    EXPECT_EQ(b.extract_seconds, r.extract_seconds);
-    EXPECT_EQ(b.backend_seconds, r.backend_seconds);
-    EXPECT_EQ(b.total_seconds, r.total_seconds);
+    EXPECT_EQ(b.lift_seconds, none.lift_seconds);
+    EXPECT_EQ(b.saturation_seconds, none.saturation_seconds);
+    EXPECT_EQ(b.extract_seconds, none.extract_seconds);
+    EXPECT_EQ(b.backend_seconds, none.backend_seconds);
+    EXPECT_EQ(b.total_seconds, none.total_seconds);
     EXPECT_EQ(b.spec_elements, r.spec_elements);
     EXPECT_EQ(b.spec_dag_nodes, r.spec_dag_nodes);
     EXPECT_EQ(b.egraph_nodes, r.egraph_nodes);
@@ -907,9 +957,10 @@ TEST(ReportFields, EveryRowTravelsAndPrintsOnce)
     ASSERT_EQ(b.attempts.size(), r.attempts.size());
     for (std::size_t i = 0; i < r.attempts.size(); ++i) {
         EXPECT_EQ(b.attempts[i].level, r.attempts[i].level);
-        EXPECT_EQ(b.attempts[i].seconds, r.attempts[i].seconds);
+        EXPECT_EQ(b.attempts[i].seconds, 0.0);
         EXPECT_EQ(b.attempts[i].error, r.attempts[i].error);
     }
+    EXPECT_EQ(back.fallback_level, r.fallback_level);
     // The run's telemetry stays local.
     EXPECT_TRUE(b.rule_stats.empty());
     EXPECT_TRUE(b.strategy_phases.empty());

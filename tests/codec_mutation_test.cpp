@@ -2,7 +2,7 @@
 // truncations, swaps of balanced subtrees and atoms replaced by tokens a
 // reader must range-check or reject (1e300, a list, an empty string...),
 // applied to the envelopes and compile-response payloads of
-// tests/golden/format4.golden. Every
+// tests/golden/format.golden. Every
 // mutated input must either be rejected — decode_compile_response raises
 // UserError, DiskCache::load reports kCorrupt or kMiss — or decode to an
 // entry whose re-encoding decodes to an equal entry (the same text again).
@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "daemon/protocol.h"
-#include "format4_golden.h"
+#include "format_golden.h"
 #include "service/disk_cache.h"
 #include "support/hash.h"
 #include "support/rng.h"
@@ -146,16 +146,17 @@ restamped(const service::EnvelopeFields& env)
 
 TEST(CodecMutation, EveryMutantIsRejectedOrRoundTrips)
 {
-    const std::vector<format4::Record> golden = format4::read_golden();
+    const std::vector<format_golden::Record> golden =
+        format_golden::read_golden();
     ASSERT_FALSE(golden.empty());
-    const format4::TempDir dir("codec_mutation");
+    const format_golden::TempDir dir("codec_mutation");
     const service::DiskCache disk(dir.path.string());
 
     Rng rng(25);
     int rejected = 0, decoded = 0;
     constexpr int kMutants = 3000;
     for (int n = 0; n < kMutants; ++n) {
-        const format4::Record& record =
+        const format_golden::Record& record =
             golden[static_cast<std::size_t>(rng.uniform_int(
                 0, static_cast<std::int64_t>(golden.size()) - 1))];
         std::string text = record.text;

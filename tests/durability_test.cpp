@@ -24,7 +24,6 @@
 #include "support/error.h"
 #include "support/faults.h"
 #include "support/hash.h"
-#include "support/sexpr.h"
 
 namespace diospyros {
 namespace {
@@ -144,15 +143,13 @@ TEST(Envelope, ChecksumCoversCanonicalPayload)
     EXPECT_EQ(fields.rule_set_version, service::kRuleSetVersion);
     EXPECT_EQ(fields.checksum, stable_hash_string(fields.payload_text));
     EXPECT_EQ(fields.payload_text, service::encode_entry(entry));
-
-    // Pretty-printing (what store() writes) only changes whitespace, so
-    // the canonical payload text — and with it the checksum — survives a
-    // flat rendering of the whole envelope.
-    const service::EnvelopeFields again =
-        service::read_envelope(parse_sexpr(file).to_string());
-    ASSERT_TRUE(again.well_formed) << again.error;
-    EXPECT_EQ(again.payload_text, fields.payload_text);
-    EXPECT_EQ(again.checksum, fields.checksum);
+    // Stored as one flat line: the bytes checksummed are the bytes on disk.
+    EXPECT_EQ(file, "(dios-cache-envelope (format-version " +
+                        std::to_string(service::kCacheFormatVersion) +
+                        ") (rule-set-version " +
+                        std::to_string(service::kRuleSetVersion) +
+                        ") (checksum " + hash_hex(fields.checksum) +
+                        ") (payload " + fields.payload_text + "))\n");
 }
 
 TEST(Envelope, MalformedEnvelopesAreReported)
@@ -198,6 +195,18 @@ flip_payload_digit(const std::string& text)
         }
     }
     ADD_FAILURE() << "no digit found in payload";
+    return out;
+}
+
+std::string
+respace_payload(const std::string& text)
+{
+    // Whitespace inside the payload is content too: the checksum covers
+    // the payload bytes as stored, so a space turned newline is caught.
+    std::string out = text;
+    const std::size_t space = out.find(' ', out.find("(payload") + 9);
+    EXPECT_NE(space, std::string::npos);
+    out[space] = '\n';
     return out;
 }
 
@@ -283,6 +292,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         Corruption{"truncate", &truncate_half, false},
         Corruption{"bitflip", &flip_payload_digit, true},
+        Corruption{"respace", &respace_payload, true},
         Corruption{"version_bump", &bump_format_version, false},
         Corruption{"zero_out", &zero_out, false}),
     [](const ::testing::TestParamInfo<Corruption>& info) {

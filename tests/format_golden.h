@@ -1,13 +1,13 @@
-// The format-4 byte contract shared by format4_golden_test and
-// codec_mutation_test: the cases tests/golden/format4.golden pins, how
+// The cache-format byte contract shared by format_golden_test and
+// codec_mutation_test: the cases tests/golden/format.golden pins, how
 // each case's cache entry is built, and a reader for the golden file.
 //
 // Each case compiles one kernel (the four tools/kernels/*.ksp and three
 // Table-1 kernels) at one preset width and records two texts: the
 // envelope file DiskCache::store writes, and the payload
-// daemon::encode_compile_response sends for an ok response. Report rows
-// that hold wall-clock seconds are set to a fixed value first, so both
-// texts depend only on what the compile decided.
+// daemon::encode_compile_response sends for an ok response. An entry
+// holds no wall-clock time, so both texts depend only on what the
+// compile decided.
 //
 // File layout: '#' comment lines, then one record per text,
 //
@@ -33,7 +33,7 @@
 #include "service/cache_key.h"
 #include "service/serialize.h"
 
-namespace diospyros::format4 {
+namespace diospyros::format_golden {
 
 /** One golden text: a case's envelope or its response payload. */
 struct Record {
@@ -95,7 +95,7 @@ options_for(int width)
     return options;
 }
 
-/** The case's cache entry, with every wall-clock row set to 0.25 s. */
+/** The case's cache entry, as the compile service stores it. */
 inline service::CachedEntry
 entry_for(const Case& c)
 {
@@ -107,16 +107,8 @@ entry_for(const Case& c)
     }
     EXPECT_NE(result.compiled->report.stop_reason, StopReason::kTimeLimit)
         << c.name;
-    service::CachedEntry entry = service::make_entry(
-        service::compute_cache_key(c.kernel, options), options,
-        *result.compiled);
-    CompileReport& r = entry.report;
-    r.total_seconds = r.lift_seconds = r.saturation_seconds =
-        r.extract_seconds = r.backend_seconds = 0.25;
-    for (AttemptDiagnostic& a : r.attempts) {
-        a.seconds = 0.25;
-    }
-    return entry;
+    return service::make_entry(service::compute_cache_key(c.kernel, options),
+                               options, *result.compiled);
 }
 
 /** A fresh directory under the system temp dir, removed on destruction. */
@@ -135,7 +127,7 @@ struct TempDir {
 inline const char*
 golden_path()
 {
-    return DIOS_SOURCE_DIR "/tests/golden/format4.golden";
+    return DIOS_SOURCE_DIR "/tests/golden/format.golden";
 }
 
 /** Every record of the golden file, in file order. */
@@ -168,9 +160,9 @@ inline std::string
 render(const std::vector<Record>& records)
 {
     std::string out =
-        "# Format-4 cache envelopes (as DiskCache::store writes them) and\n"
+        "# Cache envelopes (as DiskCache::store writes them) and\n"
         "# compile-response payloads, byte for byte; see "
-        "tests/format4_golden.h.\n";
+        "tests/format_golden.h.\n";
     for (const Record& r : records) {
         out += "@ " + r.name + " " + std::to_string(r.text.size()) + "\n";
         out += r.text + "\n";
@@ -178,4 +170,4 @@ render(const std::vector<Record>& records)
     return out;
 }
 
-}  // namespace diospyros::format4
+}  // namespace diospyros::format_golden

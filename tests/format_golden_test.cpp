@@ -1,9 +1,9 @@
-// Pins the bytes of format-4 cache envelopes and compile-response
-// payloads (tests/format4_golden.h describes the cases). Any change to
+// Pins the bytes of cache envelopes and compile-response
+// payloads (tests/format_golden.h describes the cases). Any change to
 // the writers' spacing, quoting, field order or number spelling shows up
 // here; such a change needs a new kCacheFormatVersion, not a new golden.
 // On a mismatch the computed file is written next to the test binary as
-// format4.golden.actual.
+// format.golden.actual.
 
 #include <gtest/gtest.h>
 
@@ -13,20 +13,20 @@
 #include <vector>
 
 #include "daemon/protocol.h"
-#include "format4_golden.h"
+#include "format_golden.h"
 #include "service/disk_cache.h"
 
 namespace diospyros {
 namespace {
 
-TEST(Format4Golden, EnvelopesAndPayloadsAreByteIdentical)
+TEST(FormatGolden, EnvelopesAndPayloadsAreByteIdentical)
 {
-    const format4::TempDir dir("format4_golden");
-    std::vector<format4::Record> computed;
+    const format_golden::TempDir dir("format_golden");
+    std::vector<format_golden::Record> computed;
     {
         const service::DiskCache disk(dir.path.string());
-        for (const format4::Case& c : format4::cases()) {
-            const service::CachedEntry entry = format4::entry_for(c);
+        for (const format_golden::Case& c : format_golden::cases()) {
+            const service::CachedEntry entry = format_golden::entry_for(c);
             disk.store(entry);
             std::ifstream in(disk.path_for(entry.key), std::ios::binary);
             computed.push_back(
@@ -41,7 +41,8 @@ TEST(Format4Golden, EnvelopesAndPayloadsAreByteIdentical)
         }
     }
 
-    const std::vector<format4::Record> golden = format4::read_golden();
+    const std::vector<format_golden::Record> golden =
+        format_golden::read_golden();
     bool all_match = golden.size() == computed.size();
     EXPECT_EQ(golden.size(), computed.size());
     for (std::size_t i = 0; i < std::min(golden.size(), computed.size());
@@ -53,8 +54,8 @@ TEST(Format4Golden, EnvelopesAndPayloadsAreByteIdentical)
         }
     }
     if (!all_match) {
-        std::ofstream("format4.golden.actual", std::ios::binary)
-            << format4::render(computed);
+        std::ofstream("format.golden.actual", std::ios::binary)
+            << format_golden::render(computed);
     }
 }
 

@@ -164,6 +164,52 @@ TEST(ParseKernel, ErrorsAreDescriptive)
                  "bare variables");
 }
 
+TEST(ParseKernel, OutOfRangeIntegersAndExtentsAreUserErrors)
+{
+    auto expect_error = [](const std::string& src, const char* fragment) {
+        try {
+            parse_kernel(src);
+            FAIL() << "expected parse error for: " << src;
+        } catch (const UserError& e) {
+            EXPECT_NE(std::string(e.what()).find(fragment),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    // A literal past int64 is named, not saturated into another value.
+    const std::string huge = "1000000000000000000000000000000000000000000000";
+    expect_error("(kernel k (param n 4) (input a n) (output o 1)"
+                 " (store o 0 (* (load a 0) " + huge + "/1)))",
+                 huge.c_str());
+    expect_error("(kernel k (input a 4) (output o 1) (store o 0 " + huge +
+                     "))",
+                 huge.c_str());
+    expect_error("(kernel k (param n 99999999999999999999) (input a n)"
+                 " (output o 1) (store o 0 (load a 0)))",
+                 "99999999999999999999");
+    expect_error("(kernel k (input a 4) (output o 1)"
+                 " (store o -99999999999999999999 (load a 0)))",
+                 "-99999999999999999999");
+    // In int64 but past the machine's int word addresses, alone or as
+    // the arrays lie one after another.
+    expect_error("(kernel k (param n 9223372036854775807) (input a n)"
+                 " (output o 1) (store o 0 (load a 0)))",
+                 "int word addresses");
+    expect_error("(kernel k (input a 2147483647) (output o 1)"
+                 " (store o 0 (load a 0)))",
+                 "array 'o'");
+    // An extent that overflows int64 is refused, not wrapped to 4 words.
+    expect_error("(kernel k (param n 4611686018427387905) (input a (* n 4))"
+                 " (output o 1) (store o 0 (load a 0)))",
+                 "int word addresses");
+    expect_error("(kernel k (input a m) (output o 1) (store o 0 1))",
+                 "has no parameter m");
+    EXPECT_EQ(parse_kernel("(kernel k (input a 2147483646) (output o 1)"
+                           " (store o 0 (load a 0)))")
+                  .arrays.size(),
+              2u);
+}
+
 TEST(ParseKernel, MissingFileThrows)
 {
     EXPECT_THROW(parse_kernel_file("/nonexistent/path.ksp"), UserError);

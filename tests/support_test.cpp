@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <unordered_set>
 
 #include "support/error.h"
@@ -70,19 +73,20 @@ TEST(Sexpr, IntegerClassification)
     EXPECT_FALSE(parse_sexpr("4.5").is_integer());
     EXPECT_TRUE(parse_sexpr("4.5").is_number());
     EXPECT_FALSE(parse_sexpr("x1").is_number());
-}
-
-TEST(Sexpr, PrettyPrintWrapsLongForms)
-{
-    std::vector<Sexpr> kids;
-    for (int i = 0; i < 20; ++i) {
-        kids.push_back(parse_sexpr("(+ some-long-atom-name " +
-                                   std::to_string(i) + ")"));
+    // Digits past int64 spell an integer that as_integer refuses, naming
+    // it, rather than saturating to a different value.
+    const Sexpr huge = parse_sexpr("-99999999999999999999");
+    EXPECT_TRUE(huge.is_integer());
+    try {
+        (void)huge.as_integer();
+        ADD_FAILURE() << "no UserError";
+    } catch (const UserError& e) {
+        EXPECT_NE(std::string(e.what()).find("-99999999999999999999"),
+                  std::string::npos)
+            << e.what();
     }
-    const Sexpr s = Sexpr::list(kids);
-    const std::string pretty = pretty_sexpr(s.to_string(), 40);
-    EXPECT_NE(pretty.find('\n'), std::string::npos);
-    EXPECT_EQ(parse_sexpr(pretty), s);
+    EXPECT_EQ(parse_sexpr("-9223372036854775808").as_integer(),
+              std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(Rational, NormalizesOnConstruction)

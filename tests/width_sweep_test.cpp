@@ -9,8 +9,10 @@
 //  (iv) every saturation outcome matches the checked-in golden file
 //       tests/golden/width_sweep.golden: the extracted term (as a stable
 //       hash of its printed form), its cost, the e-graph's node and class
-//       counts, the iteration count, the stop reason, and the summed
-//       rule matches and applications. A change that alters what gets
+//       counts, the iteration count, the stop reason, the summed rule
+//       matches and applications, and a stable hash of the whole cache
+//       entry text (which holds no wall-clock time, so it is a function
+//       of the kernel and its budgets). A change that alters what gets
 //       matched, applied or extracted shows up here. One that only picks
 //       which class survives a congruence merge inside a rebuild does
 //       not: the rebuilt partition and the counts do not depend on it,
@@ -52,6 +54,7 @@
 #include "scalar/interp.h"
 #include "scalar/symbolic.h"
 #include "service/cache_key.h"
+#include "service/serialize.h"
 #include "strategy/strategy.h"
 #include "support/hash.h"
 
@@ -78,8 +81,10 @@ sweep_options(int width)
  * case that hits one fails the test instead of recording a value.
  */
 std::string
-golden_line(const std::string& label, int width, const CompiledKernel& k)
+golden_line(const std::string& label, const scalar::Kernel& kernel,
+            const CompilerOptions& options, const CompiledKernel& k)
 {
+    const int width = options.target.vector_width;
     const CompileReport& r = k.report;
     EXPECT_NE(r.stop_reason, StopReason::kTimeLimit) << label;
     EXPECT_NE(r.stop_reason, StopReason::kDeadline) << label;
@@ -101,6 +106,10 @@ golden_line(const std::string& label, int width, const CompiledKernel& k)
         applications += s.applications;
     }
     os << " matches=" << matches << " applications=" << applications;
+    const service::CachedEntry entry = service::make_entry(
+        service::compute_cache_key(kernel, options), options, k);
+    os << " entry="
+       << hash_hex(stable_hash_string(service::encode_entry(entry)));
     return os.str();
 }
 
@@ -168,7 +177,7 @@ TEST_P(WidthSweep, CorpusIsDeterministicAndAgreesWithReference)
                   disassemble(b.machine, width))
             << "extraction must be deterministic per width";
         EXPECT_EQ(a.layout.pool(), b.layout.pool());
-        golden.push_back(golden_line(inst.label(), width, a));
+        golden.push_back(golden_line(inst.label(), inst.kernel, options, a));
 
         const scalar::BufferMap inputs =
             kernels::make_inputs(inst.kernel, 11);
@@ -205,9 +214,10 @@ TEST(WidthSweepExtra, FullAcPhasedCaseMatchesGolden)
     CompilerOptions options = sweep_options(4);
     options.rules.full_ac = true;
     options.strategy = strategy::builtin_phased();
-    const CompiledKernel k =
-        compile_kernel(kernels::make_conv2d(3, 5, 3, 3), options);
-    check_golden({golden_line("2DConv 3x5, 3x3 full-ac phased", 4, k)});
+    const scalar::Kernel kernel = kernels::make_conv2d(3, 5, 3, 3);
+    const CompiledKernel k = compile_kernel(kernel, options);
+    check_golden(
+        {golden_line("2DConv 3x5, 3x3 full-ac phased", kernel, options, k)});
 }
 
 TEST(WidthSweepExtra, InvariantsHoldAfterEveryRealRuleIteration)

@@ -64,9 +64,9 @@ echo "check.sh: machine verifier corpus gate passed"
 # Crash-consistency torture (DESIGN.md §5e): SIGKILL dioscc --batch
 # mid-store dozens of times via the DIOS_CACHE_KILL hook, then damage a
 # quarter-plus of the surviving entries, and prove the store self-heals:
-# warm runs serve artifacts byte-identical to a cold compile, damaged
-# entries land in quarantine/ (never served), and no torn .tmp files
-# survive recovery.
+# warm runs serve artifacts byte-identical to a cold compile, the healed
+# entries are byte-identical to a store filled cold, damaged entries land
+# in quarantine/ (never served), and no torn .tmp files survive recovery.
 torture="$build/torture"
 rm -rf "$torture"
 mkdir -p "$torture"
@@ -86,6 +86,10 @@ for n in 4 8 12; do
     "$build/tools/dioscc" "$torture/vadd$n.dios" \
         --json --emit-c 2> /dev/null | tail -n +2 > "$torture/cold$n.c"
 done
+# A reference store filled cold: an entry holds no wall-clock time, so the
+# healed store must match it byte for byte.
+"$build/tools/dioscc" --batch "$torture/manifest" \
+    --cache-dir "$torture/cold-cache" > /dev/null 2>&1
 
 mkdir -p "$cache"
 kills=0
@@ -140,6 +144,15 @@ for n in 4 8 12; do
         --json --emit-c --cache-dir "$cache" 2> /dev/null \
         | tail -n +2 > "$torture/warm$n.c"
     cmp "$torture/cold$n.c" "$torture/warm$n.c"
+done
+mapfile -t entries < <(find "$cache" -name '*.sexpr' \
+    -not -path '*/quarantine/*' | sort)
+if [[ "${#entries[@]}" -ne 3 ]]; then
+    echo "check.sh: expected 3 healed entries, found ${#entries[@]}" >&2
+    exit 1
+fi
+for entry in "${entries[@]}"; do
+    cmp "$entry" "$torture/cold-cache/${entry#"$cache"/}"
 done
 
 if find "$cache" -name '*.tmp.*' | grep -q .; then

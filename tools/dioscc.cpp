@@ -530,6 +530,16 @@ class Router {
 };
 
 /**
+ * True when the job's report came from a cache, locally or through
+ * diosd: its wall-clock rows are then not this job's own (kClock).
+ */
+bool
+served_cached(const Job& job)
+{
+    return job.cache == "hit" || job.cache == "remote";
+}
+
+/**
  * One --json report object (no trailing newline): the job header, then
  * the report rows of compiler/report_fields.h.
  */
@@ -544,7 +554,7 @@ print_json(const Job& o)
         .key("queue_wait_ms")
         .value(o.queue_wait_ms, "%.3f");
     if (o.result.ok) {
-        write_report_json(w, o.result.report());
+        write_report_json(w, o.result.report(), kJson, served_cached(o));
     } else {
         w.field("retry_after_ms", o.retry_after_ms)
             .field("user_error", o.result.user_error);
@@ -567,7 +577,7 @@ print_outcome(const Job& job, std::FILE* info)
     }
     const CompileReport& r = job.result.report();
     std::fprintf(info, "; [%s] %s\n", job.cache.c_str(),
-                 report_row(job.name, r).c_str());
+                 report_row(job.name, r, served_cached(job)).c_str());
     if (r.fallback_level > 0) {
         std::fprintf(info, "; DEGRADED to rung %d (%s) after: %s\n",
                      r.fallback_level, fallback_level_name(r.fallback_level),
