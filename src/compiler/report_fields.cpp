@@ -147,20 +147,20 @@ constexpr ReportField kFields[] = {
     {"machine_validated", kJP, &R::machine_validated},
     {"machine_witness", kJP, &R::machine_witness},
     {"attempts", kJP | kClock, &R::attempts},
-    {"rule_stats", kJson,
+    {"rule_stats", kJson | kRun,
      +[](JsonWriter& w, const R& r) { rule_stats(w, r.rule_stats); }},
-    {"ematch_matches", kJson, +[](JsonWriter& w, const R& r) {
+    {"ematch_matches", kJson | kRun, +[](JsonWriter& w, const R& r) {
          w.value(total(r.rule_stats).matches);
      }},
-    {"ematch_search_seconds", kJson, +[](JsonWriter& w, const R& r) {
+    {"ematch_search_seconds", kJson | kClock, +[](JsonWriter& w, const R& r) {
          w.value(total(r.rule_stats).search_seconds);
      }},
-    {"ematch_apply_seconds", kJson, +[](JsonWriter& w, const R& r) {
+    {"ematch_apply_seconds", kJson | kClock, +[](JsonWriter& w, const R& r) {
          w.value(total(r.rule_stats).apply_seconds);
      }},
     {"strategy", kJP, &R::strategy_name},
     {"goal_satisfied", kJP, &R::strategy_goal_satisfied},
-    {"phases", kJson, &phases},
+    {"phases", kJson | kRun, &phases},
 };
 
 }  // namespace
@@ -169,11 +169,16 @@ void
 ReportField::json(JsonWriter& w, const CompileReport& r, bool cached) const
 {
     const bool unclocked = cached && (where & kClock) != 0;
+    static const CompileReport kNoRun;
     w.key(name);
     std::visit(
         [&](auto m) {
             if constexpr (std::is_same_v<decltype(m), Writer>) {
-                m(w, r);
+                if (unclocked) {
+                    w.null();
+                } else {
+                    m(w, cached && (where & kRun) != 0 ? kNoRun : r);
+                }
             } else {
                 const auto& v = at(r, m);
                 using T = std::remove_cvref_t<decltype(v)>;

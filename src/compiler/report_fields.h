@@ -15,8 +15,10 @@
  *  - the cache entry writer and reader (service/serialize.cpp), which
  *    carry the persisted rows in the disk envelope and on the daemon
  *    wire, one `(name value...)` list per row.
- * `rule_stats` and `phases` describe the run that compiled, so a cache
- * hit comes back without them. Wall-clock rows are never persisted: an
+ * `rule_stats`, `ematch_matches` and `phases` describe the run that
+ * compiled (kRun), so a cache hit has none: the `--json` of a report
+ * served from a cache prints them as a run that did nothing would, from
+ * memory as from disk or diosd. Wall-clock rows are never persisted: an
  * entry is a function of the kernel and its budgets alone, and the
  * `--json` of a report served from a cache reads null for them.
  */
@@ -38,6 +40,7 @@ enum ReportWhere : unsigned {
     kFailedJson = 1u << 1,  ///< `--json` of a failed compile
     kPersisted = 1u << 2,   ///< the cache envelope and the daemon wire
     kClock = 1u << 3,       ///< seconds: null in `--json` of a cache hit
+    kRun = 1u << 4,         ///< the compiling run's: empty for a cache hit
 };
 
 /** What a row reads and writes (see file header). */
@@ -64,7 +67,10 @@ struct ReportField {
 
     bool persisted() const { return (where & kPersisted) != 0; }
 
-    /** `"name":value` into `w`; `cached`: served from a cache (kClock). */
+    /**
+     * `"name":value` into `w`; `cached`: served from a cache (kClock,
+     * kRun).
+     */
     void json(JsonWriter& w, const CompileReport& r,
               bool cached = false) const;
     /** Appends `(name values...)` of a persisted row to `w`. */

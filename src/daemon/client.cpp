@@ -80,7 +80,7 @@ RemoteClient::sleep_ms(double ms)
 }
 
 std::optional<Frame>
-RemoteClient::roundtrip(const Frame& request)
+RemoteClient::roundtrip(const Frame& request, bool& refused)
 {
     const std::string bytes = encode_frame(request);
     std::size_t off = 0;
@@ -107,7 +107,9 @@ RemoteClient::roundtrip(const Frame& request)
             return frame;
         }
         if (st == FrameDecoder::Status::kError) {
-            return std::nullopt;  // server speaking garbage: reconnect
+            // Garbage: reconnect. Another version: give up on the daemon.
+            refused = err.kind == FrameErrorKind::kBadVersion;
+            return std::nullopt;
         }
         const double elapsed =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -147,13 +149,14 @@ RemoteClient::compile(const CompileRequest& req)
             ++counters_.remote_retries;
         }
         std::optional<Frame> reply;
+        bool refused = false;
         if (ensure_connected()) {
             Frame request;
             request.type = FrameType::kCompileRequest;
             request.client_id = client_id_;
             request.seq = seq;
             request.payload = payload;
-            reply = roundtrip(request);
+            reply = roundtrip(request, refused);
         }
         if (reply && reply->type == FrameType::kCompileResponse) {
             CompileResponse resp;
@@ -181,6 +184,9 @@ RemoteClient::compile(const CompileRequest& req)
             }
         } else {
             disconnect();  // connect/IO failure or protocol error frame
+            if (refused) {
+                break;
+            }
         }
         if (attempt + 1 < options_.max_attempts) {
             sleep_ms(jittered(backoff_ms));
@@ -200,17 +206,21 @@ RemoteClient::status()
         if (attempt > 0) {
             ++counters_.remote_retries;
         }
+        bool refused = false;
         if (ensure_connected()) {
             Frame request;
             request.type = FrameType::kStatusRequest;
             request.client_id = client_id_;
             request.seq = next_seq_++;
-            const std::optional<Frame> reply = roundtrip(request);
+            const std::optional<Frame> reply = roundtrip(request, refused);
             if (reply && reply->type == FrameType::kStatusResponse) {
                 return reply->payload;
             }
         }
         disconnect();
+        if (refused) {
+            break;
+        }
         if (attempt + 1 < options_.max_attempts) {
             sleep_ms(jittered(backoff_ms));
             backoff_ms =

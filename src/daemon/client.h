@@ -12,6 +12,9 @@
  *  - A received *shed* response is definitive: the client honors its
  *    `retry_after_ms` hint (sleeping at least that long) and retries as
  *    a NEW request (bumped seq) — the previous identity was answered.
+ *  - A reply whose header names another protocol version is final: the
+ *    daemon is of another build, and no retry can change that. The call
+ *    falls back at once instead of spending its attempts.
  *  - When the attempt budget is exhausted the call returns nullopt and
  *    the caller falls back to local in-process compilation (counted in
  *    `remote_fallback_local`). Fallback uses the same pipeline on the
@@ -77,8 +80,11 @@ class RemoteClient {
   private:
     bool ensure_connected();
     void disconnect();
-    /** One send+receive attempt; nullopt on any transport failure. */
-    std::optional<Frame> roundtrip(const Frame& request);
+    /**
+     * One send+receive attempt; nullopt on any transport failure.
+     * Sets `refused` when the reply speaks another protocol version.
+     */
+    std::optional<Frame> roundtrip(const Frame& request, bool& refused);
     void sleep_ms(double ms);
     /** Deterministic jitter in [0.5, 1.5) * base. */
     double jittered(double base_ms);

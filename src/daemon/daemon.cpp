@@ -10,9 +10,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include "daemon/protocol.h"
 #include "scalar/parse.h"
-#include "service/cache_key.h"
 #include "support/error.h"
 
 namespace diospyros::daemon {
@@ -312,32 +310,24 @@ Daemon::handle_frame(int fd, const Frame& frame)
     const RequestId key{frame.client_id, frame.seq};
     {
         // A retried frame after a torn reply: serve the identical
-        // recorded bytes, never a second compile.
+        // bytes again, never a second compile.
         std::unique_lock<std::mutex> lock(dedup_mu_);
-        if (const std::string* bytes = dedup_.find(key)) {
-            const std::string recorded = *bytes;
+        if (const RecordedReply* recorded = dedup_.find(key)) {
+            const RecordedReply reply = *recorded;
             lock.unlock();
             dedup_hits_.fetch_add(1);
-            return send_all(fd, recorded);
+            return send_all(fd, frame_reply(frame, reply));
         }
     }
 
-    const auto encode = [&](const CompileResponse& resp) {
-        Frame reply;
-        reply.type = FrameType::kCompileResponse;
-        reply.client_id = frame.client_id;
-        reply.seq = frame.seq;
-        reply.payload = encode_compile_response(resp);
-        return encode_frame(reply);
-    };
+    RecordedReply reply;
+    CompileResponse& resp = reply.fields;
     const auto failure = [&](FailureClass failure_class, const char* what) {
-        CompileResponse resp;
+        reply = RecordedReply{};
         resp.status = ResponseStatus::kFailed;
         resp.failure_class = failure_class;
         resp.error = what;
-        return encode(resp);
     };
-    std::string reply_bytes;
     try {
         const CompileRequest req = decode_compile_request(frame.payload);
         const scalar::Kernel kernel =
@@ -347,39 +337,47 @@ Daemon::handle_frame(int fd, const Frame& frame)
         sopts.submit_timeout_seconds = req.submit_timeout_seconds;
         service::Ticket ticket =
             service_->submit(kernel, req.options, sopts);
-        const service::ResultPtr result = ticket.future.get();
+        const service::Resolution& resolved = ticket.future.get();
+        const CompileResult& result = *resolved.result;
 
-        CompileResponse resp;
-        resp.failure_class = result->failure_class;
-        resp.error = result->error;
-        if (result->ok) {
+        resp.failure_class = result.failure_class;
+        resp.error = result.error;
+        if (result.ok) {
+            DIOS_ASSERT(resolved.entry_text != nullptr,
+                        "an ok result resolved without its entry text");
             resp.status = ResponseStatus::kOk;
-            const service::CacheKey ck =
-                service::compute_cache_key(kernel, req.options);
-            resp.entry =
-                service::make_entry(ck, req.options, *result->compiled);
-        } else if (result->failure_class == FailureClass::kOverloaded) {
+            reply.entry_text = resolved.entry_text;
+        } else if (result.failure_class == FailureClass::kOverloaded) {
             resp.status = ResponseStatus::kShed;
             resp.retry_after_ms = ticket.retry_after_ms();
         } else {
             resp.status = ResponseStatus::kFailed;
         }
-        reply_bytes = encode(resp);
     } catch (const UserError& e) {
         // Malformed payload / unparseable kernel: the same structured
         // failure a local compile of that input would produce.
-        reply_bytes = failure(FailureClass::kUser, e.what());
+        failure(FailureClass::kUser, e.what());
     } catch (const std::exception& e) {
-        reply_bytes = failure(FailureClass::kInternal, e.what());
+        failure(FailureClass::kInternal, e.what());
     }
 
     {
         // Record *before* sending: if the send tears, the retry is a
         // dedup hit with the identical bytes.
         std::lock_guard<std::mutex> lock(dedup_mu_);
-        dedup_.insert_or_assign(key, reply_bytes);
+        dedup_.insert_or_assign(key, reply);
     }
-    return send_all(fd, reply_bytes);
+    return send_all(fd, frame_reply(frame, reply));
+}
+
+std::string
+Daemon::frame_reply(const Frame& request, const RecordedReply& reply)
+{
+    return encode_frame(
+        FrameType::kCompileResponse, request.client_id, request.seq,
+        reply.entry_text
+            ? encode_compile_response(reply.fields, *reply.entry_text)
+            : encode_compile_response(reply.fields));
 }
 
 bool

@@ -18,10 +18,17 @@
  *    checksum) and malformed payloads get a structured error frame and
  *    the connection is dropped — counted in `frames_rejected`, never a
  *    crash, never an allocation beyond the declared cap (see frame.h).
- *  - Request dedup: responses are remembered in a bounded LRU keyed by
- *    (client_id, seq). A client that resends after a torn reply gets
- *    the *identical recorded bytes* back (`dedup_hits`), not a second
- *    compile — the at-most-once half of the retry story.
+ *  - A hit is bytes: an ok reply is the response fields with the entry
+ *    text the compile service already holds spliced in
+ *    (protocol.h's encode_compile_response(resp, text)); no entry is
+ *    rebuilt or re-encoded, and each request computes its cache key
+ *    once, in the service.
+ *  - Request dedup: replies are remembered in a bounded LRU keyed by
+ *    (client_id, seq), by reference: the small response fields and a
+ *    share of the entry text, not a copy of the frame. A client that
+ *    resends after a torn reply gets the *identical bytes* back
+ *    (`dedup_hits`), re-framed from the record, not a second compile —
+ *    the at-most-once half of the retry story.
  *  - Graceful shutdown: shutdown(kFinish) stops accepting, then drains
  *    the service; a watchdog escalates to drain(kShed) at
  *    `drain_deadline_seconds` so termination is bounded — shed clients
@@ -44,6 +51,7 @@
 #include <vector>
 
 #include "daemon/frame.h"
+#include "daemon/protocol.h"
 #include "service/compile_service.h"
 #include "support/lru.h"
 
@@ -116,6 +124,20 @@ class Daemon {
         }
     };
 
+    /**
+     * One compile reply as the dedup table keeps it: the response
+     * fields (`entry` never engaged) and, for an ok reply, a share of
+     * the entry text. Framing it twice gives the same bytes.
+     */
+    struct RecordedReply {
+        CompileResponse fields;
+        service::EntryText entry_text;
+    };
+
+    /** The reply frame to `request`. */
+    static std::string frame_reply(const Frame& request,
+                                   const RecordedReply& reply);
+
     void accept_loop();
     void handle_connection(int fd);
     /** Returns false when the connection must be dropped. */
@@ -136,9 +158,9 @@ class Daemon {
     std::mutex conn_mu_;
     std::vector<std::unique_ptr<Connection>> connections_;
 
-    // Dedup LRU: (client_id, seq) -> encoded response bytes.
+    // Dedup LRU: (client_id, seq) -> the reply, by reference.
     std::mutex dedup_mu_;
-    Lru<RequestId, std::string, RequestIdHash> dedup_{kDedupCapacity};
+    Lru<RequestId, RecordedReply, RequestIdHash> dedup_{kDedupCapacity};
 
     std::atomic<std::uint64_t> remote_requests_{0};
     std::atomic<std::uint64_t> frames_rejected_{0};

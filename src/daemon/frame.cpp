@@ -73,7 +73,7 @@ frame_error_name(FrameErrorKind kind)
 
 std::uint64_t
 frame_checksum(FrameType type, std::uint64_t client_id, std::uint64_t seq,
-               const std::string& payload)
+               std::string_view payload)
 {
     StableHasher h;
     h.tag("dios-frame")
@@ -81,27 +81,34 @@ frame_checksum(FrameType type, std::uint64_t client_id, std::uint64_t seq,
         .u64(static_cast<std::uint64_t>(type))
         .u64(client_id)
         .u64(seq)
-        .str(payload);
+        .u64(content_checksum(payload));
     return h.digest();
+}
+
+std::string
+encode_frame(FrameType type, std::uint64_t client_id, std::uint64_t seq,
+             std::string_view payload)
+{
+    DIOS_CHECK(payload.size() <= kMaxPayloadLen,
+               "frame payload exceeds the protocol cap");
+    std::string out;
+    out.reserve(kHeaderSize + payload.size());
+    out.append(kMagic, sizeof kMagic);
+    put_u32(out, kProtocolVersion);
+    put_u32(out, static_cast<std::uint32_t>(type));
+    put_u64(out, client_id);
+    put_u64(out, seq);
+    put_u32(out, static_cast<std::uint32_t>(payload.size()));
+    put_u64(out, frame_checksum(type, client_id, seq, payload));
+    out += payload;
+    return out;
 }
 
 std::string
 encode_frame(const Frame& frame)
 {
-    DIOS_CHECK(frame.payload.size() <= kMaxPayloadLen,
-               "frame payload exceeds the protocol cap");
-    std::string out;
-    out.reserve(kHeaderSize + frame.payload.size());
-    out.append(kMagic, sizeof kMagic);
-    put_u32(out, kProtocolVersion);
-    put_u32(out, static_cast<std::uint32_t>(frame.type));
-    put_u64(out, frame.client_id);
-    put_u64(out, frame.seq);
-    put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-    put_u64(out, frame_checksum(frame.type, frame.client_id, frame.seq,
-                                frame.payload));
-    out += frame.payload;
-    return out;
+    return encode_frame(frame.type, frame.client_id, frame.seq,
+                        frame.payload);
 }
 
 void
@@ -167,16 +174,16 @@ FrameDecoder::poll(Frame& out, FrameError& err)
     if (buf_.size() < kHeaderSize + pending_len_) {
         return Status::kNeedMore;
     }
-    pending_.payload = buf_.substr(kHeaderSize, pending_len_);
-    const std::uint64_t want =
-        frame_checksum(pending_.type, pending_.client_id, pending_.seq,
-                       pending_.payload);
+    const std::string_view payload(buf_.data() + kHeaderSize, pending_len_);
+    const std::uint64_t want = frame_checksum(
+        pending_.type, pending_.client_id, pending_.seq, payload);
     if (want != pending_checksum_) {
         fatal_ = FrameError{FrameErrorKind::kBadChecksum,
                             "frame checksum mismatch"};
         err = *fatal_;
         return Status::kError;
     }
+    pending_.payload.assign(payload);
     out = std::move(pending_);
     pending_ = Frame{};
     buf_.erase(0, kHeaderSize + pending_len_);

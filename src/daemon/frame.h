@@ -13,8 +13,14 @@
  *     12      8     u64 client id
  *     20      8     u64 sequence number (per-client, for dedup)
  *     28      4     u32 payload length (<= kMaxPayloadLen)
- *     32      8     u64 StableHasher checksum over version, type,
- *                   client id, seq, and the payload bytes
+ *     32      8     u64 StableHasher digest of version, type, client
+ *                   id, seq, and content_checksum(payload)
+ *                   (support/hash.h)
+ *
+ * The payload is checksummed a word at a time: a warm diosd reply is
+ * tens of kilobytes of entry text the daemon already holds, and a
+ * byte-serial hash over it would cost more than serving it. The few
+ * header fields go through StableHasher.
  *
  * Robustness contract, enforced here and fuzzed in daemon_test:
  *  - The decoder validates the header (magic, version, type, length cap)
@@ -36,11 +42,17 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace diospyros::daemon {
 
-/** Protocol version this build speaks; 2 carries format-5 entries. */
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/**
+ * Protocol version this build speaks. 2 carried format-5 entries; 3
+ * carries format-6 entries and checksums payloads with
+ * content_checksum. A peer of another version is refused at the frame
+ * header, and a client falls back to a local compile at once.
+ */
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /** Hard cap on payload size; larger declared lengths are hostile. */
 inline constexpr std::uint32_t kMaxPayloadLen = 16u << 20;  // 16 MiB
@@ -84,12 +96,16 @@ struct FrameError {
 
 /** Checksum over the integrity-relevant fields (see file header). */
 std::uint64_t frame_checksum(FrameType type, std::uint64_t client_id,
-                             std::uint64_t seq, const std::string& payload);
+                             std::uint64_t seq, std::string_view payload);
 
 /**
- * Serializes `frame` (header + payload). Raises InternalError if the
+ * Serializes one frame (header + payload). Raises InternalError if the
  * payload exceeds kMaxPayloadLen — the sender's bug, not the peer's.
  */
+std::string encode_frame(FrameType type, std::uint64_t client_id,
+                         std::uint64_t seq, std::string_view payload);
+
+/** encode_frame of `frame`'s fields. */
 std::string encode_frame(const Frame& frame);
 
 /**

@@ -131,20 +131,42 @@ decode_compile_request(const std::string& payload)
 // compile-response
 // ---------------------------------------------------------------------------
 
-std::string
-encode_compile_response(const CompileResponse& resp)
+namespace {
+
+/** Opens the response and writes every field but the entry. */
+void
+write_response_fields(SexprWriter& w, const CompileResponse& resp)
 {
-    SexprWriter w;
     w.open("compile-response").field("status", status_name(resp.status));
     w.field("retry-after-ms", resp.retry_after_ms);
     w.field("failure-class", failure_class_name(resp.failure_class));
     w.field("error", resp.error);
+}
+
+}  // namespace
+
+std::string
+encode_compile_response(const CompileResponse& resp)
+{
+    SexprWriter w;
+    write_response_fields(w, resp);
     if (resp.entry) {
         w.open("entry");
         service::write_entry(w, *resp.entry);
         w.close();
     }
     w.close();
+    return w.take();
+}
+
+std::string
+encode_compile_response(const CompileResponse& resp,
+                        std::string_view entry_text)
+{
+    DIOS_ASSERT(!resp.entry, "an entry and its text both given");
+    SexprWriter w;
+    write_response_fields(w, resp);
+    w.open("entry").raw(entry_text).close().close();
     return w.take();
 }
 

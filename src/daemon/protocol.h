@@ -13,8 +13,8 @@
  *     runs exactly the pipeline a local one would — the precondition
  *     for byte-identical results.
  *   compile-response: ok (cached-entry payload, reusing the §5e envelope
- *     body), shed (retry_after_ms hint), or failed (failure class +
- *     message).
+ *     body, spliced in from the text the compile service keeps), shed
+ *     (retry_after_ms hint), or failed (failure class + message).
  *   status-response:  ServiceMetrics::to_json() text, with the daemon
  *     counters and uptime filled in.
  *   error:            structured protocol-level rejection (frame-error
@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "compiler/driver.h"
 #include "service/compile_service.h"
@@ -70,6 +71,16 @@ struct CompileResponse {
 };
 
 std::string encode_compile_response(const CompileResponse& resp);
+
+/**
+ * The response around an entry already encoded (`entry_text` ==
+ * service::encode_entry(entry), `resp.entry` disengaged): the same bytes
+ * as encode_compile_response with `entry` engaged, the text spliced in
+ * as it is. diosd answers every ok request this way.
+ */
+std::string encode_compile_response(const CompileResponse& resp,
+                                    std::string_view entry_text);
+
 CompileResponse decode_compile_response(const std::string& payload);
 
 /** Error-frame payload: `(error (kind "...") (detail "..."))`. */

@@ -1,6 +1,7 @@
 #include "machine/opcodes.h"
 
 #include <iterator>
+#include <unordered_map>
 
 #include "support/error.h"
 
@@ -131,6 +132,23 @@ const char*
 opcode_name(Opcode op)
 {
     return opcode_info(op).mnemonic;
+}
+
+std::optional<Opcode>
+opcode_from_name(std::string_view mnemonic)
+{
+    static const std::unordered_map<std::string_view, Opcode> by_name = [] {
+        std::unordered_map<std::string_view, Opcode> m;
+        for (const OpcodeInfo& row : kOpcodeTable) {
+            m.emplace(row.mnemonic, row.op);
+        }
+        return m;
+    }();
+    const auto it = by_name.find(mnemonic);
+    if (it == by_name.end()) {
+        return std::nullopt;
+    }
+    return it->second;
 }
 
 FunctionalUnit

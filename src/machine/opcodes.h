@@ -21,6 +21,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace diospyros {
 
@@ -153,6 +155,12 @@ const OpcodeInfo& opcode_info(Opcode op);
 
 /** Mnemonic for disassembly and the cache entry. */
 const char* opcode_name(Opcode op);
+
+/**
+ * The opcode whose mnemonic is `mnemonic`, looked up in a table built
+ * once from the opcode rows; nullopt when none is.
+ */
+std::optional<Opcode> opcode_from_name(std::string_view mnemonic);
 
 /** Unit an opcode issues to. */
 FunctionalUnit functional_unit(Opcode op);

@@ -6,6 +6,21 @@
 
 namespace diospyros::scalar {
 
+namespace {
+
+/**
+ * Raises the UserError for `a op b` past int64. Out of line and cold, so
+ * eval_int's frame builds no message on its hot path.
+ */
+[[noreturn, gnu::cold, gnu::noinline]] void
+raise_overflow(std::int64_t a, char op, std::int64_t b)
+{
+    throw UserError("integer expression overflows int64: " +
+                    std::to_string(a) + ' ' + op + ' ' + std::to_string(b));
+}
+
+}  // namespace
+
 std::int64_t
 eval_int(const IntExpr& e,
          const std::unordered_map<Symbol, std::int64_t>& env)
@@ -20,11 +35,24 @@ eval_int(const IntExpr& e,
         return it->second;
       }
       case IntExpr::Kind::kAdd:
-        return eval_int(*e.a, env) + eval_int(*e.b, env);
       case IntExpr::Kind::kSub:
-        return eval_int(*e.a, env) - eval_int(*e.b, env);
-      case IntExpr::Kind::kMul:
-        return eval_int(*e.a, env) * eval_int(*e.b, env);
+      case IntExpr::Kind::kMul: {
+        const std::int64_t a = eval_int(*e.a, env);
+        const std::int64_t b = eval_int(*e.b, env);
+        std::int64_t r = 0;
+        const bool overflowed =
+            e.kind == IntExpr::Kind::kAdd   ? __builtin_add_overflow(a, b, &r)
+            : e.kind == IntExpr::Kind::kSub ? __builtin_sub_overflow(a, b, &r)
+                                            : __builtin_mul_overflow(a, b, &r);
+        if (overflowed) {
+            raise_overflow(a,
+                           e.kind == IntExpr::Kind::kAdd   ? '+'
+                           : e.kind == IntExpr::Kind::kSub ? '-'
+                                                           : '*',
+                           b);
+        }
+        return r;
+      }
     }
     DIOS_ASSERT(false, "unhandled IntExpr kind");
 }

@@ -33,7 +33,10 @@ using FunctionMap = std::unordered_map<
 BufferMap run_reference(const Kernel& kernel, const BufferMap& inputs,
                         const FunctionMap& functions = {});
 
-/** Evaluates an integer expression under parameter/loop bindings. */
+/**
+ * Evaluates an integer expression under parameter/loop bindings. Raises
+ * UserError when a sum, difference or product leaves int64.
+ */
 std::int64_t eval_int(const IntExpr& e,
                       const std::unordered_map<Symbol, std::int64_t>& env);
 

@@ -272,7 +272,7 @@ CompileService::reject(const std::shared_ptr<Job>& job, CacheOutcome outcome,
     result->user_error = failure_class == FailureClass::kUser;
     result->failure_class = failure_class;
     result->error = detail;
-    job->promise.set_value(std::move(result));
+    job->promise.set_value({std::move(result), nullptr});
 }
 
 Ticket
@@ -361,7 +361,7 @@ CompileService::submit(const scalar::Kernel& kernel, CompilerOptions options,
             ++metrics_.completed;
             job->state->outcome.store(CacheOutcome::kMemoryHit,
                                       std::memory_order_release);
-            job->promise.set_value(hit->result);
+            job->promise.set_value({hit->result, hit->text});
             return ticket;
         }
 
@@ -420,7 +420,7 @@ CompileService::submit(const scalar::Kernel& kernel, CompilerOptions options,
                     remembered->user_error = entry.user_error;
                     remembered->failure_class = entry.failure_class;
                     remembered->error = entry.error;
-                    job->promise.set_value(std::move(remembered));
+                    job->promise.set_value({std::move(remembered), nullptr});
                     return ticket;
                 }
                 // else: TTL expired, or the request carries a larger
@@ -713,7 +713,10 @@ CompileService::process(const std::shared_ptr<Job>& job)
                     compiled_from_entry(job->kernel, *loaded.entry);
                 job->state->outcome.store(CacheOutcome::kDiskHit,
                                           std::memory_order_release);
-                finish(job, std::move(result), /*executed=*/false);
+                finish(job, std::move(result),
+                       std::make_shared<const std::string>(
+                           std::move(loaded.payload_text)),
+                       /*executed=*/false);
                 return;
             } catch (const std::exception&) {
                 // Reconstruction failed: fall through and recompile.
@@ -784,7 +787,7 @@ CompileService::process(const std::shared_ptr<Job>& job)
             result->compiled->machine, job->options.target, mdiags,
             &result->compiled->layout);
     }
-    finish(job, std::move(result), /*executed=*/true, verifier_ok,
+    finish(job, std::move(result), nullptr, /*executed=*/true, verifier_ok,
            machine_verifier_ok);
 }
 
@@ -857,9 +860,13 @@ CompileService::record_outcome(const std::shared_ptr<Job>& job,
 
 void
 CompileService::finish(const std::shared_ptr<Job>& job, ResultPtr result,
-                       bool executed, bool verifier_ok,
+                       EntryText text, bool executed, bool verifier_ok,
                        bool machine_verifier_ok)
 {
+    if (result->ok && result->compiled && !text) {
+        text = std::make_shared<const std::string>(encode_entry(
+            make_entry(job->key, job->options, *result->compiled)));
+    }
     {
         std::lock_guard<std::mutex> lock(mu_);
         ++metrics_.completed;
@@ -920,7 +927,8 @@ CompileService::finish(const std::shared_ptr<Job>& job, ResultPtr result,
             result->ok && result->compiled) {
             memory_.insert_or_assign(
                 job->key,
-                MemEntry{result, job->options.limits.time_limit_seconds,
+                MemEntry{result, text,
+                         job->options.limits.time_limit_seconds,
                          job->options.deadline_seconds});
         }
         if (job->owns_inflight) {
@@ -939,9 +947,7 @@ CompileService::finish(const std::shared_ptr<Job>& job, ResultPtr result,
         policy.retries = std::max(0, job->options.io_retries);
         policy.deadline = Deadline::after_seconds(2.0);
         try {
-            const int retried = disk_->store(
-                make_entry(job->key, job->options, *result->compiled),
-                policy);
+            const int retried = disk_->store(job->key, *text, policy);
             std::lock_guard<std::mutex> lock(mu_);
             ++metrics_.disk_writes;
             metrics_.io_retries += static_cast<std::uint64_t>(retried);
@@ -951,7 +957,7 @@ CompileService::finish(const std::shared_ptr<Job>& job, ResultPtr result,
         }
     }
 
-    job->promise.set_value(std::move(result));
+    job->promise.set_value({std::move(result), std::move(text)});
 }
 
 }  // namespace diospyros::service

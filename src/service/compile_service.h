@@ -7,8 +7,9 @@
  *
  *   1. key = (canonical spec hash, relevant-options hash)
  *      (service/cache_key.h — wall-clock budgets excluded).
- *   2. Memory cache (LRU of shared CompileResults) — hit returns a
- *      ready ticket without touching the queue.
+ *   2. Memory cache (LRU of shared CompileResults, each beside its
+ *      encoded entry text) — hit returns a ready ticket without
+ *      touching the queue.
  *   3. In-flight map — an identical key already queued or compiling
  *      *coalesces*: N concurrent requests share one saturation, and the
  *      other N-1 tickets resolve from the same future.
@@ -251,6 +252,20 @@ struct ServiceMetrics {
 using ResultPtr = std::shared_ptr<const CompileResult>;
 
 /**
+ * A result's encoded cache entry (serialize.h's encode_entry), shared by
+ * every request the result serves. Encoded once per artifact: by the
+ * miss that compiled it, or kept from the disk payload a hit loaded.
+ */
+using EntryText = std::shared_ptr<const std::string>;
+
+/** What a ticket resolves to. */
+struct Resolution {
+    ResultPtr result;
+    /** Engaged iff result->ok: the bytes diosd sends for it. */
+    EntryText entry_text;
+};
+
+/**
  * Handle for one submitted compile. `future` is shared: coalesced
  * requests hold the same underlying state. outcome() is final once the
  * future is ready (scheduled jobs refine kMiss -> kDiskHit when the
@@ -258,7 +273,7 @@ using ResultPtr = std::shared_ptr<const CompileResult>;
  */
 class Ticket {
   public:
-    std::shared_future<ResultPtr> future;
+    std::shared_future<Resolution> future;
 
     CacheOutcome
     outcome() const
@@ -288,7 +303,7 @@ class Ticket {
     }
 
     /** Blocks until done and returns the result. */
-    const CompileResult& get() const { return *future.get(); }
+    const CompileResult& get() const { return *future.get().result; }
 
   private:
     friend class CompileService;
@@ -439,8 +454,8 @@ class CompileService {
          * waiters can never be cancelled by the owner's shorter budget.
          */
         Deadline request_deadline;
-        std::promise<ResultPtr> promise;
-        std::shared_future<ResultPtr> future;
+        std::promise<Resolution> promise;
+        std::shared_future<Resolution> future;
         std::shared_ptr<Ticket::State> state;
     };
 
@@ -467,9 +482,13 @@ class CompileService {
         double next_backoff_seconds = 0.0;
     };
 
-    /** One memory-cache entry: the result + the budgets it ran under. */
+    /**
+     * One memory-cache entry: the result, its entry text, and the
+     * budgets it ran under.
+     */
     struct MemEntry {
         ResultPtr result;
+        EntryText text;
         double time_limit_seconds = 0.0;
         double deadline_seconds = 0.0;
     };
@@ -477,15 +496,17 @@ class CompileService {
     void worker_loop();
     void process(const std::shared_ptr<Job>& job);
     /**
-     * Finishes a job: caches (unless bypass/failed/verifier-rejected),
-     * updates the failure memory, resolves waiters. `verifier_ok ==
-     * false` means the post-compile VIR verifier gate rejected the
-     * program, `machine_verifier_ok == false` that the structural
-     * machine verifier did: either way the result is still delivered to
-     * the caller, but never enters either cache level.
+     * Finishes a job: encodes a successful result's entry text unless a
+     * disk hit brings it (`text`), caches (unless
+     * bypass/failed/verifier-rejected), updates the failure memory,
+     * resolves waiters. `verifier_ok == false` means the post-compile
+     * VIR verifier gate rejected the program, `machine_verifier_ok ==
+     * false` that the structural machine verifier did: either way the
+     * result is still delivered to the caller, but never enters either
+     * cache level.
      */
     void finish(const std::shared_ptr<Job>& job, ResultPtr result,
-                bool executed, bool verifier_ok = true,
+                EntryText text, bool executed, bool verifier_ok = true,
                 bool machine_verifier_ok = true);
 
     /** Jobs queued across all priority classes; must hold mu_. */

@@ -183,7 +183,7 @@ LoadResult
 verify_text(const std::string& text, const CacheKey* expected_key)
 {
     LoadResult r;
-    const EnvelopeFields env = read_envelope(text);
+    EnvelopeFields env = read_envelope(text);
     if (!env.well_formed) {
         r.status = LoadStatus::kCorrupt;
         r.detail = "malformed envelope: " + env.error;
@@ -207,7 +207,7 @@ verify_text(const std::string& text, const CacheKey* expected_key)
     }
 
     DIOS_FAULT_POINT("cache.load.checksum");
-    const std::uint64_t actual = stable_hash_string(env.payload_text);
+    const std::uint64_t actual = content_checksum(env.payload_text);
     if (actual != env.checksum) {
         r.status = LoadStatus::kCorrupt;
         r.checksum_mismatch = true;
@@ -241,6 +241,7 @@ verify_text(const std::string& text, const CacheKey* expected_key)
     }
     r.status = LoadStatus::kHit;
     r.entry = std::move(entry);
+    r.payload_text = std::move(env.payload_text);
     return r;
 }
 
@@ -360,13 +361,29 @@ DiskCache::load(const CacheKey& key) const
 int
 DiskCache::store(const CachedEntry& entry, const IoPolicy& policy) const
 {
+    return store_envelope(entry.key, encode_entry(entry),
+                          entry.rule_set_version, policy);
+}
+
+int
+DiskCache::store(const CacheKey& key, std::string_view payload,
+                 const IoPolicy& policy) const
+{
+    return store_envelope(key, payload, kRuleSetVersion, policy);
+}
+
+int
+DiskCache::store_envelope(const CacheKey& key, std::string_view payload,
+                          std::uint64_t rule_set_version,
+                          const IoPolicy& policy) const
+{
     // The counter makes concurrent *threads* unique; the pid makes
     // concurrent *processes* sharing one cache directory unique. Both
     // are needed: two dioscc processes each start their counter at 0.
     static std::atomic<unsigned> counter{0};
-    const fs::path shard_dir = shard_dir_for(entry.key);
-    const fs::path final_path = path_for(entry.key);
-    const std::string text = encode_envelope(entry);
+    const fs::path shard_dir = shard_dir_for(key);
+    const fs::path final_path = path_for(key);
+    const std::string text = encode_envelope(payload, rule_set_version);
 
     return with_retries(policy, [&] {
         {
@@ -379,7 +396,7 @@ DiskCache::store(const CachedEntry& entry, const IoPolicy& policy) const
             }
         }
         const fs::path tmp_path =
-            shard_dir / (entry.key.hex() + ".tmp." +
+            shard_dir / (key.hex() + ".tmp." +
                          std::to_string(static_cast<long>(::getpid())) +
                          "." +
                          std::to_string(counter.fetch_add(

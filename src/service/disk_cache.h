@@ -25,9 +25,9 @@
  *    point leaves either the old entry, the new entry, or an orphaned
  *    `.tmp` file — never a torn `.sexpr` entry.
  *  - Every entry is wrapped in a versioned envelope carrying a
- *    `format-version`, the rule-set version, and a StableHasher content
- *    checksum over the payload, so truncation and bit rot are *detected*,
- *    not served.
+ *    `format-version`, the rule-set version, and a content_checksum
+ *    (support/hash.h) over the payload, so truncation and bit rot are
+ *    *detected*, not served.
  *  - load() classifies outcomes instead of flattening them: a missing
  *    file or stale rule-set version is a miss; a parse failure, envelope
  *    violation, checksum mismatch, or misfiled key is kCorrupt (the
@@ -60,6 +60,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "service/cache_key.h"
 #include "service/serialize.h"
@@ -99,6 +100,11 @@ enum class LoadStatus {
 struct LoadResult {
     LoadStatus status = LoadStatus::kMiss;
     std::optional<CachedEntry> entry;
+    /**
+     * On a hit, the payload text the checksum covered and `entry` was
+     * decoded from: encode_entry(*entry), without encoding it again.
+     */
+    std::string payload_text;
     /** Human-readable reason for kCorrupt / kMiss ("" on a hit). */
     std::string detail;
     /** True when the corruption was specifically a checksum mismatch. */
@@ -145,6 +151,15 @@ class DiskCache {
     int store(const CachedEntry& entry, const IoPolicy& policy = {}) const;
 
     /**
+     * store() of the entry whose encoded text (encode_entry) is
+     * `payload`, filed under `key`, without encoding the entry again.
+     * The payload must name this build's kRuleSetVersion, as every
+     * entry the compile service encodes does: the envelope names it.
+     */
+    int store(const CacheKey& key, std::string_view payload,
+              const IoPolicy& policy = {}) const;
+
+    /**
      * Moves the entry for `key` into `quarantine/` (under flock). The
      * quarantined copy keeps its file name; a prior quarantined copy of
      * the same key is replaced. No-op if the entry vanished meanwhile.
@@ -176,6 +191,11 @@ class DiskCache {
     const std::filesystem::path& dir() const { return dir_; }
 
   private:
+    /** Both store()s: the envelope names `rule_set_version`. */
+    int store_envelope(const CacheKey& key, std::string_view payload,
+                       std::uint64_t rule_set_version,
+                       const IoPolicy& policy) const;
+
     std::filesystem::path dir_;
     std::uintmax_t disk_budget_bytes_ = 0;
     RecoveryStats startup_stats_;

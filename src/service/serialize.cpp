@@ -163,9 +163,12 @@ read_instr(SexprCursor& c, std::size_t index)
     const std::size_t n = c.read_rest(v);
     DIOS_CHECK(n >= 7 && v[0].is_atom(),
                "cache entry: malformed instruction");
+    // Looked up as written: the writer never quotes a mnemonic.
+    const std::optional<Opcode> op = opcode_from_name(v[0].raw);
+    DIOS_CHECK(op.has_value(), "cache entry: unknown opcode '" +
+                                   std::string(v[0].raw) + "'");
     Instr instr;
-    instr.op = enum_from_name(v[0].token(), kNumOpcodes, opcode_name,
-                              "cache entry: unknown opcode");
+    instr.op = *op;
     instr.dst = as_int(v[1]);
     instr.a = as_int(v[2]);
     instr.b = as_int(v[3]);
@@ -201,6 +204,10 @@ read_program(SexprCursor& c)
                            p.num_vec_regs >= 0,
                        "cache entry: negative register count");
         } else if (head->is("code")) {
+            // The writer spells no instruction in fewer than 23 bytes
+            // with its separator (`(bge 0 0 0 0 0x0p+0 0) `), and the
+            // code list ends the entry.
+            p.code.reserve(c.remaining() / 23);
             while (c.more()) {
                 p.code.push_back(read_instr(c, p.code.size()));
             }
@@ -325,14 +332,13 @@ decode_entry(std::string_view text)
 }
 
 std::string
-encode_envelope(const CachedEntry& entry)
+encode_envelope(std::string_view payload, std::uint64_t rule_set_version)
 {
-    const std::string payload = encode_entry(entry);
     SexprWriter w;
     w.open("dios-cache-envelope");
     w.field("format-version", kCacheFormatVersion);
-    w.field("rule-set-version", entry.rule_set_version);
-    w.open("checksum").atom(hash_hex(stable_hash_string(payload))).close();
+    w.field("rule-set-version", rule_set_version);
+    w.open("checksum").atom(hash_hex(content_checksum(payload))).close();
     w.open("payload").raw(payload).close().close();
     return w.take() + '\n';
 }

@@ -23,6 +23,13 @@
  * value as it goes (DESIGN.md §5e). tests/golden/format.golden pins the
  * bytes of envelopes and payloads.
  *
+ * An entry is encoded once. The compile service keeps the text of every
+ * result it resolves beside the result (compile_service.h's EntryText):
+ * the disk store wraps that text in its envelope, a disk hit keeps the
+ * payload text it checksummed, and diosd splices the text into its
+ * replies. encode_entry(make_entry(...)) is the text's definition, and
+ * the path tools and benches take when they hold only a CompiledKernel.
+ *
  * Round-trip contract: encode(decode(x)) == x byte-for-byte,
  * and a decoded program disassembles identically to the original —
  * that is what makes warm-cache outputs byte-identical to cold ones.
@@ -88,23 +95,26 @@ CachedEntry decode_entry(std::string_view text);
  * survives kMaxVectorWidth changes; 4 the report as one `(name value...)`
  * list per persisted compiler/report_fields.h row, with the validation
  * and random-check gates' ran flags; 5 no clock rows, `(level error)`
- * attempts, no entry-level `fallback-level`, a flat envelope.
+ * attempts, no entry-level `fallback-level`, a flat envelope; 6 the
+ * checksum is content_checksum (support/hash.h), the one wire frames
+ * use, in place of StableHasher (the payload bytes are unchanged).
  */
-constexpr std::uint64_t kCacheFormatVersion = 5;
+constexpr std::uint64_t kCacheFormatVersion = 6;
 
 /**
  * The durable on-disk envelope of an entry, as DiskCache::store writes
  * it: one line,
  *
- *   (dios-cache-envelope (format-version 5) (rule-set-version N)
- *    (checksum <16-hex StableHasher digest of the payload>)
+ *   (dios-cache-envelope (format-version 6) (rule-set-version N)
+ *    (checksum <16-hex content_checksum of the payload>)
  *    (payload (dios-cache-entry ...)))
  *
- * (shown wrapped here) and a newline. The payload is encode_entry(entry)
+ * (shown wrapped here) and a newline. `payload` is encode_entry(entry),
  * spliced in unchanged, and the checksum covers exactly those bytes, so
  * any change inside the payload, a space included, is a mismatch.
  */
-std::string encode_envelope(const CachedEntry& entry);
+std::string encode_envelope(std::string_view payload,
+                            std::uint64_t rule_set_version);
 
 /** Parsed envelope header; see read_envelope(). */
 struct EnvelopeFields {
@@ -113,7 +123,7 @@ struct EnvelopeFields {
     std::string error;
     std::uint64_t format_version = 0;
     std::uint64_t rule_set_version = 0;
-    /** Stored payload checksum (compare with stable_hash_string). */
+    /** Stored payload checksum (compare with content_checksum). */
     std::uint64_t checksum = 0;
     /**
      * The payload element's bytes as stored: what the checksum covers

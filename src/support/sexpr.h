@@ -215,6 +215,8 @@ class SexprCursor {
     void skip_rest();
     /** Raises UserError unless only whitespace and comments remain. */
     void finish();
+    /** Bytes of text not yet consumed. */
+    std::size_t remaining() const { return text_.size() - pos_; }
 
   private:
     [[noreturn]] void fail(const char* what) const;

@@ -838,6 +838,35 @@ TEST(Cli, ServiceMetricsJsonKeepsTheDaemonStatusSpelling)
     }
 }
 
+TEST(ReportFields, MemoryHitPrintsNoRunTelemetry)
+{
+    // What `dioscc --batch --json` prints for a kernel served from the
+    // memory cache (a `"cache":"hit"` element): no run telemetry, as for
+    // a disk or remote hit, although the cached report is the miss's.
+    service::CompileService svc(service::CompileService::Options{});
+    const scalar::Kernel kernel = scalar::parse_kernel_file(kVadd);
+    const service::Ticket miss = svc.submit(kernel, CompilerOptions{});
+    ASSERT_TRUE(miss.get().ok);
+    const service::Ticket hit = svc.submit(kernel, CompilerOptions{});
+    ASSERT_EQ(hit.outcome(), service::CacheOutcome::kMemoryHit);
+    ASSERT_FALSE(hit.get().report().rule_stats.empty());
+    const auto json = [](const service::Ticket& t, bool cached) {
+        JsonWriter w;
+        write_report_json(w.open('{'), t.get().report(), kJson, cached);
+        return w.close('}').str();
+    };
+    const std::string ran = json(miss, false);
+    const std::string served = json(hit, true);
+    for (const char* empty :
+         {"\"rule_stats\":[]", "\"phases\":[]", "\"ematch_matches\":0,",
+          "\"ematch_search_seconds\":null",
+          "\"ematch_apply_seconds\":null"}) {
+        EXPECT_EQ(ran.find(empty), std::string::npos) << empty << "\n" << ran;
+        EXPECT_NE(served.find(empty), std::string::npos)
+            << empty << "\n" << served;
+    }
+}
+
 /** A report in which every field holds a non-default value. */
 CompileReport
 distinct_report()
@@ -915,6 +944,12 @@ TEST(ReportFields, EveryRowTravelsAndPrintsOnce)
         EXPECT_EQ(cached.str().find("null") != std::string::npos,
                   (f.where & kClock) != 0)
             << cached.str();
+        // And its run rows as a report of no run, wherever it was cached.
+        if ((f.where & kRun) != 0) {
+            JsonWriter no_run;
+            f.json(no_run.open('{'), none, true);
+            EXPECT_EQ(cached.str(), no_run.str());
+        }
         const bool in_json = (f.where & kJson) != 0;
         json_rows += in_json;
         EXPECT_EQ(std::count(keys.begin(), keys.end(), f.name),

@@ -2,30 +2,37 @@
 // oversized lengths, checksum damage, bit flips — never a crash, never
 // an allocation past the declared cap), protocol payload round-trips,
 // and the live daemon end to end over a real Unix socket: compile,
-// byte-identity vs a local compile, request dedup after a replay,
+// byte-identity vs a local compile and vs the golden payloads on a
+// miss, a memory hit and a disk hit, request dedup after a replay,
 // status frames, malformed-frame rejection, and local fallback when no
-// daemon is listening.
+// daemon is listening or it speaks another protocol version.
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "../benchmark/bench.h"
 #include "compiler/driver.h"
 #include "compiler/option_fields.h"
 #include "daemon/client.h"
 #include "daemon/daemon.h"
 #include "daemon/frame.h"
 #include "daemon/protocol.h"
+#include "format_golden.h"
 #include "machine/program.h"
 #include "scalar/parse.h"
 #include "service/cache_key.h"
@@ -107,6 +114,35 @@ make_request_frame(std::uint64_t client_id, std::uint64_t seq)
     frame.seq = seq;
     frame.payload = encode_compile_request(req);
     return frame;
+}
+
+/** Sends `wire` on a new connection to `sock`; returns the reply frame. */
+Frame
+exchange(const std::string& sock, const std::string& wire)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, sock.c_str(), sizeof addr.sun_path - 1);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+    EXPECT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
+    FrameDecoder decoder;
+    Frame out;
+    FrameError err;
+    char buf[65536];
+    while (decoder.poll(out, err) != FrameDecoder::Status::kFrame) {
+        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+        if (n <= 0) {
+            ADD_FAILURE() << "connection closed before a reply";
+            break;
+        }
+        decoder.feed(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -679,55 +715,92 @@ TEST(DaemonEndToEnd, ReplayedFrameIsServedFromDedupNotRecompiled)
     d.start();
 
     // Speak the protocol by hand so the exact same (client_id, seq)
-    // frame goes out twice — what a retry after a torn reply does.
-    const Frame request = make_request_frame(0xc11e47, 1);
-    const std::string wire = daemon::encode_frame(request);
-
-    auto exchange = [&]() -> Frame {
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        EXPECT_GE(fd, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, dir.sock().c_str(),
-                     sizeof addr.sun_path - 1);
-        EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                            sizeof addr),
-                  0);
-        EXPECT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
-                  static_cast<ssize_t>(wire.size()));
-        FrameDecoder decoder;
-        Frame out;
-        FrameError err;
-        char buf[65536];
-        for (;;) {
-            if (decoder.poll(out, err) == FrameDecoder::Status::kFrame) {
-                break;
-            }
-            const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-            if (n <= 0) {
-                ADD_FAILURE() << "connection closed before a reply";
-                break;
-            }
-            decoder.feed(buf, static_cast<std::size_t>(n));
-        }
-        ::close(fd);
-        return out;
-    };
-
-    const Frame first = exchange();
-    const Frame second = exchange();  // replay on a NEW connection
-    EXPECT_EQ(first.type, FrameType::kCompileResponse);
-    EXPECT_EQ(second.type, FrameType::kCompileResponse);
-    // Identical recorded bytes, and the daemon counted a dedup hit
-    // instead of compiling twice.
-    EXPECT_EQ(first.payload, second.payload);
-    EXPECT_EQ(d.dedup_hits(), 1u);
-    EXPECT_EQ(d.remote_requests(), 2u);
+    // frame goes out twice — what a retry after a torn reply does. The
+    // first identity is answered by a compile, the second by the memory
+    // cache; each is replayed on a NEW connection.
+    const std::string miss = encode_frame(make_request_frame(0xc11e47, 1));
+    const std::string hit = encode_frame(make_request_frame(0xc11e47, 2));
+    const Frame first = exchange(dir.sock(), miss);
+    const Frame first_again = exchange(dir.sock(), miss);
+    const Frame second = exchange(dir.sock(), hit);
+    const Frame second_again = exchange(dir.sock(), hit);
+    for (const Frame* f : {&first, &first_again, &second, &second_again}) {
+        EXPECT_EQ(f->type, FrameType::kCompileResponse);
+        EXPECT_EQ(f->client_id, 0xc11e47u);
+    }
+    EXPECT_EQ(first.seq, 1u);
+    EXPECT_EQ(second_again.seq, 2u);
+    // Identical bytes, and the daemon counted dedup hits instead of
+    // compiling (or looking up) again. A hit's reply is the miss's.
+    EXPECT_EQ(encode_frame(first_again), encode_frame(first));
+    EXPECT_EQ(encode_frame(second_again), encode_frame(second));
+    EXPECT_EQ(second.payload, first.payload);
+    EXPECT_EQ(daemon::decode_compile_response(first.payload).status,
+              ResponseStatus::kOk);
+    EXPECT_EQ(d.dedup_hits(), 2u);
+    EXPECT_EQ(d.remote_requests(), 4u);
 
     const std::string status = d.status_json();
-    EXPECT_NE(status.find("\"dedup_hits\":1"), std::string::npos);
+    EXPECT_NE(status.find("\"dedup_hits\":2"), std::string::npos);
+    EXPECT_NE(status.find("\"misses\":1,"), std::string::npos) << status;
+    EXPECT_NE(status.find("\"memory_hits\":1,"), std::string::npos)
+        << status;
     EXPECT_NE(status.find("\"uptime_seconds\":"), std::string::npos);
 
+    d.shutdown();
+}
+
+TEST(DaemonEndToEnd, EveryGoldenPayloadIsServedOnMissMemoryHitAndDiskHit)
+{
+    TempDir dir("golden");
+    daemon::DaemonOptions dopts;
+    dopts.socket_path = dir.sock();
+    dopts.service.jobs = 1;
+    dopts.service.cache_dir = (dir.path / "cache").string();
+
+    std::map<std::string, std::string> golden;
+    for (const format_golden::Record& r : format_golden::read_golden()) {
+        golden.emplace(r.name, r.text);
+    }
+    const std::vector<format_golden::Case> cases = format_golden::cases();
+    ASSERT_EQ(golden.size(), 2 * cases.size());
+    std::uint64_t seq = 0;
+    const auto serve_every_case = [&](const char* pass) {
+        for (const format_golden::Case& c : cases) {
+            CompileRequest req;
+            req.kernel_name = c.kernel.name;
+            req.kernel_text = benchmark::kernel_text(c.kernel);
+            req.options = format_golden::options_for(c.width);
+            const Frame reply = exchange(
+                dir.sock(),
+                daemon::encode_frame(FrameType::kCompileRequest, 0x901d,
+                                     ++seq, encode_compile_request(req)));
+            EXPECT_EQ(reply.type, FrameType::kCompileResponse);
+            EXPECT_TRUE(reply.payload == golden[c.name + " payload"])
+                << c.name << ", " << pass;
+        }
+    };
+    const auto counted = [&](const daemon::Daemon& d, const char* name) {
+        return d.status_json().find("\"" + std::string(name) + "\":" +
+                                    std::to_string(cases.size()) + ",") !=
+               std::string::npos;
+    };
+
+    {
+        daemon::Daemon d(dopts);
+        d.start();
+        serve_every_case("miss");
+        serve_every_case("memory hit");
+        EXPECT_TRUE(counted(d, "misses")) << d.status_json();
+        EXPECT_TRUE(counted(d, "memory_hits")) << d.status_json();
+        d.shutdown();
+    }
+    // A restarted daemon has an empty memory cache: every case is now
+    // served from the payload text its disk entry holds.
+    daemon::Daemon d(dopts);
+    d.start();
+    serve_every_case("disk hit");
+    EXPECT_TRUE(counted(d, "disk_hits")) << d.status_json();
     d.shutdown();
 }
 
@@ -833,6 +906,68 @@ TEST(RemoteClientFallback, UnreachableSocketReturnsNulloptQuickly)
     EXPECT_EQ(client.counters().remote_fallback_local, 1u);
     EXPECT_EQ(client.counters().remote_retries, 1u);
     EXPECT_FALSE(client.status().has_value());
+}
+
+TEST(RemoteClientFallback, AnotherProtocolVersionFallsBackAfterOneFrame)
+{
+    // A stand-in for a diosd of another build: it answers each frame as
+    // that daemon does, with an error frame at its own version, then
+    // hangs up. No retry can change the answer, so the client must fall
+    // back after the first one.
+    TempDir dir("version");
+    const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, dir.sock().c_str(), sizeof addr.sun_path - 1);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof addr),
+              0);
+    ASSERT_EQ(::listen(listener, 8), 0);
+    std::atomic<bool> done{false};
+    std::atomic<int> frames{0};
+    std::thread server([&] {
+        Frame refusal;
+        refusal.type = FrameType::kError;
+        refusal.payload = daemon::encode_error_payload(
+            "bad-version", "unsupported protocol version");
+        std::string bytes = encode_frame(refusal);
+        bytes[4] = static_cast<char>(daemon::kProtocolVersion - 1);
+        while (!done.load()) {
+            pollfd p{listener, POLLIN, 0};
+            if (::poll(&p, 1, 20) <= 0) {
+                continue;
+            }
+            const int fd = ::accept(listener, nullptr, nullptr);
+            char buf[65536];
+            if (fd >= 0 && ::recv(fd, buf, sizeof buf, 0) > 0) {
+                ++frames;
+                ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+            }
+            if (fd >= 0) {
+                ::close(fd);
+            }
+        }
+    });
+
+    RemoteOptions ropts;
+    ropts.socket_path = dir.sock();
+    ropts.jitter_seed = 5;
+    RemoteClient client(ropts);
+    CompileRequest req;
+    req.kernel_name = "vadd4";
+    req.kernel_text = kVaddText;
+    req.options = test_options();
+    EXPECT_FALSE(client.compile(req).has_value());
+    EXPECT_EQ(frames.load(), 1);
+    EXPECT_EQ(client.counters().remote_retries, 0u);
+    EXPECT_EQ(client.counters().remote_fallback_local, 1u);
+    EXPECT_FALSE(client.status().has_value());
+    EXPECT_EQ(frames.load(), 2);
+
+    done.store(true);
+    server.join();
+    ::close(listener);
 }
 
 }  // namespace

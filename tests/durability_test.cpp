@@ -136,12 +136,13 @@ TEST(Envelope, ChecksumCoversCanonicalPayload)
     const CompilerOptions options = test_options();
     const CachedEntry entry = compiled_entry(kernel, options);
 
-    const std::string file = service::encode_envelope(entry);
+    const std::string file = service::encode_envelope(
+        service::encode_entry(entry), entry.rule_set_version);
     const service::EnvelopeFields fields = service::read_envelope(file);
     ASSERT_TRUE(fields.well_formed) << fields.error;
     EXPECT_EQ(fields.format_version, service::kCacheFormatVersion);
     EXPECT_EQ(fields.rule_set_version, service::kRuleSetVersion);
-    EXPECT_EQ(fields.checksum, stable_hash_string(fields.payload_text));
+    EXPECT_EQ(fields.checksum, content_checksum(fields.payload_text));
     EXPECT_EQ(fields.payload_text, service::encode_entry(entry));
     // Stored as one flat line: the bytes checksummed are the bytes on disk.
     EXPECT_EQ(file, "(dios-cache-envelope (format-version " +

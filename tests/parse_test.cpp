@@ -210,6 +210,28 @@ TEST(ParseKernel, OutOfRangeIntegersAndExtentsAreUserErrors)
               2u);
 }
 
+TEST(ParseKernel, LoopBoundPastInt64IsAUserError)
+{
+    // The bound (* n 4) wraps to 4 in unchecked int64 arithmetic; the
+    // kernel parses (its extents are fine) and fails where the bound is
+    // evaluated, naming the overflowing product.
+    const Kernel k = parse_kernel(
+        "(kernel k (param n 4611686018427387905) (input a 4) (output o 4)"
+        " (for i 0 (* n 4) (store o i (load a i))))");
+    try {
+        lift(k);
+        FAIL() << "expected the loop bound to overflow";
+    } catch (const UserError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "overflows int64: 4611686018427387905 * 4"),
+                  std::string::npos)
+            << e.what();
+    }
+    const CompileResult r = compile_kernel_resilient(k, CompilerOptions{});
+    EXPECT_FALSE(r.ok);
+    EXPECT_TRUE(r.user_error);
+}
+
 TEST(ParseKernel, MissingFileThrows)
 {
     EXPECT_THROW(parse_kernel_file("/nonexistent/path.ksp"), UserError);

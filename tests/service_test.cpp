@@ -511,7 +511,7 @@ write_envelope(const service::DiskCache& disk, const CacheKey& key,
         << "(dios-cache-envelope (format-version "
         << service::kCacheFormatVersion << ") (rule-set-version "
         << service::kRuleSetVersion << ") (checksum "
-        << hash_hex(stable_hash_string(payload)) << ") (payload " << payload
+        << hash_hex(content_checksum(payload)) << ") (payload " << payload
         << "))\n";
 }
 
@@ -693,13 +693,18 @@ TEST(CompileService, CoalescesDuplicateInflightKeys)
     EXPECT_EQ(m.misses, 1u);  // exactly one saturation ran
     EXPECT_EQ(m.coalesced + m.memory_hits, 4u);
 
-    // Every ticket resolves to the *same* shared result object.
-    const service::ResultPtr first = tickets[0].future.get();
-    ASSERT_TRUE(first->ok);
+    // Every ticket resolves to the *same* shared result object and the
+    // same shared entry text, encoded once by the miss.
+    const service::Resolution first = tickets[0].future.get();
+    ASSERT_TRUE(first.result->ok);
+    ASSERT_NE(first.entry_text, nullptr);
+    EXPECT_EQ(*first.entry_text,
+              service::encode_entry(service::make_entry(
+                  service::compute_cache_key(kernel, options), options,
+                  *first.result->compiled)));
     for (service::Ticket& t : tickets) {
-        if (t.outcome() == CacheOutcome::kCoalesced) {
-            EXPECT_EQ(t.future.get().get(), first.get());
-        }
+        EXPECT_EQ(t.future.get().result.get(), first.result.get());
+        EXPECT_EQ(t.future.get().entry_text.get(), first.entry_text.get());
     }
 }
 

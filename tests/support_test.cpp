@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "support/error.h"
@@ -179,6 +180,35 @@ TEST(Hash, CombineSpreadsValues)
     }
     // All 900 (a, b) pairs should hash distinctly.
     EXPECT_EQ(seen.size(), 900u);
+}
+
+TEST(Hash, ContentChecksumIgnoresAlignmentAndSeesEveryBit)
+{
+    // Lengths 0..100 cover the 32-byte stripes, the 8-byte tail words
+    // and the tail bytes. The digest is of the bytes wherever they lie,
+    // and flipping any one bit changes it.
+    std::string text;
+    for (int i = 0; i < 100; ++i) {
+        text += static_cast<char>('a' + (i * 7) % 26);
+    }
+    std::unordered_set<std::uint64_t> seen;
+    for (std::size_t n = 0; n <= text.size(); ++n) {
+        const std::string_view prefix = std::string_view(text).substr(0, n);
+        const std::uint64_t want = content_checksum(prefix);
+        EXPECT_TRUE(seen.insert(want).second) << n;
+        for (std::size_t offset = 1; offset < 8; ++offset) {
+            const std::string moved = std::string(offset, ' ') +
+                                      std::string(prefix);
+            const std::string_view at = std::string_view(moved).substr(offset);
+            EXPECT_EQ(content_checksum(at), want) << n << " at " << offset;
+        }
+    }
+    for (std::size_t bit = 0; bit < 8 * text.size(); ++bit) {
+        std::string flipped = text;
+        char& byte = flipped[bit / 8];
+        byte = static_cast<char>(byte ^ (1 << (bit % 8)));
+        EXPECT_TRUE(seen.insert(content_checksum(flipped)).second) << bit;
+    }
 }
 
 TEST(Lru, FindTouches)
